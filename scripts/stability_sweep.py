@@ -51,13 +51,15 @@ def main():
     background = X[120:120 + args.background_size]
     instances = X[120 + args.background_size:
                   120 + args.background_size + args.instances]
+    # one adapter per instance for the whole sweep: its payoff memo answers
+    # every coalition an earlier run or budget already evaluated
+    models = [ss.ClassProbabilityModel(knn, knn.predicted_class(x)) for x in instances]
 
     rows = []
     for budget in budgets:
         for strategy in (ss.ST_SHAP, ss.KERNEL_SHAP):
             jaccards = []
-            for idx, x in enumerate(instances):
-                model = ss.ClassProbabilityModel(knn, knn.predicted_class(x))
+            for idx, (x, model) in enumerate(zip(instances, models)):
                 supports = [
                     set(ss.explain(x, model, background, strategy, budget,
                                    seed=derive_seed(args.seed, idx, budget, run),

@@ -19,6 +19,7 @@ from .errors import (
     ConfigError,
     GameTableError,
     ModelBridgeError,
+    NonFinitePayoffError,
     OracleCapError,
     RankDeficiencyError,
     StableShapError,
@@ -73,6 +74,7 @@ __all__ = [
     "LAYER1",
     "Layer1Intermediates",
     "ModelBridgeError",
+    "NonFinitePayoffError",
     "OracleCapError",
     "RankDeficiencyError",
     "RidgeRegressionModel",

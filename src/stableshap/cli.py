@@ -5,8 +5,9 @@ Subcommands: ``explain``, ``stability``, ``adherence``, ``compare-exact``,
 and every output file carries the resolved configuration, so re-running a
 command byte-reproduces its results.
 
-Exit codes: 0 success, 2 configuration error, 3 external-model bridge error,
-4 exact-oracle cap refusal.
+Exit codes: 0 success, 1 other toolkit errors (such as a non-finite payoff),
+2 configuration error, 3 external-model bridge error, 4 exact-oracle cap
+refusal.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import exact, metrics
 from .coalitions import layer_size, n_layers
 from .data import as_int_labels, load_csv, split_indices
 from .errors import ConfigError, ModelBridgeError, OracleCapError, StableShapError
-from .explainer import LAYER1, Explanation, explain, fit, plan_for, sparsify
+from .explainer import LAYER1, Explanation, _explain_with_training_set, explain, plan_for
 from .games import SyntheticGame
 from .layer1 import layer1_attribution
 from .models import (
@@ -36,8 +37,7 @@ from .models import (
     KNNClassifierModel,
     RidgeRegressionModel,
 )
-from .sampling import KERNEL_SHAP, ST_SHAP, materialize
-from .value_function import anchors, evaluate_batch
+from .sampling import KERNEL_SHAP, ST_SHAP
 
 SAMPLING_STRATEGIES = (KERNEL_SHAP, ST_SHAP)
 ALL_STRATEGIES = (KERNEL_SHAP, ST_SHAP, LAYER1)
@@ -123,8 +123,9 @@ class Wiring:
     feature_names: tuple[str, ...]
     task: str
     background: np.ndarray | None
-    instances: list[tuple[int, np.ndarray | None]]  # (original row id, x)
-    model_for: "callable"                            # instance x -> scalar adapter
+    # (original row id, x, scalar adapter); one adapter per instance for the
+    # whole run, so its payoff memo serves every explanation of that instance
+    instances: list[tuple[int, np.ndarray | None, object]]
     resolved: dict                                   # reproducibility header
     bridge: ExternalProcessModel | None = None
 
@@ -167,8 +168,7 @@ def wire(cfg: RunConfig) -> Wiring:
             feature_names=tuple(f"player_{i}" for i in range(game.n_players)),
             task=cfg.task or "regression",
             background=None,
-            instances=[(0, None)],
-            model_for=lambda x: adapter,
+            instances=[(0, None, adapter)],
             resolved=resolved,
         )
 
@@ -227,8 +227,7 @@ def wire(cfg: RunConfig) -> Wiring:
         feature_names=ds.feature_names,
         task=task,
         background=background,
-        instances=[(r, ds.X[r]) for r in instance_rows],
-        model_for=model_for,
+        instances=[(r, ds.X[r], model_for(ds.X[r])) for r in instance_rows],
         resolved=resolved,
         bridge=bridge if cfg.model == "external" else None,
     )
@@ -292,32 +291,14 @@ class RunWriter:
 
 
 def _one_explanation(wiring: Wiring, strategy: str, budget: int | None,
-                     row_id: int, x, run: int,
+                     row_id: int, x, model, run: int,
                      explanation_size: int | None) -> Explanation:
-    model = wiring.model_for(x)
     if strategy == LAYER1:
         # always full-length: the closed form has no coalition set to re-fit on
         return layer1_attribution(x, model, wiring.background)
     seed = derive_seed(wiring.cfg.master_seed, row_id, budget, run)
     return explain(x, model, wiring.background, strategy, budget, seed,
                    explanation_size=explanation_size)
-
-
-def _explanation_and_training_set(wiring: Wiring, strategy: str, budget: int,
-                                  row_id: int, x, run: int,
-                                  explanation_size: int | None):
-    """Like _one_explanation but also returns the coalition set and payoffs,
-    for adherence evaluation."""
-    model = wiring.model_for(x)
-    seed = derive_seed(wiring.cfg.master_seed, row_id, budget, run)
-    plan = plan_for(strategy, wiring.n_features, budget, seed)
-    cset = materialize(plan)
-    values = evaluate_batch(cset.masks, x, wiring.background, model)
-    phi0, fx = anchors(x, wiring.background, model)
-    e = fit(cset, values, phi0, fx, strategy=strategy, budget=budget, seed=seed)
-    if explanation_size is not None:
-        e = sparsify(e, explanation_size, cset, values)
-    return e, cset, values
 
 
 def _pool_map(workers: int, fn, items):
@@ -385,17 +366,18 @@ def cmd_explain(args) -> int:
         )
     writer = RunWriter(cfg.output, wiring.resolved)
     written = []
-    for row_id, x in wiring.instances:
+    for row_id, x, model in wiring.instances:
         for strategy in strategies:
             if strategy == LAYER1:
-                e = layer1_attribution(x, wiring.model_for(x), wiring.background)
+                e = _one_explanation(wiring, LAYER1, None, row_id, x, model,
+                                     0, None)
                 name = f"row{row_id}_layer1"
                 written.append(writer.write_explanation(
                     name, {"instance_row": row_id} | e.to_json_dict()))
                 continue
             for budget in cfg.budgets:
                 for run in range(cfg.explain_runs):
-                    e = _one_explanation(wiring, strategy, budget, row_id, x,
+                    e = _one_explanation(wiring, strategy, budget, row_id, x, model,
                                          run, cfg.explanation_size)
                     name = f"row{row_id}_{strategy}_b{budget}_r{run}"
                     written.append(writer.write_explanation(
@@ -422,10 +404,10 @@ def cmd_stability(args) -> int:
     for strategy in strategies:
         for budget in cfg.budgets:
             def one_instance(item, strategy=strategy, budget=budget):
-                row_id, x = item
+                row_id, x, model = item
                 supports = []
                 for run in range(cfg.runs_per_instance):
-                    e = _one_explanation(wiring, strategy, budget, row_id, x,
+                    e = _one_explanation(wiring, strategy, budget, row_id, x, model,
                                          run, cfg.explanation_size)
                     supports.append(set(e.support))
                 return metrics.StabilityReport(
@@ -434,7 +416,7 @@ def cmd_stability(args) -> int:
                     budget=budget, strategy=strategy,
                 )
             reports = _pool_map(cfg.workers, one_instance, wiring.instances)
-            for (row_id, _), report in zip(wiring.instances, reports):
+            for (row_id, _, _), report in zip(wiring.instances, reports):
                 rows.extend([row_id, *tail] for tail in report.csv_rows())
             mean = float(np.mean([r.jaccard for r in reports]))
             rows.append(["mean", budget, strategy, "jaccard", repr(mean)])
@@ -457,16 +439,17 @@ def cmd_adherence(args) -> int:
     for strategy in strategies:
         for budget in cfg.budgets:
             def one_instance(item, strategy=strategy, budget=budget):
-                row_id, x = item
+                row_id, x, model = item
                 scores = []
                 for run in range(cfg.explain_runs):
-                    e, cset, values = _explanation_and_training_set(
-                        wiring, strategy, budget, row_id, x, run,
+                    seed = derive_seed(cfg.master_seed, row_id, budget, run)
+                    e, cset, values = _explain_with_training_set(
+                        x, model, wiring.background, strategy, budget, seed,
                         cfg.explanation_size)
                     scores.append(metrics.adherence(cset, values, e, wiring.task))
                 return float(np.mean(scores))
             scores = _pool_map(cfg.workers, one_instance, wiring.instances)
-            for (row_id, _), s in zip(wiring.instances, scores):
+            for (row_id, _, _), s in zip(wiring.instances, scores):
                 rows.append([row_id, budget, strategy, "adherence", repr(s)])
             rows.append(["mean", budget, strategy, "adherence",
                          repr(float(np.mean(scores)))])
@@ -489,8 +472,7 @@ def cmd_compare_exact(args) -> int:
     writer = RunWriter(cfg.output, wiring.resolved)
 
     def one_instance(item):
-        row_id, x = item
-        model = wiring.model_for(x)
+        row_id, x, model = item
         reference = exact.exact_shap(x, model, wiring.background,
                                      cap=cfg.oracle_cap).phi_array()
         out = []
@@ -498,7 +480,7 @@ def cmd_compare_exact(args) -> int:
             budgets = [None] if strategy == LAYER1 else cfg.budgets
             for budget in budgets:
                 # agreement metrics always use full-length attribution vectors
-                e = _one_explanation(wiring, strategy, budget, row_id, x,
+                e = _one_explanation(wiring, strategy, budget, row_id, x, model,
                                      run=0, explanation_size=None)
                 out.append((row_id, metrics.AgreementReport(
                     kendall_tau=metrics.kendall_tau(reference, e.phi_array()),

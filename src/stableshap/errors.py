@@ -39,3 +39,15 @@ class RankDeficiencyError(StableShapError):
 
 class GameTableError(StableShapError):
     """A coalition mask is missing from an exhaustive game table."""
+
+
+class NonFinitePayoffError(StableShapError):
+    """A coalition payoff came out NaN or infinite, so no attribution is meaningful."""
+
+    def __init__(self, coalition: str, payoff: float):
+        super().__init__(
+            f"coalition {coalition} (character i = feature i) has payoff {payoff!r}; "
+            "the model or the background data produced a non-finite value"
+        )
+        self.coalition = coalition
+        self.payoff = payoff

@@ -164,9 +164,10 @@ def plan_for(strategy: str, n_features: int, budget: int, seed: int) -> Sampling
     raise ValueError(f"unknown sampling strategy: {strategy!r}")
 
 
-def explain(x, model, background, strategy: str, budget: int, seed: int,
-            explanation_size: int | None = None) -> Explanation:
-    """Full pipeline: plan, materialize, evaluate, fit, optionally sparsify."""
+def _explain_with_training_set(x, model, background, strategy: str, budget: int,
+                               seed: int, explanation_size: int | None = None):
+    """The pipeline behind `explain`: plan, materialize, evaluate, fit,
+    optionally sparsify. Returns (explanation, coalition set, payoffs)."""
     plan = plan_for(strategy, model.n_features, budget, seed)
     coalition_set = materialize(plan)
     values = evaluate_batch(coalition_set.masks, x, background, model)
@@ -175,4 +176,11 @@ def explain(x, model, background, strategy: str, budget: int, seed: int,
                       strategy=strategy, budget=budget, seed=seed)
     if explanation_size is not None:
         explanation = sparsify(explanation, explanation_size, coalition_set, values)
-    return explanation
+    return explanation, coalition_set, values
+
+
+def explain(x, model, background, strategy: str, budget: int, seed: int,
+            explanation_size: int | None = None) -> Explanation:
+    """Full pipeline: plan, materialize, evaluate, fit, optionally sparsify."""
+    return _explain_with_training_set(x, model, background, strategy, budget, seed,
+                                      explanation_size)[0]

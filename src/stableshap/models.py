@@ -5,6 +5,14 @@ Every adapter exposes ``n_features`` and a deterministic, order-preserving
 the probability of one designated class. :class:`GameModel` is the odd one
 out: it evaluates coalitions directly (see ``coalition_values``) and has no
 row predictor at all.
+
+Adapter contract: for as long as an adapter object lives, its predictions
+must be a pure function of the rows, independent of the batch they arrive in.
+Coalition payoffs are memoized per adapter object (see
+:mod:`stableshap.value_function`): the memo holds the payoffs of the most
+recent (instance, background) pair, at most 2^M of them, and is dropped with
+the adapter. A model that is re-fit or otherwise changed therefore needs a new
+adapter object.
 """
 
 from __future__ import annotations

@@ -253,6 +253,22 @@ class TestCompareExactCommand:
                if r["metric"] == "r2" and r["instance"] not in ("mean", "median")]
         assert all(r >= 1 - 1e-6 for r in r2s)
 
+    def test_routes_after_exact_reuse_its_payoffs(self, reg_csv, tmp_path,
+                                                  monkeypatch):
+        from stableshap.models import RidgeRegressionModel
+        rows = []
+        predict = RidgeRegressionModel.predict
+        monkeypatch.setattr(RidgeRegressionModel, "predict",
+                            lambda self, r: rows.append(len(r)) or predict(self, r))
+        code = main([
+            "compare-exact", "--dataset", str(reg_csv), "--target", "target",
+            "--strategy", "all", "--budgets", "12,30", "--n-instances", "2",
+            "--background-size", "6", "--output", str(tmp_path / "run"),
+        ])
+        assert code == 0
+        # each instance: the 2^M exact table, then nothing for the other routes
+        assert sum(rows) == 2 * 2**M_REG * 6
+
     def test_two_feature_tau_is_plus_minus_one(self, tmp_path):
         data = _write_regression_csv(tmp_path / "two.csv", n=50, m=2, seed=5)
         out = tmp_path / "run"
@@ -319,6 +335,29 @@ class TestModelWiring:
             "--background-size", "5", "--output", str(tmp_path / "x"),
         ])
         assert code == 3
+
+    def test_nan_external_model_exit_1(self, reg_csv, tmp_path, capsys):
+        child = tmp_path / "nan.py"
+        child.write_text(
+            "import sys\n"
+            "n = 0\n"
+            "for line in sys.stdin:\n"
+            "    if line.strip():\n"
+            "        n += 1\n"
+            "    else:\n"
+            "        print('nan\\n' * n, end='', flush=True)\n"
+            "        n = 0\n"
+        )
+        code = main([
+            "explain", "--dataset", str(reg_csv), "--target", "target",
+            "--model", "external", "--model-command", f"{sys.executable} {child}",
+            "--budgets", "12", "--n-instances", "1",
+            "--background-size", "5", "--output", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "coalition" in err and "nan" in err
+        assert not list((tmp_path / "x" / "explanations").glob("*.json"))
 
     def test_game_model(self, tmp_path, glove_game):
         game_file = tmp_path / "glove.json"

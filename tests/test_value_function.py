@@ -1,0 +1,270 @@
+"""The per-adapter payoff memo and the finiteness check in evaluate_batch."""
+
+import gc
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+from stableshap import (
+    KERNEL_SHAP,
+    ST_SHAP,
+    GameModel,
+    NonFinitePayoffError,
+    RidgeRegressionModel,
+    exact_shap,
+    explain,
+    layer1_attribution,
+)
+from stableshap import value_function
+from stableshap.value_function import evaluate_batch
+
+from conftest import CountingGameModel, masked_mean_oracle, random_table_game
+
+
+class CountingRowModel:
+    """Row model that counts the rows it is asked to predict."""
+
+    def __init__(self, weights, bias=0.0):
+        self.weights = np.asarray(weights, dtype=float)
+        self.bias = bias
+        self.n_features = len(self.weights)
+        self.rows = 0
+
+    def predict(self, rows):
+        rows = np.asarray(rows, dtype=float)
+        self.rows += len(rows)
+        return np.tanh(rows @ self.weights) + self.bias
+
+
+class CountingRidge(RidgeRegressionModel):
+    rows = 0
+
+    def predict(self, rows):
+        self.rows += len(rows)
+        return super().predict(rows)
+
+
+def _setup(m=6, n_bg=5, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=m), rng.normal(size=(n_bg, m)), rng.normal(size=m)
+
+
+def _masks(m, n, seed=1):
+    return np.random.default_rng(seed).random((n, m)) < 0.5
+
+
+class TestMemo:
+    def test_repeated_explain_sends_no_rows(self):
+        x, bg, w = _setup()
+        model = CountingRowModel(w)
+        first = explain(x, model, bg, KERNEL_SHAP, 40, seed=3, explanation_size=3)
+        rows_first = model.rows
+        again = explain(x, model, bg, KERNEL_SHAP, 40, seed=3, explanation_size=3)
+        assert rows_first > 0
+        assert model.rows == rows_first
+        assert again == first
+
+    def test_memoized_results_bit_identical_to_a_fresh_adapter(self):
+        x, bg, w = _setup(m=7)
+        warm = CountingRowModel(w)
+        for budget in (14, 60, 126):
+            explain(x, warm, bg, ST_SHAP, budget, seed=budget)
+        for strategy in (ST_SHAP, KERNEL_SHAP):
+            for budget in (20, 70):
+                memo = explain(x, warm, bg, strategy, budget, seed=11)
+                fresh = explain(x, CountingRowModel(w), bg, strategy, budget, seed=11)
+                assert memo == fresh
+
+    def test_duplicate_masks_in_one_request_evaluated_once(self):
+        x, bg, w = _setup()
+        model = CountingRowModel(w)
+        masks = _masks(6, 10)
+        values = evaluate_batch(np.vstack([masks, masks[::-1]]), x, bg, model)
+        n_distinct = len({m.tobytes() for m in masks})
+        assert model.rows == n_distinct * len(bg)
+        assert np.array_equal(values[:10], values[10:][::-1])
+
+    def test_new_instance_is_recomputed(self):
+        x, bg, w = _setup()
+        model = CountingRowModel(w)
+        masks = _masks(6, 12)
+        evaluate_batch(masks, x, bg, model)
+        before = model.rows
+        x2 = x + 1.0
+        got = evaluate_batch(masks, x2, bg, model)
+        assert model.rows - before == len(np.unique(masks, axis=0)) * len(bg)
+        assert np.array_equal(got, evaluate_batch(masks, x2, bg, CountingRowModel(w)))
+        for mask, v in zip(masks, got):
+            assert v == pytest.approx(masked_mean_oracle(mask, x2, bg, model.predict))
+
+    def test_new_background_is_recomputed(self):
+        x, bg, w = _setup()
+        model = CountingRowModel(w)
+        masks = _masks(6, 12)
+        evaluate_batch(masks, x, bg, model)
+        before = model.rows
+        bg2 = bg.copy()
+        bg2[0, 0] += 0.5  # same shape, one value differs
+        got = evaluate_batch(masks, x, bg2, model)
+        assert model.rows - before == len(np.unique(masks, axis=0)) * len(bg2)
+        assert np.array_equal(got, evaluate_batch(masks, x, bg2, CountingRowModel(w)))
+
+    def test_new_adapter_is_recomputed(self):
+        x, bg, w = _setup()
+        masks = _masks(6, 12)
+        evaluate_batch(masks, x, bg, CountingRowModel(w))
+        other = CountingRowModel(w, bias=1.0)  # same weights, different function
+        got = evaluate_batch(masks, x, bg, other)
+        assert other.rows > 0
+        for mask, v in zip(masks, got):
+            assert v == pytest.approx(masked_mean_oracle(mask, x, bg, other.predict))
+
+    def test_keys_cover_more_than_64_features(self):
+        m = 70
+        x, bg, w = _setup(m=m, n_bg=3)
+        model = CountingRowModel(w)
+        masks = _masks(m, 30)
+        first = evaluate_batch(masks, x, bg, model)
+        rows = model.rows
+        # masks differing only in feature 69 must not share a payoff
+        flipped = masks.copy()
+        flipped[:, m - 1] ^= True
+        evaluate_batch(flipped, x, bg, model)
+        assert model.rows == rows + len(masks) * len(bg)
+        again = evaluate_batch(masks[::-1], x, bg, model)
+        assert model.rows == rows + len(masks) * len(bg)
+        assert np.array_equal(again, first[::-1])
+
+    def test_memo_dies_with_its_adapter(self):
+        x, bg, w = _setup()
+        model = CountingRowModel(w)
+        evaluate_batch(_masks(6, 8), x, bg, model)
+        key = id(model)
+        alive = weakref.ref(model)
+        del model
+        gc.collect()
+        assert alive() is None
+        entry = value_function._MEMOS.get(key)
+        assert entry is None or entry[0]() is not None
+
+    def test_adapter_without_weak_references_is_evaluated_every_time(self):
+        class Slotted:
+            __slots__ = ("n_features", "rows")
+
+            def __init__(self):
+                self.n_features = 4
+                self.rows = 0
+
+            def predict(self, rows):
+                self.rows += len(rows)
+                return rows.sum(axis=1)
+
+        x, bg, _ = _setup(m=4)
+        model = Slotted()
+        masks = _masks(4, 5)
+        a = evaluate_batch(masks, x, bg, model)
+        b = evaluate_batch(masks, x, bg, model)
+        assert model.rows == 2 * len(masks) * len(bg)
+        assert np.array_equal(a, b)
+
+    def test_threads_sharing_an_adapter_get_their_own_instance_payoffs(self):
+        rng = np.random.default_rng(5)
+        m = 8
+        w = rng.normal(size=m)
+        bg = rng.normal(size=(4, m))
+        xs = rng.normal(size=(4, m))
+        masks = [_masks(m, 40, seed=s) for s in range(6)]
+        shared = CountingRowModel(w)
+        jobs = [(i % len(xs), j) for i in range(24) for j in range(len(masks))]
+
+        def one(job):
+            i, j = job
+            return evaluate_batch(masks[j], xs[i], bg, shared)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid-merge as often as possible
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(one, jobs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for (i, j), values in zip(jobs, got):
+            assert np.array_equal(values, evaluate_batch(masks[j], xs[i], bg,
+                                                         CountingRowModel(w)))
+
+    def test_ridge_routes_after_exact_send_no_rows(self):
+        rng = np.random.default_rng(2)
+        m = 8
+        X = rng.normal(size=(60, m))
+        model = CountingRidge.fit(X[:40], X[:40] @ rng.normal(size=m))
+        x, bg = X[50], X[40:50]
+        exact = exact_shap(x, model, bg)
+        assert model.rows == 2**m * len(bg)
+        for strategy in (ST_SHAP, KERNEL_SHAP):
+            for budget in (16, 100, 2**m - 2):
+                e = explain(x, model, bg, strategy, budget, seed=budget)
+                assert e.phis == pytest.approx(exact.phis)
+        layer1_attribution(x, model, bg)
+        assert model.rows == 2**m * len(bg)
+
+    def test_game_adapters_bypass_the_memo(self):
+        game = random_table_game(np.random.default_rng(4), 5)
+        model = CountingGameModel(game)
+        explain(None, model, None, ST_SHAP, 20, seed=0)
+        once = model.calls
+        explain(None, model, None, ST_SHAP, 20, seed=0)
+        assert model.calls == 2 * once
+
+
+class TestNonFinitePayoffs:
+    def test_nan_model_raises_naming_the_coalition(self):
+        x, bg, w = _setup(m=5)
+
+        class NanWhenFeature2Present(CountingRowModel):
+            def predict(self, rows):
+                out = super().predict(rows)
+                return np.where(rows[:, 2] == x[2], np.nan, out)
+
+        with pytest.raises(NonFinitePayoffError) as info:
+            explain(x, NanWhenFeature2Present(w), bg, ST_SHAP, 10, seed=0)
+        coalition = info.value.coalition
+        assert len(coalition) == 5 and coalition[2] == "1"
+        assert coalition in str(info.value)
+
+    def test_infinite_background_row_raises(self):
+        x, bg, w = _setup(m=4)
+        bg[1, 3] = np.inf
+        model = CountingRowModel(w)
+        model.predict = lambda rows: np.asarray(rows, dtype=float).sum(axis=1)
+        with pytest.raises(NonFinitePayoffError):
+            explain(x, model, bg, ST_SHAP, 8, seed=0)
+
+    def test_non_finite_game_payoff_raises(self):
+        game = random_table_game(np.random.default_rng(1), 3)
+        table = dict(game.table)
+        table[0b011] = float("inf")
+        model = GameModel(type(game).from_table(3, table))
+        with pytest.raises(NonFinitePayoffError, match="110"):
+            evaluate_batch(np.array([[1, 0, 0], [1, 1, 0]], dtype=bool), None, None, model)
+
+    def test_non_finite_payoffs_are_never_memoized(self):
+        x, bg, w = _setup(m=5)
+
+        class Toggle(CountingRowModel):
+            broken = True
+
+            def predict(self, rows):
+                out = super().predict(rows)
+                return out * np.nan if self.broken else out
+
+        model = Toggle(w)
+        masks = _masks(5, 6)
+        with pytest.raises(NonFinitePayoffError):
+            evaluate_batch(masks, x, bg, model)
+        model.broken = False
+        got = evaluate_batch(masks, x, bg, model)
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, evaluate_batch(masks, x, bg, CountingRowModel(w)))
