@@ -26,16 +26,9 @@ from .errors import (
 )
 from .exact import ExactValues, exact_shap, exact_shap_game, exact_shap_permutation
 from .explainer import LAYER1, Explanation, explain, fit, sparsify
-from .games import SyntheticGame, game_value
+from .games import SyntheticGame
 from .layer1 import Layer1Intermediates, alt_form, layer1_attribution
-from .metrics import (
-    AgreementReport,
-    StabilityReport,
-    adherence,
-    jaccard_n,
-    kendall_tau,
-    r2_score,
-)
+from .metrics import adherence, jaccard_n, kendall_tau, r2_score
 from .models import (
     CallableModel,
     ClassProbabilityModel,
@@ -53,12 +46,11 @@ from .sampling import (
     plan_kernel_shap,
     plan_st_shap,
 )
-from .value_function import evaluate, evaluate_batch
+from .value_function import evaluate_batch
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgreementReport",
     "CallableModel",
     "ClassProbabilityModel",
     "Coalition",
@@ -80,7 +72,6 @@ __all__ = [
     "RidgeRegressionModel",
     "ST_SHAP",
     "SamplingPlan",
-    "StabilityReport",
     "StableShapError",
     "SyntheticGame",
     "WeightedCoalitionSet",
@@ -88,14 +79,12 @@ __all__ = [
     "alt_form",
     "complete_layer_budgets",
     "enumerate_layer",
-    "evaluate",
     "evaluate_batch",
     "exact_shap",
     "exact_shap_game",
     "exact_shap_permutation",
     "explain",
     "fit",
-    "game_value",
     "jaccard_n",
     "kendall_tau",
     "kernel_weight",

@@ -27,7 +27,7 @@ from . import exact, metrics
 from .coalitions import layer_size, n_layers
 from .data import as_int_labels, load_csv, split_indices
 from .errors import ConfigError, ModelBridgeError, OracleCapError, StableShapError
-from .explainer import LAYER1, Explanation, _explain_with_training_set, explain, plan_for
+from .explainer import LAYER1, _explain_with_training_set, explain, plan_for
 from .games import SyntheticGame
 from .layer1 import layer1_attribution
 from .models import (
@@ -41,6 +41,16 @@ from .sampling import KERNEL_SHAP, ST_SHAP
 
 SAMPLING_STRATEGIES = (KERNEL_SHAP, ST_SHAP)
 ALL_STRATEGIES = (KERNEL_SHAP, ST_SHAP, LAYER1)
+EXACT = "exact"  # compare-exact's reference route, run before the others
+
+# run command -> (default strategy, strategies it accepts)
+_COMMANDS = {
+    "explain": (ST_SHAP, ALL_STRATEGIES),
+    "stability": ("both", SAMPLING_STRATEGIES),
+    "adherence": ("both", SAMPLING_STRATEGIES),
+    "compare-exact": (LAYER1, ALL_STRATEGIES),
+}
+CSV_HEADER = ["instance", "budget", "strategy", "metric", "value"]
 
 
 @dataclass
@@ -116,7 +126,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 @dataclass
 class Wiring:
-    """Resolved experiment pieces shared by the run commands."""
+    """Resolved experiment pieces shared by the run commands.
+
+    Used as a context manager; leaving it closes the external-model bridge.
+    """
 
     cfg: RunConfig
     n_features: int
@@ -132,6 +145,12 @@ class Wiring:
     def close(self):
         if self.bridge is not None:
             self.bridge.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
 def _resolve_instances(cfg: RunConfig, heldout: np.ndarray,
@@ -199,6 +218,10 @@ def wire(cfg: RunConfig) -> Wiring:
         task = cfg.task or "classification"
         labels = as_int_labels(ds.y[fit_idx], ds.path)
         knn = KNNClassifierModel(ds.X[fit_idx], labels, k=cfg.knn_k)
+        classes = [int(c) for c in knn.classes]
+        if cfg.explained_class is not None and cfg.explained_class not in classes:
+            raise ConfigError(f"explained class {cfg.explained_class} is not one of "
+                              f"the model's classes {classes}")
 
         def model_for(x, _knn=knn):
             cls = cfg.explained_class
@@ -233,28 +256,44 @@ def wire(cfg: RunConfig) -> Wiring:
     )
 
 
-def _validate_budgets(cfg: RunConfig, m: int) -> None:
-    top = 2**m - 2
-    if not cfg.budgets:
-        raise ConfigError("at least one budget is required (--budgets)")
-    bad = [b for b in cfg.budgets if not 2 <= b <= top]
-    if bad:
-        raise ConfigError(f"budgets {bad} outside the valid range [2, {top}] for M={m}")
-    if cfg.explanation_size is not None and not 1 <= cfg.explanation_size <= m:
-        raise ConfigError(
-            f"explanation size {cfg.explanation_size} outside 1..{m}"
-        )
-
-
 def _strategies(cfg: RunConfig, default: str, allowed: tuple[str, ...]) -> list[str]:
     tag = cfg.strategy or default
-    if tag == "both":
-        return list(SAMPLING_STRATEGIES)
-    if tag == "all":
-        return list(ALL_STRATEGIES)
-    if tag not in allowed:
+    chosen = {"both": SAMPLING_STRATEGIES, "all": ALL_STRATEGIES}.get(tag, (tag,))
+    if not set(chosen) <= set(allowed):
         raise ConfigError(f"strategy {tag!r} not valid here; choose from {allowed}")
-    return [tag]
+    return list(chosen)
+
+
+def _routes(cfg: RunConfig, strategies: list[str]):
+    """(strategy, budget) pairs in output order; budget None for unsampled routes."""
+    for strategy in strategies:
+        if strategy in SAMPLING_STRATEGIES:
+            for budget in cfg.budgets:
+                yield strategy, budget
+        else:
+            yield strategy, None
+
+
+def _validate(cfg: RunConfig, command: str, m: int, strategies: list[str]) -> None:
+    if command == "stability":
+        if cfg.runs_per_instance < 2:
+            raise ConfigError("stability needs at least 2 runs per instance")
+        if cfg.explanation_size is None:
+            raise ConfigError("stability needs an explanation size (the support sets "
+                              "of full-length fits are trivially identical)")
+    if command == "compare-exact":
+        # agreement is measured on full-length vectors: the size goes unused
+        if m > cfg.oracle_cap:
+            raise OracleCapError(m, cfg.oracle_cap)
+    elif cfg.explanation_size is not None and not 1 <= cfg.explanation_size <= m:
+        raise ConfigError(f"explanation size {cfg.explanation_size} outside 1..{m}")
+    if any(s in SAMPLING_STRATEGIES for s in strategies):
+        top = 2**m - 2
+        if not cfg.budgets:
+            raise ConfigError("at least one budget is required (--budgets)")
+        bad = [b for b in cfg.budgets if not 2 <= b <= top]
+        if bad:
+            raise ConfigError(f"budgets {bad} outside the valid range [2, {top}] for M={m}")
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +326,14 @@ class RunWriter:
 
 
 # ---------------------------------------------------------------------------
-# shared explanation driver
+# shared run loop
 
 
-def _one_explanation(wiring: Wiring, strategy: str, budget: int | None,
-                     row_id: int, x, model, run: int,
-                     explanation_size: int | None) -> Explanation:
+def _attribution(wiring: Wiring, strategy: str, budget: int | None,
+                 row_id: int, x, model, run: int = 0,
+                 explanation_size: int | None = None):
+    if strategy == EXACT:
+        return exact.exact_shap(x, model, wiring.background, cap=wiring.cfg.oracle_cap)
     if strategy == LAYER1:
         # always full-length: the closed form has no coalition set to re-fit on
         return layer1_attribution(x, model, wiring.background)
@@ -306,6 +347,50 @@ def _pool_map(workers: int, fn, items):
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))  # ordered collection keeps output deterministic
+
+
+def _sweep(args, per_route):
+    """Wire and validate a run, then call ``per_route`` on every route of
+    every instance.
+
+    ``per_route(wiring, row_id, x, model, strategy, budget)`` computes one
+    route's result. Each instance runs all of its routes back to back, so its
+    adapter's payoff memo serves every route; instances go through the worker
+    pool. compare-exact's first route is the exact values. Returns (wiring,
+    writer, routes, results) with ``results[i][k]`` the result of instance i
+    on route k. The bridge to an external model is closed however the sweep
+    ends.
+    """
+    cfg = build_config(args)
+    default, allowed = _COMMANDS[args.command]
+    strategies = _strategies(cfg, default, allowed)
+    if args.command == "compare-exact":
+        strategies = [EXACT, *strategies]
+    routes = list(_routes(cfg, strategies))
+    with wire(cfg) as wiring:
+        _validate(cfg, args.command, wiring.n_features, strategies)
+        writer = RunWriter(cfg.output, wiring.resolved)
+
+        def one_instance(item):
+            row_id, x, model = item
+            return [per_route(wiring, row_id, x, model, strategy, budget)
+                    for strategy, budget in routes]
+
+        results = _pool_map(cfg.workers, one_instance, wiring.instances)
+    return wiring, writer, routes, results
+
+
+def _metric_csv(args, name: str, metric: str, per_route) -> int:
+    """Route-major CSV of one scalar per (route, instance), plus each route's mean."""
+    wiring, writer, routes, results = _sweep(args, per_route)
+    rows = []
+    for k, (strategy, budget) in enumerate(routes):
+        values = [per_instance[k] for per_instance in results]
+        rows.extend([row_id, budget, strategy, metric, repr(v)]
+                    for (row_id, _, _), v in zip(wiring.instances, values))
+        rows.append(["mean", budget, strategy, metric, repr(float(np.mean(values)))])
+    print(writer.write_csv(name, CSV_HEADER, rows))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -355,162 +440,67 @@ def cmd_layers(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    cfg = build_config(args)
-    wiring = wire(cfg)
-    strategies = _strategies(cfg, default=ST_SHAP, allowed=ALL_STRATEGIES)
-    if any(s != LAYER1 for s in strategies):
-        _validate_budgets(cfg, wiring.n_features)
-    elif cfg.explanation_size is not None and cfg.explanation_size > wiring.n_features:
-        raise ConfigError(
-            f"explanation size {cfg.explanation_size} outside 1..{wiring.n_features}"
-        )
-    writer = RunWriter(cfg.output, wiring.resolved)
-    written = []
-    for row_id, x, model in wiring.instances:
-        for strategy in strategies:
-            if strategy == LAYER1:
-                e = _one_explanation(wiring, LAYER1, None, row_id, x, model,
-                                     0, None)
-                name = f"row{row_id}_layer1"
-                written.append(writer.write_explanation(
-                    name, {"instance_row": row_id} | e.to_json_dict()))
-                continue
-            for budget in cfg.budgets:
-                for run in range(cfg.explain_runs):
-                    e = _one_explanation(wiring, strategy, budget, row_id, x, model,
-                                         run, cfg.explanation_size)
-                    name = f"row{row_id}_{strategy}_b{budget}_r{run}"
-                    written.append(writer.write_explanation(
-                        name, {"instance_row": row_id, "run": run} | e.to_json_dict()))
-    wiring.close()
-    for path in written:
-        print(path)
+    def payloads(wiring, row_id, x, model, strategy, budget):
+        if budget is None:
+            e = _attribution(wiring, strategy, None, row_id, x, model)
+            return [(f"row{row_id}_{strategy}", {"instance_row": row_id} | e.to_json_dict())]
+        return [(f"row{row_id}_{strategy}_b{budget}_r{run}",
+                 {"instance_row": row_id, "run": run}
+                 | _attribution(wiring, strategy, budget, row_id, x, model, run,
+                                wiring.cfg.explanation_size).to_json_dict())
+                for run in range(wiring.cfg.explain_runs)]
+
+    _, writer, _, results = _sweep(args, payloads)
+    for per_instance in results:
+        for files in per_instance:
+            for name, payload in files:
+                print(writer.write_explanation(name, payload))
     return 0
 
 
 def cmd_stability(args) -> int:
-    cfg = build_config(args)
-    if cfg.runs_per_instance < 2:
-        raise ConfigError("stability needs at least 2 runs per instance")
-    if cfg.explanation_size is None:
-        raise ConfigError("stability needs an explanation size (the support sets "
-                          "of full-length fits are trivially identical)")
-    wiring = wire(cfg)
-    _validate_budgets(cfg, wiring.n_features)
-    strategies = _strategies(cfg, default="both", allowed=SAMPLING_STRATEGIES)
-    writer = RunWriter(cfg.output, wiring.resolved)
+    def jaccard(wiring, row_id, x, model, strategy, budget):
+        size = wiring.cfg.explanation_size
+        return metrics.jaccard_n(
+            [set(_attribution(wiring, strategy, budget, row_id, x, model, run, size).support)
+             for run in range(wiring.cfg.runs_per_instance)])
 
-    rows = []
-    for strategy in strategies:
-        for budget in cfg.budgets:
-            def one_instance(item, strategy=strategy, budget=budget):
-                row_id, x, model = item
-                supports = []
-                for run in range(cfg.runs_per_instance):
-                    e = _one_explanation(wiring, strategy, budget, row_id, x, model,
-                                         run, cfg.explanation_size)
-                    supports.append(set(e.support))
-                return metrics.StabilityReport(
-                    jaccard=metrics.jaccard_n(supports),
-                    n_runs=cfg.runs_per_instance,
-                    budget=budget, strategy=strategy,
-                )
-            reports = _pool_map(cfg.workers, one_instance, wiring.instances)
-            for (row_id, _, _), report in zip(wiring.instances, reports):
-                rows.extend([row_id, *tail] for tail in report.csv_rows())
-            mean = float(np.mean([r.jaccard for r in reports]))
-            rows.append(["mean", budget, strategy, "jaccard", repr(mean)])
-    wiring.close()
-    path = writer.write_csv("stability",
-                            ["instance", "budget", "strategy", "metric", "value"],
-                            rows)
-    print(path)
-    return 0
+    return _metric_csv(args, "stability", "jaccard", jaccard)
 
 
 def cmd_adherence(args) -> int:
-    cfg = build_config(args)
-    wiring = wire(cfg)
-    _validate_budgets(cfg, wiring.n_features)
-    strategies = _strategies(cfg, default="both", allowed=SAMPLING_STRATEGIES)
-    writer = RunWriter(cfg.output, wiring.resolved)
+    def adherence(wiring, row_id, x, model, strategy, budget):
+        cfg = wiring.cfg
+        scores = []
+        for run in range(cfg.explain_runs):
+            seed = derive_seed(cfg.master_seed, row_id, budget, run)
+            e, cset, values = _explain_with_training_set(
+                x, model, wiring.background, strategy, budget, seed, cfg.explanation_size)
+            scores.append(metrics.adherence(cset, values, e, wiring.task))
+        return float(np.mean(scores))
 
-    rows = []
-    for strategy in strategies:
-        for budget in cfg.budgets:
-            def one_instance(item, strategy=strategy, budget=budget):
-                row_id, x, model = item
-                scores = []
-                for run in range(cfg.explain_runs):
-                    seed = derive_seed(cfg.master_seed, row_id, budget, run)
-                    e, cset, values = _explain_with_training_set(
-                        x, model, wiring.background, strategy, budget, seed,
-                        cfg.explanation_size)
-                    scores.append(metrics.adherence(cset, values, e, wiring.task))
-                return float(np.mean(scores))
-            scores = _pool_map(cfg.workers, one_instance, wiring.instances)
-            for (row_id, _, _), s in zip(wiring.instances, scores):
-                rows.append([row_id, budget, strategy, "adherence", repr(s)])
-            rows.append(["mean", budget, strategy, "adherence",
-                         repr(float(np.mean(scores)))])
-    wiring.close()
-    path = writer.write_csv("adherence",
-                            ["instance", "budget", "strategy", "metric", "value"],
-                            rows)
-    print(path)
-    return 0
+    return _metric_csv(args, "adherence", "adherence", adherence)
 
 
 def cmd_compare_exact(args) -> int:
-    cfg = build_config(args)
-    wiring = wire(cfg)
-    if wiring.n_features > cfg.oracle_cap:
-        raise OracleCapError(wiring.n_features, cfg.oracle_cap)
-    strategies = _strategies(cfg, default=LAYER1, allowed=ALL_STRATEGIES)
-    if any(s in SAMPLING_STRATEGIES for s in strategies):
-        _validate_budgets(cfg, wiring.n_features)
-    writer = RunWriter(cfg.output, wiring.resolved)
+    def phi(wiring, row_id, x, model, strategy, budget):
+        # agreement metrics always use full-length attribution vectors
+        return _attribution(wiring, strategy, budget, row_id, x, model).phi_array()
 
-    def one_instance(item):
-        row_id, x, model = item
-        reference = exact.exact_shap(x, model, wiring.background,
-                                     cap=cfg.oracle_cap).phi_array()
-        out = []
-        for strategy in strategies:
-            budgets = [None] if strategy == LAYER1 else cfg.budgets
-            for budget in budgets:
-                # agreement metrics always use full-length attribution vectors
-                e = _one_explanation(wiring, strategy, budget, row_id, x, model,
-                                     run=0, explanation_size=None)
-                out.append((row_id, metrics.AgreementReport(
-                    kendall_tau=metrics.kendall_tau(reference, e.phi_array()),
-                    r2=metrics.r2_score(reference, e.phi_array()),
-                    reference="exact", budget=budget, strategy=strategy,
-                )))
-        return out
-
-    per_instance = _pool_map(cfg.workers, one_instance, wiring.instances)
-    rows = []
-    by_key: dict[tuple, dict[str, list[float]]] = {}
-    for chunk in per_instance:
-        for row_id, report in chunk:
-            rows.extend([row_id, *tail] for tail in report.csv_rows())
-            slot = by_key.setdefault((report.budget, report.strategy),
-                                     {"kendall_tau": [], "r2": []})
-            slot["kendall_tau"].append(report.kendall_tau)
-            slot["r2"].append(report.r2)
-    for (budget, strategy), slot in by_key.items():
-        budget_cell = "" if budget is None else budget
-        for metric_name, values in slot.items():
-            rows.append(["mean", budget_cell, strategy, metric_name,
-                         repr(float(np.mean(values)))])
-            rows.append(["median", budget_cell, strategy, metric_name,
-                         repr(float(statistics.median(values)))])
-    wiring.close()
-    path = writer.write_csv("compare_exact",
-                            ["instance", "budget", "strategy", "metric", "value"],
-                            rows)
-    print(path)
+    wiring, writer, routes, results = _sweep(args, phi)
+    rows = []  # csv writes layer-1's None budget as an empty cell
+    scores: dict[tuple, list[float]] = {}  # (strategy, budget, metric) -> per instance
+    for (row_id, _, _), (reference, *phis) in zip(wiring.instances, results):
+        for (strategy, budget), p in zip(routes[1:], phis):
+            for metric, value in (("kendall_tau", metrics.kendall_tau(reference, p)),
+                                  ("r2", metrics.r2_score(reference, p))):
+                rows.append([row_id, budget, strategy, metric, repr(value)])
+                scores.setdefault((strategy, budget, metric), []).append(value)
+    for (strategy, budget, metric), values in scores.items():
+        rows.append(["mean", budget, strategy, metric, repr(float(np.mean(values)))])
+        rows.append(["median", budget, strategy, metric,
+                     repr(float(statistics.median(values)))])
+    print(writer.write_csv("compare_exact", CSV_HEADER, rows))
     return 0
 
 

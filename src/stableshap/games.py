@@ -160,8 +160,3 @@ class SyntheticGame:
     def save(self, path) -> None:
         with open(Path(path), "w") as fh:
             json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-
-
-def game_value(game: SyntheticGame, players) -> float:
-    """Payoff of the coalition given as a collection of player indices."""
-    return game.value_of_set(players)

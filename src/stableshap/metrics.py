@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .explainer import Explanation
@@ -14,42 +12,6 @@ CLASSIFICATION = "classification"
 
 # decision boundary for class-probability outputs
 _CLASS_THRESHOLD = 0.5
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    jaccard: float
-    n_runs: int
-    budget: int
-    strategy: str
-
-    def csv_rows(self) -> list[list]:
-        return [[self.budget, self.strategy, "jaccard", repr(self.jaccard)]]
-
-    def to_json_dict(self) -> dict:
-        return {"jaccard": self.jaccard, "n_runs": self.n_runs,
-                "budget": self.budget, "strategy": self.strategy}
-
-
-@dataclass(frozen=True)
-class AgreementReport:
-    kendall_tau: float
-    r2: float
-    reference: str  # "exact" or another explanation's strategy tag
-    budget: int | None = None
-    strategy: str | None = None
-
-    def csv_rows(self) -> list[list]:
-        budget = "" if self.budget is None else self.budget
-        return [
-            [budget, self.strategy, "kendall_tau", repr(self.kendall_tau)],
-            [budget, self.strategy, "r2", repr(self.r2)],
-        ]
-
-    def to_json_dict(self) -> dict:
-        return {"kendall_tau": self.kendall_tau, "r2": self.r2,
-                "reference": self.reference, "budget": self.budget,
-                "strategy": self.strategy}
 
 
 def jaccard_n(sets) -> float:

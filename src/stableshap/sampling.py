@@ -21,7 +21,6 @@ from math import comb
 import numpy as np
 
 from .coalitions import (
-    Coalition,
     kernel_weight,
     layer_masks,
     layer_member,
@@ -108,9 +107,6 @@ class WeightedCoalitionSet:
     @property
     def n_features(self) -> int:
         return self.masks.shape[1]
-
-    def coalitions(self) -> list[Coalition]:
-        return [Coalition(tuple(bool(b) for b in row)) for row in self.masks]
 
     def validate(self) -> None:
         """Check set invariants; test hook, not a hot-path guard."""

@@ -154,11 +154,6 @@ def evaluate_batch(coalitions, x, background, model) -> np.ndarray:
     return _memoized_payoffs(masks, x, background, model)
 
 
-def evaluate(coalition, x, background, model) -> float:
-    """Payoff of a single coalition."""
-    return float(evaluate_batch([coalition], x, background, model)[0])
-
-
 def anchors(x, background, model, n_features: int | None = None) -> tuple[float, float]:
     """(payoff of the empty coalition, payoff of the grand coalition).
 

@@ -178,19 +178,45 @@ class TestStabilityCommand:
         ])
         assert code == 2
 
-    def test_worker_pool_preserves_row_order(self, reg_csv, tmp_path):
+
+class TestRunCommands:
+    @pytest.mark.parametrize("command", ["explain", "stability", "adherence",
+                                         "compare-exact"])
+    def test_worker_pool_preserves_row_order(self, command, reg_csv, tmp_path, capsys):
         base = [
-            "stability", "--dataset", str(reg_csv), "--target", "target",
-            "--budgets", "12,30", "--runs-per-instance", "4",
-            "--n-instances", "3", "--background-size", "8",
-            "--explanation-size", "3",
-        ]
-        out1, out2 = tmp_path / "serial", tmp_path / "pooled"
-        assert main(base + ["--workers", "1", "--output", str(out1)]) == 0
-        assert main(base + ["--workers", "3", "--output", str(out2)]) == 0
-        rows1 = _read_metric_rows(out1 / "metrics" / "stability.csv")
-        rows2 = _read_metric_rows(out2 / "metrics" / "stability.csv")
-        assert rows1 == rows2
+            command, "--dataset", str(reg_csv), "--target", "target",
+            "--budgets", "12,30", "--n-instances", "3", "--background-size", "8",
+        ] + {
+            "explain": ["--strategy", "all", "--runs", "2"],
+            "stability": ["--runs-per-instance", "4", "--explanation-size", "3"],
+            "adherence": ["--runs", "2"],
+            "compare-exact": ["--strategy", "all"],
+        }[command]
+        outputs = {}
+        for workers in ("1", "3"):
+            out = tmp_path / f"w{workers}"
+            assert main(base + ["--workers", workers, "--output", str(out)]) == 0
+            printed = [Path(line).name for line in capsys.readouterr().out.splitlines()]
+            if command == "explain":
+                # the resolved config names the worker count; the payloads must not
+                outputs[workers] = [
+                    (name, {k: v for k, v in json.loads(
+                        (out / "explanations" / name).read_text()).items() if k != "config"})
+                    for name in printed]
+            else:
+                outputs[workers] = _read_metric_rows(out / "metrics" / printed[0])
+        assert outputs["1"] and outputs["1"] == outputs["3"]
+
+    @pytest.mark.parametrize("command", ["stability", "adherence"])
+    def test_layer1_strategy_refused_where_not_allowed(self, command, reg_csv,
+                                                       tmp_path):
+        code = main([
+            command, "--dataset", str(reg_csv), "--target", "target",
+            "--strategy", "all", "--budgets", "12", "--runs-per-instance", "3",
+            "--n-instances", "1", "--background-size", "8",
+            "--output", str(tmp_path / "x"),
+        ])
+        assert code == 2
 
 
 class TestAdherenceCommand:
@@ -269,6 +295,20 @@ class TestCompareExactCommand:
         # each instance: the 2^M exact table, then nothing for the other routes
         assert sum(rows) == 2 * 2**M_REG * 6
 
+    def test_explanation_size_is_not_checked(self, tmp_path):
+        # the default explanation size 4 exceeds M=3, but agreement is
+        # measured on full-length vectors, so the size plays no part
+        data = _write_regression_csv(tmp_path / "three.csv", n=50, m=3, seed=2)
+        out = tmp_path / "run"
+        code = main([
+            "compare-exact", "--dataset", str(data), "--target", "target",
+            "--strategy", "both", "--budgets", "6", "--n-instances", "2",
+            "--background-size", "5", "--output", str(out),
+        ])
+        assert code == 0
+        rows = _read_metric_rows(out / "metrics" / "compare_exact.csv")
+        assert {r["strategy"] for r in rows} == {"kernel-shap", "st-shap"}
+
     def test_two_feature_tau_is_plus_minus_one(self, tmp_path):
         data = _write_regression_csv(tmp_path / "two.csv", n=50, m=2, seed=5)
         out = tmp_path / "run"
@@ -336,7 +376,8 @@ class TestModelWiring:
         ])
         assert code == 3
 
-    def test_nan_external_model_exit_1(self, reg_csv, tmp_path, capsys):
+    @staticmethod
+    def _explain_with_nan_model(reg_csv, tmp_path) -> int:
         child = tmp_path / "nan.py"
         child.write_text(
             "import sys\n"
@@ -348,16 +389,41 @@ class TestModelWiring:
             "        print('nan\\n' * n, end='', flush=True)\n"
             "        n = 0\n"
         )
-        code = main([
+        return main([
             "explain", "--dataset", str(reg_csv), "--target", "target",
             "--model", "external", "--model-command", f"{sys.executable} {child}",
             "--budgets", "12", "--n-instances", "1",
             "--background-size", "5", "--output", str(tmp_path / "x"),
         ])
+
+    def test_nan_external_model_exit_1(self, reg_csv, tmp_path, capsys):
+        code = self._explain_with_nan_model(reg_csv, tmp_path)
         assert code == 1
         err = capsys.readouterr().err
         assert "coalition" in err and "nan" in err
         assert not list((tmp_path / "x" / "explanations").glob("*.json"))
+
+    def test_bridge_closed_after_failed_run(self, reg_csv, tmp_path, monkeypatch):
+        from stableshap.models import ExternalProcessModel
+        children = []
+        close = ExternalProcessModel.close
+        monkeypatch.setattr(ExternalProcessModel, "close",
+                            lambda self: children.append(self._proc) or close(self))
+        assert self._explain_with_nan_model(reg_csv, tmp_path) == 1
+        assert len(children) == 1
+        assert children[0] is not None and children[0].poll() is not None
+
+    def test_unknown_explained_class_is_config_error(self, tmp_path, capsys):
+        data = _write_classification_csv(tmp_path / "cls.csv")
+        code = main([
+            "explain", "--dataset", str(data), "--target", "label",
+            "--model", "knn", "--explained-class", "7", "--budgets", "8",
+            "--n-instances", "1", "--background-size", "6",
+            "--explanation-size", "2", "--output", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "class 7" in err and "[0, 1]" in err
 
     def test_game_model(self, tmp_path, glove_game):
         game_file = tmp_path / "glove.json"

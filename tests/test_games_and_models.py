@@ -11,7 +11,6 @@ from stableshap import (
     KNNClassifierModel,
     RidgeRegressionModel,
     SyntheticGame,
-    game_value,
 )
 from stableshap.games import bitstring_to_int, int_to_bitstring, masks_to_ints
 
@@ -21,17 +20,17 @@ from conftest import masked_mean_oracle
 class TestSyntheticGame:
     def test_additive_sum(self):
         g = SyntheticGame.additive([1.0, 2.0, 3.0])
-        assert game_value(g, {1, 2}) == 5.0
-        assert game_value(g, set()) == 0.0
+        assert g.value_of_set({1, 2}) == 5.0
+        assert g.value_of_set(set()) == 0.0
 
     def test_cardinality_rule(self):
         g = SyntheticGame.cardinality(3, [0, 1, 4, 9])
-        assert game_value(g, {0, 2}) == 4.0
-        assert game_value(g, {0, 1, 2}) == 9.0
+        assert g.value_of_set({0, 2}) == 4.0
+        assert g.value_of_set({0, 1, 2}) == 9.0
 
     def test_glove_table(self, glove_game):
-        assert game_value(glove_game, {0, 1}) == 1.0
-        assert game_value(glove_game, {1, 2}) == 0.0
+        assert glove_game.value_of_set({0, 1}) == 1.0
+        assert glove_game.value_of_set({1, 2}) == 0.0
 
     def test_table_requires_empty_coalition(self):
         with pytest.raises(GameTableError):
@@ -135,39 +134,39 @@ class TestEvaluate:
         return w, model, x, bg
 
     def test_grand_coalition_is_model_of_x(self, setting):
-        from stableshap import evaluate
+        from stableshap import evaluate_batch
         w, model, x, bg = setting
         full = np.ones(5, bool)
-        assert evaluate(full, x, bg, model) == pytest.approx(
+        assert evaluate_batch([full], x, bg, model)[0] == pytest.approx(
             float(model.predict(x.reshape(1, -1))[0]), abs=1e-12)
 
     def test_empty_coalition_single_row_background(self, setting):
-        from stableshap import evaluate
+        from stableshap import evaluate_batch
         w, model, x, bg = setting
         b = bg[:1]
         empty = np.zeros(5, bool)
-        assert evaluate(empty, x, b, model) == pytest.approx(
+        assert evaluate_batch([empty], x, b, model)[0] == pytest.approx(
             float(model.predict(b)[0]), abs=1e-12)
 
     def test_additive_closed_form(self, setting):
-        from stableshap import evaluate
+        from stableshap import evaluate_batch
         w, model, x, bg = setting
         mask = np.array([1, 0, 1, 1, 0], bool)
         mean = bg.mean(axis=0)
         expected = (w[mask] @ x[mask]) + (w[~mask] @ mean[~mask]) + 0.25
-        assert evaluate(mask, x, bg, model) == pytest.approx(expected, abs=1e-10)
+        assert evaluate_batch([mask], x, bg, model)[0] == pytest.approx(expected, abs=1e-10)
         # and the brute-force averaging oracle agrees
         oracle = masked_mean_oracle(mask, x, bg,
                                     lambda z: model.predict(z.reshape(1, -1))[0])
-        assert evaluate(mask, x, bg, model) == pytest.approx(oracle, abs=1e-10)
+        assert evaluate_batch([mask], x, bg, model)[0] == pytest.approx(oracle, abs=1e-10)
 
     def test_batch_equals_map_of_single(self, setting):
-        from stableshap import evaluate, evaluate_batch
+        from stableshap import evaluate_batch
         w, model, x, bg = setting
         rng = np.random.default_rng(2)
         masks = rng.random((12, 5)) < 0.5
         batch = evaluate_batch(masks, x, bg, model)
-        singles = [evaluate(m, x, bg, model) for m in masks]
+        singles = [evaluate_batch([m], x, bg, model)[0] for m in masks]
         assert np.allclose(batch, singles, atol=1e-12)
 
     def test_empty_batch(self, setting):
@@ -176,23 +175,23 @@ class TestEvaluate:
         assert evaluate_batch(np.zeros((0, 5), bool), x, bg, model).shape == (0,)
 
     def test_background_permutation_invariance(self, setting):
-        from stableshap import evaluate
+        from stableshap import evaluate_batch
         w, model, x, bg = setting
         mask = np.array([0, 1, 1, 0, 1], bool)
         shuffled = bg[::-1].copy()
-        assert evaluate(mask, x, bg, model) == pytest.approx(
-            evaluate(mask, x, shuffled, model), abs=1e-12)
+        assert evaluate_batch([mask], x, bg, model)[0] == pytest.approx(
+            evaluate_batch([mask], x, shuffled, model)[0], abs=1e-12)
 
     def test_game_adapter_ignores_background(self, glove_game):
-        from stableshap import evaluate
+        from stableshap import evaluate_batch
         model = GameModel(glove_game)
         mask = np.array([1, 1, 0], bool)
-        assert evaluate(mask, None, None, model) == game_value(glove_game, {0, 1})
+        assert evaluate_batch([mask], None, None, model)[0] == glove_game.value_of_set({0, 1})
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**31 - 1))
     def test_evaluate_matches_loop_oracle(self, seed):
-        from stableshap import evaluate
+        from stableshap import evaluate_batch
         rng = np.random.default_rng(seed)
         m = int(rng.integers(2, 7))
         b = int(rng.integers(1, 6))
@@ -203,4 +202,4 @@ class TestEvaluate:
         mask = rng.random(m) < 0.5
         oracle = masked_mean_oracle(mask, x, bg,
                                     lambda z: model.predict(z.reshape(1, -1))[0])
-        assert evaluate(mask, x, bg, model) == pytest.approx(oracle, abs=1e-10)
+        assert evaluate_batch([mask], x, bg, model)[0] == pytest.approx(oracle, abs=1e-10)

@@ -154,20 +154,3 @@ class TestAdherence:
         with pytest.raises(ValueError):
             adherence(cset, values, e, "ranking")
 
-
-class TestReportSerialization:
-    def test_stability_report(self):
-        from stableshap import StabilityReport
-        report = StabilityReport(jaccard=0.75, n_runs=20, budget=200,
-                                 strategy="st-shap")
-        assert report.csv_rows() == [[200, "st-shap", "jaccard", "0.75"]]
-        assert report.to_json_dict()["n_runs"] == 20
-
-    def test_agreement_report(self):
-        from stableshap import AgreementReport
-        report = AgreementReport(kendall_tau=1.0, r2=0.5, reference="exact",
-                                 budget=None, strategy="layer1")
-        rows = report.csv_rows()
-        assert rows[0] == ["", "layer1", "kendall_tau", "1.0"]
-        assert rows[1] == ["", "layer1", "r2", "0.5"]
-        assert report.to_json_dict()["reference"] == "exact"
