@@ -213,7 +213,11 @@ def wire(cfg: RunConfig) -> Wiring:
     if cfg.model == "ridge":
         task = cfg.task or "regression"
         model = RidgeRegressionModel.fit(ds.X[fit_idx], ds.y[fit_idx])
-        model_for = lambda x: model  # noqa: E731
+
+        def model_for(x, _model=model):
+            # one adapter, so one payoff memo, per instance: under --workers N
+            # concurrent instances sharing an adapter would evict each other
+            return RidgeRegressionModel(_model.coef, _model.intercept)
     elif cfg.model == "knn":
         task = cfg.task or "classification"
         labels = as_int_labels(ds.y[fit_idx], ds.path)

@@ -13,6 +13,10 @@ Coalition payoffs are memoized per adapter object (see
 recent (instance, background) pair, at most 2^M of them, and is dropped with
 the adapter. A model that is re-fit or otherwise changed therefore needs a new
 adapter object.
+
+:class:`KNNClassifierModel` finds neighbours from fast matrix-product
+distances and rechecks rows near a distance tie with the exact formula, so its
+probabilities are bit-identical to an exact-distance, stable-sort k-NN.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ import numpy as np
 from .errors import ModelBridgeError, StableShapError
 from .games import SyntheticGame
 
-_PREDICT_CHUNK = 1024  # bounds the (chunk, n_train, M) distance broadcast
+# Rows per k-NN block: bounds the (chunk, n_train) distance matrix, and the
+# (unsure rows, n_train, M) broadcast of the exact recheck within a block.
+_PREDICT_CHUNK = 1024
 
 
 def _as_matrix(rows, n_features: int) -> np.ndarray:
@@ -64,11 +70,26 @@ class RidgeRegressionModel:
         return rows @ self.coef + self.intercept
 
 
+def _stable_nearest(rows: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k nearest training rows by the exact squared distance
+    ``((row - t) ** 2).sum()``; ties go to the lower training row."""
+    d2 = ((rows[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
 class KNNClassifierModel:
     """k-nearest-neighbor classifier; probabilities are vote fractions.
 
-    Distance ties are broken by training-row order (stable sort), which keeps
-    predictions deterministic.
+    The neighbours of a row are the k training rows with the smallest exact
+    squared distance ``((row - t) ** 2).sum()``, distance ties broken by
+    training-row order (stable sort), which keeps predictions deterministic.
+
+    For speed, distances are first computed as ``|row|^2 - 2 row.t + |t|^2``,
+    one matrix product per block of rows, and the k nearest are taken with a
+    partition. The vote fractions depend only on the set of the k nearest, not
+    on their order. Rows whose k-th and (k+1)-th fast distances are too close
+    for that rounding to separate are rechecked with the exact distance and the
+    stable sort, so the probabilities are bit-identical to the exact formula's.
     """
 
     def __init__(self, X, y, k: int = 5):
@@ -83,14 +104,58 @@ class KNNClassifierModel:
         self.k = k
         self.n_features = self.X.shape[1]
         self._class_pos = {int(c): i for i, c in enumerate(self.classes)}
+        self._sq_norms = np.einsum("ij,ij->i", self.X, self.X)
+        self._max_sq_norm = self._sq_norms.max()
+        # How far a fast distance F may be from the exact one D, for a row r
+        # with M features; u is the unit roundoff, gamma_n = nu / (1 - nu).
+        # A sum or dot product of n terms, in any order (BLAS included), is
+        # within gamma_n of the sum of the terms' magnitudes, and each further
+        # rounding adds one to n (Higham, Accuracy and Stability of Numerical
+        # Algorithms, ch. 3). Let S = |r|^2 + |t|^2; then |r - t|^2 <= 2S and
+        # sum_m |r_m t_m| <= S/2.
+        # - D = sum_m (r_m - t_m)^2: M nonnegative terms, each with three
+        #   rounding factors before the sum (the difference enters squared),
+        #   so D is within gamma_{M+2} |r - t|^2 <= 2 gamma_{M+2} S of the
+        #   true distance.
+        # - F = (|r|^2 - 2 r.t) + |t|^2: the two norms and the dot product are
+        #   within gamma_M |r|^2, gamma_M |t|^2 and 2 gamma_M S/2 of theirs
+        #   (doubling is exact), and the two final roundings, of values below
+        #   2(1 + gamma_M)(1 + u) S, add at most 4u(1 + u)(1 + gamma_M) S
+        #   <= gamma_{M+5} S: F is within 3 gamma_{M+5} S.
+        # - An underflowing product also errs by up to eta/2, eta the
+        #   subnormal spacing; counting the doubled dot product twice, the two
+        #   formulas hold 5M products, under 3M eta in all.
+        # So |F - D| <= E0 = 5 gamma_{M+5} (|r|^2 + max_t |t|^2) + 3M eta, and
+        # the code uses E = 2 E0: the factor 2 is a safety margin that also
+        # covers the rounding of E itself and the computed norms in place of
+        # the true ones. If the fast gap between the k-th and (k+1)-th nearest
+        # exceeds 2E, every fast member's D <= F_k + E < F_{k+1} - E <= every
+        # non-member's D: the exact k nearest are the same set, with no tie
+        # across the boundary for the stable sort to break.
+        m, u = self.n_features, np.finfo(float).eps / 2
+        self._err_scale = 2 * 5 * (m + 5) * u / (1 - (m + 5) * u)
+        self._err_floor = 2 * 3 * m * np.finfo(float).smallest_subnormal
 
     def predict_proba(self, rows) -> np.ndarray:
         rows = _as_matrix(rows, self.n_features)
+        k = self.k
+        if k == len(self.X):  # every row votes with all training labels
+            return np.tile([(self.y == c).mean() for c in self.classes], (len(rows), 1))
         out = np.empty((len(rows), len(self.classes)))
         for start in range(0, len(rows), _PREDICT_CHUNK):
             block = rows[start:start + _PREDICT_CHUNK]
-            d2 = ((block[:, None, :] - self.X[None, :, :]) ** 2).sum(axis=2)
-            nearest = np.argsort(d2, axis=1, kind="stable")[:, :self.k]
+            row_sq = np.einsum("ij,ij->i", block, block)
+            d2 = block @ self.X.T
+            d2 *= -2.0
+            d2 += row_sq[:, None]
+            d2 += self._sq_norms
+            part = np.argpartition(d2, (k - 1, k), axis=1)
+            kth, next_ = np.take_along_axis(d2, part[:, k - 1:k + 1], axis=1).T
+            err = self._err_scale * (row_sq + self._max_sq_norm) + self._err_floor
+            unsure = ~(next_ - kth > 2 * err)  # NaN and inf distances are unsure too
+            nearest = part[:, :k]
+            if unsure.any():
+                nearest[unsure] = _stable_nearest(block[unsure], self.X, k)
             votes = self.y[nearest]
             for ci, c in enumerate(self.classes):
                 out[start:start + len(block), ci] = (votes == c).mean(axis=1)
@@ -166,7 +231,9 @@ class ExternalProcessModel:
         self._batch_index = 0
 
     def _ensure_started(self):
-        if self._proc is None or self._proc.poll() is not None:
+        if self._proc is not None and self._proc.poll() is not None:
+            self.close()  # release the dead child's pipes before replacing it
+        if self._proc is None:
             self._proc = subprocess.Popen(
                 self.command,
                 stdin=subprocess.PIPE,
@@ -211,10 +278,18 @@ class ExternalProcessModel:
             return out
 
     def close(self):
-        if self._proc is not None and self._proc.poll() is None:
-            self._proc.stdin.close()
-            self._proc.wait(timeout=10)
-        self._proc = None
+        """Close both pipes, whether or not the child is still running, and
+        wait for it to exit."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        try:
+            proc.stdin.close()
+        except BrokenPipeError:
+            pass  # unflushed input for a child that has exited; the pipe is closed
+        finally:
+            proc.stdout.close()
+        proc.wait(timeout=10)
 
     def __enter__(self):
         return self

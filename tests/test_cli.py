@@ -279,13 +279,17 @@ class TestCompareExactCommand:
                if r["metric"] == "r2" and r["instance"] not in ("mean", "median")]
         assert all(r >= 1 - 1e-6 for r in r2s)
 
-    def test_routes_after_exact_reuse_its_payoffs(self, reg_csv, tmp_path,
-                                                  monkeypatch):
+    @pytest.fixture
+    def ridge_rows(self, monkeypatch):
+        """The row count of every ridge prediction, in call order."""
         from stableshap.models import RidgeRegressionModel
         rows = []
         predict = RidgeRegressionModel.predict
         monkeypatch.setattr(RidgeRegressionModel, "predict",
                             lambda self, r: rows.append(len(r)) or predict(self, r))
+        return rows
+
+    def test_routes_after_exact_reuse_its_payoffs(self, reg_csv, tmp_path, ridge_rows):
         code = main([
             "compare-exact", "--dataset", str(reg_csv), "--target", "target",
             "--strategy", "all", "--budgets", "12,30", "--n-instances", "2",
@@ -293,7 +297,24 @@ class TestCompareExactCommand:
         ])
         assert code == 0
         # each instance: the 2^M exact table, then nothing for the other routes
-        assert sum(rows) == 2 * 2**M_REG * 6
+        assert sum(ridge_rows) == 2 * 2**M_REG * 6
+
+    def test_workers_send_the_same_model_rows(self, reg_csv, tmp_path, ridge_rows):
+        # each instance has its own adapter, so concurrent instances never
+        # evict each other's payoff memo
+        sent, outputs = {}, {}
+        for workers in ("1", "3"):
+            out = tmp_path / f"w{workers}"
+            ridge_rows.clear()
+            assert main([
+                "compare-exact", "--dataset", str(reg_csv), "--target", "target",
+                "--strategy", "all", "--budgets", "12,20,33", "--n-instances", "6",
+                "--background-size", "8", "--workers", workers, "--output", str(out),
+            ]) == 0
+            sent[workers] = sum(ridge_rows)
+            outputs[workers] = _read_metric_rows(out / "metrics" / "compare_exact.csv")
+        assert sent == {"1": 6 * 2**M_REG * 8, "3": 6 * 2**M_REG * 8}
+        assert outputs["1"] == outputs["3"]
 
     def test_explanation_size_is_not_checked(self, tmp_path):
         # the default explanation size 4 exceeds M=3, but agreement is

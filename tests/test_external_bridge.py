@@ -74,3 +74,29 @@ class TestExternalProcessModel:
         with ExternalProcessModel(cmd, 2) as model:
             with pytest.raises(ModelBridgeError, match="batch 0"):
                 model.predict(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("child", ["linear", "quitter"])
+    def test_close_releases_both_pipes(self, tmp_path, child):
+        body = {"linear": LINEAR_CHILD, "quitter": QUITTER_CHILD}[child]
+        model = ExternalProcessModel(_script(tmp_path, "child.py", body), 2)
+        if child == "quitter":
+            with pytest.raises(ModelBridgeError, match="batch 0"):
+                model.predict(np.zeros((2, 2)))
+        else:
+            model.predict(np.zeros((2, 2)))
+        proc = model._proc
+        model.close()
+        assert proc.stdin.closed and proc.stdout.closed
+        assert proc.returncode is not None
+
+    def test_restart_releases_the_dead_child(self, tmp_path):
+        model = ExternalProcessModel(_script(tmp_path, "quit.py", QUITTER_CHILD), 2)
+        with model:
+            with pytest.raises(ModelBridgeError):
+                model.predict(np.zeros((1, 2)))
+            dead = model._proc
+            dead.wait(timeout=10)
+            with pytest.raises(ModelBridgeError, match="batch 1"):
+                model.predict(np.zeros((1, 2)))
+            assert model._proc is not dead
+            assert dead.stdin.closed and dead.stdout.closed
