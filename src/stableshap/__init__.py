@@ -2,15 +2,13 @@
 
 Coalition sampling in two flavours (the classic weight-guided generator and
 the layer-saturating stable variant), a constrained weighted least-squares
-surrogate, a closed-form first-layer attribution, an exact brute-force
-oracle, and the stability/fidelity metrics to benchmark them.
+surrogate with a closed form on complete layers (the first-layer attribution
+among them), an exact brute-force oracle, and the stability/fidelity metrics
+to benchmark them.
 """
 
 from .coalitions import (
-    Coalition,
-    KernelWeight,
     complete_layer_budgets,
-    enumerate_layer,
     kernel_weight,
     layer_size,
     n_layers,
@@ -27,7 +25,7 @@ from .errors import (
 from .exact import ExactValues, exact_shap, exact_shap_game, exact_shap_permutation
 from .explainer import LAYER1, Explanation, explain, fit, sparsify
 from .games import SyntheticGame
-from .layer1 import Layer1Intermediates, alt_form, layer1_attribution
+from .layer1 import layer1_attribution
 from .metrics import adherence, jaccard_n, kendall_tau, r2_score
 from .models import (
     CallableModel,
@@ -53,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CallableModel",
     "ClassProbabilityModel",
-    "Coalition",
     "ConfigError",
     "ExactValues",
     "Explanation",
@@ -62,9 +59,7 @@ __all__ = [
     "GameTableError",
     "KERNEL_SHAP",
     "KNNClassifierModel",
-    "KernelWeight",
     "LAYER1",
-    "Layer1Intermediates",
     "ModelBridgeError",
     "NonFinitePayoffError",
     "OracleCapError",
@@ -76,9 +71,7 @@ __all__ = [
     "SyntheticGame",
     "WeightedCoalitionSet",
     "adherence",
-    "alt_form",
     "complete_layer_budgets",
-    "enumerate_layer",
     "evaluate_batch",
     "exact_shap",
     "exact_shap_game",

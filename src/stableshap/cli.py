@@ -339,7 +339,7 @@ def _attribution(wiring: Wiring, strategy: str, budget: int | None,
     if strategy == EXACT:
         return exact.exact_shap(x, model, wiring.background, cap=wiring.cfg.oracle_cap)
     if strategy == LAYER1:
-        # always full-length: the closed form has no coalition set to re-fit on
+        # always full-length: --explanation-size does not apply to layer-1
         return layer1_attribution(x, model, wiring.background)
     seed = derive_seed(wiring.cfg.master_seed, row_id, budget, run)
     return explain(x, model, wiring.background, strategy, budget, seed,

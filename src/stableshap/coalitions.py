@@ -13,85 +13,11 @@ followed by its complement) so that repeated runs are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Coalition:
-    """Binary inclusion mask over M features."""
-
-    mask: tuple[bool, ...]
-
-    def __post_init__(self):
-        if len(self.mask) < 2:
-            raise ValueError("coalitions need at least 2 features")
-
-    @classmethod
-    def from_indices(cls, n_features: int, present) -> "Coalition":
-        bits = [False] * n_features
-        for i in present:
-            if not 0 <= i < n_features:
-                raise ValueError(f"feature index {i} out of range for M={n_features}")
-            bits[i] = True
-        return cls(tuple(bits))
-
-    @classmethod
-    def from_bitstring(cls, s: str) -> "Coalition":
-        """Parse a mask like "1010": character i is feature i."""
-        if set(s) - {"0", "1"}:
-            raise ValueError(f"not a binary mask string: {s!r}")
-        return cls(tuple(c == "1" for c in s))
-
-    @property
-    def n_features(self) -> int:
-        return len(self.mask)
-
-    @property
-    def size(self) -> int:
-        return sum(self.mask)
-
-    def complement(self) -> "Coalition":
-        return Coalition(tuple(not b for b in self.mask))
-
-    def present_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.mask) if b)
-
-    def to_bitstring(self) -> str:
-        return "".join("1" if b else "0" for b in self.mask)
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self.mask, dtype=bool)
-
-
-@dataclass(frozen=True)
-class KernelWeight:
-    """Coalition weight; infinite exactly for the empty and grand coalitions.
-
-    The infinite case is a flag rather than ``float('inf')`` so it can never
-    leak into a regression weight vector.
-    """
-
-    finite: bool
-    _value: float = 0.0
-
-    @classmethod
-    def of(cls, value: float) -> "KernelWeight":
-        return cls(finite=True, _value=float(value))
-
-    @classmethod
-    def infinite(cls) -> "KernelWeight":
-        return cls(finite=False)
-
-    @property
-    def value(self) -> float:
-        if not self.finite:
-            raise ValueError("infinite coalition weight has no numeric value")
-        return self._value
 
 
 def _check_m(n_features: int) -> None:
@@ -124,25 +50,24 @@ def layer_size(n_features: int, layer: int) -> int:
     return c if 2 * layer == n_features else 2 * c
 
 
-def kernel_weight(n_features: int, size: int) -> KernelWeight:
-    """Weight of a coalition with `size` features present.
+def kernel_weight(n_features: int, size: int) -> float:
+    """Weight of a proper coalition with `size` features present.
 
-    (M-1) / (C(M,s) * s * (M-s)) for proper coalitions; the empty and grand
-    coalitions get the infinite marker (they are handled as constraints, not
-    regression rows).
+    (M-1) / (C(M,s) * s * (M-s)). The empty and grand coalitions have
+    infinite weight (they are handled as constraints, not regression rows),
+    so sizes 0 and M raise ValueError.
     """
     _check_m(n_features)
-    if not 0 <= size <= n_features:
-        raise ValueError(f"coalition size {size} out of range for M={n_features}")
-    if size in (0, n_features):
-        return KernelWeight.infinite()
-    value = (n_features - 1) / (comb(n_features, size) * size * (n_features - size))
-    return KernelWeight.of(value)
+    if not 0 < size < n_features:
+        raise ValueError(
+            f"coalition size {size} is not a proper coalition size for M={n_features}"
+        )
+    return (n_features - 1) / (comb(n_features, size) * size * (n_features - size))
 
 
 def layer_total_weight(n_features: int, layer: int) -> float:
     """Sum of coalition weights over one full layer."""
-    return layer_size(n_features, layer) * kernel_weight(n_features, layer).value
+    return layer_size(n_features, layer) * kernel_weight(n_features, layer)
 
 
 def complete_layer_budgets(n_features: int) -> list[tuple[int, int]]:
@@ -163,10 +88,10 @@ def _colex_combinations(n_features: int, k: int) -> list[tuple[int, ...]]:
 
 @lru_cache(maxsize=64)
 def layer_masks(n_features: int, layer: int) -> np.ndarray:
-    """Canonical-order boolean mask matrix for one layer, shape (layer_size, M).
+    """Every coalition of a layer exactly once, in the pinned canonical order:
+    a boolean mask matrix of shape (layer_size, M).
 
-    Row order matches :func:`enumerate_layer`. Cached and marked read-only;
-    callers must copy before mutating.
+    Cached and marked read-only; callers must copy before mutating.
     """
     _check_layer(n_features, layer)
     sets = _colex_combinations(n_features, layer)
@@ -182,12 +107,6 @@ def layer_masks(n_features: int, layer: int) -> np.ndarray:
         masks[1::2] = ~base
     masks.setflags(write=False)
     return masks
-
-
-def enumerate_layer(n_features: int, layer: int) -> list[Coalition]:
-    """Every coalition of a layer exactly once, in the pinned canonical order."""
-    masks = layer_masks(n_features, layer)
-    return [Coalition(tuple(bool(b) for b in row)) for row in masks]
 
 
 def colex_unrank(rank: int, k: int) -> tuple[int, ...]:

@@ -2,8 +2,21 @@
 
 The surrogate is linear in the coalition mask with a pinned intercept (the
 empty-coalition payoff) and a hard sum constraint (attributions plus intercept
-must reproduce the prediction on the explained instance). The constraint is
-enforced by eliminating the highest-indexed free coefficient, which turns the
+must reproduce the prediction on the explained instance).
+
+On a union of complete layers (every st-shap or kernel-shap set whose plan
+sampled nothing) the weighted Gram matrix is exactly ``aI + b11^T``: every
+feature is present in the same total weight, and so is every pair. The
+constrained fit then has the closed form
+
+    phi = r/a + (delta - sum(r/a)) / k
+
+over the k free features, with r = sum_S w_S (v_S - phi0) z_S, delta = f(x) -
+phi0, and a the weight of the coalitions holding feature 0 but not feature 1
+(Lundberg & Lee 2017 derive the weights). No Gram matrix is built and no
+linear system is solved. The first-layer attribution is this form on layer 1.
+
+Any other set eliminates the highest-indexed free coefficient, which turns the
 problem into an unconstrained weighted regression solved by normal equations.
 """
 
@@ -97,18 +110,24 @@ def _solve_weighted(X: np.ndarray, w: np.ndarray, y: np.ndarray,
         ) from None
 
 
-def _constrained_fit(masks: np.ndarray, weights: np.ndarray, values: np.ndarray,
+def _constrained_fit(coalition_set: WeightedCoalitionSet, values: np.ndarray,
                      phi0: float, fx: float, free: np.ndarray,
                      context: str) -> np.ndarray:
     """Weighted fit with coefficients outside `free` pinned to zero and the
     free ones constrained to sum to fx - phi0. `free` is sorted ascending;
-    its last entry is the eliminated coefficient."""
+    outside the closed form its last entry is the eliminated coefficient."""
+    masks, weights = coalition_set.masks, coalition_set.weights
+    phis = np.zeros(masks.shape[1])
+    if coalition_set.complete:
+        r = (weights * (values - phi0)) @ masks[:, free]
+        a = weights[masks[:, 0] & ~masks[:, 1]].sum()
+        phis[free] = r / a + ((fx - phi0) - (r / a).sum()) / len(free)
+        return phis
     z = masks.astype(float)
     pivot = free[-1]
     y = values - phi0 - z[:, pivot] * (fx - phi0)
     X = z[:, free[:-1]] - z[:, [pivot]]
     sol = _solve_weighted(X, weights, y, context)
-    phis = np.zeros(masks.shape[1])
     phis[free[:-1]] = sol
     phis[pivot] = (fx - phi0) - sol.sum()
     return phis
@@ -123,10 +142,7 @@ def fit(coalition_set: WeightedCoalitionSet, values, phi0: float, fx: float,
         raise ValueError("values must align with the coalition set")
     m = coalition_set.n_features
     context = f"strategy={strategy} budget={budget} n={len(coalition_set)} M={m}"
-    phis = _constrained_fit(
-        coalition_set.masks, coalition_set.weights, values,
-        phi0, fx, np.arange(m), context,
-    )
+    phis = _constrained_fit(coalition_set, values, phi0, fx, np.arange(m), context)
     support = tuple(int(i) for i in np.flatnonzero(phis))
     return Explanation(float(phi0), tuple(float(v) for v in phis), support,
                        strategy, budget, seed, float(fx))
@@ -145,10 +161,8 @@ def sparsify(explanation: Explanation, k: int,
     selected = np.sort(ranked[:k])
     context = (f"sparsify k={k} strategy={explanation.strategy} "
                f"budget={explanation.budget} n={len(coalition_set)} M={m}")
-    phis = _constrained_fit(
-        coalition_set.masks, coalition_set.weights, values,
-        explanation.phi0, explanation.fx, selected, context,
-    )
+    phis = _constrained_fit(coalition_set, values, explanation.phi0, explanation.fx,
+                            selected, context)
     return replace(
         explanation,
         phis=tuple(float(v) for v in phis),

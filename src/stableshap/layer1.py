@@ -1,109 +1,30 @@
-"""Closed-form attribution from first-layer coalitions only.
+"""Attribution from first-layer coalitions only.
 
-Using just the coalitions where a single feature is present or a single
-feature is absent (plus the two anchors), the constrained least-squares
-surrogate has an exact solution:
+Layer 1 holds the coalitions where a single feature is present or a single
+feature is absent. It is complete, so the surrogate fit on it has the closed
+form of :mod:`stableshap.explainer`, which on layer 1 reads
 
     phi_j = tilde_j + (delta - sum_i tilde_i) / M
 
 with tilde_i = (f({i}) - f(empty) + f(full) - f(full minus {i})) / 2 and
 delta = f(full) - f(empty). That is 2M + 2 payoff evaluations instead of the
-exponential sweep the exact values need (2M total at M = 2, where the
+exponential sweep the exact values need (4 at M = 2, where the
 single-present and single-absent coalitions coincide).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from .explainer import LAYER1, Explanation
-from .value_function import evaluate_batch
-
-
-@dataclass(frozen=True)
-class Layer1Intermediates:
-    """The payoff differences the closed form is assembled from."""
-
-    f_empty: float
-    f_full: float
-    singles: tuple[float, ...]      # f({i})
-    drop_ones: tuple[float, ...]    # f(full minus {i})
-    tilde_phis: tuple[float, ...]
-    delta: float
-
-    @property
-    def n_features(self) -> int:
-        return len(self.singles)
-
-
-def evaluation_count(n_features: int) -> int:
-    """Distinct payoff evaluations the closed form needs."""
-    if n_features < 2:
-        raise ValueError(f"need at least 2 features, got M={n_features}")
-    return 4 if n_features == 2 else 2 * n_features + 2
-
-
-def collect_intermediates(x, model, background) -> Layer1Intermediates:
-    """Evaluate the first-layer coalitions and anchors, each exactly once."""
-    m = model.n_features
-    if m < 2:
-        raise ValueError(f"need at least 2 features, got M={m}")
-    masks = [np.zeros(m, dtype=bool), np.ones(m, dtype=bool)]
-    masks.extend(np.eye(m, dtype=bool))
-    if m > 2:
-        masks.extend(~np.eye(m, dtype=bool))
-    values = evaluate_batch(np.array(masks), x, background, model)
-    f_empty, f_full = float(values[0]), float(values[1])
-    singles = values[2:2 + m]
-    # at M = 2 each drop-one coalition IS the other single; reuse, don't re-evaluate
-    drop_ones = singles[::-1] if m == 2 else values[2 + m:]
-    tilde = (singles - f_empty + f_full - drop_ones) / 2.0
-    return Layer1Intermediates(
-        f_empty=f_empty,
-        f_full=f_full,
-        singles=tuple(float(v) for v in singles),
-        drop_ones=tuple(float(v) for v in drop_ones),
-        tilde_phis=tuple(float(v) for v in tilde),
-        delta=f_full - f_empty,
-    )
-
-
-def attribution_from_intermediates(interm: Layer1Intermediates) -> np.ndarray:
-    tilde = np.array(interm.tilde_phis)
-    return tilde + (interm.delta - tilde.sum()) / interm.n_features
+from .coalitions import layer_size
+from .explainer import LAYER1, Explanation, fit
+from .sampling import materialize, plan_st_shap
+from .value_function import anchors, evaluate_batch
 
 
 def layer1_attribution(x, model, background) -> Explanation:
-    """First-layer attribution scores for one instance."""
-    interm = collect_intermediates(x, model, background)
-    phis = attribution_from_intermediates(interm)
-    m = interm.n_features
-    support = tuple(int(i) for i in np.flatnonzero(phis))
-    n_coalitions = 2 if m == 2 else 2 * m
-    return Explanation(
-        phi0=interm.f_empty,
-        phis=tuple(float(v) for v in phis),
-        support=support,
-        strategy=LAYER1,
-        budget=n_coalitions,
-        seed=None,
-        fx=interm.f_full,
-    )
-
-
-def alt_form(interm: Layer1Intermediates, j: int) -> float:
-    """Algebraically equivalent rewriting of the closed form; cross-check hook.
-
-    phi_j = (f({j}) - f(full minus {j})) / 2
-            - sum_i (f({i}) - f(full minus {i})) / (2M)
-            + delta / M
-    """
-    m = interm.n_features
-    if not 0 <= j < m:
-        raise ValueError(f"feature index {j} out of range for M={m}")
-    singles = np.array(interm.singles)
-    drop_ones = np.array(interm.drop_ones)
-    diffs = singles - drop_ones
-    return float(diffs[j] / 2.0 - diffs.sum() / (2.0 * m) + interm.delta / m)
+    """First-layer attribution scores for one instance: the st-shap fit at
+    the layer-1 budget, which samples nothing and so needs no seed."""
+    budget = layer_size(model.n_features, 1)
+    coalition_set = materialize(plan_st_shap(model.n_features, budget, seed=0))
+    values = evaluate_batch(coalition_set.masks, x, background, model)
+    phi0, fx = anchors(x, background, model)
+    return fit(coalition_set, values, phi0, fx, strategy=LAYER1, budget=budget)

@@ -214,6 +214,10 @@ class GameModel:
         )
 
 
+# seconds a closed bridge waits for its child to exit on end of input
+CLOSE_TIMEOUT_S = 10.0
+
+
 class ExternalProcessModel:
     """Bridge to a user-supplied prediction process.
 
@@ -279,7 +283,8 @@ class ExternalProcessModel:
 
     def close(self):
         """Close both pipes, whether or not the child is still running, and
-        wait for it to exit."""
+        wait for it to exit. A child still running CLOSE_TIMEOUT_S seconds
+        after its input closed is killed and reaped."""
         proc, self._proc = self._proc, None
         if proc is None:
             return
@@ -289,7 +294,11 @@ class ExternalProcessModel:
             pass  # unflushed input for a child that has exited; the pipe is closed
         finally:
             proc.stdout.close()
-        proc.wait(timeout=10)
+        try:
+            proc.wait(timeout=CLOSE_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
 
     def __enter__(self):
         return self

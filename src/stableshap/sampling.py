@@ -92,10 +92,16 @@ class SamplingPlan:
 
 @dataclass(frozen=True)
 class WeightedCoalitionSet:
-    """Distinct proper coalitions plus their regression weights."""
+    """Distinct proper coalitions plus their regression weights.
+
+    ``complete`` marks a union of complete layers: every mask of each size
+    present, at one weight per size. The surrogate fit then has a closed
+    form (see :mod:`stableshap.explainer`).
+    """
 
     masks: np.ndarray  # (n, M) bool
     weights: np.ndarray  # (n,) positive finite
+    complete: bool = False
 
     def __post_init__(self):
         if self.masks.ndim != 2 or len(self.weights) != len(self.masks):
@@ -118,6 +124,13 @@ class WeightedCoalitionSet:
         seen = {row.tobytes() for row in np.packbits(self.masks, axis=1)}
         if len(seen) != len(self.masks):
             raise ValueError("duplicate coalitions in the set")
+        if self.complete:
+            for size in np.unique(sizes):
+                if np.count_nonzero(sizes == size) != comb(self.n_features, int(size)):
+                    raise ValueError(f"size-{size} coalitions missing from a complete set")
+                if len(np.unique(self.weights[sizes == size])) != 1:
+                    raise ValueError(f"size-{size} coalitions weighted unequally "
+                                     "in a complete set")
 
 
 def plan_st_shap(n_features: int, budget: int, seed: int) -> SamplingPlan:
@@ -222,7 +235,7 @@ def _global_sample(rng, n_features: int, layers: tuple[int, ...],
             sizes.append(n_features - i)
     sizes = np.array(sorted(sizes))
     probs = np.array(
-        [comb(n_features, s) * kernel_weight(n_features, s).value for s in sizes]
+        [comb(n_features, s) * kernel_weight(n_features, s) for s in sizes]
     )
     probs /= probs.sum()
 
@@ -254,8 +267,8 @@ def materialize(plan: SamplingPlan) -> WeightedCoalitionSet:
     Complete layers carry each coalition at its own weight. A sampled st-shap
     layer spreads the full layer weight over its draws; kernel-shap's merged
     random draws are weighted by multiplicity and rescaled so the group keeps
-    the total weight of every non-complete layer. Deterministic given the
-    plan's seed.
+    the total weight of every non-complete layer. A plan that samples nothing
+    gives a set marked ``complete``. Deterministic given the plan's seed.
     """
     m = plan.n_features
     mask_blocks = []
@@ -263,7 +276,7 @@ def materialize(plan: SamplingPlan) -> WeightedCoalitionSet:
     for i in plan.complete_layers:
         mask_blocks.append(layer_masks(m, i))
         weight_blocks.append(
-            np.full(layer_size(m, i), kernel_weight(m, i).value)
+            np.full(layer_size(m, i), kernel_weight(m, i))
         )
     if plan.n_sampled:
         rng = _rng_for(plan)
@@ -284,5 +297,6 @@ def materialize(plan: SamplingPlan) -> WeightedCoalitionSet:
     if not mask_blocks:
         raise ValueError("plan materialized nothing")
     return WeightedCoalitionSet(
-        np.vstack(mask_blocks), np.concatenate(weight_blocks)
+        np.vstack(mask_blocks), np.concatenate(weight_blocks),
+        complete=plan.n_sampled == 0,
     )

@@ -7,7 +7,7 @@ Direct game adapters skip the substitution entirely.
 
 Row-model payoffs are memoized per adapter object: each adapter keeps the
 payoffs of its most recent (instance, background) pair, so a coalition that
-explain, the first-layer closed form or the exact oracle asks for again is
+explain, the first-layer attribution or the exact oracle asks for again is
 answered without a model call. Adapters are deterministic (see
 :mod:`stableshap.models`), so a memoized payoff is the payoff the model would
 return. The memo is dropped with its adapter and never holds more than one
@@ -21,7 +21,6 @@ from functools import partial
 
 import numpy as np
 
-from .coalitions import Coalition
 from .errors import NonFinitePayoffError
 
 # id(adapter) -> (weak reference to the adapter, memo state); an entry goes
@@ -32,17 +31,14 @@ _MEMOS: dict[int, tuple] = {}
 
 
 def as_mask_matrix(coalitions, n_features: int | None = None) -> np.ndarray:
-    """Normalize a list of Coalitions or an array-like into a bool matrix (n, M)."""
+    """Normalize an array-like of masks into a bool matrix (n, M)."""
     if isinstance(coalitions, np.ndarray):
         masks = coalitions.astype(bool, copy=False)
         if masks.ndim == 1:
             masks = masks.reshape(1, -1)
     else:
         items = list(coalitions)
-        if items and isinstance(items[0], Coalition):
-            masks = np.array([c.mask for c in items], dtype=bool)
-        else:
-            masks = np.asarray(items, dtype=bool)
+        masks = np.asarray(items, dtype=bool)
         if masks.ndim == 1:
             masks = masks.reshape(1, -1) if len(items) else masks.reshape(0, 0)
     if n_features is not None and masks.size and masks.shape[1] != n_features:

@@ -2,8 +2,8 @@
 
 The oracles here deliberately use different algebra than the library paths
 they check: payoff averaging by explicit Python loops, a Lagrange-multiplier
-KKT solve for the constrained regression, and pair counting for rank
-correlation.
+KKT solve for the constrained regression, the paper's first-layer formula
+from table lookups, and pair counting for rank correlation.
 """
 
 import numpy as np
@@ -75,6 +75,26 @@ def kkt_constrained_wls(masks, weights, values, phi0, fx) -> np.ndarray:
     target[m] = fx - phi0
     sol = np.linalg.lstsq(kkt, target, rcond=None)[0]
     return sol[:m]
+
+
+def layer1_parts(game: SyntheticGame):
+    """First-layer payoffs by table lookup: (singles, drop_ones, tilde, delta),
+    with singles_i = v({i}), drop_ones_i = v(N minus {i}),
+    tilde_i = (v({i}) - v(empty) + v(N) - v(N minus {i})) / 2 and
+    delta = v(N) - v(empty)."""
+    m = game.n_players
+    full = 2**m - 1
+    v_empty, v_full = game.value_of_mask(0), game.value_of_mask(full)
+    singles = np.array([game.value_of_mask(1 << i) for i in range(m)])
+    drop_ones = np.array([game.value_of_mask(full ^ (1 << i)) for i in range(m)])
+    tilde = (singles - v_empty + v_full - drop_ones) / 2.0
+    return singles, drop_ones, tilde, v_full - v_empty
+
+
+def layer1_oracle(game: SyntheticGame) -> np.ndarray:
+    """The paper's first-layer closed form, tilde + (delta - sum(tilde)) / M."""
+    _, _, tilde, delta = layer1_parts(game)
+    return tilde + (delta - tilde.sum()) / game.n_players
 
 
 def tau_b_oracle(a, b) -> float:

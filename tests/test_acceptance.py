@@ -12,11 +12,10 @@ import pytest
 import stableshap as ss
 from stableshap.cli import derive_seed, layers_report
 from stableshap.coalitions import complete_layer_budgets, layer_size
-from stableshap.layer1 import collect_intermediates, evaluation_count
 from stableshap.sampling import materialize, plan_st_shap
 from stableshap.value_function import evaluate_batch
 
-from conftest import CountingGameModel, random_table_game
+from conftest import CountingGameModel, kkt_constrained_wls, random_table_game
 
 
 def _report(criterion: str, ok: bool, detail: str, elapsed: float):
@@ -80,12 +79,12 @@ def test_criterion_03_layer1_equals_wls_on_layer_1():
         closed = ss.layer1_attribution(None, ss.GameModel(game), None)
         cset = materialize(plan_st_shap(m, layer_size(m, 1), seed=0))
         values = evaluate_batch(cset.masks, None, None, ss.GameModel(game))
-        wls = ss.fit(cset, values, game.value_of_mask(0),
-                     game.value_of_mask(2**m - 1))
-        worst = max(worst, float(np.abs(closed.phi_array() - wls.phi_array()).max()))
+        wls = kkt_constrained_wls(cset.masks, cset.weights, values,
+                                  game.value_of_mask(0), game.value_of_mask(2**m - 1))
+        worst = max(worst, float(np.abs(closed.phi_array() - wls).max()))
     elapsed = time.perf_counter() - t0
     _report("C03", worst < 1e-8 and elapsed < 10.0,
-            f"closed form vs layer-1 WLS on 100 games, worst gap {worst:.2e}", elapsed)
+            f"layer-1 vs KKT WLS on layer 1 for 100 games, worst gap {worst:.2e}", elapsed)
 
 
 def test_criterion_04_full_budget_matches_exact_oracle():
@@ -238,7 +237,7 @@ def test_criterion_09_evaluation_count_bound():
     for m in range(2, 11):
         counting = CountingGameModel(random_table_game(rng, m))
         ss.layer1_attribution(None, counting, None)
-        expected = evaluation_count(m)  # 2M + 2 for M >= 3, 4 at M = 2
+        expected = 4 if m == 2 else 2 * m + 2
         if counting.calls != expected:
             ok = False
             details.append(f"M={m}: {counting.calls} != {expected}")

@@ -12,6 +12,7 @@ from stableshap import (
     fit,
     sparsify,
 )
+from stableshap.coalitions import complete_layer_budgets
 from stableshap.sampling import (
     KERNEL_SHAP,
     ST_SHAP,
@@ -166,6 +167,41 @@ class TestSparsify:
         for bad in (0, 4):
             with pytest.raises(ValueError):
                 sparsify(dense, bad, cset, values)
+
+
+class TestCompleteLayerClosedForm:
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_matches_kkt_oracle_at_every_complete_budget(self, m):
+        rng = np.random.default_rng(1000 + m)
+        game = random_table_game(rng, m, v_empty=float(rng.normal()))
+        phi0, fx = game.value_of_mask(0), game.value_of_mask(2**m - 1)
+        for _, budget in complete_layer_budgets(m):
+            cset = materialize(plan_st_shap(m, budget, seed=int(rng.integers(2**32))))
+            assert cset.complete
+            values = evaluate_batch(cset.masks, None, None, GameModel(game))
+            dense = fit(cset, values, phi0, fx)
+            oracle = kkt_constrained_wls(cset.masks, cset.weights, values, phi0, fx)
+            assert np.abs(dense.phi_array() - oracle).max() <= 1e-9
+            for k in sorted({1, int(rng.integers(1, m + 1)), m}):
+                sparse = sparsify(dense, k, cset, values)
+                kept = list(sparse.support)
+                oracle = kkt_constrained_wls(cset.masks[:, kept], cset.weights,
+                                             values, phi0, fx)
+                assert np.abs(sparse.phi_array()[kept] - oracle).max() <= 1e-9
+                assert not np.delete(sparse.phi_array(), kept).any()
+
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_complete_budget_solves_no_linear_system(self, monkeypatch, k):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called on a complete-layer set")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        game = random_table_game(np.random.default_rng(21), 8)
+        # kernel-shap samples nothing only at the full budget
+        routes = [(ST_SHAP, b) for _, b in complete_layer_budgets(8)]
+        for strategy, budget in routes + [(KERNEL_SHAP, 2**8 - 2)]:
+            e = _game_fit(game, budget, seed=4, strategy=strategy, k=k)
+            assert e.local_accuracy_gap() < 1e-9
 
 
 class TestExplain:

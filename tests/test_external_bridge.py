@@ -2,11 +2,12 @@
 
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
 
-from stableshap import ExternalProcessModel, ModelBridgeError
+from stableshap import ExternalProcessModel, ModelBridgeError, models
 
 LINEAR_CHILD = textwrap.dedent("""
     import sys
@@ -37,6 +38,17 @@ BROKEN_CHILD = textwrap.dedent("""
 """)
 
 QUITTER_CHILD = "import sys; sys.exit(3)"
+
+# answers one batch, then ignores the end of its input
+SLEEPER_CHILD = textwrap.dedent("""
+    import sys, time
+    for line in sys.stdin:
+        if line.strip() == "":
+            print(0.0)
+            sys.stdout.flush()
+            break
+    time.sleep(60)
+""")
 
 
 def _script(tmp_path, name, body) -> str:
@@ -100,3 +112,13 @@ class TestExternalProcessModel:
                 model.predict(np.zeros((1, 2)))
             assert model._proc is not dead
             assert dead.stdin.closed and dead.stdout.closed
+
+    def test_close_kills_a_child_that_ignores_end_of_input(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(models, "CLOSE_TIMEOUT_S", 0.2)
+        model = ExternalProcessModel(_script(tmp_path, "sleeper.py", SLEEPER_CHILD), 2)
+        assert model.predict(np.zeros((1, 2)))[0] == 0.0
+        proc = model._proc
+        t0 = time.monotonic()
+        model.close()
+        assert time.monotonic() - t0 < 10.0
+        assert proc.poll() is not None

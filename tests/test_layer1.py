@@ -4,19 +4,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stableshap import (
+    ST_SHAP,
     GameModel,
     SyntheticGame,
-    alt_form,
     exact_shap_game,
-    fit,
+    explain,
     layer1_attribution,
 )
 from stableshap.coalitions import layer_size
-from stableshap.layer1 import collect_intermediates, evaluation_count
 from stableshap.sampling import materialize, plan_st_shap
 from stableshap.value_function import evaluate_batch
 
-from conftest import GLOVE_EXACT, CountingGameModel, random_table_game
+from conftest import (
+    GLOVE_EXACT,
+    CountingGameModel,
+    kkt_constrained_wls,
+    layer1_oracle,
+    layer1_parts,
+    random_table_game,
+)
 
 
 def _layer1(game):
@@ -61,11 +67,11 @@ class TestClosedForm:
         assert e.phi0 == 0.0
 
     def test_intermediates_fields(self, glove_game):
-        interm = collect_intermediates(None, GameModel(glove_game), None)
-        assert interm.singles == (0.0, 0.0, 0.0)
-        assert interm.drop_ones == (0.0, 1.0, 1.0)
-        assert interm.delta == 1.0
-        assert interm.tilde_phis == (0.5, 0.0, 0.0)
+        singles, drop_ones, tilde, delta = layer1_parts(glove_game)
+        assert tuple(singles) == (0.0, 0.0, 0.0)
+        assert tuple(drop_ones) == (0.0, 1.0, 1.0)
+        assert delta == 1.0
+        assert tuple(tilde) == (0.5, 0.0, 0.0)
 
     def test_m2_equals_two_player_shapley(self):
         game = SyntheticGame.from_table(2, {0: 0.0, 1: 1.0, 2: 2.0, 3: 4.0})
@@ -77,20 +83,18 @@ class TestClosedForm:
 
 class TestAltForm:
     def test_glove(self, glove_game):
-        interm = collect_intermediates(None, GameModel(glove_game), None)
-        assert alt_form(interm, 0) == pytest.approx(2 / 3, abs=1e-12)
+        assert layer1_oracle(glove_game)[0] == pytest.approx(2 / 3, abs=1e-12)
 
     def test_symmetric_game_gives_delta_over_m(self):
-        game = SyntheticGame.cardinality(4, [0.0, 2.0, 3.0, 3.5, 10.0])
-        interm = collect_intermediates(None, GameModel(game), None)
+        oracle = layer1_oracle(SyntheticGame.cardinality(4, [0.0, 2.0, 3.0, 3.5, 10.0]))
         for j in range(4):
-            assert alt_form(interm, j) == pytest.approx(10.0 / 4, abs=1e-12)
+            assert oracle[j] == pytest.approx(10.0 / 4, abs=1e-12)
 
     def test_additive_gives_weights(self):
         weights = [0.5, -2.0, 3.25]
-        interm = collect_intermediates(None, GameModel(SyntheticGame.additive(weights)), None)
+        oracle = layer1_oracle(SyntheticGame.additive(weights))
         for j, w in enumerate(weights):
-            assert alt_form(interm, j) == pytest.approx(w, abs=1e-12)
+            assert oracle[j] == pytest.approx(w, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31 - 1))
@@ -99,9 +103,9 @@ class TestAltForm:
         m = int(rng.integers(2, 10))
         game = random_table_game(rng, m, v_empty=float(rng.normal()))
         e = _layer1(game)
-        interm = collect_intermediates(None, GameModel(game), None)
+        oracle = layer1_oracle(game)
         for j in range(m):
-            assert abs(alt_form(interm, j) - e.phis[j]) < 1e-12
+            assert abs(oracle[j] - e.phis[j]) < 1e-12
 
 
 class TestAxioms:
@@ -145,12 +149,22 @@ class TestWlsEquivalence:
         rng = np.random.default_rng(seed)
         m = int(rng.integers(3, 11))
         game = random_table_game(rng, m, v_empty=float(rng.normal()))
-        plan = plan_st_shap(m, layer_size(m, 1), seed=0)
-        cset = materialize(plan)
+        cset = materialize(plan_st_shap(m, layer_size(m, 1), seed=0))
         values = evaluate_batch(cset.masks, None, None, GameModel(game))
-        wls = fit(cset, values, game.value_of_mask(0), game.value_of_mask(2**m - 1))
+        wls = kkt_constrained_wls(cset.masks, cset.weights, values,
+                                  game.value_of_mask(0), game.value_of_mask(2**m - 1))
         closed = _layer1(game)
-        assert np.allclose(closed.phis, wls.phis, atol=1e-8)
+        assert np.allclose(closed.phis, wls, atol=1e-8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 11), st.integers(0, 2**31 - 1), st.integers(0, 2**63 - 1))
+    def test_bit_identical_to_st_shap_at_the_layer1_budget(self, m, game_seed, seed):
+        rng = np.random.default_rng(game_seed)
+        model = GameModel(random_table_game(rng, m, v_empty=float(rng.normal())))
+        layer1 = layer1_attribution(None, model, None)
+        st_shap = explain(None, model, None, ST_SHAP, layer_size(m, 1), seed)
+        assert layer1.phis == st_shap.phis
+        assert layer1.budget == st_shap.budget == layer_size(m, 1)
 
 
 class TestEvaluationCount:
@@ -159,5 +173,4 @@ class TestEvaluationCount:
         rng = np.random.default_rng(m)
         model = CountingGameModel(random_table_game(rng, m))
         layer1_attribution(None, model, None)
-        assert model.calls == evaluation_count(m)
         assert model.calls == (4 if m == 2 else 2 * m + 2)

@@ -13,6 +13,7 @@ from stableshap.coalitions import (
 from stableshap.sampling import (
     KERNEL_SHAP,
     ST_SHAP,
+    WeightedCoalitionSet,
     materialize,
     plan_kernel_shap,
     plan_st_shap,
@@ -117,8 +118,32 @@ class TestMaterialize:
         sizes = cset.masks.sum(axis=1)
         for layer in (1, 2):
             in_layer = (sizes == layer) | (sizes == 6 - layer)
-            expected = kernel_weight(6, layer).value
+            expected = kernel_weight(6, layer)
             assert np.all(cset.weights[in_layer] == expected)
+
+    @pytest.mark.parametrize("m", [2, 5, 8])
+    def test_complete_exactly_when_nothing_sampled(self, m):
+        for budget in range(2, 2**m - 1):
+            for plan in (plan_st_shap(m, budget, 3), plan_kernel_shap(m, budget, 3)):
+                cset = materialize(plan)
+                assert cset.complete == (plan.n_sampled == 0)
+                cset.validate()
+
+    def test_validate_checks_a_complete_claim(self):
+        cset = materialize(plan_st_shap(6, 42, seed=1))
+        assert cset.complete
+        missing = WeightedCoalitionSet(cset.masks[1:], cset.weights[1:], complete=True)
+        with pytest.raises(ValueError, match="missing"):
+            missing.validate()
+        weights = cset.weights.copy()
+        weights[0] *= 2.0
+        uneven = WeightedCoalitionSet(cset.masks, weights, complete=True)
+        with pytest.raises(ValueError, match="unequally"):
+            uneven.validate()
+        sampled = materialize(plan_st_shap(6, 50, seed=1))
+        assert not sampled.complete
+        with pytest.raises(ValueError, match="missing"):
+            WeightedCoalitionSet(sampled.masks, sampled.weights, complete=True).validate()
 
     def test_st_shap_seed_changes_only_sampled_tail(self):
         a = materialize(plan_st_shap(15, 1200, seed=1))
