@@ -9,6 +9,10 @@ as i moves toward M/2.
 All functions here are pure and deterministic; enumeration order is pinned
 (colexicographic over the present-feature index sets, each set immediately
 followed by its complement) so that repeated runs are bit-identical.
+
+:func:`pack` is the one key a mask is looked up, counted or deduplicated by:
+bit i of the key is feature i. The sampler, the payoff memo, set validation
+and game-table lookups all use it.
 """
 
 from __future__ import annotations
@@ -23,6 +27,20 @@ import numpy as np
 def _check_m(n_features: int) -> None:
     if n_features < 2:
         raise ValueError(f"need at least 2 features, got M={n_features}")
+
+
+def pack(masks: np.ndarray) -> np.ndarray:
+    """One sortable key per mask, for any M: bit i of the packed bytes is feature i.
+
+    Up to 64 features the keys are ``<u8`` integers; wider masks get
+    fixed-width void keys.
+    """
+    packed = np.packbits(masks, axis=1, bitorder="little")
+    width = -(-packed.shape[1] // 8) * 8
+    packed = np.pad(packed, ((0, 0), (0, width - packed.shape[1])))
+    if width == 8:
+        return packed.view("<u8").reshape(-1)
+    return packed.view(np.dtype((np.void, width))).reshape(-1)
 
 
 def n_layers(n_features: int) -> int:

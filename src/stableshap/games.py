@@ -14,20 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .coalitions import pack
 from .errors import GameTableError
 
 RULE_TABLE = "table"
 RULE_ADDITIVE = "additive"
 RULE_CARDINALITY = "cardinality"
-
-
-def masks_to_ints(masks: np.ndarray) -> np.ndarray:
-    """Pack boolean masks (n, M) into integers with bit i = feature i."""
-    m = masks.shape[-1]
-    if m > 62:
-        raise ValueError("bit packing supports at most 62 features")
-    weights = np.left_shift(np.int64(1), np.arange(m, dtype=np.int64))
-    return masks.astype(np.int64) @ weights
 
 
 def bitstring_to_int(s: str) -> int:
@@ -118,7 +110,9 @@ class SyntheticGame:
             return masks @ self.weights
         if self.rule == RULE_CARDINALITY:
             return self.by_size[masks.sum(axis=1)]
-        ints = masks_to_ints(masks)
+        if self.n_players > 64:
+            raise ValueError("table games support at most 64 players")
+        ints = pack(masks)
         if self._dense is not None:
             return self._dense[ints]
         return np.array([self.value_of_mask(int(v)) for v in ints])

@@ -27,6 +27,7 @@ from .coalitions import (
     layer_size,
     layer_total_weight,
     n_layers,
+    pack,
 )
 
 KERNEL_SHAP = "kernel-shap"
@@ -121,8 +122,7 @@ class WeightedCoalitionSet:
         sizes = self.masks.sum(axis=1)
         if np.any(sizes == 0) or np.any(sizes == self.n_features):
             raise ValueError("empty or grand coalition leaked into the set")
-        seen = {row.tobytes() for row in np.packbits(self.masks, axis=1)}
-        if len(seen) != len(self.masks):
+        if len(np.unique(pack(self.masks))) != len(self.masks):
             raise ValueError("duplicate coalitions in the set")
         if self.complete:
             for size in np.unique(sizes):
@@ -186,37 +186,28 @@ def _rng_for(plan: SamplingPlan) -> np.random.Generator:
 
 
 def _layer_sample_masks(rng, n_features: int, layer: int, n: int) -> np.ndarray:
-    """Uniform without-replacement draw of n coalitions from one layer."""
+    """Uniform without-replacement draw of n coalitions from one layer.
+
+    st-shap samples a layer only after materializing every layer before it.
+    For any layer of over 2^63 coalitions those masks take over 10^19 bytes,
+    so the population always fits ``rng.choice``'s int64 range.
+    """
     population = layer_size(n_features, layer)
-    if population <= 2**62:
-        positions = np.sort(rng.choice(population, size=n, replace=False))
-        if population <= _ENUM_LIMIT:
-            return layer_masks(n_features, layer)[positions]
-        return np.array(
-            [layer_member(n_features, layer, int(p)) for p in positions], dtype=bool
-        )
-    # astronomically large layer: collisions are vanishingly rare, reject them
-    seen = set()
-    rows = []
-    while len(rows) < n:
-        if 2 * layer == n_features:
-            size = layer
-        else:
-            size = layer if rng.integers(0, 2) == 0 else n_features - layer
-        mask = np.zeros(n_features, dtype=bool)
-        mask[rng.choice(n_features, size=size, replace=False)] = True
-        key = mask.tobytes()
-        if key not in seen:
-            seen.add(key)
-            rows.append(mask)
-    return np.array(rows, dtype=bool)
+    positions = np.sort(rng.choice(population, size=n, replace=False))
+    if population <= _ENUM_LIMIT:
+        return layer_masks(n_features, layer)[positions]
+    return np.array(
+        [layer_member(n_features, layer, int(p)) for p in positions], dtype=bool
+    )
 
 
 def _random_subsets(rng, n_features: int, sizes: np.ndarray) -> np.ndarray:
     # uniform subset of each requested size: the s smallest of M iid uniforms
     noise = rng.random((len(sizes), n_features))
-    rank = noise.argsort(axis=1).argsort(axis=1)
-    return rank < sizes[:, None]
+    masks = np.empty(noise.shape, dtype=bool)
+    np.put_along_axis(masks, noise.argsort(axis=1),
+                      np.arange(n_features) < sizes[:, None], axis=1)
+    return masks
 
 
 def _global_sample(rng, n_features: int, layers: tuple[int, ...],
@@ -234,31 +225,28 @@ def _global_sample(rng, n_features: int, layers: tuple[int, ...],
         if 2 * i != n_features:
             sizes.append(n_features - i)
     sizes = np.array(sorted(sizes))
+    # Python ints: C(M, s) * s * (M - s) outgrows int64 from M = 57
     probs = np.array(
-        [comb(n_features, s) * kernel_weight(n_features, s) for s in sizes]
+        [comb(n_features, s) * kernel_weight(n_features, s) for s in sizes.tolist()]
     )
     probs /= probs.sum()
 
-    order: list[bytes] = []  # distinct keys, first-appearance order
-    counts: dict[bytes, int] = {}
-    first_rows: dict[bytes, np.ndarray] = {}
-    while len(order) < n_distinct:
-        batch = max(2 * (n_distinct - len(order)), 64)
+    mask_blocks, key_blocks = [], []
+    seen = set()  # distinct keys among every draw so far
+    while len(seen) < n_distinct:
+        batch = max(2 * (n_distinct - len(seen)), 64)
         drawn_sizes = rng.choice(sizes, size=batch, p=probs)
-        masks = _random_subsets(rng, n_features, drawn_sizes)
-        for row in masks:
-            key = row.tobytes()
-            if key in counts:
-                counts[key] += 1
-            else:
-                counts[key] = 1
-                order.append(key)
-                first_rows[key] = row
-            if len(order) == n_distinct:
-                break
-    out_masks = np.array([first_rows[k] for k in order], dtype=bool)
-    multiplicities = np.array([counts[k] for k in order], dtype=float)
-    return out_masks, multiplicities
+        mask_blocks.append(_random_subsets(rng, n_features, drawn_sizes))
+        key_blocks.append(pack(mask_blocks[-1]))
+        seen.update(key_blocks[-1].tolist())
+    _, first, inverse = np.unique(np.concatenate(key_blocks), return_index=True,
+                                  return_inverse=True)
+    # the n_distinct masks drawn first, in draw order; the draws stop at the
+    # one that brings the last of them, and only those draws are counted
+    kept = np.argsort(first)[:n_distinct]
+    cut = first[kept[-1]] + 1
+    counts = np.bincount(inverse.reshape(-1)[:cut], minlength=len(first))
+    return np.vstack(mask_blocks)[first[kept]], counts[kept].astype(float)
 
 
 def materialize(plan: SamplingPlan) -> WeightedCoalitionSet:

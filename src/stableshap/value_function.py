@@ -21,6 +21,7 @@ from functools import partial
 
 import numpy as np
 
+from .coalitions import pack
 from .errors import NonFinitePayoffError
 
 # id(adapter) -> (weak reference to the adapter, memo state); an entry goes
@@ -75,16 +76,6 @@ def _row_payoffs(masks, x, background, model) -> np.ndarray:
     return _checked(masks, preds.reshape(masks.shape[0], background.shape[0]).mean(axis=1))
 
 
-def _pack(masks: np.ndarray) -> np.ndarray:
-    """One sortable key per mask, for any M: bit i of the packed bytes is feature i."""
-    packed = np.packbits(masks, axis=1, bitorder="little")
-    width = -(-packed.shape[1] // 8) * 8
-    packed = np.pad(packed, ((0, 0), (0, width - packed.shape[1])))
-    if width == 8:
-        return packed.view("<u8").reshape(-1)
-    return packed.view(np.dtype((np.void, width))).reshape(-1)
-
-
 def _forget(model_id: int, ref: weakref.ref) -> None:
     if _MEMOS.get(model_id, (None,))[0] is ref:
         _MEMOS.pop(model_id, None)
@@ -100,7 +91,7 @@ def _memoized_payoffs(masks, x, background, model) -> np.ndarray:
             return _row_payoffs(masks, x, background, model)
     ref, state = entry
     instance = (x.tobytes(), background.shape, background.tobytes())
-    packed = _pack(masks)
+    packed = pack(masks)
     if state is None or state[0] != instance:
         state = (instance, packed[:0], np.empty(0))
     _, keys, payoffs = state

@@ -3,13 +3,17 @@
 The oracles here deliberately use different algebra than the library paths
 they check: payoff averaging by explicit Python loops, a Lagrange-multiplier
 KKT solve for the constrained regression, the paper's first-layer formula
-from table lookups, and pair counting for rank correlation.
+from table lookups, pair counting for rank correlation, and kernel SHAP's
+random phase as a per-draw loop over dicts.
 """
+
+from math import comb
 
 import numpy as np
 import pytest
 
 from stableshap import GameModel, SyntheticGame
+from stableshap.coalitions import kernel_weight
 
 
 @pytest.fixture
@@ -120,3 +124,35 @@ def tau_b_oracle(a, b) -> float:
     n_pairs = n * (n - 1) // 2
     denom = np.sqrt((n_pairs - ties_a) * (n_pairs - ties_b))
     return (concordant - discordant) / denom
+
+
+def random_subsets_reference(rng, n_features: int, sizes) -> np.ndarray:
+    """Uniform subsets by rank: feature j is present when its noise ranks below s."""
+    noise = rng.random((len(sizes), n_features))
+    rank = noise.argsort(axis=1).argsort(axis=1)
+    return rank < np.asarray(sizes)[:, None]
+
+
+def global_sample_reference(rng, n_features: int, layers, n_distinct: int):
+    """Kernel SHAP's random phase, one draw at a time: the same RNG calls and
+    batch sizes as the library, bookkept by a per-row loop over dicts.
+    Returns the distinct masks in first-draw order and their multiplicities."""
+    sizes = sorted({s for i in layers for s in (i, n_features - i)})
+    probs = np.array([comb(n_features, s) * kernel_weight(n_features, s) for s in sizes])
+    probs /= probs.sum()
+    order, counts, first_rows = [], {}, {}
+    while len(order) < n_distinct:
+        batch = max(2 * (n_distinct - len(order)), 64)
+        drawn_sizes = rng.choice(np.array(sizes), size=batch, p=probs)
+        for row in random_subsets_reference(rng, n_features, drawn_sizes):
+            key = row.tobytes()
+            if key in counts:
+                counts[key] += 1
+            else:
+                counts[key] = 1
+                order.append(key)
+                first_rows[key] = row
+            if len(order) == n_distinct:
+                break
+    return (np.array([first_rows[k] for k in order], dtype=bool),
+            np.array([counts[k] for k in order], dtype=float))

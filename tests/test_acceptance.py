@@ -287,3 +287,42 @@ def test_criterion_10_stability_trend():
                      f">= ks={means[ss.KERNEL_SHAP]:.3f}")
     elapsed = time.perf_counter() - t0
     _report("C10", ok, "; ".join(lines), elapsed)
+
+
+def test_criterion_10_stability_trend_knn():
+    # scripts/stability_sweep.py's data recipe at its defaults: a nonlinear
+    # k-NN model, where the sampled coalitions change the surrogate's support
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(0)
+    m, n_background, n_instances = 13, 10, 10
+    X = rng.normal(size=(n_background + n_instances + 120, m))
+    score = (np.sin(X[:, 0]) + X[:, 1] * X[:, 2] + 0.5 * X[:, 3] - 0.3 * X[:, 4] ** 2)
+    knn = ss.KNNClassifierModel(X[:120], (score[:120] > 0).astype(int), k=5)
+    background = X[120:120 + n_background]
+    instances = X[120 + n_background:]
+    models = [ss.ClassProbabilityModel(knn, knn.predicted_class(x)) for x in instances]
+
+    def mean_jaccard(strategy, budget):
+        return float(np.mean([
+            ss.jaccard_n([
+                set(ss.explain(x, model, background, strategy, budget,
+                               seed=derive_seed(0, idx, budget, run),
+                               explanation_size=4).support)
+                for run in range(20)
+            ])
+            for idx, (x, model) in enumerate(zip(instances, models))
+        ]))
+
+    ok = True
+    lines = []
+    for budget in (26, 182):  # layers 1 and 1-2 complete
+        st = mean_jaccard(ss.ST_SHAP, budget)
+        ok = ok and st == 1.0
+        lines.append(f"b={budget}: st={st:.3f} (=1)")
+    # b=200 and b=1000 are near-ties between the strategies, so not pinned
+    for budget in (50, 100, 500):
+        st, ks = mean_jaccard(ss.ST_SHAP, budget), mean_jaccard(ss.KERNEL_SHAP, budget)
+        ok = ok and st >= ks + 0.05
+        lines.append(f"b={budget}: st={st:.3f} >= ks={ks:.3f} + 0.05")
+    elapsed = time.perf_counter() - t0
+    _report("C10-knn", ok, "; ".join(lines), elapsed)

@@ -12,7 +12,8 @@ from stableshap import (
     RidgeRegressionModel,
     SyntheticGame,
 )
-from stableshap.games import bitstring_to_int, int_to_bitstring, masks_to_ints
+from stableshap.coalitions import pack
+from stableshap.games import bitstring_to_int, int_to_bitstring
 
 from conftest import masked_mean_oracle
 
@@ -70,9 +71,19 @@ class TestSyntheticGame:
         assert bitstring_to_int("001") == 4
         assert int_to_bitstring(5, 3) == "101"
 
-    def test_masks_to_ints(self):
+    def test_pack(self):
         masks = np.array([[1, 0, 1], [0, 0, 0], [1, 1, 1]], bool)
-        assert masks_to_ints(masks).tolist() == [5, 0, 7]
+        assert pack(masks).tolist() == [5, 0, 7]
+
+    def test_table_lookup_up_to_64_players(self):
+        game = SyntheticGame.from_table(64, {0: 0.0, 2**64 - 1: 1.0, 2**63: 2.0})
+        masks = np.zeros((3, 64), bool)
+        masks[1] = True
+        masks[2, 63] = True
+        assert game.coalition_values(masks).tolist() == [0.0, 1.0, 2.0]
+        wide = SyntheticGame.from_table(65, {0: 0.0})
+        with pytest.raises(ValueError, match="at most 64 players"):
+            wide.coalition_values(np.zeros((1, 65), bool))
 
 
 class TestBuiltinModels:

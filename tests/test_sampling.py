@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stableshap.coalitions import (
@@ -14,15 +14,19 @@ from stableshap.sampling import (
     KERNEL_SHAP,
     ST_SHAP,
     WeightedCoalitionSet,
+    _global_sample,
+    _random_subsets,
     materialize,
     plan_kernel_shap,
     plan_st_shap,
     validate_budget,
 )
 
+from conftest import global_sample_reference, random_subsets_reference
 
-def _packed(masks):
-    return [row.tobytes() for row in np.packbits(masks, axis=1)]
+
+def _rng(seed):
+    return np.random.Generator(np.random.Philox(seed))
 
 
 class TestPlanKernelShap:
@@ -220,8 +224,8 @@ class TestMaterialize:
 
 
 class TestHugeLayerSampling:
-    # populations too large to enumerate exercise the unranking and
-    # rejection fallbacks of the within-layer sampler
+    # populations too large to enumerate are drawn by position and unranked;
+    # every layer st-shap can sample in fits the int64 position sampler
 
     def _draws(self, m, layer, n, seed=4):
         from stableshap.sampling import _layer_sample_masks
@@ -243,8 +247,64 @@ class TestHugeLayerSampling:
         assert not np.array_equal(a, c)
 
     def test_rejection_path_beyond_int64(self):
-        m, layer, n = 80, 20, 15  # 2*C(80,20) overflows the position sampler
+        m, layer, n = 80, 20, 15  # 2*C(80,20) ~ 7.07e18 is still below 2^63
         masks = self._draws(m, layer, n)
         assert masks.shape == (n, m)
         assert set(masks.sum(axis=1)) <= {layer, m - layer}
         assert len({row.tobytes() for row in np.packbits(masks, axis=1)}) == n
+
+
+class TestKernelShapSampler:
+    """The vectorized random phase against the per-draw reference loop."""
+
+    def _both(self, plan):
+        args = (plan.n_features, plan.sampled_layers, plan.n_sampled)
+        return (_global_sample(_rng(plan.seed), *args),
+                global_sample_reference(_rng(plan.seed), *args))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 80), st.integers(0, 2**32 - 1), st.data())
+    def test_matches_reference_loop(self, m, seed, data):
+        plan = plan_kernel_shap(m, data.draw(st.integers(2, min(2**m - 2, 3000))), seed)
+        assume(plan.n_sampled > 0)
+        (masks, mult), (ref_masks, ref_mult) = self._both(plan)
+        assert np.array_equal(masks, ref_masks)
+        assert np.array_equal(mult, ref_mult)
+        assert mult.dtype == ref_mult.dtype == np.float64
+
+    # M=10, b=1000 draws 230 of layer 5's 252 masks with many repeats, so a
+    # multiplicity counted past the cut shows there
+    @pytest.mark.parametrize("m,budget", [(20, 43398), (20, 120918), (20, 200000),
+                                          (10, 1000)])
+    def test_matches_reference_loop_pinned(self, m, budget):
+        plan = plan_kernel_shap(m, budget, 0)
+        assert plan.n_sampled > 0
+        (masks, mult), (ref_masks, ref_mult) = self._both(plan)
+        assert np.array_equal(masks, ref_masks)
+        assert np.array_equal(mult, ref_mult)
+
+    def test_subsets_match_double_argsort_with_ties(self):
+        class FixedNoise:
+            def __init__(self, noise):
+                self.noise = noise
+
+            def random(self, shape):
+                assert shape == self.noise.shape
+                return self.noise
+
+        noise = np.random.default_rng(5).integers(0, 3, size=(400, 9)) / 4.0
+        sizes = np.random.default_rng(6).integers(1, 9, size=400)
+        got = _random_subsets(FixedNoise(noise), 9, sizes)
+        assert np.array_equal(got, random_subsets_reference(FixedNoise(noise), 9, sizes))
+        assert np.array_equal(got.sum(axis=1), sizes)
+
+    @pytest.mark.parametrize("m", [57, 60, 100])
+    def test_samples_beyond_56_features(self, m):
+        # C(M, s) * s * (M - s) outgrows int64 here; M=100 keys masks as void
+        plan = plan_kernel_shap(m, 500, seed=2)
+        assert plan.n_sampled > 0
+        cset = materialize(plan)
+        cset.validate()
+        assert len(cset) == 500
+        total = sum(layer_total_weight(m, i) for i in range(1, n_layers(m) + 1))
+        assert cset.weights.sum() == pytest.approx(total, rel=1e-12)
