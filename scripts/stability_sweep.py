@@ -38,7 +38,8 @@ def main():
     budgets = args.budgets
     if budgets is None:
         complete = [b for _, b in complete_layer_budgets(m)[:3]]
-        ragged = [10, 50, 100, 200, 500, 1000]
+        # nothing near 10: at M = 13 such budgets leave the fit underdetermined
+        ragged = [50, 100, 200, 500, 1000]
         budgets = sorted(set(complete + [b for b in ragged if b <= 2**m - 2]))
 
     rng = np.random.default_rng(args.seed)

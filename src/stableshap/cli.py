@@ -133,7 +133,6 @@ class Wiring:
 
     cfg: RunConfig
     n_features: int
-    feature_names: tuple[str, ...]
     task: str
     background: np.ndarray | None
     # (original row id, x, scalar adapter); one adapter per instance for the
@@ -184,7 +183,6 @@ def wire(cfg: RunConfig) -> Wiring:
         return Wiring(
             cfg=cfg,
             n_features=game.n_players,
-            feature_names=tuple(f"player_{i}" for i in range(game.n_players)),
             task=cfg.task or "regression",
             background=None,
             instances=[(0, None, adapter)],
@@ -251,7 +249,6 @@ def wire(cfg: RunConfig) -> Wiring:
     return Wiring(
         cfg=cfg,
         n_features=m,
-        feature_names=ds.feature_names,
         task=task,
         background=background,
         instances=[(r, ds.X[r], model_for(ds.X[r])) for r in instance_rows],

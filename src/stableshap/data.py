@@ -22,7 +22,6 @@ class Dataset:
     X: np.ndarray            # (n, M) float
     y: np.ndarray            # (n,) float, or int labels for classification
     feature_names: tuple[str, ...]
-    target_name: str
     path: str
 
 
@@ -90,7 +89,7 @@ def load_csv(path, target: str, features: list[str] | None = None,
         raise ConfigError(f"{path}: no data rows")
     X = np.array(rows, dtype=float)
     y = np.array(targets, dtype=float)
-    return Dataset(X, y, tuple(features), target, str(path))
+    return Dataset(X, y, tuple(features), str(path))
 
 
 def split_indices(n_rows: int, heldout_fraction: float,

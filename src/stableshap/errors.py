@@ -22,12 +22,10 @@ class ModelBridgeError(StableShapError):
 class OracleCapError(StableShapError):
     """Exact enumeration refused because the feature count exceeds the cap."""
 
-    def __init__(self, n_features: int, cap: int, required: str | None = None):
-        if required is None:
-            required = f"{2**n_features} coalition evaluations"
+    def __init__(self, n_features: int, cap: int):
         super().__init__(
-            f"exact computation over {n_features} features needs {required}; "
-            f"the cap is {cap} features"
+            f"exact computation over {n_features} features needs "
+            f"{2**n_features} coalition evaluations; the cap is {cap} features"
         )
         self.n_features = n_features
         self.cap = cap

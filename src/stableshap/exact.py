@@ -1,15 +1,15 @@
 """Ground-truth attribution values by exhaustive enumeration.
 
-Two independent routes: the subset-sum form over all 2^M coalitions, and a
-permutation form that averages marginal contributions over all M! player
-orderings. They must agree; the second exists purely to check the first.
+The subset-sum form over all 2^M coalitions, evaluated in blocks of masks
+through :func:`stableshap.value_function.evaluate_batch`. The test suite
+checks it against an independent permutation form that averages marginal
+contributions over all M! player orderings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import factorial
 
 import numpy as np
@@ -20,7 +20,6 @@ from .models import GameModel
 from .value_function import evaluate_batch
 
 DEFAULT_CAP = 20
-PERMUTATION_CAP = 8
 
 _EVAL_CHUNK = 8192
 
@@ -32,10 +31,6 @@ class ExactValues:
     phis: tuple[float, ...]
     phi0: float
     eval_count: int
-
-    @property
-    def n_features(self) -> int:
-        return len(self.phis)
 
     def phi_array(self) -> np.ndarray:
         return np.array(self.phis)
@@ -91,23 +86,3 @@ def exact_shap_game(game: SyntheticGame, cap: int = DEFAULT_CAP) -> ExactValues:
     """Exact values of a synthetic game; no instance or background involved."""
     return exact_shap(None, GameModel(game), None, cap=cap)
 
-
-def exact_shap_permutation(game: SyntheticGame,
-                           cap: int = PERMUTATION_CAP) -> ExactValues:
-    """Independent oracle: average marginal contribution over all orderings."""
-    m = game.n_players
-    if m > cap:
-        raise OracleCapError(m, cap, required=f"{factorial(m)} player orderings")
-    values = all_coalition_values(None, GameModel(game), None, m)
-    acc = [0.0] * m
-    for order in permutations(range(m)):
-        mask = 0
-        prev = values[0]
-        for player in order:
-            mask |= 1 << player
-            cur = values[mask]
-            acc[player] += cur - prev
-            prev = cur
-    scale = factorial(m)
-    phis = tuple(float(a / scale) for a in acc)
-    return ExactValues(phis, float(values[0]), 2**m)

@@ -41,7 +41,6 @@ from .value_function import anchors, evaluate_batch
 LAYER1 = "layer1"
 
 RIDGE_JITTER = 1e-10
-LOCAL_ACCURACY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -76,18 +75,6 @@ class Explanation:
             "seed": self.seed,
             "fx": self.fx,
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Explanation":
-        return cls(
-            phi0=float(d["phi0"]),
-            phis=tuple(float(v) for v in d["phis"]),
-            support=tuple(int(i) for i in d["support"]),
-            strategy=d["strategy"],
-            budget=d["budget"],
-            seed=d["seed"],
-            fx=float(d["fx"]),
-        )
 
 
 def _solve_weighted(X: np.ndarray, w: np.ndarray, y: np.ndarray,

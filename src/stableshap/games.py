@@ -73,14 +73,6 @@ class SyntheticGame:
             )
         return cls(n_players, RULE_CARDINALITY, by_size=h)
 
-    @classmethod
-    def random_table(cls, n_players: int, rng: np.random.Generator,
-                     scale: float = 1.0, v_empty: float = 0.0) -> "SyntheticGame":
-        """Dense random game: every proper value N(0, scale), fixed v(empty)."""
-        values = rng.normal(0.0, scale, size=2**n_players)
-        values[0] = v_empty
-        return cls.from_table(n_players, dict(enumerate(values)))
-
     def value_of_mask(self, mask: int) -> float:
         if self.rule == RULE_ADDITIVE:
             return float(sum(self.weights[i] for i in range(self.n_players) if mask >> i & 1))
@@ -92,14 +84,6 @@ class SyntheticGame:
             raise GameTableError(
                 f"mask {int_to_bitstring(mask, self.n_players)} missing from game table"
             ) from None
-
-    def value_of_set(self, players) -> float:
-        mask = 0
-        for i in players:
-            if not 0 <= i < self.n_players:
-                raise ValueError(f"player {i} out of range for M={self.n_players}")
-            mask |= 1 << i
-        return self.value_of_mask(mask)
 
     def coalition_values(self, masks: np.ndarray) -> np.ndarray:
         """Vectorized payoff lookup for a boolean mask matrix (n, M)."""

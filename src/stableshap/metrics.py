@@ -67,12 +67,6 @@ def r2_score(reference, candidate) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def surrogate_outputs(coalition_set: WeightedCoalitionSet,
-                      explanation: Explanation) -> np.ndarray:
-    z = coalition_set.masks.astype(float)
-    return explanation.phi0 + z @ explanation.phi_array()
-
-
 def adherence(coalition_set: WeightedCoalitionSet, values,
               explanation: Explanation, task: str) -> float:
     """Fidelity of the surrogate to the black box over its training coalitions.
@@ -83,7 +77,7 @@ def adherence(coalition_set: WeightedCoalitionSet, values,
     values = np.asarray(values, dtype=float)
     if len(values) != len(coalition_set):
         raise ValueError("values must align with the coalition set")
-    g = surrogate_outputs(coalition_set, explanation)
+    g = explanation.phi0 + coalition_set.masks.astype(float) @ explanation.phi_array()
     if task == REGRESSION:
         return r2_score(values, g)
     if task == CLASSIFICATION:

@@ -21,9 +21,12 @@ probabilities are bit-identical to an exact-distance, stable-sort k-NN.
 
 from __future__ import annotations
 
+import os
+import selectors
 import shlex
 import subprocess
 import threading
+import time
 
 import numpy as np
 
@@ -33,6 +36,9 @@ from .games import SyntheticGame
 # Rows per k-NN block: bounds the (chunk, n_train) distance matrix, and the
 # (unsure rows, n_train, M) broadcast of the exact recheck within a block.
 _PREDICT_CHUNK = 1024
+
+# diagonal penalty of RidgeRegressionModel.fit; the intercept goes unpenalized
+RIDGE_PENALTY = 1e-6
 
 
 def _as_matrix(rows, n_features: int) -> np.ndarray:
@@ -53,14 +59,14 @@ class RidgeRegressionModel:
         self.n_features = len(self.coef)
 
     @classmethod
-    def fit(cls, X, y, ridge: float = 1e-6) -> "RidgeRegressionModel":
+    def fit(cls, X, y) -> "RidgeRegressionModel":
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float)
         n, m = X.shape
         aug = np.column_stack([X, np.ones(n)])
         gram = aug.T @ aug
-        penalty = np.full(m + 1, ridge)
-        penalty[-1] = 0.0  # intercept unpenalized
+        penalty = np.full(m + 1, RIDGE_PENALTY)
+        penalty[-1] = 0.0
         gram[np.diag_indices_from(gram)] += penalty
         beta = np.linalg.solve(gram, aug.T @ y)
         return cls(beta[:-1], beta[-1])
@@ -216,6 +222,9 @@ class GameModel:
 
 # seconds a closed bridge waits for its child to exit on end of input
 CLOSE_TIMEOUT_S = 10.0
+# seconds one batch may take, from its first input byte to its last
+# prediction; a child that misses it is killed
+READ_TIMEOUT_S = 300.0
 
 
 class ExternalProcessModel:
@@ -224,7 +233,8 @@ class ExternalProcessModel:
     Each batch is written as CSV rows (one instance per line, full-precision
     decimals) followed by a blank line; the child must answer with exactly one
     decimal per input line. Access is serialized: one in-flight batch per
-    process.
+    process. A child that has not answered a batch within READ_TIMEOUT_S
+    seconds is killed, and the batch fails with ModelBridgeError.
     """
 
     def __init__(self, command, n_features: int):
@@ -233,53 +243,100 @@ class ExternalProcessModel:
         self._proc: subprocess.Popen | None = None
         self._lock = threading.Lock()
         self._batch_index = 0
+        self._pending = b""  # output read past the last batch's lines
 
     def _ensure_started(self):
         if self._proc is not None and self._proc.poll() is not None:
             self.close()  # release the dead child's pipes before replacing it
         if self._proc is None:
             self._proc = subprocess.Popen(
-                self.command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
+                self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE
             )
+            os.set_blocking(self._proc.stdin.fileno(), False)
+            self._pending = b""
 
     def predict(self, rows) -> np.ndarray:
         rows = _as_matrix(rows, self.n_features)
+        payload = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
         with self._lock:
             batch = self._batch_index
             self._batch_index += 1
             self._ensure_started()
             proc = self._proc
-            try:
-                payload = "".join(
-                    ",".join(repr(float(v)) for v in row) + "\n" for row in rows
-                )
-                proc.stdin.write(payload + "\n")
-                proc.stdin.flush()
-            except (BrokenPipeError, OSError) as exc:
-                raise ModelBridgeError(
-                    f"model process died while receiving input: {exc}", batch
-                ) from exc
             out = np.empty(len(rows))
-            for i in range(len(rows)):
-                line = proc.stdout.readline()
-                if line == "":
-                    code = proc.poll()
-                    raise ModelBridgeError(
-                        f"model process closed its output after {i} of {len(rows)} "
-                        f"predictions (exit code {code})",
-                        batch,
-                    )
+            got = 0
+            for line in self._exchange(proc, (payload + "\n").encode(), len(rows), batch):
+                text = line.decode(errors="replace").strip()
                 try:
-                    out[i] = float(line.strip())
+                    out[got] = float(text)
                 except ValueError:
                     raise ModelBridgeError(
-                        f"malformed prediction line {i}: {line.strip()!r}", batch
+                        f"malformed prediction line {got}: {text!r}", batch
                     ) from None
+                got += 1
+            if got < len(rows):
+                raise ModelBridgeError(
+                    f"model process closed its output after {got} of {len(rows)} "
+                    f"predictions (exit code {proc.poll()})",
+                    batch,
+                )
             return out
+
+    def _exchange(self, proc, payload: bytes, n: int, batch: int):
+        """Write a batch's whole input and yield the child's next n output
+        lines as they arrive, or every line up to the end of its output when
+        that comes first (the last one may lack its newline).
+
+        One loop serves both raw pipes, so a child that answers while its
+        input is still arriving cannot fill its output pipe and stall both
+        sides. A child that has not answered within READ_TIMEOUT_S is killed
+        and reaped.
+        """
+        in_fd, out_fd = proc.stdin.fileno(), proc.stdout.fileno()
+        todo = memoryview(payload)
+        buf, self._pending = self._pending, b""
+        got = 0
+        deadline = time.monotonic() + READ_TIMEOUT_S
+        with selectors.DefaultSelector() as selector:
+            selector.register(in_fd, selectors.EVENT_WRITE)
+            selector.register(out_fd, selectors.EVENT_READ)
+            while True:
+                if got < n:
+                    *lines, buf = buf.split(b"\n", n - got)
+                    yield from lines
+                    got += len(lines)
+                if got == n and not todo:
+                    self._pending = buf
+                    return
+                left = deadline - time.monotonic()
+                ready = selector.select(left) if left > 0 else []
+                if not ready:
+                    proc.kill()
+                    self.close()
+                    raise ModelBridgeError(
+                        f"model process answered {got} of {n} predictions within "
+                        f"{READ_TIMEOUT_S} s and was killed",
+                        batch,
+                    )
+                for key, _ in ready:
+                    if key.fd == out_fd:
+                        chunk = os.read(out_fd, 1 << 16)
+                        if not chunk:  # the child closed its output
+                            if buf and got < n:
+                                yield buf
+                            return
+                        buf += chunk
+                        continue
+                    try:
+                        todo = todo[os.write(in_fd, todo[:1 << 16]):]
+                    except BlockingIOError:
+                        continue
+                    except OSError as exc:
+                        raise ModelBridgeError(
+                            f"model process died while receiving input: {exc}", batch
+                        ) from exc
+                    if not todo:
+                        selector.unregister(in_fd)
 
     def close(self):
         """Close both pipes, whether or not the child is still running, and

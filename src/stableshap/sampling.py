@@ -115,23 +115,6 @@ class WeightedCoalitionSet:
     def n_features(self) -> int:
         return self.masks.shape[1]
 
-    def validate(self) -> None:
-        """Check set invariants; test hook, not a hot-path guard."""
-        if not np.all(np.isfinite(self.weights)) or np.any(self.weights <= 0):
-            raise ValueError("regression weights must be positive and finite")
-        sizes = self.masks.sum(axis=1)
-        if np.any(sizes == 0) or np.any(sizes == self.n_features):
-            raise ValueError("empty or grand coalition leaked into the set")
-        if len(np.unique(pack(self.masks))) != len(self.masks):
-            raise ValueError("duplicate coalitions in the set")
-        if self.complete:
-            for size in np.unique(sizes):
-                if np.count_nonzero(sizes == size) != comb(self.n_features, int(size)):
-                    raise ValueError(f"size-{size} coalitions missing from a complete set")
-                if len(np.unique(self.weights[sizes == size])) != 1:
-                    raise ValueError(f"size-{size} coalitions weighted unequally "
-                                     "in a complete set")
-
 
 def plan_st_shap(n_features: int, budget: int, seed: int) -> SamplingPlan:
     """Fill layers in order while they fit; leftover sampled inside one layer."""

@@ -12,6 +12,11 @@ answered without a model call. Adapters are deterministic (see
 :mod:`stableshap.models`), so a memoized payoff is the payoff the model would
 return. The memo is dropped with its adapter and never holds more than one
 instance's distinct coalitions (at most 2^M).
+
+The coalitions the memo lacks reach the model in blocks of whole masks, at
+most ``ROW_BUDGET`` substituted rows per ``predict`` call (8 masks at the
+least), so the rows of one call stay bounded whatever the budget and the
+background size. The payoffs are bit-identical to those of one single call.
 """
 
 from __future__ import annotations
@@ -30,21 +35,9 @@ from .errors import NonFinitePayoffError
 # adapter never read a half-merged memo or another instance's payoffs.
 _MEMOS: dict[int, tuple] = {}
 
-
-def as_mask_matrix(coalitions, n_features: int | None = None) -> np.ndarray:
-    """Normalize an array-like of masks into a bool matrix (n, M)."""
-    if isinstance(coalitions, np.ndarray):
-        masks = coalitions.astype(bool, copy=False)
-        if masks.ndim == 1:
-            masks = masks.reshape(1, -1)
-    else:
-        items = list(coalitions)
-        masks = np.asarray(items, dtype=bool)
-        if masks.ndim == 1:
-            masks = masks.reshape(1, -1) if len(items) else masks.reshape(0, 0)
-    if n_features is not None and masks.size and masks.shape[1] != n_features:
-        raise ValueError(f"masks have {masks.shape[1]} features, expected {n_features}")
-    return masks
+# substituted rows per model call; bounds the (rows, M) float matrix that
+# substitute builds, whatever the budget and the background size
+ROW_BUDGET = 1 << 18
 
 
 def substitute(masks: np.ndarray, x: np.ndarray, background: np.ndarray) -> np.ndarray:
@@ -69,11 +62,23 @@ def _checked(masks: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
 
 
 def _row_payoffs(masks, x, background, model) -> np.ndarray:
-    rows = substitute(masks, x, background)
-    preds = np.asarray(model.predict(rows), dtype=float).reshape(-1)
-    if len(preds) != len(rows):
-        raise ValueError(f"model returned {len(preds)} outputs for {len(rows)} rows")
-    return _checked(masks, preds.reshape(masks.shape[0], background.shape[0]).mean(axis=1))
+    """Payoffs of whole masks, in blocks of at most ROW_BUDGET substituted rows
+    per model call (at least 8 masks). A block holds a multiple of 8 masks,
+    so every block starts at a row that is a multiple of 8: BLAS then groups
+    the rows as it would in one call, and the payoffs do not depend on the
+    block size."""
+    n_background = background.shape[0]
+    step = max(8, ROW_BUDGET // n_background // 8 * 8)
+    out = np.empty(len(masks))
+    for start in range(0, len(masks), step):
+        block = masks[start:start + step]
+        rows = substitute(block, x, background)
+        preds = np.asarray(model.predict(rows), dtype=float).reshape(-1)
+        if len(preds) != len(rows):
+            raise ValueError(f"model returned {len(preds)} outputs for {len(rows)} rows")
+        out[start:start + len(block)] = _checked(
+            block, preds.reshape(len(block), n_background).mean(axis=1))
+    return out
 
 
 def _forget(model_id: int, ref: weakref.ref) -> None:
@@ -126,7 +131,10 @@ def evaluate_batch(coalitions, x, background, model) -> np.ndarray:
     Raises NonFinitePayoffError, naming the first such coalition, when a
     payoff is NaN or infinite.
     """
-    masks = as_mask_matrix(coalitions, getattr(model, "n_features", None))
+    masks = np.asarray(coalitions, dtype=bool)
+    if masks.ndim != 2 or masks.shape[1] != model.n_features:
+        raise ValueError(f"expected masks of shape (n, {model.n_features}), "
+                         f"got {masks.shape}")
     if masks.shape[0] == 0:
         return np.empty(0)
     if hasattr(model, "coalition_values"):
@@ -141,14 +149,13 @@ def evaluate_batch(coalitions, x, background, model) -> np.ndarray:
     return _memoized_payoffs(masks, x, background, model)
 
 
-def anchors(x, background, model, n_features: int | None = None) -> tuple[float, float]:
+def anchors(x, background, model) -> tuple[float, float]:
     """(payoff of the empty coalition, payoff of the grand coalition).
 
     The first anchors the surrogate intercept, the second is the prediction
     the attributions must add up to.
     """
-    m = n_features if n_features is not None else model.n_features
-    masks = np.zeros((2, m), dtype=bool)
+    masks = np.zeros((2, model.n_features), dtype=bool)
     masks[1, :] = True
     empty_v, full_v = evaluate_batch(masks, x, background, model)
     return float(empty_v), float(full_v)

@@ -1,19 +1,22 @@
 """Shared fixtures and independent test oracles.
 
 The oracles here deliberately use different algebra than the library paths
-they check: payoff averaging by explicit Python loops, a Lagrange-multiplier
-KKT solve for the constrained regression, the paper's first-layer formula
-from table lookups, pair counting for rank correlation, and kernel SHAP's
-random phase as a per-draw loop over dicts.
+they check: payoff averaging by explicit Python loops, Shapley values as
+marginal contributions averaged over every player ordering, a
+Lagrange-multiplier KKT solve for the constrained regression, the paper's
+first-layer formula from table lookups, pair counting for rank correlation,
+and kernel SHAP's random phase as a per-draw loop over dicts.
 """
 
-from math import comb
+from itertools import permutations
+from math import comb, factorial
 
 import numpy as np
 import pytest
 
 from stableshap import GameModel, SyntheticGame
-from stableshap.coalitions import kernel_weight
+from stableshap.coalitions import kernel_weight, pack
+from stableshap.exact import ExactValues, all_coalition_values
 
 
 @pytest.fixture
@@ -28,12 +31,61 @@ GLOVE_EXACT = (2 / 3, 1 / 6, 1 / 6)  # frozen: 6-ordering enumeration by hand
 
 def random_table_game(rng: np.random.Generator, m: int,
                       v_empty: float | None = None) -> SyntheticGame:
-    game = SyntheticGame.random_table(m, rng)
-    if v_empty is not None:
-        table = dict(game.table)
-        table[0] = v_empty
-        game = SyntheticGame.from_table(m, table)
-    return game
+    """Dense random game: every proper value N(0, 1), v(empty) = v_empty or 0."""
+    values = rng.normal(0.0, 1.0, size=2**m)
+    values[0] = 0.0 if v_empty is None else v_empty
+    return SyntheticGame.from_table(m, dict(enumerate(values)))
+
+
+def value_of_set(game: SyntheticGame, players) -> float:
+    """A game's payoff for a set of player indices."""
+    return game.value_of_mask(sum(1 << i for i in set(players)))
+
+
+# players above which the permutation oracle refuses: M! orderings
+PERMUTATION_CAP = 8
+
+
+def exact_shap_permutation(game: SyntheticGame,
+                           cap: int = PERMUTATION_CAP) -> ExactValues:
+    """Shapley values as the average marginal contribution over all player
+    orderings, independent of the library's subset-sum formula."""
+    m = game.n_players
+    if m > cap:
+        raise ValueError(f"{m} players need {factorial(m)} player orderings; "
+                         f"the cap is {cap} players")
+    values = all_coalition_values(None, GameModel(game), None, m)
+    acc = [0.0] * m
+    for order in permutations(range(m)):
+        mask = 0
+        prev = values[0]
+        for player in order:
+            mask |= 1 << player
+            cur = values[mask]
+            acc[player] += cur - prev
+            prev = cur
+    scale = factorial(m)
+    return ExactValues(tuple(float(a / scale) for a in acc), float(values[0]), 2**m)
+
+
+def check_coalition_set(cset) -> None:
+    """Raise ValueError unless a WeightedCoalitionSet holds distinct proper
+    coalitions at positive finite weights, and, when marked complete, every
+    coalition of each size it holds at one weight per size."""
+    if not np.all(np.isfinite(cset.weights)) or np.any(cset.weights <= 0):
+        raise ValueError("regression weights must be positive and finite")
+    sizes = cset.masks.sum(axis=1)
+    if np.any(sizes == 0) or np.any(sizes == cset.n_features):
+        raise ValueError("empty or grand coalition leaked into the set")
+    if len(np.unique(pack(cset.masks))) != len(cset.masks):
+        raise ValueError("duplicate coalitions in the set")
+    if cset.complete:
+        for size in np.unique(sizes):
+            if np.count_nonzero(sizes == size) != comb(cset.n_features, int(size)):
+                raise ValueError(f"size-{size} coalitions missing from a complete set")
+            if len(np.unique(cset.weights[sizes == size])) != 1:
+                raise ValueError(f"size-{size} coalitions weighted unequally "
+                                 "in a complete set")
 
 
 class CountingGameModel(GameModel):

@@ -12,10 +12,16 @@ import pytest
 import stableshap as ss
 from stableshap.cli import derive_seed, layers_report
 from stableshap.coalitions import complete_layer_budgets, layer_size
+from stableshap.metrics import adherence
 from stableshap.sampling import materialize, plan_st_shap
 from stableshap.value_function import evaluate_batch
 
-from conftest import CountingGameModel, kkt_constrained_wls, random_table_game
+from conftest import (
+    CountingGameModel,
+    exact_shap_permutation,
+    kkt_constrained_wls,
+    random_table_game,
+)
 
 
 def _report(criterion: str, ok: bool, detail: str, elapsed: float):
@@ -112,7 +118,7 @@ def test_criterion_05_dual_oracle_agreement():
         m = int(rng.integers(2, 9))
         game = random_table_game(rng, m, v_empty=float(rng.normal()))
         a = ss.exact_shap_game(game)
-        b = ss.exact_shap_permutation(game)
+        b = exact_shap_permutation(game)
         worst = max(worst, float(np.abs(a.phi_array() - b.phi_array()).max()))
     elapsed = time.perf_counter() - t0
     _report("C05", worst < 1e-10,
@@ -189,7 +195,7 @@ def test_criterion_07_additive_model_closed_form():
 
         cset = materialize(plan_st_shap(m, 2**m - 2, seed=1))
         values = evaluate_batch(cset.masks, x, bg, model)
-        adh = ss.adherence(cset, values, e_full, "regression")
+        adh = adherence(cset, values, e_full, "regression")
         worst_adherence = min(worst_adherence, adh)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-8 and abs(worst_adherence - 1.0) < 1e-9

@@ -1,0 +1,120 @@
+"""What the benchmark and the scripts rely on from the library.
+
+`bench/` and `scripts/` reach stableshap through its top-level names, through
+the module bindings that `bench/tracer.py` wraps, and through the positional
+arguments of the calls its observers read. A library change that drops one of
+these would only show at benchmark time, as a missing span or a crash.
+"""
+
+import ast
+import csv
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import stableshap
+from stableshap import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PUBLIC = [
+    "CallableModel",
+    "ClassProbabilityModel",
+    "ConfigError",
+    "ExternalProcessModel",
+    "GameModel",
+    "GameTableError",
+    "KERNEL_SHAP",
+    "KNNClassifierModel",
+    "ModelBridgeError",
+    "NonFinitePayoffError",
+    "OracleCapError",
+    "RankDeficiencyError",
+    "RidgeRegressionModel",
+    "ST_SHAP",
+    "StableShapError",
+    "SyntheticGame",
+    "complete_layer_budgets",
+    "exact_shap",
+    "exact_shap_game",
+    "explain",
+    "jaccard_n",
+    "kendall_tau",
+    "layer1_attribution",
+]
+
+CALLERS = ["bench/workloads.py", "bench/worker.py", "bench/run.py",
+           "scripts/stability_sweep.py"]
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_top_level_is_the_public_api():
+    assert sorted(stableshap.__all__) == PUBLIC
+    assert all(hasattr(stableshap, name) for name in PUBLIC)
+
+
+@pytest.mark.parametrize("path", CALLERS)
+def test_callers_resolve_every_library_name(path):
+    tree = ast.parse((ROOT / path).read_text())
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names
+               if alias.name == "stableshap"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("stableshap"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            assert hasattr(stableshap, node.attr), f"stableshap.{node.attr}"
+
+
+def test_every_traced_target_resolves():
+    tracer = _tracer()
+    undo, missing = tracer.install(tracer.Tracer(), {})
+    undo()
+    assert missing == []
+
+
+def test_observed_calls_keep_their_arguments(tmp_path):
+    """The ridge-compare-exact workload counts routes from `explain`'s
+    positional (x, model, background, strategy, budget) and reads the exact
+    values' `eval_count`; layer-1 must not go through `explain`."""
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(60, 6))
+    data = tmp_path / "data.csv"
+    with open(data, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{i}" for i in range(6)] + ["target"])
+        writer.writerows(np.column_stack([X, X @ rng.normal(size=6)]).tolist())
+    seen = {"explain": [], "layer1": 0, "exact": []}
+    observers = {
+        "explainer.explain": lambda args, e, s: seen["explain"].append(
+            (args[3], args[4], len(args[0]), args[2].shape)),
+        "layer1.layer1_attribution": lambda args, e, s: seen.__setitem__(
+            "layer1", seen["layer1"] + 1),
+        "exact.exact_shap": lambda args, v, s: seen["exact"].append(v.eval_count),
+    }
+    undo, missing = _tracer().install(None, observers)
+    try:
+        code = cli.main([
+            "compare-exact", "--dataset", str(data), "--target", "target",
+            "--model", "ridge", "--strategy", "all", "--budgets", "20,33",
+            "--n-instances", "1", "--background-size", "10",
+            "--output", str(tmp_path / "run")])
+    finally:
+        undo()
+    assert code == 0 and missing == []
+    assert seen["explain"] == [(s, b, 6, (10, 6)) for s in ("kernel-shap", "st-shap")
+                               for b in (20, 33)]
+    assert seen["layer1"] == 1
+    assert seen["exact"] == [2**6]

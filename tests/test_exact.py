@@ -9,10 +9,14 @@ from stableshap import (
     SyntheticGame,
     exact_shap,
     exact_shap_game,
-    exact_shap_permutation,
 )
 
-from conftest import GLOVE_EXACT, CountingGameModel, random_table_game
+from conftest import (
+    GLOVE_EXACT,
+    CountingGameModel,
+    exact_shap_permutation,
+    random_table_game,
+)
 
 
 class TestSubsetFormula:
@@ -70,7 +74,7 @@ class TestPermutationFormula:
                                     (2.0 - 0.5 + 4.0 - 1.0) / 2], atol=1e-12)
 
     def test_cap(self):
-        with pytest.raises(OracleCapError, match="orderings"):
+        with pytest.raises(ValueError, match="orderings"):
             exact_shap_permutation(SyntheticGame.cardinality(9, list(range(10))))
 
 

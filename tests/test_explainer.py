@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,10 +11,9 @@ from stableshap import (
     SyntheticGame,
     exact_shap_game,
     explain,
-    fit,
-    sparsify,
 )
 from stableshap.coalitions import complete_layer_budgets
+from stableshap.explainer import Explanation, fit, sparsify
 from stableshap.sampling import (
     KERNEL_SHAP,
     ST_SHAP,
@@ -233,7 +234,7 @@ class TestExplain:
             assert np.allclose(e.phis, expected, atol=1e-8)
 
     def test_json_round_trip(self, glove_game):
-        from stableshap.explainer import Explanation
         e = _game_fit(glove_game, budget=6, seed=9, k=2)
-        back = Explanation.from_json_dict(e.to_json_dict())
+        d = json.loads(json.dumps(e.to_json_dict()))
+        back = Explanation(**d | {"phis": tuple(d["phis"]), "support": tuple(d["support"])})
         assert back == e

@@ -2,6 +2,7 @@
 
 import sys
 import textwrap
+import threading
 import time
 
 import numpy as np
@@ -48,6 +49,14 @@ SLEEPER_CHILD = textwrap.dedent("""
             sys.stdout.flush()
             break
     time.sleep(60)
+""")
+
+# answers each line as soon as it reads it
+STREAMING_CHILD = textwrap.dedent("""
+    import sys
+    for line in sys.stdin:
+        if line.strip():
+            print(sum(float(v) for v in line.split(",")), flush=True)
 """)
 
 
@@ -122,3 +131,59 @@ class TestExternalProcessModel:
         model.close()
         assert time.monotonic() - t0 < 10.0
         assert proc.poll() is not None
+
+    def test_a_stalled_child_is_killed_at_the_read_deadline(self, tmp_path, monkeypatch):
+        model = ExternalProcessModel(_script(tmp_path, "sleeper.py", SLEEPER_CHILD), 2)
+        with model:
+            assert model.predict(np.zeros((1, 2)))[0] == 0.0
+            proc = model._proc
+            monkeypatch.setattr(models, "READ_TIMEOUT_S", 0.2)
+            t0 = time.monotonic()
+            with pytest.raises(ModelBridgeError, match="batch 1.*0 of 3.*killed"):
+                model.predict(np.zeros((3, 2)))
+            assert time.monotonic() - t0 < 2.0
+            assert proc.poll() is not None
+            assert proc.stdin.closed and proc.stdout.closed
+
+    def test_a_line_split_across_writes(self, tmp_path):
+        # the last newline of each answer comes in a write of its own
+        child = textwrap.dedent("""
+            import sys
+            n = 0
+            for line in sys.stdin:
+                if line.strip():
+                    n += 1
+                    continue
+                sys.stdout.write("".join(f"{n}.{i}\\n" for i in range(n))[:-1])
+                sys.stdout.flush()
+                sys.stdout.write("\\n")
+                sys.stdout.flush()
+                n = 0
+        """)
+        with ExternalProcessModel(_script(tmp_path, "split.py", child), 2) as model:
+            assert model.predict(np.zeros((3, 2))).tolist() == [3.0, 3.1, 3.2]
+            assert model.predict(np.zeros((2, 2))).tolist() == [2.0, 2.1]
+
+    def test_a_child_answering_while_it_reads_gets_a_batch_larger_than_the_pipes(
+            self, tmp_path):
+        # 20000 rows are about 320 kB of input and 160 kB of output, more than
+        # a pipe holds: writing the whole batch before reading would deadlock
+        rows = np.arange(40000.0).reshape(20000, 2)
+        model = ExternalProcessModel(_script(tmp_path, "stream.py", STREAMING_CHILD), 2)
+        result = []
+
+        def run():
+            try:
+                result.append(model.predict(rows))
+            except ModelBridgeError as exc:
+                result.append(exc)
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        if worker.is_alive():
+            model._proc.kill()
+            worker.join(timeout=10)
+        model.close()
+        assert not worker.is_alive()
+        assert np.array_equal(result[0], rows.sum(axis=1))

@@ -3,16 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stableshap import (
-    GameModel,
-    SyntheticGame,
-    adherence,
-    fit,
-    jaccard_n,
-    kendall_tau,
-    r2_score,
-)
-from stableshap.explainer import Explanation
+from stableshap import GameModel, SyntheticGame, jaccard_n, kendall_tau
+from stableshap.explainer import Explanation, fit
+from stableshap.metrics import adherence, r2_score
 from stableshap.sampling import WeightedCoalitionSet, materialize, plan_st_shap
 from stableshap.value_function import evaluate_batch
 

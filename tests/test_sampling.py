@@ -22,7 +22,11 @@ from stableshap.sampling import (
     validate_budget,
 )
 
-from conftest import global_sample_reference, random_subsets_reference
+from conftest import (
+    check_coalition_set,
+    global_sample_reference,
+    random_subsets_reference,
+)
 
 
 def _rng(seed):
@@ -118,7 +122,7 @@ class TestMaterialize:
     def test_complete_layers_carry_exact_kernel_weights(self):
         plan = plan_st_shap(6, 42, seed=1)  # layers 1 and 2 complete
         cset = materialize(plan)
-        cset.validate()
+        check_coalition_set(cset)
         sizes = cset.masks.sum(axis=1)
         for layer in (1, 2):
             in_layer = (sizes == layer) | (sizes == 6 - layer)
@@ -131,23 +135,24 @@ class TestMaterialize:
             for plan in (plan_st_shap(m, budget, 3), plan_kernel_shap(m, budget, 3)):
                 cset = materialize(plan)
                 assert cset.complete == (plan.n_sampled == 0)
-                cset.validate()
+                check_coalition_set(cset)
 
     def test_validate_checks_a_complete_claim(self):
         cset = materialize(plan_st_shap(6, 42, seed=1))
         assert cset.complete
         missing = WeightedCoalitionSet(cset.masks[1:], cset.weights[1:], complete=True)
         with pytest.raises(ValueError, match="missing"):
-            missing.validate()
+            check_coalition_set(missing)
         weights = cset.weights.copy()
         weights[0] *= 2.0
         uneven = WeightedCoalitionSet(cset.masks, weights, complete=True)
         with pytest.raises(ValueError, match="unequally"):
-            uneven.validate()
+            check_coalition_set(uneven)
         sampled = materialize(plan_st_shap(6, 50, seed=1))
         assert not sampled.complete
         with pytest.raises(ValueError, match="missing"):
-            WeightedCoalitionSet(sampled.masks, sampled.weights, complete=True).validate()
+            check_coalition_set(
+                WeightedCoalitionSet(sampled.masks, sampled.weights, complete=True))
 
     def test_st_shap_seed_changes_only_sampled_tail(self):
         a = materialize(plan_st_shap(15, 1200, seed=1))
@@ -185,7 +190,7 @@ class TestMaterialize:
     def test_kernel_shap_random_pool_weight_total(self):
         plan = plan_kernel_shap(15, 1200, seed=5)
         cset = materialize(plan)
-        cset.validate()
+        check_coalition_set(cset)
         assert len(cset) == 1200
         pool_weight = sum(layer_total_weight(15, i) for i in (3, 4, 5, 6, 7))
         fixed_weight = sum(layer_total_weight(15, i) for i in (1, 2))
@@ -199,7 +204,7 @@ class TestMaterialize:
         # tiny space forces collisions: budget close to the full population
         plan = plan_kernel_shap(4, 13, seed=8)
         cset = materialize(plan)
-        cset.validate()  # raises on duplicates
+        check_coalition_set(cset)  # raises on duplicates
         assert len(cset) == 13
 
     @settings(max_examples=40, deadline=None)
@@ -209,7 +214,7 @@ class TestMaterialize:
         seed = data.draw(st.integers(0, 2**32 - 1))
         for planner in (plan_st_shap, plan_kernel_shap):
             cset = materialize(planner(m, budget, seed))
-            cset.validate()
+            check_coalition_set(cset)
             sizes = cset.masks.sum(axis=1)
             assert np.all(sizes > 0) and np.all(sizes < m)
             if planner is plan_st_shap:
@@ -304,7 +309,7 @@ class TestKernelShapSampler:
         plan = plan_kernel_shap(m, 500, seed=2)
         assert plan.n_sampled > 0
         cset = materialize(plan)
-        cset.validate()
+        check_coalition_set(cset)
         assert len(cset) == 500
         total = sum(layer_total_weight(m, i) for i in range(1, n_layers(m) + 1))
         assert cset.weights.sum() == pytest.approx(total, rel=1e-12)

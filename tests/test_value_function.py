@@ -268,3 +268,54 @@ class TestNonFinitePayoffs:
         got = evaluate_batch(masks, x, bg, model)
         assert np.all(np.isfinite(got))
         assert np.array_equal(got, evaluate_batch(masks, x, bg, CountingRowModel(w)))
+
+
+class CallLoggingRidge(RidgeRegressionModel):
+    """Ridge adapter that records the rows of every predict call."""
+
+    def __init__(self, coef, intercept):
+        super().__init__(coef, intercept)
+        self.calls = []
+
+    def predict(self, rows):
+        self.calls.append(len(rows))
+        return super().predict(rows)
+
+
+class TestRowBudget:
+    def _pair(self, monkeypatch, run, budget):
+        monkeypatch.setattr(value_function, "ROW_BUDGET", budget)
+        rng = np.random.default_rng(9)
+        model = CallLoggingRidge(rng.normal(size=16), 0.3)
+        return run(model), model.calls
+
+    @pytest.mark.parametrize("n_bg", [1, 7, 100])
+    def test_calls_stay_within_the_budget_and_payoffs_do_not_move(self, monkeypatch,
+                                                                     n_bg):
+        m = 16
+        x, bg, _ = _setup(m=m, n_bg=n_bg, seed=4)
+        masks = _masks(m, 700, seed=5)
+        n_distinct = len(np.unique(masks, axis=0))
+
+        def run(model):
+            return evaluate_batch(masks, x, bg, model)
+
+        got, calls = self._pair(monkeypatch, run, 64)
+        want, whole = self._pair(monkeypatch, run, 1 << 40)
+        assert whole == [n_distinct * n_bg]
+        assert max(calls) <= max(64, 8 * n_bg)
+        assert sum(calls) == n_distinct * n_bg
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("strategy", [ST_SHAP, KERNEL_SHAP])
+    def test_explanations_bit_identical_across_row_budgets(self, monkeypatch, strategy):
+        x, bg, _ = _setup(m=16, n_bg=7, seed=6)
+
+        def run(model):
+            return [explain(x, model, bg, strategy, budget, seed=2, explanation_size=4)
+                    for budget in (200, 1000, 3000)]
+
+        got, calls = self._pair(monkeypatch, run, 64)
+        want, _ = self._pair(monkeypatch, run, 1 << 40)
+        assert max(calls) <= 64
+        assert got == want
