@@ -5,9 +5,9 @@ Subcommands: ``explain``, ``stability``, ``adherence``, ``compare-exact``,
 and every output file carries the resolved configuration, so re-running a
 command byte-reproduces its results.
 
-Exit codes: 0 success, 1 other toolkit errors (such as a non-finite payoff),
-2 configuration error, 3 external-model bridge error, 4 exact-oracle cap
-refusal.
+Exit codes: 0 success, 1 other toolkit errors (such as a non-finite payoff or
+a budget too small to fit), 2 configuration error, 3 external-model bridge
+error, 4 exact-oracle cap refusal.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .explainer import LAYER1, _explain_with_training_set, explain, plan_for
 from .games import SyntheticGame
 from .layer1 import layer1_attribution
 from .models import (
+    CallableModel,
     ClassProbabilityModel,
     ExternalProcessModel,
     GameModel,
@@ -79,7 +80,7 @@ class RunConfig:
     explain_runs: int = 1
     runs_per_instance: int = 20
     master_seed: int = 0
-    oracle_cap: int = 20
+    oracle_cap: int = exact.DEFAULT_CAP
     workers: int = 1
     output: str = "stableshap-run"
 
@@ -235,7 +236,8 @@ def wire(cfg: RunConfig) -> Wiring:
             raise ConfigError("model 'external' needs --model-command")
         task = cfg.task or "regression"
         bridge = ExternalProcessModel(cfg.model_command, m)
-        model_for = lambda x: bridge  # noqa: E731
+        # one process behind its lock, but one adapter (so one memo) per instance
+        model_for = lambda x: CallableModel(bridge.predict, m)  # noqa: E731
     else:
         raise ConfigError(f"unknown model kind: {cfg.model!r}")
 

@@ -32,7 +32,7 @@ class OracleCapError(StableShapError):
 
 
 class RankDeficiencyError(StableShapError):
-    """Normal equations stayed singular even after the diagonal jitter retry."""
+    """A sampled coalition set has too few coalitions to determine its fit."""
 
 
 class GameTableError(StableShapError):

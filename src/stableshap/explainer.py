@@ -18,6 +18,9 @@ linear system is solved. The first-layer attribution is this form on layer 1.
 
 Any other set eliminates the highest-indexed free coefficient, which turns the
 problem into an unconstrained weighted regression solved by normal equations.
+Its Gram matrix is checked for rank: a set with fewer coalitions than free
+coefficients raises RankDeficiencyError, and a larger rank-deficient set gets
+the least-norm fit, so features that no coalition separates are treated alike.
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ from .sampling import (
 from .value_function import anchors, evaluate_batch
 
 LAYER1 = "layer1"
-
-RIDGE_JITTER = 1e-10
 
 
 @dataclass(frozen=True)
@@ -77,26 +78,6 @@ class Explanation:
         }
 
 
-def _solve_weighted(X: np.ndarray, w: np.ndarray, y: np.ndarray,
-                    context: str) -> np.ndarray:
-    if X.shape[1] == 0:
-        return np.empty(0)
-    wx = w[:, None] * X
-    gram = X.T @ wx
-    rhs = wx.T @ y
-    try:
-        return np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        pass
-    gram[np.diag_indices_from(gram)] += RIDGE_JITTER
-    try:
-        return np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        raise RankDeficiencyError(
-            f"normal equations singular even after jitter ({context})"
-        ) from None
-
-
 def _constrained_fit(coalition_set: WeightedCoalitionSet, values: np.ndarray,
                      phi0: float, fx: float, free: np.ndarray,
                      context: str) -> np.ndarray:
@@ -105,18 +86,34 @@ def _constrained_fit(coalition_set: WeightedCoalitionSet, values: np.ndarray,
     outside the closed form its last entry is the eliminated coefficient."""
     masks, weights = coalition_set.masks, coalition_set.weights
     phis = np.zeros(masks.shape[1])
+    delta = fx - phi0
     if coalition_set.complete:
         r = (weights * (values - phi0)) @ masks[:, free]
         a = weights[masks[:, 0] & ~masks[:, 1]].sum()
-        phis[free] = r / a + ((fx - phi0) - (r / a).sum()) / len(free)
+        phis[free] = r / a + (delta - (r / a).sum()) / len(free)
         return phis
-    z = masks.astype(float)
-    pivot = free[-1]
-    y = values - phi0 - z[:, pivot] * (fx - phi0)
-    X = z[:, free[:-1]] - z[:, [pivot]]
-    sol = _solve_weighted(X, weights, y, context)
-    phis[free[:-1]] = sol
-    phis[pivot] = (fx - phi0) - sol.sum()
+    if len(free) == 1:
+        phis[free] = delta
+        return phis
+    z = masks[:, free].astype(float)
+    X = z[:, :-1] - z[:, -1:]
+    wx = weights[:, None] * X
+    gram = X.T @ wx
+    rank = np.linalg.matrix_rank(gram, hermitian=True)
+    if rank == len(gram):
+        sol = np.linalg.solve(gram, wx.T @ (values - phi0 - z[:, -1] * delta))
+        phis[free[:-1]] = sol
+        phis[free[-1]] = delta - sol.sum()
+        return phis
+    if len(z) < len(gram):
+        raise RankDeficiencyError(
+            f"the coalitions determine {rank} of {len(gram)} free coefficients ({context})")
+    # the draws left a direction unobserved: phi = delta/k + u with u orthogonal
+    # to 1, so the least-norm u on the centred design gives the least-norm phi
+    sw = np.sqrt(weights)
+    u = np.linalg.lstsq(sw[:, None] * (z - z.mean(axis=1, keepdims=True)),
+                        sw * (values - phi0 - z.mean(axis=1) * delta), rcond=None)[0]
+    phis[free] = delta / len(free) + u
     return phis
 
 

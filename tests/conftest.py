@@ -3,7 +3,8 @@
 The oracles here deliberately use different algebra than the library paths
 they check: payoff averaging by explicit Python loops, Shapley values as
 marginal contributions averaged over every player ordering, a
-Lagrange-multiplier KKT solve for the constrained regression, the paper's
+Lagrange-multiplier KKT solve for the constrained regression, an SVD of its
+weighted design over an orthonormal sum-zero basis for its rank, the paper's
 first-layer formula from table lookups, pair counting for rank correlation,
 and kernel SHAP's random phase as a per-draw loop over dicts.
 """
@@ -131,6 +132,23 @@ def kkt_constrained_wls(masks, weights, values, phi0, fx) -> np.ndarray:
     target[m] = fx - phi0
     sol = np.linalg.lstsq(kkt, target, rcond=None)[0]
     return sol[:m]
+
+
+def design_rank_oracle(masks, weights) -> int:
+    """Rank of the constrained fit's weighted design, by SVD.
+
+    The sum constraint leaves the attributions free on the sum-zero subspace.
+    The design is sqrt(w)·z on an orthonormal basis of that subspace (not the
+    library's pivot elimination; both bases span the same space, so the rank
+    is the same). The fit is determined exactly when the rank is M - 1.
+    Tolerance: numpy's default, largest singular value × size × eps.
+    """
+    z = np.asarray(masks, dtype=float)
+    m = z.shape[1]
+    basis = np.linalg.svd(np.ones((1, m)))[2][1:].T  # (m, m-1), orthogonal to ones
+    design = np.sqrt(np.asarray(weights, dtype=float))[:, None] * (z @ basis)
+    sv = np.linalg.svd(design, compute_uv=False)
+    return int((sv > sv.max(initial=0.0) * max(design.shape) * np.finfo(float).eps).sum())
 
 
 def layer1_parts(game: SyntheticGame):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stableshap.cli import main
+from stableshap.cli import RunConfig, main, wire
 
 M_REG = 6
 
@@ -354,32 +354,90 @@ class TestCompareExactCommand:
         assert "cap" in capsys.readouterr().err
 
 
+class TestRankDeficientBudget:
+    @pytest.mark.parametrize("command", ["explain", "stability"])
+    def test_exits_1_names_the_rank_and_writes_nothing(self, command, reg_csv,
+                                                       tmp_path, capsys):
+        # budget 4 at M=6: 4 coalitions cannot determine 5 free coefficients;
+        # budget 20 fits, but the run still fails as a whole
+        out = tmp_path / "run"
+        code = main([
+            command, "--dataset", str(reg_csv), "--target", "target",
+            "--strategy", "both", "--budgets", "20,4", "--n-instances", "2",
+            "--background-size", "8", "--workers", "2", "--output", str(out),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the coalitions determine ")
+        assert "of 5 free coefficients (strategy=" in err and "budget=4 " in err
+        assert not [p for p in out.rglob("*") if p.suffix in (".json", ".csv")
+                    and p.name != "config.resolved.json"]
+
+
+def _summing_child(tmp_path: Path) -> str:
+    """Command line of an external model that answers each row's sum."""
+    child = tmp_path / "model.py"
+    child.write_text(textwrap.dedent("""
+        import sys
+        batch = []
+        for line in sys.stdin:
+            line = line.strip()
+            if line == "":
+                for row in batch:
+                    print(sum(float(v) for v in row.split(",")))
+                sys.stdout.flush()
+                batch = []
+            else:
+                batch.append(line)
+    """))
+    return f"{sys.executable} {child}"
+
+
 class TestModelWiring:
     def test_external_model(self, reg_csv, tmp_path):
-        child = tmp_path / "model.py"
-        child.write_text(textwrap.dedent("""
-            import sys
-            batch = []
-            for line in sys.stdin:
-                line = line.strip()
-                if line == "":
-                    for row in batch:
-                        print(sum(float(v) for v in row.split(",")))
-                    sys.stdout.flush()
-                    batch = []
-                else:
-                    batch.append(line)
-        """))
         out = tmp_path / "run"
         code = main([
             "explain", "--dataset", str(reg_csv), "--target", "target",
-            "--model", "external", "--model-command", f"{sys.executable} {child}",
+            "--model", "external", "--model-command", _summing_child(tmp_path),
             "--budgets", "12", "--n-instances", "1",
             "--background-size", "5", "--output", str(out),
         ])
         assert code == 0
         doc = json.loads(next((out / "explanations").glob("*.json")).read_text())
         assert abs(doc["phi0"] + sum(doc["phis"]) - doc["fx"]) < 1e-9
+
+    def test_external_instances_get_distinct_adapters(self, reg_csv, tmp_path):
+        cfg = RunConfig(dataset=str(reg_csv), target="target", model="external",
+                        model_command=_summing_child(tmp_path), n_instances=4,
+                        background_size=5)
+        with wire(cfg) as wiring:
+            adapters = [model for _, _, model in wiring.instances]
+        assert len({id(a) for a in adapters}) == 4
+
+    def test_external_workers_send_the_same_rows(self, reg_csv, tmp_path, monkeypatch):
+        # one process serves every instance, but each instance keeps its own
+        # payoff memo, so concurrent instances never evict each other's payoffs
+        from stableshap.models import ExternalProcessModel
+        rows = []
+        predict = ExternalProcessModel.predict
+        monkeypatch.setattr(ExternalProcessModel, "predict",
+                            lambda self, r: rows.append(len(r)) or predict(self, r))
+        sent, outputs = {}, {}
+        for workers in ("1", "3"):
+            out = tmp_path / f"w{workers}"
+            rows.clear()
+            assert main([
+                "explain", "--dataset", str(reg_csv), "--target", "target",
+                "--model", "external", "--model-command", _summing_child(tmp_path),
+                "--strategy", "all", "--budgets", "12,20,40", "--runs", "3",
+                "--n-instances", "6", "--background-size", "8",
+                "--workers", workers, "--output", str(out),
+            ]) == 0
+            sent[workers] = sum(rows)
+            outputs[workers] = {p.name: json.loads(p.read_text())["phis"]
+                                for p in (out / "explanations").glob("*.json")}
+        assert sent["1"] == sent["3"] > 0
+        assert outputs["1"] == outputs["3"]
 
     def test_broken_external_model_exit_3(self, reg_csv, tmp_path, capsys):
         child = tmp_path / "bad.py"

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from stableshap import (
     CallableModel,
     GameModel,
+    RankDeficiencyError,
     SyntheticGame,
     exact_shap_game,
     explain,
 )
 from stableshap.coalitions import complete_layer_budgets
-from stableshap.explainer import Explanation, fit, sparsify
+from stableshap.explainer import Explanation, fit, plan_for, sparsify
 from stableshap.sampling import (
     KERNEL_SHAP,
     ST_SHAP,
@@ -23,7 +24,12 @@ from stableshap.sampling import (
 )
 from stableshap.value_function import evaluate_batch
 
-from conftest import GLOVE_EXACT, kkt_constrained_wls, random_table_game
+from conftest import (
+    GLOVE_EXACT,
+    design_rank_oracle,
+    kkt_constrained_wls,
+    random_table_game,
+)
 
 
 def _game_fit(game, budget, seed=0, strategy=ST_SHAP, k=None):
@@ -111,16 +117,82 @@ class TestFit:
         b = fit(scaled, values, 0.0, 1.0)
         assert np.allclose(a.phis, b.phis, atol=1e-10)
 
-    def test_tiny_set_still_locally_accurate(self):
-        # fewer coalitions than features: jitter path, constraint still exact
+    def test_tiny_set_is_refused(self):
+        # fewer coalitions than free coefficients: no attribution is determined
         game = SyntheticGame.additive([1.0, -2.0, 0.5, 4.0])
-        e = _game_fit(game, budget=2, seed=11)
-        assert e.local_accuracy_gap() < 1e-9
+        with pytest.raises(RankDeficiencyError, match=r"determine 2 of 3 free "):
+            _game_fit(game, budget=2, seed=11)
 
     def test_values_alignment_checked(self, glove_game):
         cset, values = _full_set_and_values(glove_game)
         with pytest.raises(ValueError):
             fit(cset, values[:-1], 0.0, 1.0)
+
+
+def _sampled_set(strategy, m, budget, seed):
+    cset = materialize(plan_for(strategy, m, budget, seed))
+    return cset, np.random.default_rng(seed).normal(size=len(cset))
+
+
+class TestRankDeficiency:
+    # M=13, seed 3 (12 free coefficients): 10 coalitions can never determine
+    # the fit; 13 can, but these draws reach rank 10
+    @pytest.mark.parametrize("strategy,rank", [(ST_SHAP, 7), (KERNEL_SHAP, 8)])
+    def test_too_few_coalitions_raise_with_their_rank(self, strategy, rank):
+        cset, values = _sampled_set(strategy, 13, 10, seed=3)
+        assert design_rank_oracle(cset.masks, cset.weights) == rank
+        with pytest.raises(RankDeficiencyError) as info:
+            fit(cset, values, 0.0, 1.0, strategy=strategy, budget=10)
+        assert str(info.value) == (
+            f"the coalitions determine {rank} of 12 free coefficients "
+            f"(strategy={strategy} budget=10 n=10 M=13)")
+
+    @pytest.mark.parametrize("strategy", [ST_SHAP, KERNEL_SHAP])
+    def test_unobserved_directions_get_the_least_norm_fit(self, strategy):
+        cset, values = _sampled_set(strategy, 13, 13, seed=3)
+        assert design_rank_oracle(cset.masks, cset.weights) == 10
+        e = fit(cset, values, 0.5, 1.0)
+        assert e.local_accuracy_gap() < 1e-9
+        oracle = kkt_constrained_wls(cset.masks, cset.weights, values, 0.5, 1.0)
+        assert np.abs(e.phi_array() - oracle).max() <= 1e-9
+        # features no coalition separates are treated alike
+        groups = {}
+        for i, column in enumerate(cset.masks.T):
+            groups.setdefault(column.tobytes(), []).append(i)
+        tied = [g for g in groups.values() if len(g) > 1]
+        assert tied
+        for g in tied:
+            assert np.ptp(e.phi_array()[g]) <= 1e-12
+
+    @pytest.mark.parametrize("strategy", [ST_SHAP, KERNEL_SHAP])
+    def test_enough_coalitions_fit(self, strategy):
+        cset, values = _sampled_set(strategy, 13, 20, seed=3)
+        assert not cset.complete
+        assert design_rank_oracle(cset.masks, cset.weights) == 12
+        e = fit(cset, values, 0.5, 1.0)
+        assert e.local_accuracy_gap() < 1e-9
+        oracle = kkt_constrained_wls(cset.masks, cset.weights, values, 0.5, 1.0)
+        assert np.abs(e.phi_array() - oracle).max() <= 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 10), st.sampled_from([ST_SHAP, KERNEL_SHAP]),
+           st.integers(0, 2**32 - 1), st.data())
+    def test_refuses_exactly_the_sets_too_small_to_fit(self, m, strategy, seed, data):
+        budget = data.draw(st.integers(2, min(4 * m, 2**m - 2)), label="budget")
+        cset, values = _sampled_set(strategy, m, budget, seed)
+        rank = design_rank_oracle(cset.masks, cset.weights)
+        if len(cset) < m - 1:
+            with pytest.raises(RankDeficiencyError, match=f"determine {rank} of {m - 1} "):
+                fit(cset, values, 0.25, 1.0)
+            return
+        # full rank: the unique fit; short rank: the least-norm one
+        e = fit(cset, values, 0.25, 1.0)
+        assert e.local_accuracy_gap() < 1e-9
+        oracle = kkt_constrained_wls(cset.masks, cset.weights, values, 0.25, 1.0)
+        assert np.abs(e.phi_array() - oracle).max() <= 1e-8
+        # k=1 keeps one coefficient, which the sum constraint fixes
+        one = sparsify(e, 1, cset, values)
+        assert one.local_accuracy_gap() < 1e-9 and len(one.support) == 1
 
 
 class TestSparsify:
