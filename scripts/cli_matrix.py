@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""Run the command-line matrix and keep everything each run leaves behind.
+
+The matrix is `explain`, `stability`, `adherence` and `compare-exact`, each
+with `--strategy all` and `both` at `--workers 1` and `3`, on a ridge and a
+k-NN model (M=6, budgets 20,33,50, 3 instances, background 10), plus one
+`explain` on a game table. Runs that a command refuses are kept too.
+
+Each run gets OUT/<case>/ with its output files under `run/` and its
+`stdout.txt`, `stderr.txt` and `exit_code.txt`. The datasets are generated
+from fixed seeds and every path is relative to OUT, so two checkouts that
+behave alike write identical trees:
+
+    PYTHONPATH=src python scripts/cli_matrix.py OUT_A   # in one checkout
+    PYTHONPATH=src python scripts/cli_matrix.py OUT_B   # in the other
+    diff -r OUT_A OUT_B
+"""
+
+import argparse
+import contextlib
+import io
+import os
+import traceback
+from pathlib import Path
+
+import numpy as np
+
+from stableshap import SyntheticGame
+from stableshap.cli import main as cli_main
+
+M = 6
+COMMANDS = ("explain", "stability", "adherence", "compare-exact")
+SHARED = ["--budgets", "20,33,50", "--n-instances", "3", "--background-size", "10"]
+
+
+def write_dataset(path: Path, classification: bool, seed: int) -> None:
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(120, M))
+    score = X @ np.linspace(1.0, 2.5, M) + np.sin(X[:, 0] * X[:, 1])
+    with open(path, "w") as fh:
+        fh.write(",".join([f"f{i}" for i in range(M)] + ["target"]) + "\n")
+        for row, s in zip(X, score):
+            target = str(int(s > 0)) if classification else repr(float(s))
+            fh.write(",".join(repr(float(v)) for v in row) + f",{target}\n")
+
+
+def run_case(name: str, argv: list[str]) -> None:
+    case = Path(name)
+    case.mkdir()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = str(cli_main(argv + ["--output", str(case / "run")]))
+        except Exception as exc:  # an uncaught error is an outcome to compare too
+            code = "uncaught"
+            err.write("".join(traceback.format_exception_only(exc)))
+    (case / "stdout.txt").write_text(out.getvalue())
+    (case / "stderr.txt").write_text(err.getvalue())
+    (case / "exit_code.txt").write_text(code + "\n")
+    print(f"{name}: {code}")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("out", help="directory to create; must not exist yet")
+    args = parser.parse_args()
+    root = Path(args.out)
+    root.mkdir(parents=True)
+    os.chdir(root)
+
+    Path("data").mkdir()
+    write_dataset(Path("data/ridge.csv"), classification=False, seed=0)
+    write_dataset(Path("data/knn.csv"), classification=True, seed=1)
+    rng = np.random.default_rng(2)
+    SyntheticGame.from_table(M, dict(enumerate(rng.normal(size=2**M)))).save("data/game.json")
+
+    for model in ("ridge", "knn"):
+        for command in COMMANDS:
+            for strategy in ("all", "both"):
+                for workers in ("1", "3"):
+                    run_case(f"{command}_{model}_{strategy}_w{workers}", [
+                        command, "--dataset", f"data/{model}.csv", "--target", "target",
+                        "--model", model, "--strategy", strategy, "--workers", workers,
+                        *SHARED])
+    run_case("explain_game_all", ["explain", "--model", "game", "--game-file",
+                                  "data/game.json", "--strategy", "all",
+                                  "--budgets", "20,33,50"])
+
+
+if __name__ == "__main__":
+    main()

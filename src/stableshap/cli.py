@@ -27,7 +27,7 @@ from . import exact, metrics
 from .coalitions import layer_size, n_layers
 from .data import as_int_labels, load_csv, split_indices
 from .errors import ConfigError, ModelBridgeError, OracleCapError, StableShapError
-from .explainer import LAYER1, _explain_with_training_set, explain, plan_for
+from .explainer import LAYER1, explain, explain_with_training_set, plan_for
 from .games import SyntheticGame
 from .layer1 import layer1_attribution
 from .models import (
@@ -122,6 +122,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = replace(cfg, **overrides)
     if cfg.master_seed < 0:
         raise ConfigError("master seed must be non-negative")
+    for flag, count in (("--runs", cfg.explain_runs), ("--n-instances", cfg.n_instances),
+                        ("--workers", cfg.workers)):
+        if count < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {count}")
     return cfg
 
 
@@ -157,8 +161,8 @@ def _resolve_instances(cfg: RunConfig, heldout: np.ndarray,
                        n_background: int, n_rows: int) -> list[int]:
     if cfg.instances is not None:
         bad = [i for i in cfg.instances if not 0 <= i < n_rows]
-        if bad:
-            raise ConfigError(f"instance rows out of range: {bad}")
+        if bad or not cfg.instances:
+            raise ConfigError(f"instance rows empty or out of range: {bad}")
         return list(cfg.instances)
     pool = heldout[n_background:]
     if len(pool) < cfg.n_instances:
@@ -220,7 +224,10 @@ def wire(cfg: RunConfig) -> Wiring:
     elif cfg.model == "knn":
         task = cfg.task or "classification"
         labels = as_int_labels(ds.y[fit_idx], ds.path)
-        knn = KNNClassifierModel(ds.X[fit_idx], labels, k=cfg.knn_k)
+        try:
+            knn = KNNClassifierModel(ds.X[fit_idx], labels, k=cfg.knn_k)
+        except ValueError as exc:
+            raise ConfigError(f"--knn-k: {exc}") from exc
         classes = [int(c) for c in knn.classes]
         if cfg.explained_class is not None and cfg.explained_class not in classes:
             raise ConfigError(f"explained class {cfg.explained_class} is not one of "
@@ -477,7 +484,7 @@ def cmd_adherence(args) -> int:
         scores = []
         for run in range(cfg.explain_runs):
             seed = derive_seed(cfg.master_seed, row_id, budget, run)
-            e, cset, values = _explain_with_training_set(
+            e, cset, values = explain_with_training_set(
                 x, model, wiring.background, strategy, budget, seed, cfg.explanation_size)
             scores.append(metrics.adherence(cset, values, e, wiring.task))
         return float(np.mean(scores))

@@ -6,9 +6,12 @@ Layer i groups the coalitions with exactly i features present or i features
 absent; every coalition in a layer shares one weight, and the weight shrinks
 as i moves toward M/2.
 
-All functions here are pure and deterministic; enumeration order is pinned
-(colexicographic over the present-feature index sets, each set immediately
-followed by its complement) so that repeated runs are bit-identical.
+All functions here are pure and deterministic. A layer's order is pinned,
+so that repeated runs are bit-identical, and :func:`layer_members` is its one
+definition: the present-feature index sets of size i in colexicographic order,
+each set immediately followed by its complement (the middle layer of an even M
+has no complements). :func:`layer_masks` is that order over a whole layer,
+and the st-shap sampler unranks positions of layers too large to enumerate.
 
 :func:`pack` is the one key a mask is looked up, counted or deduplicated by:
 bit i of the key is feature i. The sampler, the payoff memo, set validation
@@ -18,7 +21,6 @@ and game-table lookups all use it.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -99,62 +101,42 @@ def complete_layer_budgets(n_features: int) -> list[tuple[int, int]]:
     return out
 
 
-def _colex_combinations(n_features: int, k: int) -> list[tuple[int, ...]]:
-    # colexicographic: ordered by largest element, then recursively
-    return sorted(combinations(range(n_features), k), key=lambda t: t[::-1])
+def layer_members(n_features: int, layer: int, positions) -> np.ndarray:
+    """The masks at `positions` of a layer's canonical order: a boolean mask
+    matrix of shape (len(positions), M). Defines that order.
+
+    Outside the middle layer, position p holds the colex-rank p // 2 subset of
+    `layer` present features, complemented when p is odd. The subset is read
+    off the combinatorial number system, one ``searchsorted`` per element.
+    """
+    size = layer_size(n_features, layer)
+    ranks = np.asarray(positions, dtype=np.int64)
+    if len(ranks) and not 0 <= int(ranks.min()) <= int(ranks.max()) < size:
+        raise ValueError(f"positions outside 0..{size - 1} for this layer")
+    flip = np.zeros_like(ranks)
+    if 2 * layer != n_features:
+        ranks, flip = np.divmod(ranks, 2)
+    # C(c, j) for c < M; from Python ints, so an entry past int64 raises
+    binom = np.array([[comb(c, j) for c in range(n_features)]
+                      for j in range(layer + 1)], dtype=np.int64)
+    masks = np.zeros((len(ranks), n_features), dtype=bool)
+    rows = np.arange(len(ranks))
+    for j in range(layer, 0, -1):
+        # the j-th smallest present feature: the largest c with C(c, j) <= rank
+        c = np.searchsorted(binom[j], ranks, side="right") - 1
+        masks[rows, c] = True
+        ranks = ranks - binom[j, c]
+    masks ^= (flip == 1)[:, None]
+    return masks
 
 
 @lru_cache(maxsize=64)
 def layer_masks(n_features: int, layer: int) -> np.ndarray:
-    """Every coalition of a layer exactly once, in the pinned canonical order:
-    a boolean mask matrix of shape (layer_size, M).
+    """Every coalition of a layer exactly once, in the canonical order of
+    :func:`layer_members`.
 
     Cached and marked read-only; callers must copy before mutating.
     """
-    _check_layer(n_features, layer)
-    sets = _colex_combinations(n_features, layer)
-    base = np.zeros((len(sets), n_features), dtype=bool)
-    rows = np.arange(len(sets))[:, None]
-    base[rows, np.array(sets)] = True
-    if 2 * layer == n_features:
-        masks = base
-    else:
-        # interleave each size-i mask with its complement
-        masks = np.empty((2 * len(sets), n_features), dtype=bool)
-        masks[0::2] = base
-        masks[1::2] = ~base
+    masks = layer_members(n_features, layer, np.arange(layer_size(n_features, layer)))
     masks.setflags(write=False)
     return masks
-
-
-def colex_unrank(rank: int, k: int) -> tuple[int, ...]:
-    """The rank-th k-subset in colexicographic order (combinatorial number system)."""
-    if k < 1 or rank < 0:
-        raise ValueError("need k >= 1 and rank >= 0")
-    out = []
-    r = rank
-    for j in range(k, 0, -1):
-        c = j - 1
-        while comb(c + 1, j) <= r:
-            c += 1
-        r -= comb(c, j)
-        out.append(c)
-    return tuple(reversed(out))
-
-
-def layer_member(n_features: int, layer: int, position: int) -> np.ndarray:
-    """The mask at `position` in a layer's canonical order, without enumerating it.
-
-    Lets samplers draw from layers far too large to materialize.
-    """
-    size = layer_size(n_features, layer)
-    if not 0 <= position < size:
-        raise ValueError(f"position {position} out of range for layer of size {size}")
-    if 2 * layer == n_features:
-        rank, complemented = position, False
-    else:
-        rank, complemented = divmod(position, 2)
-        complemented = bool(complemented)
-    mask = np.zeros(n_features, dtype=bool)
-    mask[list(colex_unrank(rank, layer))] = True
-    return ~mask if complemented else mask

@@ -162,10 +162,11 @@ def plan_for(strategy: str, n_features: int, budget: int, seed: int) -> Sampling
     raise ValueError(f"unknown sampling strategy: {strategy!r}")
 
 
-def _explain_with_training_set(x, model, background, strategy: str, budget: int,
-                               seed: int, explanation_size: int | None = None):
-    """The pipeline behind `explain`: plan, materialize, evaluate, fit,
-    optionally sparsify. Returns (explanation, coalition set, payoffs)."""
+def explain_with_training_set(x, model, background, strategy: str, budget: int,
+                              seed: int, explanation_size: int | None = None):
+    """The one pipeline behind `explain`, the first-layer attribution and the
+    adherence metric: plan, materialize, evaluate, fit, optionally sparsify.
+    Returns (explanation, coalition set, payoffs)."""
     plan = plan_for(strategy, model.n_features, budget, seed)
     coalition_set = materialize(plan)
     values = evaluate_batch(coalition_set.masks, x, background, model)
@@ -180,5 +181,5 @@ def _explain_with_training_set(x, model, background, strategy: str, budget: int,
 def explain(x, model, background, strategy: str, budget: int, seed: int,
             explanation_size: int | None = None) -> Explanation:
     """Full pipeline: plan, materialize, evaluate, fit, optionally sparsify."""
-    return _explain_with_training_set(x, model, background, strategy, budget, seed,
-                                      explanation_size)[0]
+    return explain_with_training_set(x, model, background, strategy, budget, seed,
+                                     explanation_size)[0]

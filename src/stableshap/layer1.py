@@ -14,17 +14,16 @@ single-present and single-absent coalitions coincide).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .coalitions import layer_size
-from .explainer import LAYER1, Explanation, fit
-from .sampling import materialize, plan_st_shap
-from .value_function import anchors, evaluate_batch
+from .explainer import LAYER1, Explanation, explain_with_training_set
+from .sampling import ST_SHAP
 
 
 def layer1_attribution(x, model, background) -> Explanation:
-    """First-layer attribution scores for one instance: the st-shap fit at
-    the layer-1 budget, which samples nothing and so needs no seed."""
-    budget = layer_size(model.n_features, 1)
-    coalition_set = materialize(plan_st_shap(model.n_features, budget, seed=0))
-    values = evaluate_batch(coalition_set.masks, x, background, model)
-    phi0, fx = anchors(x, background, model)
-    return fit(coalition_set, values, phi0, fx, strategy=LAYER1, budget=budget)
+    """First-layer attribution scores for one instance: the st-shap pipeline
+    at the layer-1 budget, which samples nothing and so uses no seed."""
+    explanation = explain_with_training_set(x, model, background, ST_SHAP,
+                                            layer_size(model.n_features, 1), seed=0)[0]
+    return replace(explanation, strategy=LAYER1, seed=None)

@@ -23,7 +23,7 @@ import numpy as np
 from .coalitions import (
     kernel_weight,
     layer_masks,
-    layer_member,
+    layer_members,
     layer_size,
     layer_total_weight,
     n_layers,
@@ -33,7 +33,8 @@ from .coalitions import (
 KERNEL_SHAP = "kernel-shap"
 ST_SHAP = "st-shap"
 
-# layers small enough to index by enumeration; larger ones are unranked lazily
+# layers up to this size are enumerated once and cached, and draws index the
+# cache; draws from larger layers are unranked. Both give the same masks.
 _ENUM_LIMIT = 1 << 20
 # matches the reference tolerance for "the expected draws cover this layer"
 _FILL_SLACK = 1e-8
@@ -169,7 +170,12 @@ def _rng_for(plan: SamplingPlan) -> np.random.Generator:
 
 
 def _layer_sample_masks(rng, n_features: int, layer: int, n: int) -> np.ndarray:
-    """Uniform without-replacement draw of n coalitions from one layer.
+    """Uniform without-replacement draw of n coalitions from one layer, in the
+    layer's canonical order.
+
+    One ``rng.choice`` picks the positions. A layer of at most ``_ENUM_LIMIT``
+    masks is indexed through the cached :func:`layer_masks`; a larger one has
+    only the drawn positions unranked by :func:`layer_members`.
 
     st-shap samples a layer only after materializing every layer before it.
     For any layer of over 2^63 coalitions those masks take over 10^19 bytes,
@@ -179,9 +185,7 @@ def _layer_sample_masks(rng, n_features: int, layer: int, n: int) -> np.ndarray:
     positions = np.sort(rng.choice(population, size=n, replace=False))
     if population <= _ENUM_LIMIT:
         return layer_masks(n_features, layer)[positions]
-    return np.array(
-        [layer_member(n_features, layer, int(p)) for p in positions], dtype=bool
-    )
+    return layer_members(n_features, layer, positions)
 
 
 def _random_subsets(rng, n_features: int, sizes: np.ndarray) -> np.ndarray:

@@ -78,6 +78,8 @@ def _row_payoffs(masks, x, background, model) -> np.ndarray:
             raise ValueError(f"model returned {len(preds)} outputs for {len(rows)} rows")
         out[start:start + len(block)] = _checked(
             block, preds.reshape(len(block), n_background).mean(axis=1))
+        # released before the next block is built: one block alive at a time
+        del rows, preds
     return out
 
 

@@ -6,10 +6,11 @@ marginal contributions averaged over every player ordering, a
 Lagrange-multiplier KKT solve for the constrained regression, an SVD of its
 weighted design over an orthonormal sum-zero basis for its rank, the paper's
 first-layer formula from table lookups, pair counting for rank correlation,
-and kernel SHAP's random phase as a per-draw loop over dicts.
+kernel SHAP's random phase as a per-draw loop over dicts, and a layer's
+canonical order both as sorted combinations and as a scalar unrank.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, factorial
 
 import numpy as np
@@ -226,3 +227,37 @@ def global_sample_reference(rng, n_features: int, layers, n_distinct: int):
                 break
     return (np.array([first_rows[k] for k in order], dtype=bool),
             np.array([counts[k] for k in order], dtype=float))
+
+
+def colex_layer_oracle(n_features: int, layer: int) -> np.ndarray:
+    """A layer's canonical order by enumeration: the size-`layer` index sets
+    sorted colexicographically (by their reversed tuples), each immediately
+    followed by its complement unless the layer is the middle one of an even M."""
+    sets = sorted(combinations(range(n_features), layer), key=lambda t: t[::-1])
+    base = np.zeros((len(sets), n_features), dtype=bool)
+    base[np.arange(len(sets))[:, None], np.array(sets)] = True
+    if 2 * layer == n_features:
+        return base
+    return np.stack([base, ~base], axis=1).reshape(-1, n_features)
+
+
+def colex_unrank_oracle(rank: int, k: int) -> tuple[int, ...]:
+    """The rank-th k-subset in colexicographic order, one element at a time by
+    a linear search of the combinatorial number system."""
+    out = []
+    for j in range(k, 0, -1):
+        c = j - 1
+        while comb(c + 1, j) <= rank:
+            c += 1
+        rank -= comb(c, j)
+        out.append(c)
+    return tuple(reversed(out))
+
+
+def layer_member_oracle(n_features: int, layer: int, position: int) -> np.ndarray:
+    """The mask at one position of a layer's canonical order, by scalar unrank."""
+    rank, complemented = ((position, 0) if 2 * layer == n_features
+                          else divmod(position, 2))
+    mask = np.zeros(n_features, dtype=bool)
+    mask[list(colex_unrank_oracle(rank, layer))] = True
+    return ~mask if complemented else mask

@@ -47,7 +47,7 @@ PUBLIC = [
 ]
 
 CALLERS = ["bench/workloads.py", "bench/worker.py", "bench/run.py",
-           "scripts/stability_sweep.py"]
+           "scripts/stability_sweep.py", "scripts/cli_matrix.py"]
 
 
 def _tracer():

@@ -354,6 +354,55 @@ class TestCompareExactCommand:
         assert "cap" in capsys.readouterr().err
 
 
+class TestCountsRefused:
+    """A count that leaves a run with nothing to compute is a config error
+    that names the value, raised before any file is written."""
+
+    @pytest.mark.parametrize("command,flags,message", [
+        ("adherence", ["--runs", "0"], "--runs must be at least 1, got 0"),
+        ("stability", ["--n-instances", "0"], "--n-instances must be at least 1, got 0"),
+        ("explain", ["--runs", "0"], "--runs must be at least 1, got 0"),
+        ("explain", ["--runs", "-1"], "--runs must be at least 1, got -1"),
+        ("explain", ["--workers", "-3"], "--workers must be at least 1, got -3"),
+    ])
+    def test_ridge_counts(self, command, flags, message, reg_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main([
+            command, "--dataset", str(reg_csv), "--target", "target",
+            "--budgets", "20", "--n-instances", "2", "--background-size", "10",
+            *flags, "--output", str(out),
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["0", "999"])
+    def test_knn_k(self, k, tmp_path, capsys):
+        data = _write_classification_csv(tmp_path / "cls.csv")
+        out = tmp_path / "run"
+        code = main([
+            "explain", "--dataset", str(data), "--target", "label", "--model", "knn",
+            "--knn-k", k, "--budgets", "8", "--n-instances", "1",
+            "--background-size", "6", "--explanation-size", "2", "--output", str(out),
+        ])
+        assert code == 2
+        assert f"--knn-k: k={k} invalid for 60 training rows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_instance_list(self, reg_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"instances": []}))
+        out = tmp_path / "run"
+        code = main([
+            "stability", "--config", str(cfg), "--dataset", str(reg_csv),
+            "--target", "target", "--budgets", "20", "--background-size", "10",
+            "--output", str(out),
+        ])
+        assert code == 2
+        assert "instance rows empty" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestRankDeficientBudget:
     @pytest.mark.parametrize("command", ["explain", "stability"])
     def test_exits_1_names_the_rank_and_writes_nothing(self, command, reg_csv,

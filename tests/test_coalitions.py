@@ -2,18 +2,19 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stableshap.coalitions import (
-    colex_unrank,
     complete_layer_budgets,
     kernel_weight,
     layer_masks,
-    layer_member,
+    layer_members,
     layer_size,
     n_layers,
 )
+
+from conftest import colex_layer_oracle, colex_unrank_oracle, layer_member_oracle
 
 m_and_layer = st.integers(2, 12).flatmap(
     lambda m: st.tuples(st.just(m), st.integers(1, m // 2))
@@ -91,13 +92,49 @@ class TestEnumerateLayer:
         m, i = ml
         masks = layer_masks(m, i)
         for pos in range(layer_size(m, i)):
-            assert np.array_equal(layer_member(m, i, pos), masks[pos])
+            assert np.array_equal(layer_members(m, i, [pos]), masks[pos:pos + 1])
+        shuffled = np.random.default_rng(m * 31 + i).permutation(len(masks))
+        assert np.array_equal(layer_members(m, i, shuffled), masks[shuffled])
 
     def test_colex_unrank_roundtrip(self):
-        for m, k in [(6, 2), (7, 3), (5, 1)]:
+        for m, k in [(6, 2), (7, 3), (5, 1), (6, 3)]:
             ordered = sorted(itertools.combinations(range(m), k), key=lambda t: t[::-1])
+            step = 1 if 2 * k == m else 2  # complements sit at the odd positions
+            got = layer_members(m, k, step * np.arange(len(ordered)))
             for rank, expected in enumerate(ordered):
-                assert colex_unrank(rank, k) == expected
+                assert colex_unrank_oracle(rank, k) == expected
+                assert tuple(np.flatnonzero(got[rank])) == expected
+            if step == 2:
+                assert np.array_equal(layer_members(m, k, 2 * np.arange(len(ordered)) + 1),
+                                      ~got)
+
+    def test_every_layer_up_to_m16_matches_enumeration(self):
+        for m in range(2, 17):
+            for i in range(1, m // 2 + 1):
+                assert np.array_equal(layer_masks(m, i), colex_layer_oracle(m, i)), (m, i)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 90), st.data())
+    def test_layer_members_match_scalar_unrank(self, m, data):
+        # layers whose positions fit int64, the range the sampler draws from
+        i = data.draw(st.sampled_from(
+            [i for i in range(1, m // 2 + 1) if layer_size(m, i) < 2**63]))
+        positions = data.draw(st.lists(st.integers(0, layer_size(m, i) - 1),
+                                       min_size=1, max_size=12))
+        got = layer_members(m, i, positions)
+        assert got.shape == (len(positions), m)
+        for row, pos in zip(got, positions):
+            assert np.array_equal(row, layer_member_oracle(m, i, pos))
+
+    def test_positions_outside_the_layer_rejected(self):
+        for bad in ([-1], [0, 8], [9]):
+            with pytest.raises(ValueError, match="positions outside 0..7"):
+                layer_members(4, 1, bad)
+
+    def test_binomial_table_past_int64_raises(self):
+        # C(99, 50) > 2^63: the table refuses instead of wrapping
+        with pytest.raises(OverflowError):
+            layer_members(100, 50, [0])
 
 
 class TestKernelWeight:

@@ -25,6 +25,7 @@ from stableshap.sampling import (
 from conftest import (
     check_coalition_set,
     global_sample_reference,
+    layer_member_oracle,
     random_subsets_reference,
 )
 
@@ -251,7 +252,20 @@ class TestHugeLayerSampling:
         c = self._draws(45, 5, 25, seed=8)
         assert not np.array_equal(a, c)
 
-    def test_rejection_path_beyond_int64(self):
+    def test_unranked_draws_match_scalar_oracle(self):
+        m, layer, n = 45, 5, 30
+        positions = np.sort(_rng(4).choice(layer_size(m, layer), size=n, replace=False))
+        expected = np.array([layer_member_oracle(m, layer, int(p)) for p in positions])
+        assert np.array_equal(self._draws(m, layer, n, seed=4), expected)
+
+    @pytest.mark.parametrize("m,layer,n", [(13, 3, 100), (20, 7, 5000), (24, 5, 40)])
+    def test_enum_limit_only_decides_caching(self, m, layer, n, monkeypatch):
+        import stableshap.sampling as sampling
+        cached = self._draws(m, layer, n)
+        monkeypatch.setattr(sampling, "_ENUM_LIMIT", 0)  # unrank every draw
+        assert np.array_equal(self._draws(m, layer, n), cached)
+
+    def test_unranked_path_near_int64(self):
         m, layer, n = 80, 20, 15  # 2*C(80,20) ~ 7.07e18 is still below 2^63
         masks = self._draws(m, layer, n)
         assert masks.shape == (n, m)

@@ -2,6 +2,7 @@
 
 import gc
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -319,3 +320,19 @@ class TestRowBudget:
         want, _ = self._pair(monkeypatch, run, 1 << 40)
         assert max(calls) <= 64
         assert got == want
+
+    def test_one_block_of_rows_alive_at_a_time(self, monkeypatch):
+        # 640 masks x 64 background rows in blocks of 4096 rows (256 KB each);
+        # building a block while the last one is still held takes two of them
+        monkeypatch.setattr(value_function, "ROW_BUDGET", 1 << 12)
+        x, bg, w = _setup(m=8, n_bg=64, seed=7)
+        masks = _masks(8, 640, seed=8)
+        model = RidgeRegressionModel(w, 0.0)
+        block_bytes = (1 << 12) * 8 * 8
+        tracemalloc.start()
+        try:
+            value_function._row_payoffs(masks, x, bg, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block_bytes < peak < 2 * block_bytes
