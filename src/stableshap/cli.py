@@ -17,6 +17,8 @@ import csv
 import json
 import statistics
 import sys
+import types
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -95,18 +97,42 @@ def derive_seed(master: int, instance_key: int, budget: int, run: int) -> int:
 # configuration loading and wiring
 
 
-def _load_config_file(path: str) -> dict:
+def _read_json(path: str, what: str):
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(raw) - known
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def _conforms(value, hint) -> bool:
+    """Whether a JSON value fits a RunConfig field's type hint. No field is a
+    flag, so JSON true and false fit none."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        return any(_conforms(value, arg) for arg in args)
+    if origin is list:
+        return isinstance(value, list) and all(_conforms(v, args[0]) for v in value)
+    return (isinstance(value, (int, float) if hint is float else hint)
+            and not isinstance(value, bool))
+
+
+def _load_config_file(path: str) -> dict:
+    raw = _read_json(path, "config")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must hold a JSON object, "
+                          f"not a {type(raw).__name__}")
+    known = {f.name: f for f in fields(RunConfig)}
+    unknown = set(raw) - set(known)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    hints = typing.get_type_hints(RunConfig)
+    for name, value in raw.items():
+        if not _conforms(value, hints[name]):
+            raise ConfigError(f"config key {name!r} must be {known[name].type}, "
+                              f"got {value!r}")
     return raw
 
 
@@ -178,7 +204,7 @@ def wire(cfg: RunConfig) -> Wiring:
     if cfg.model == "game":
         if not cfg.game_file:
             raise ConfigError("model 'game' needs --game-file")
-        game = SyntheticGame.load(cfg.game_file)
+        game = SyntheticGame.from_json_dict(_read_json(cfg.game_file, "game file"))
         adapter = GameModel(game)
         resolved = asdict(cfg) | {
             "resolved_n_features": game.n_players,

@@ -36,7 +36,7 @@ class RankDeficiencyError(StableShapError):
 
 
 class GameTableError(StableShapError):
-    """A coalition mask is missing from an exhaustive game table."""
+    """A game table has a key that is not a mask, or lacks a coalition mask."""
 
 
 class NonFinitePayoffError(StableShapError):

@@ -4,23 +4,25 @@ The surrogate is linear in the coalition mask with a pinned intercept (the
 empty-coalition payoff) and a hard sum constraint (attributions plus intercept
 must reproduce the prediction on the explained instance).
 
-On a union of complete layers (every st-shap or kernel-shap set whose plan
-sampled nothing) the weighted Gram matrix is exactly ``aI + b11^T``: every
-feature is present in the same total weight, and so is every pair. The
-constrained fit then has the closed form
+A coalition set holds complete layers first, then any sampled rows. On the
+complete rows the weighted Gram matrix is exactly ``aI + b11^T`` (every
+feature, and every pair, is present in the same total weight), so their
+constrained fit has the closed form
 
-    phi = r/a + (delta - sum(r/a)) / k
+    p = r/a + (delta - sum(r/a)) / k
 
 over the k free features, with r = sum_S w_S (v_S - phi0) z_S, delta = f(x) -
 phi0, and a the weight of the coalitions holding feature 0 but not feature 1
-(Lundberg & Lee 2017 derive the weights). No Gram matrix is built and no
-linear system is solved. The first-layer attribution is this form on layer 1.
+(Lundberg & Lee 2017 derive the weights); without complete rows p = delta/k.
+A set that sampled nothing, such as the first layer, is fitted by p alone.
 
-Any other set eliminates the highest-indexed free coefficient, which turns the
-problem into an unconstrained weighted regression solved by normal equations.
-Its Gram matrix is checked for rank: a set with fewer coalitions than free
-coefficients raises RankDeficiencyError, and a larger rank-deficient set gets
-the least-norm fit, so features that no coalition separates are treated alike.
+Sampled rows correct p on an orthonormal basis of the sum-zero subspace,
+where the complete rows add just ``aI`` to the Gram matrix and nothing to the
+right-hand side. One ``eigh`` gives the least-norm correction. Its rank falls
+short of k - 1 only without complete rows: a set with fewer coalitions than
+free coefficients raises RankDeficiencyError, and a larger one keeps p along
+the directions no coalition observes, so features that no coalition
+separates are treated alike.
 """
 
 from __future__ import annotations
@@ -78,42 +80,49 @@ class Explanation:
         }
 
 
+# sampled rows enter the fit this many at a time, so a large sample never
+# holds a float copy of all its masks (kernel-shap at M=20 draws 177k rows)
+_FIT_BLOCK = 1 << 15
+
+
 def _constrained_fit(coalition_set: WeightedCoalitionSet, values: np.ndarray,
                      phi0: float, fx: float, free: np.ndarray,
                      context: str) -> np.ndarray:
     """Weighted fit with coefficients outside `free` pinned to zero and the
-    free ones constrained to sum to fx - phi0. `free` is sorted ascending;
-    outside the closed form its last entry is the eliminated coefficient."""
+    free ones constrained to sum to fx - phi0: the closed form over the
+    complete rows, corrected by the sampled rows."""
     masks, weights = coalition_set.masks, coalition_set.weights
+    n0, k, delta = coalition_set.n_complete, len(free), fx - phi0
+    a, p = 0.0, np.full(k, delta / k)
+    if n0:
+        r = (weights[:n0] * (values[:n0] - phi0)) @ masks[:n0, free]
+        a = weights[:n0][masks[:n0, 0] & ~masks[:n0, 1]].sum()
+        p = r / a + (delta - (r / a).sum()) / k
     phis = np.zeros(masks.shape[1])
-    delta = fx - phi0
-    if coalition_set.complete:
-        r = (weights * (values - phi0)) @ masks[:, free]
-        a = weights[masks[:, 0] & ~masks[:, 1]].sum()
-        phis[free] = r / a + (delta - (r / a).sum()) / len(free)
+    phis[free] = p
+    if n0 == len(masks):
         return phis
-    if len(free) == 1:
-        phis[free] = delta
-        return phis
-    z = masks[:, free].astype(float)
-    X = z[:, :-1] - z[:, -1:]
-    wx = weights[:, None] * X
-    gram = X.T @ wx
-    rank = np.linalg.matrix_rank(gram, hermitian=True)
-    if rank == len(gram):
-        sol = np.linalg.solve(gram, wx.T @ (values - phi0 - z[:, -1] * delta))
-        phis[free[:-1]] = sol
-        phis[free[-1]] = delta - sol.sum()
-        return phis
-    if len(z) < len(gram):
+    # Helmert basis of the sum-zero subspace. Rows are projected on it before
+    # their products are summed, so heavy rows holding every free feature
+    # cannot drown the directions that separate features.
+    basis = np.triu(np.ones((k, k - 1)))
+    basis[np.arange(1, k), np.arange(k - 1)] = -np.arange(1, k)
+    basis /= np.sqrt(np.arange(1, k) * np.arange(2, k + 1))
+    gram, rhs = a * np.eye(k - 1), np.zeros(k - 1)
+    for start in range(n0, len(masks), _FIT_BLOCK):
+        rows = slice(start, start + _FIT_BLOCK)
+        z = masks[rows, free].astype(float)
+        zb = z @ basis
+        gram += zb.T @ (weights[rows, None] * zb)
+        rhs += zb.T @ (weights[rows] * (values[rows] - phi0 - z @ p))
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    kept = eigvals > eigvals.max(initial=0.0) * k * np.finfo(float).eps
+    if kept.sum() < k - 1 and len(masks) < k - 1:
         raise RankDeficiencyError(
-            f"the coalitions determine {rank} of {len(gram)} free coefficients ({context})")
-    # the draws left a direction unobserved: phi = delta/k + u with u orthogonal
-    # to 1, so the least-norm u on the centred design gives the least-norm phi
-    sw = np.sqrt(weights)
-    u = np.linalg.lstsq(sw[:, None] * (z - z.mean(axis=1, keepdims=True)),
-                        sw * (values - phi0 - z.mean(axis=1) * delta), rcond=None)[0]
-    phis[free] = delta / len(free) + u
+            f"the coalitions determine {kept.sum()} of {k - 1} free coefficients ({context})")
+    # least norm: directions that no sampled row observes stay at p
+    vecs = eigvecs[:, kept]
+    phis[free] += basis @ (vecs @ ((vecs.T @ rhs) / eigvals[kept]))
     return phis
 
 

@@ -47,6 +47,10 @@ class SyntheticGame:
         if n_players < 2:
             raise ValueError("games need at least 2 players")
         table = {int(mask): float(v) for mask, v in values.items()}
+        bad = sorted(mask for mask in table if not 0 <= mask < 2**n_players)
+        if bad:
+            raise GameTableError(f"table keys {bad} are not masks of {n_players} players "
+                                 f"(0 to {2**n_players - 1})")
         if 0 not in table:
             raise GameTableError("table must define the empty coalition (mask 0)")
         dense = None
@@ -125,8 +129,9 @@ class SyntheticGame:
         raw = spec["values"]
         values = {}
         for key, v in raw.items():
-            if len(key) != n_players:
-                raise ValueError(f"mask {key!r} does not have M={n_players} bits")
+            if len(key) != n_players or set(key) - {"0", "1"}:
+                raise GameTableError(f"mask {key!r} is not a string of M={n_players} "
+                                     "characters 0 or 1")
             values[bitstring_to_int(key)] = float(v)
         return cls.from_table(n_players, values)
 

@@ -96,18 +96,20 @@ class SamplingPlan:
 class WeightedCoalitionSet:
     """Distinct proper coalitions plus their regression weights.
 
-    ``complete`` marks a union of complete layers: every mask of each size
-    present, at one weight per size. The surrogate fit then has a closed
-    form (see :mod:`stableshap.explainer`).
+    The first ``n_complete`` rows are a union of complete layers: every mask
+    of each size present, at one weight per size. The surrogate fit has a
+    closed form on them (see :mod:`stableshap.explainer`).
     """
 
     masks: np.ndarray  # (n, M) bool
     weights: np.ndarray  # (n,) positive finite
-    complete: bool = False
+    n_complete: int = 0
 
     def __post_init__(self):
         if self.masks.ndim != 2 or len(self.weights) != len(self.masks):
             raise ValueError("masks and weights must align")
+        if not 0 <= self.n_complete <= len(self.masks):
+            raise ValueError("n_complete outside the set's rows")
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -242,8 +244,9 @@ def materialize(plan: SamplingPlan) -> WeightedCoalitionSet:
     Complete layers carry each coalition at its own weight. A sampled st-shap
     layer spreads the full layer weight over its draws; kernel-shap's merged
     random draws are weighted by multiplicity and rescaled so the group keeps
-    the total weight of every non-complete layer. A plan that samples nothing
-    gives a set marked ``complete``. Deterministic given the plan's seed.
+    the total weight of every non-complete layer. The complete layers come
+    first, and ``n_complete`` counts their rows. Deterministic given the
+    plan's seed.
     """
     m = plan.n_features
     mask_blocks = []
@@ -273,5 +276,5 @@ def materialize(plan: SamplingPlan) -> WeightedCoalitionSet:
         raise ValueError("plan materialized nothing")
     return WeightedCoalitionSet(
         np.vstack(mask_blocks), np.concatenate(weight_blocks),
-        complete=plan.n_sampled == 0,
+        n_complete=plan.budget - plan.n_sampled,
     )

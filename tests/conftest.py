@@ -72,8 +72,8 @@ def exact_shap_permutation(game: SyntheticGame,
 
 def check_coalition_set(cset) -> None:
     """Raise ValueError unless a WeightedCoalitionSet holds distinct proper
-    coalitions at positive finite weights, and, when marked complete, every
-    coalition of each size it holds at one weight per size."""
+    coalitions at positive finite weights, and its first n_complete rows hold
+    every coalition of each size among them at one weight per size."""
     if not np.all(np.isfinite(cset.weights)) or np.any(cset.weights <= 0):
         raise ValueError("regression weights must be positive and finite")
     sizes = cset.masks.sum(axis=1)
@@ -81,13 +81,13 @@ def check_coalition_set(cset) -> None:
         raise ValueError("empty or grand coalition leaked into the set")
     if len(np.unique(pack(cset.masks))) != len(cset.masks):
         raise ValueError("duplicate coalitions in the set")
-    if cset.complete:
-        for size in np.unique(sizes):
-            if np.count_nonzero(sizes == size) != comb(cset.n_features, int(size)):
-                raise ValueError(f"size-{size} coalitions missing from a complete set")
-            if len(np.unique(cset.weights[sizes == size])) != 1:
-                raise ValueError(f"size-{size} coalitions weighted unequally "
-                                 "in a complete set")
+    head, head_weights = sizes[:cset.n_complete], cset.weights[:cset.n_complete]
+    for size in np.unique(head):
+        if np.count_nonzero(head == size) != comb(cset.n_features, int(size)):
+            raise ValueError(f"size-{size} coalitions missing from the complete rows")
+        if len(np.unique(head_weights[head == size])) != 1:
+            raise ValueError(f"size-{size} coalitions weighted unequally "
+                             "in the complete rows")
 
 
 class CountingGameModel(GameModel):
@@ -116,7 +116,7 @@ def kkt_constrained_wls(masks, weights, values, phi0, fx) -> np.ndarray:
 
     Minimize sum_n w_n (phi0 + z_n . phi - v_n)^2 subject to sum(phi) = fx - phi0,
     solved with an explicit Lagrange multiplier; independent of the library's
-    variable-elimination route.
+    closed form and its correction on a sum-zero basis.
     """
     z = np.asarray(masks, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -139,9 +139,9 @@ def design_rank_oracle(masks, weights) -> int:
     """Rank of the constrained fit's weighted design, by SVD.
 
     The sum constraint leaves the attributions free on the sum-zero subspace.
-    The design is sqrt(w)·z on an orthonormal basis of that subspace (not the
-    library's pivot elimination; both bases span the same space, so the rank
-    is the same). The fit is determined exactly when the rank is M - 1.
+    The design is sqrt(w)·z on an SVD basis of that subspace, and its rank is
+    read from singular values (the library takes eigenvalues of the Gram
+    matrix on a Helmert basis; both bases span the same space). The fit is determined exactly when the rank is M - 1.
     Tolerance: numpy's default, largest singular value × size × eps.
     """
     z = np.asarray(masks, dtype=float)

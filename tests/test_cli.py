@@ -403,6 +403,53 @@ class TestCountsRefused:
         assert not out.exists()
 
 
+class TestConfigFileTypes:
+    """A config value of the wrong JSON type is a config error naming the key,
+    raised before any file is written."""
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"workers": "3"}, "config key 'workers' must be int, got '3'"),
+        ({"budgets": "12,20"}, "config key 'budgets' must be list[int], got '12,20'"),
+        ({"instances": [1.5]}, "config key 'instances' must be list[int] | None, got [1.5]"),
+        ({"explanation_size": "3"},
+         "config key 'explanation_size' must be int | None, got '3'"),
+        ({"master_seed": 1.5}, "config key 'master_seed' must be int, got 1.5"),
+        ({"features": "a,b"}, "config key 'features' must be list[str] | None, got 'a,b'"),
+        ([{"budgets": [20]}], "must hold a JSON object, not a list"),
+    ])
+    def test_wrong_type_is_config_error(self, doc, message, reg_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"budgets": [20]} | doc if isinstance(doc, dict) else doc))
+        out = tmp_path / "run"
+        code = main([
+            "explain", "--config", str(cfg), "--dataset", str(reg_csv),
+            "--target", "target", "--n-instances", "2", "--background-size", "10",
+            "--output", str(out),
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content,message", [
+        (None, "cannot read game file "),
+        ("{\"M\": 2,", "is not valid JSON"),
+    ])
+    def test_unreadable_game_file_is_config_error(self, content, message, tmp_path,
+                                                  capsys):
+        game_file = tmp_path / "game.json"
+        if content is not None:
+            game_file.write_text(content)
+        out = tmp_path / "run"
+        code = main([
+            "explain", "--model", "game", "--game-file", str(game_file),
+            "--budgets", "2", "--output", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err and str(game_file) in err
+        assert not out.exists()
+
+
 class TestRankDeficientBudget:
     @pytest.mark.parametrize("command", ["explain", "stability"])
     def test_exits_1_names_the_rank_and_writes_nothing(self, command, reg_csv,

@@ -167,7 +167,7 @@ class TestRankDeficiency:
     @pytest.mark.parametrize("strategy", [ST_SHAP, KERNEL_SHAP])
     def test_enough_coalitions_fit(self, strategy):
         cset, values = _sampled_set(strategy, 13, 20, seed=3)
-        assert not cset.complete
+        assert cset.n_complete < len(cset)
         assert design_rank_oracle(cset.masks, cset.weights) == 12
         e = fit(cset, values, 0.5, 1.0)
         assert e.local_accuracy_gap() < 1e-9
@@ -250,7 +250,7 @@ class TestCompleteLayerClosedForm:
         phi0, fx = game.value_of_mask(0), game.value_of_mask(2**m - 1)
         for _, budget in complete_layer_budgets(m):
             cset = materialize(plan_st_shap(m, budget, seed=int(rng.integers(2**32))))
-            assert cset.complete
+            assert cset.n_complete == len(cset)
             values = evaluate_batch(cset.masks, None, None, GameModel(game))
             dense = fit(cset, values, phi0, fx)
             oracle = kkt_constrained_wls(cset.masks, cset.weights, values, phi0, fx)
@@ -266,15 +266,66 @@ class TestCompleteLayerClosedForm:
     @pytest.mark.parametrize("k", [None, 3])
     def test_complete_budget_solves_no_linear_system(self, monkeypatch, k):
         def refuse(*args, **kwargs):
-            raise AssertionError("np.linalg.solve called on a complete-layer set")
+            raise AssertionError("linear algebra called on a complete-layer set")
 
-        monkeypatch.setattr(np.linalg, "solve", refuse)
+        for name in ("solve", "eigh", "lstsq"):
+            monkeypatch.setattr(np.linalg, name, refuse)
         game = random_table_game(np.random.default_rng(21), 8)
         # kernel-shap samples nothing only at the full budget
         routes = [(ST_SHAP, b) for _, b in complete_layer_budgets(8)]
         for strategy, budget in routes + [(KERNEL_SHAP, 2**8 - 2)]:
             e = _game_fit(game, budget, seed=4, strategy=strategy, k=k)
             assert e.local_accuracy_gap() < 1e-9
+
+
+class TestSampledCorrection:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(3, 13), st.sampled_from([ST_SHAP, KERNEL_SHAP]),
+           st.integers(0, 2**32 - 1), st.data())
+    def test_fit_and_sparsify_match_the_kkt_oracle(self, m, strategy, seed, data):
+        # a budget past some complete-layer boundary and short of the next:
+        # st-shap then holds complete layers plus a tail in the next layer,
+        # kernel-shap its complete layers plus a global sample
+        bounds = [0] + [b for _, b in complete_layer_budgets(m)]
+        i = data.draw(st.integers(0, len(bounds) - 2), label="boundary")
+        budget = data.draw(st.integers(max(bounds[i] + 1, m - 1), bounds[i + 1] - 1),
+                           label="budget")
+        rng = np.random.default_rng(seed)
+        game = random_table_game(rng, m, v_empty=float(rng.normal()))
+        phi0, fx = game.value_of_mask(0), game.value_of_mask(2**m - 1)
+        cset = materialize(plan_for(strategy, m, budget, seed))
+        assert cset.n_complete < len(cset)
+        values = evaluate_batch(cset.masks, None, None, GameModel(game))
+        dense = fit(cset, values, phi0, fx)
+        assert dense.local_accuracy_gap() < 1e-9
+        oracle = kkt_constrained_wls(cset.masks, cset.weights, values, phi0, fx)
+        assert np.abs(dense.phi_array() - oracle).max() <= 1e-8
+        for k in sorted({1, data.draw(st.integers(1, m), label="k"), m}):
+            sparse = sparsify(dense, k, cset, values)
+            kept = list(sparse.support)
+            assert sparse.local_accuracy_gap() < 1e-9
+            oracle = kkt_constrained_wls(cset.masks[:, kept], cset.weights,
+                                         values, phi0, fx)
+            assert np.abs(sparse.phi_array()[kept] - oracle).max() <= 1e-8
+            assert not np.delete(sparse.phi_array(), kept).any()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_sum_constraint_holds_for_weights_over_eight_decades(self, seed):
+        # rows that hold every kept feature at a heavy weight dwarf the rows
+        # that separate them; the correction must still stay off the ones
+        # direction, or the attributions stop summing to fx - phi0
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(3, 11))
+        n = int(rng.integers(m - 1, min(4 * m, 2**m - 2) + 1))
+        keys = rng.choice(np.arange(1, 2**m - 1), size=n, replace=False)
+        masks = (keys[:, None] >> np.arange(m)) & 1 == 1
+        cset = WeightedCoalitionSet(masks, 10.0 ** rng.uniform(-8, 0, size=n))
+        values = rng.normal(size=n)
+        dense = fit(cset, values, 0.3, 1.7)  # n >= M - 1 rows: never refused
+        assert dense.local_accuracy_gap() < 1e-9
+        for k in sorted({1, int(rng.integers(1, m + 1)), m}):
+            assert sparsify(dense, k, cset, values).local_accuracy_gap() < 1e-9
 
 
 class TestExplain:

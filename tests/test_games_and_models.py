@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,21 @@ class TestSyntheticGame:
     def test_table_requires_empty_coalition(self):
         with pytest.raises(GameTableError):
             SyntheticGame.from_table(2, {1: 1.0})
+
+    @pytest.mark.parametrize("m,values,bad", [
+        (2, {0: 0.0, 1: 1.0, 2: 2.0, -1: 3.0}, "[-1]"),
+        (2, {0: 0.0, 1: 1.0, 2: 2.0, 7: 3.0}, "[7]"),
+        (3, {0: 0.0, 9: 1.0}, "[9]"),
+    ])
+    def test_keys_that_are_no_mask_refused(self, m, values, bad):
+        with pytest.raises(GameTableError, match=re.escape(f"table keys {bad} ")):
+            SyntheticGame.from_table(m, values)
+
+    @pytest.mark.parametrize("key", ["1x", "1", "101"])
+    def test_json_keys_must_be_bitstrings(self, key):
+        spec = {"M": 2, "values": {"00": 0.0, "10": 1.0, key: 2.0}}
+        with pytest.raises(GameTableError, match=re.escape(f"mask {key!r} ")):
+            SyntheticGame.from_json_dict(spec)
 
     def test_missing_mask_errors(self):
         g = SyntheticGame(2, "table", table={0: 0.0, 3: 1.0})

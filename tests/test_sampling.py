@@ -135,25 +135,28 @@ class TestMaterialize:
         for budget in range(2, 2**m - 1):
             for plan in (plan_st_shap(m, budget, 3), plan_kernel_shap(m, budget, 3)):
                 cset = materialize(plan)
-                assert cset.complete == (plan.n_sampled == 0)
+                assert cset.n_complete == sum(layer_size(m, i) for i in plan.complete_layers)
+                assert (cset.n_complete == len(cset)) == (plan.n_sampled == 0)
                 check_coalition_set(cset)
 
     def test_validate_checks_a_complete_claim(self):
         cset = materialize(plan_st_shap(6, 42, seed=1))
-        assert cset.complete
-        missing = WeightedCoalitionSet(cset.masks[1:], cset.weights[1:], complete=True)
+        assert cset.n_complete == len(cset)
+        missing = WeightedCoalitionSet(cset.masks[1:], cset.weights[1:], n_complete=41)
         with pytest.raises(ValueError, match="missing"):
             check_coalition_set(missing)
         weights = cset.weights.copy()
         weights[0] *= 2.0
-        uneven = WeightedCoalitionSet(cset.masks, weights, complete=True)
+        uneven = WeightedCoalitionSet(cset.masks, weights, n_complete=42)
         with pytest.raises(ValueError, match="unequally"):
             check_coalition_set(uneven)
         sampled = materialize(plan_st_shap(6, 50, seed=1))
-        assert not sampled.complete
+        assert sampled.n_complete == 42
         with pytest.raises(ValueError, match="missing"):
             check_coalition_set(
-                WeightedCoalitionSet(sampled.masks, sampled.weights, complete=True))
+                WeightedCoalitionSet(sampled.masks, sampled.weights, n_complete=50))
+        with pytest.raises(ValueError, match="n_complete"):
+            WeightedCoalitionSet(sampled.masks, sampled.weights, n_complete=51)
 
     def test_st_shap_seed_changes_only_sampled_tail(self):
         a = materialize(plan_st_shap(15, 1200, seed=1))
