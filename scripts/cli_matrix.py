@@ -4,7 +4,8 @@
 The matrix is `explain`, `stability`, `adherence` and `compare-exact`, each
 with `--strategy all` and `both` at `--workers 1` and `3`, on a ridge and a
 k-NN model (M=6, budgets 20,33,50, 3 instances, background 10), plus one
-`explain` on a game table. Runs that a command refuses are kept too.
+`explain` on a game table and one on each of a few game files that hold no
+game. Runs that a command refuses are kept too.
 
 Each run gets OUT/<case>/ with its output files under `run/` and its
 `stdout.txt`, `stderr.txt` and `exit_code.txt`. The datasets are generated
@@ -31,6 +32,13 @@ from stableshap.cli import main as cli_main
 M = 6
 COMMANDS = ("explain", "stability", "adherence", "compare-exact")
 SHARED = ["--budgets", "20,33,50", "--n-instances", "3", "--background-size", "10"]
+# valid JSON that is no game: each must be refused with exit code 2
+BAD_GAMES = {
+    "no_values": '{"M": 2}',
+    "list": "[1, 2]",
+    "m_string": '{"M": "two", "values": {}}',
+    "value_string": '{"M": 2, "values": {"00": 0, "10": "x", "01": 1, "11": 2}}',
+}
 
 
 def write_dataset(path: Path, classification: bool, seed: int) -> None:
@@ -86,6 +94,11 @@ def main():
     run_case("explain_game_all", ["explain", "--model", "game", "--game-file",
                                   "data/game.json", "--strategy", "all",
                                   "--budgets", "20,33,50"])
+    for name, content in BAD_GAMES.items():
+        Path(f"data/bad_game_{name}.json").write_text(content)
+        run_case(f"explain_bad_game_{name}", ["explain", "--model", "game", "--game-file",
+                                              f"data/bad_game_{name}.json",
+                                              "--budgets", "2"])
 
 
 if __name__ == "__main__":

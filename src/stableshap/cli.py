@@ -28,7 +28,13 @@ import numpy as np
 from . import exact, metrics
 from .coalitions import layer_size, n_layers
 from .data import as_int_labels, load_csv, split_indices
-from .errors import ConfigError, ModelBridgeError, OracleCapError, StableShapError
+from .errors import (
+    ConfigError,
+    GameTableError,
+    ModelBridgeError,
+    OracleCapError,
+    StableShapError,
+)
 from .explainer import LAYER1, explain, explain_with_training_set, plan_for
 from .games import SyntheticGame
 from .layer1 import layer1_attribution
@@ -204,7 +210,11 @@ def wire(cfg: RunConfig) -> Wiring:
     if cfg.model == "game":
         if not cfg.game_file:
             raise ConfigError("model 'game' needs --game-file")
-        game = SyntheticGame.from_json_dict(_read_json(cfg.game_file, "game file"))
+        spec = _read_json(cfg.game_file, "game file")
+        try:
+            game = SyntheticGame.from_json_dict(spec)
+        except (GameTableError, ValueError) as exc:
+            raise ConfigError(f"game file {cfg.game_file} holds no game: {exc}") from exc
         adapter = GameModel(game)
         resolved = asdict(cfg) | {
             "resolved_n_features": game.n_players,

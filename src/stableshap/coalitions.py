@@ -39,10 +39,11 @@ def pack(masks: np.ndarray) -> np.ndarray:
     """
     packed = np.packbits(masks, axis=1, bitorder="little")
     width = -(-packed.shape[1] // 8) * 8
-    packed = np.pad(packed, ((0, 0), (0, width - packed.shape[1])))
+    padded = np.zeros((len(packed), width), dtype=np.uint8)
+    padded[:, :packed.shape[1]] = packed
     if width == 8:
-        return packed.view("<u8").reshape(-1)
-    return packed.view(np.dtype((np.void, width))).reshape(-1)
+        return padded.view("<u8").reshape(-1)
+    return padded.view(np.dtype((np.void, width))).reshape(-1)
 
 
 def n_layers(n_features: int) -> int:

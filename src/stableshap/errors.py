@@ -36,7 +36,8 @@ class RankDeficiencyError(StableShapError):
 
 
 class GameTableError(StableShapError):
-    """A game table has a key that is not a mask, or lacks a coalition mask."""
+    """A game table has a key that is no integer mask or lacks a coalition
+    mask, or a game's JSON form misses a field or holds one of the wrong type."""
 
 
 class NonFinitePayoffError(StableShapError):

@@ -9,6 +9,7 @@ which evaluates coalitions directly with no background data.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,6 +32,20 @@ def int_to_bitstring(mask: int, n_features: int) -> str:
     return "".join("1" if mask >> i & 1 else "0" for i in range(n_features))
 
 
+_JSON_TYPES = {int: "integer", list: "array", dict: "object"}
+
+
+def _field(spec: dict, name: str, kind: type):
+    """A game spec's field, refused when it is missing or of another JSON type."""
+    if name not in spec:
+        raise GameTableError(f"game has no field {name!r}")
+    value = spec[name]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise GameTableError(f"field {name!r} must be a JSON {_JSON_TYPES[kind]}, "
+                             f"got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SyntheticGame:
     """A characteristic function over subsets of M players."""
@@ -46,7 +61,13 @@ class SyntheticGame:
     def from_table(cls, n_players: int, values: dict[int, float]) -> "SyntheticGame":
         if n_players < 2:
             raise ValueError("games need at least 2 players")
-        table = {int(mask): float(v) for mask, v in values.items()}
+        table = {}
+        for mask, v in values.items():
+            try:
+                key = operator.index(mask)
+            except TypeError:
+                raise GameTableError(f"table key {mask!r} is not an integer mask") from None
+            table[key] = float(v)
         bad = sorted(mask for mask in table if not 0 <= mask < 2**n_players)
         if bad:
             raise GameTableError(f"table keys {bad} are not masks of {n_players} players "
@@ -118,20 +139,26 @@ class SyntheticGame:
 
     @classmethod
     def from_json_dict(cls, spec: dict) -> "SyntheticGame":
-        n_players = int(spec["M"])
+        """A game from its JSON form; a spec that is no game raises
+        :class:`GameTableError` naming the field at fault."""
+        if not isinstance(spec, dict):
+            raise GameTableError(f"a game is a JSON object, not a {type(spec).__name__}")
+        n_players = _field(spec, "M", int)
         rule = spec.get("rule")
         if rule == RULE_ADDITIVE:
-            return cls.additive(spec["weights"])
+            return cls.additive(_field(spec, "weights", list))
         if rule == RULE_CARDINALITY:
-            return cls.cardinality(n_players, spec["by_size"])
+            return cls.cardinality(n_players, _field(spec, "by_size", list))
         if rule not in (None, RULE_TABLE):
             raise ValueError(f"unknown game rule: {rule!r}")
-        raw = spec["values"]
         values = {}
-        for key, v in raw.items():
+        for key, v in _field(spec, "values", dict).items():
             if len(key) != n_players or set(key) - {"0", "1"}:
                 raise GameTableError(f"mask {key!r} is not a string of M={n_players} "
                                      "characters 0 or 1")
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise GameTableError(f"field 'values' maps mask {key!r} to {v!r}, "
+                                     "not a number")
             values[bitstring_to_int(key)] = float(v)
         return cls.from_table(n_players, values)
 

@@ -6,7 +6,9 @@ stop enumerating and where the leftover randomness lives:
 * ``kernel-shap``: a layer is filled only while its share of the remaining
   coalition weight would cover it anyway; after the first refusal, the whole
   leftover budget is drawn (with replacement, weight-proportionally) from all
-  non-complete layers, duplicates merged by multiplicity.
+  non-complete layers, duplicates merged by multiplicity. The draws come in
+  batches sized from the expected repeat rate, and each drawn subset is
+  built by integer selection sampling, with no sort.
 * ``st-shap``: layers are filled in order while the budget lasts; the first
   layer that does not fit absorbs the leftover as a uniform
   without-replacement draw, and deeper layers get nothing. Budgets that land
@@ -16,7 +18,7 @@ stop enumerating and where the leftover randomness lives:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import ceil, comb, exp, expm1, log1p
 
 import numpy as np
 
@@ -38,6 +40,8 @@ ST_SHAP = "st-shap"
 _ENUM_LIMIT = 1 << 20
 # matches the reference tolerance for "the expected draws cover this layer"
 _FILL_SLACK = 1e-8
+# Newton steps at most when sizing kernel-shap's first batch of draws
+_NEWTON_STEPS = 50
 
 
 def validate_budget(n_features: int, budget: int) -> None:
@@ -191,12 +195,53 @@ def _layer_sample_masks(rng, n_features: int, layer: int, n: int) -> np.ndarray:
 
 
 def _random_subsets(rng, n_features: int, sizes: np.ndarray) -> np.ndarray:
-    # uniform subset of each requested size: the s smallest of M iid uniforms
-    noise = rng.random((len(sizes), n_features))
-    masks = np.empty(noise.shape, dtype=bool)
-    np.put_along_axis(masks, noise.argsort(axis=1),
-                      np.arange(n_features) < sizes[:, None], axis=1)
-    return masks
+    """A uniform subset of each requested size, by selection sampling (Knuth,
+    TAOCP vol. 2, 3.4.2, Algorithm S).
+
+    Features are visited in order; feature j joins a row when a uniform
+    integer below M - j falls under the number the row still needs, which
+    happens with probability exactly need / (M - j). Each call draws one
+    bounded integer per row for one feature, so the columns are built whole
+    and transposed once at the end.
+    """
+    dtype = np.min_scalar_type(n_features)
+    need = np.asarray(sizes).astype(dtype)
+    columns = np.empty((n_features, len(need)), dtype=bool)
+    for j in range(n_features):
+        np.less(rng.integers(0, n_features - j, size=len(need), dtype=dtype), need,
+                out=columns[j])
+        need -= columns[j]
+    return np.ascontiguousarray(columns.T)
+
+
+def _draws_for(n_distinct: int, sizes: list[int], probs: list[float],
+               n_features: int) -> int:
+    """Draws to make so that ``n_distinct`` distinct masks are expected, plus
+    a margin of 1% and 64.
+
+    After n draws the expected number of distinct masks is
+    E[D(n)] = sum_s C(M, s) (1 - (1 - q_s)^n), where q_s = p_s / C(M, s) is
+    the chance of one given mask of size s. E[D] is increasing and concave
+    with E[D(n)] <= n, so Newton's method started at n = n_distinct climbs
+    to the root without overshooting it. A few steps suffice away from
+    saturation; the step cap only bounds the cost near it, where the
+    caller's follow-up batches make up any shortfall.
+    """
+    terms = []
+    for s, p in zip(sizes, probs):
+        count = comb(n_features, s)
+        terms.append((float(count), log1p(-p / count)))
+    n = float(n_distinct)
+    for _ in range(_NEWTON_STEPS):
+        short, slope = float(n_distinct), 0.0
+        for count, log_miss in terms:
+            short += count * expm1(n * log_miss)
+            slope -= count * log_miss * exp(n * log_miss)
+        step = short / slope
+        n += step
+        if step < 1.0:
+            break
+    return ceil(1.01 * n) + 64
 
 
 def _global_sample(rng, n_features: int, layers: tuple[int, ...],
@@ -207,35 +252,44 @@ def _global_sample(rng, n_features: int, layers: tuple[int, ...],
     weight, until the set holds ``n_distinct`` distinct masks; repeats raise
     a mask's multiplicity instead of occupying budget. Returns the distinct
     masks in first-appearance order plus their multiplicities.
+
+    The draws come in batches. The first is sized from the expected repeat
+    rate (:func:`_draws_for`), so it usually holds all the masks needed; a
+    batch that falls short is followed by half as many draws again as were
+    made so far, which keeps the passes over every key logarithmic in
+    number. Draws after the one that brings the last needed mask are made
+    but not counted, so the law of the counted draws is that of drawing one
+    at a time until ``n_distinct`` masks are seen.
     """
     sizes = []
     for i in layers:
         sizes.append(i)
         if 2 * i != n_features:
             sizes.append(n_features - i)
-    sizes = np.array(sorted(sizes))
+    sizes.sort()
     # Python ints: C(M, s) * s * (M - s) outgrows int64 from M = 57
     probs = np.array(
-        [comb(n_features, s) * kernel_weight(n_features, s) for s in sizes.tolist()]
+        [comb(n_features, s) * kernel_weight(n_features, s) for s in sizes]
     )
     probs /= probs.sum()
 
+    batch = _draws_for(n_distinct, sizes, probs.tolist(), n_features)
     mask_blocks, key_blocks = [], []
-    seen = set()  # distinct keys among every draw so far
-    while len(seen) < n_distinct:
-        batch = max(2 * (n_distinct - len(seen)), 64)
+    while True:
         drawn_sizes = rng.choice(sizes, size=batch, p=probs)
         mask_blocks.append(_random_subsets(rng, n_features, drawn_sizes))
         key_blocks.append(pack(mask_blocks[-1]))
-        seen.update(key_blocks[-1].tolist())
-    _, first, inverse = np.unique(np.concatenate(key_blocks), return_index=True,
-                                  return_inverse=True)
-    # the n_distinct masks drawn first, in draw order; the draws stop at the
-    # one that brings the last of them, and only those draws are counted
-    kept = np.argsort(first)[:n_distinct]
-    cut = first[kept[-1]] + 1
-    counts = np.bincount(inverse.reshape(-1)[:cut], minlength=len(first))
-    return np.vstack(mask_blocks)[first[kept]], counts[kept].astype(float)
+        keys = np.concatenate(key_blocks)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        if len(first) >= n_distinct:
+            break
+        batch = len(keys) // 2
+    # the draw that first brought each of the n_distinct masks seen first, in
+    # draw order; the draws stop at the last of these, and only those count
+    rows = np.sort(first)[:n_distinct]
+    inverse = inverse.reshape(-1)
+    counts = np.bincount(inverse[:rows[-1] + 1], minlength=len(first))
+    return np.vstack(mask_blocks)[rows], counts[inverse[rows]].astype(float)
 
 
 def materialize(plan: SamplingPlan) -> WeightedCoalitionSet:

@@ -6,7 +6,8 @@ marginal contributions averaged over every player ordering, a
 Lagrange-multiplier KKT solve for the constrained regression, an SVD of its
 weighted design over an orthonormal sum-zero basis for its rank, the paper's
 first-layer formula from table lookups, pair counting for rank correlation,
-kernel SHAP's random phase as a per-draw loop over dicts, and a layer's
+kernel SHAP's random phase as a per-draw loop over dicts with a scalar
+selection sampler (Knuth's Algorithm S) per row, and a layer's
 canonical order both as sorted combinations and as a scalar unrank.
 """
 
@@ -19,6 +20,7 @@ import pytest
 from stableshap import GameModel, SyntheticGame
 from stableshap.coalitions import kernel_weight, pack
 from stableshap.exact import ExactValues, all_coalition_values
+from stableshap.sampling import _draws_for
 
 
 @pytest.fixture
@@ -197,26 +199,35 @@ def tau_b_oracle(a, b) -> float:
     return (concordant - discordant) / denom
 
 
-def random_subsets_reference(rng, n_features: int, sizes) -> np.ndarray:
-    """Uniform subsets by rank: feature j is present when its noise ranks below s."""
-    noise = rng.random((len(sizes), n_features))
-    rank = noise.argsort(axis=1).argsort(axis=1)
-    return rank < np.asarray(sizes)[:, None]
+def selection_sample_reference(draws, size: int) -> list[bool]:
+    """One row of Algorithm S, one feature at a time: feature j is taken when
+    its draw, uniform below M - j, is under the number still needed."""
+    row, need = [], size
+    for draw in draws:
+        take = draw < need
+        row.append(take)
+        need -= take
+    return row
 
 
 def global_sample_reference(rng, n_features: int, layers, n_distinct: int):
     """Kernel SHAP's random phase, one draw at a time: the same RNG calls and
-    batch sizes as the library, bookkept by a per-row loop over dicts.
-    Returns the distinct masks in first-draw order and their multiplicities."""
+    batch sizes as the library, a scalar Algorithm S per row, and per-draw
+    bookkeeping in dicts. Returns the distinct masks in first-draw order and
+    their multiplicities."""
     sizes = sorted({s for i in layers for s in (i, n_features - i)})
     probs = np.array([comb(n_features, s) * kernel_weight(n_features, s) for s in sizes])
     probs /= probs.sum()
+    dtype = np.min_scalar_type(n_features)
     order, counts, first_rows = [], {}, {}
+    batch, drawn = _draws_for(n_distinct, sizes, probs.tolist(), n_features), 0
     while len(order) < n_distinct:
-        batch = max(2 * (n_distinct - len(order)), 64)
-        drawn_sizes = rng.choice(np.array(sizes), size=batch, p=probs)
-        for row in random_subsets_reference(rng, n_features, drawn_sizes):
-            key = row.tobytes()
+        drawn_sizes = rng.choice(sizes, size=batch, p=probs).tolist()
+        columns = [rng.integers(0, n_features - j, size=batch, dtype=dtype).tolist()
+                   for j in range(n_features)]
+        for size, draws in zip(drawn_sizes, zip(*columns)):
+            row = selection_sample_reference(draws, size)
+            key = tuple(row)
             if key in counts:
                 counts[key] += 1
             else:
@@ -225,6 +236,8 @@ def global_sample_reference(rng, n_features: int, layers, n_distinct: int):
                 first_rows[key] = row
             if len(order) == n_distinct:
                 break
+        drawn += batch
+        batch = drawn // 2  # a batch that fell short is followed by half the draws so far
     return (np.array([first_rows[k] for k in order], dtype=bool),
             np.array([counts[k] for k in order], dtype=float))
 

@@ -450,6 +450,27 @@ class TestConfigFileTypes:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("content,message", [
+        ('{"M": 2}', "game has no field 'values'"),
+        ("[1, 2]", "a game is a JSON object, not a list"),
+        ('{"M": "two", "values": {}}', "field 'M' must be a JSON integer, got 'two'"),
+        ('{"M": 2, "values": {"00": 0, "10": "x", "01": 1, "11": 2}}',
+         "field 'values' maps mask '10' to 'x', not a number"),
+    ], ids=["no-values", "list", "M-string", "value-string"])
+    def test_game_file_holding_no_game_is_config_error(self, content, message,
+                                                       tmp_path, capsys):
+        game_file = tmp_path / "game.json"
+        game_file.write_text(content)
+        out = tmp_path / "run"
+        code = main([
+            "explain", "--model", "game", "--game-file", str(game_file),
+            "--budgets", "2", "--output", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err and str(game_file) in err
+        assert not out.exists()
+
 class TestRankDeficientBudget:
     @pytest.mark.parametrize("command", ["explain", "stability"])
     def test_exits_1_names_the_rank_and_writes_nothing(self, command, reg_csv,

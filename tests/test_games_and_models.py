@@ -49,6 +49,12 @@ class TestSyntheticGame:
         with pytest.raises(GameTableError, match=re.escape(f"table keys {bad} ")):
             SyntheticGame.from_table(m, values)
 
+    @pytest.mark.parametrize("key", [1.5, 2.0, "3", None])
+    def test_keys_that_are_no_integer_refused(self, key):
+        values = {0: 0.0, 1: 1.0, key: 2.0, 3: 3.0}
+        with pytest.raises(GameTableError, match=re.escape(f"table key {key!r} ")):
+            SyntheticGame.from_table(2, values)
+
     @pytest.mark.parametrize("key", ["1x", "1", "101"])
     def test_json_keys_must_be_bitstrings(self, key):
         spec = {"M": 2, "values": {"00": 0.0, "10": 1.0, key: 2.0}}

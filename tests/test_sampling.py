@@ -1,3 +1,6 @@
+from itertools import product
+from math import comb, factorial
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +12,7 @@ from stableshap.coalitions import (
     layer_size,
     layer_total_weight,
     n_layers,
+    pack,
 )
 from stableshap.sampling import (
     KERNEL_SHAP,
@@ -26,7 +30,6 @@ from conftest import (
     check_coalition_set,
     global_sample_reference,
     layer_member_oracle,
-    random_subsets_reference,
 )
 
 
@@ -305,20 +308,95 @@ class TestKernelShapSampler:
         assert np.array_equal(masks, ref_masks)
         assert np.array_equal(mult, ref_mult)
 
-    def test_subsets_match_double_argsort_with_ties(self):
-        class FixedNoise:
-            def __init__(self, noise):
-                self.noise = noise
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_every_subset_equally_often_over_all_draws(self, m):
+        # Feeding every tuple of the integer draws the sampler asks for, each
+        # s-subset must come out equally often: M! / C(M, s) times when each
+        # feature j draws below M - j
+        class Feed:
+            def __init__(self, table):
+                self.table, self.highs = table, []
 
-            def random(self, shape):
-                assert shape == self.noise.shape
-                return self.noise
+            def integers(self, low, high, size, dtype):
+                assert low == 0
+                self.highs.append(high)
+                return self.table[len(self.highs) - 1][:size].astype(dtype)
 
-        noise = np.random.default_rng(5).integers(0, 3, size=(400, 9)) / 4.0
-        sizes = np.random.default_rng(6).integers(1, 9, size=400)
-        got = _random_subsets(FixedNoise(noise), 9, sizes)
-        assert np.array_equal(got, random_subsets_reference(FixedNoise(noise), 9, sizes))
-        assert np.array_equal(got.sum(axis=1), sizes)
+        probe = Feed(np.zeros((m, 1), dtype=int))
+        _random_subsets(probe, m, np.ones(1, dtype=int))
+        tuples = np.array(list(product(*(range(h) for h in probe.highs)))).T
+        for s in range(m + 1):
+            feed = Feed(tuples)
+            masks = _random_subsets(feed, m, np.full(tuples.shape[1], s))
+            assert feed.highs == probe.highs
+            assert np.all(masks.sum(axis=1) == s)
+            _, counts = np.unique(pack(masks), return_counts=True)
+            assert len(counts) == comb(m, s)
+            assert np.all(counts == factorial(m) // comb(m, s))
+
+    @pytest.mark.parametrize("m", [6, 7, 9])
+    def test_subset_frequencies_pass_chi_square(self, m):
+        from scipy import stats
+        for s in range(1, m):
+            n = 40 * comb(m, s)
+            masks = _random_subsets(_rng(100 + 10 * m + s), m, np.full(n, s))
+            assert np.all(masks.sum(axis=1) == s)
+            _, counts = np.unique(pack(masks), return_counts=True)
+            assert len(counts) == comb(m, s)
+            assert stats.chisquare(counts).pvalue > 1e-3
+
+    def test_counted_sizes_pass_chi_square(self):
+        # By Wald's identity the draws counted before the stop hold each size
+        # in proportion to p_s, repeats included, whatever the stopping rule
+        from scipy import stats
+        m, layers = 12, (2, 3, 4, 5, 6)
+        sizes = np.arange(2, 11)
+        p = np.array([comb(m, int(s)) * kernel_weight(m, int(s)) for s in sizes])
+        p /= p.sum()
+        observed = np.zeros(len(sizes))
+        for seed in range(5):
+            masks, mult = _global_sample(_rng(seed), m, layers, 2000)
+            observed += np.bincount(masks.sum(axis=1), weights=mult,
+                                    minlength=m)[2:11]
+        assert stats.chisquare(observed, observed.sum() * p).pvalue > 1e-3
+
+    @staticmethod
+    def _made_and_counted(m, budget, seed):
+        """Draws the sampler made (the sizes of its ``choice`` calls) and the
+        draws it counted (the multiplicities' sum)."""
+        class RecordingRng:
+            def __init__(self):
+                self.rng, self.made = _rng(seed), 0
+
+            def choice(self, a, size, p):
+                self.made += size
+                return self.rng.choice(a, size=size, p=p)
+
+            def integers(self, *args, **kwargs):
+                return self.rng.integers(*args, **kwargs)
+
+        plan = plan_kernel_shap(m, budget, seed)
+        rng = RecordingRng()
+        _, mult = _global_sample(rng, m, plan.sampled_layers, plan.n_sampled)
+        return rng.made, mult.sum()
+
+    @pytest.mark.parametrize("budget", [43398, 120918, 200000])
+    def test_draws_made_track_draws_counted(self, budget):
+        # sized from the expected repeat rate, one batch holds the masks with
+        # a margin of 1% and 64 draws
+        for seed in range(20):
+            made, counted = self._made_and_counted(20, budget, seed)
+            assert made <= 1.02 * counted + 64, (seed, made, counted)
+
+    # Near saturation the draws counted spread widely (615 +- 44 at M=10,
+    # b=1000), so the first batch sometimes falls short and half the draws
+    # so far follow; the median keeps the 64-draw allowance of the margin
+    @pytest.mark.parametrize("m,budget", [(10, 1000), (17, 131000)])
+    def test_follow_up_batches_stay_bounded(self, m, budget):
+        made, counted = np.array([self._made_and_counted(m, budget, seed)
+                                  for seed in range(20)]).T
+        assert np.median(made - 1.05 * counted) <= 64
+        assert np.max(made / counted) <= 1.6
 
     @pytest.mark.parametrize("m", [57, 60, 100])
     def test_samples_beyond_56_features(self, m):
