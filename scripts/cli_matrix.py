@@ -3,9 +3,14 @@
 
 The matrix is `explain`, `stability`, `adherence` and `compare-exact`, each
 with `--strategy all` and `both` at `--workers 1` and `3`, on a ridge and a
-k-NN model (M=6, budgets 20,33,50, 3 instances, background 10), plus one
-`explain` on a game table and one on each of a few game files that hold no
-game. Runs that a command refuses are kept too.
+k-NN model (M=6, budgets 20,33,50, 3 instances, background 10). The complete
+budgets 12,42,62 (layers 1, 1-2 and all three, where st-shap's fit is the
+closed form alone and kernel-shap at 62 samples nothing) run `explain`,
+`stability` and `compare-exact` on both models with the widest strategy set
+each command takes (`all`; `both` for `stability`). Then one `explain` on a
+game table, one on each of a few game files that hold no game, and one on a
+dataset with a `nan` and an `inf` cell. Runs that a command refuses are kept
+too.
 
 Each run gets OUT/<case>/ with its output files under `run/` and its
 `stdout.txt`, `stderr.txt` and `exit_code.txt`. The datasets are generated
@@ -32,6 +37,7 @@ from stableshap.cli import main as cli_main
 M = 6
 COMMANDS = ("explain", "stability", "adherence", "compare-exact")
 SHARED = ["--budgets", "20,33,50", "--n-instances", "3", "--background-size", "10"]
+COMPLETE = {"explain": "all", "stability": "both", "compare-exact": "all"}
 # valid JSON that is no game: each must be refused with exit code 2
 BAD_GAMES = {
     "no_values": '{"M": 2}',
@@ -91,6 +97,12 @@ def main():
                         command, "--dataset", f"data/{model}.csv", "--target", "target",
                         "--model", model, "--strategy", strategy, "--workers", workers,
                         *SHARED])
+    for model in ("ridge", "knn"):
+        for command, strategy in COMPLETE.items():
+            run_case(f"{command}_{model}_complete", [
+                command, "--dataset", f"data/{model}.csv", "--target", "target",
+                "--model", model, "--strategy", strategy, "--budgets", "12,42,62",
+                "--n-instances", "3", "--background-size", "10"])
     run_case("explain_game_all", ["explain", "--model", "game", "--game-file",
                                   "data/game.json", "--strategy", "all",
                                   "--budgets", "20,33,50"])
@@ -99,6 +111,15 @@ def main():
         run_case(f"explain_bad_game_{name}", ["explain", "--model", "game", "--game-file",
                                               f"data/bad_game_{name}.json",
                                               "--budgets", "2"])
+    # a nan and an inf feature cell: refused with exit code 2, no output files
+    lines = Path("data/knn.csv").read_text().splitlines()
+    for line_no, column, cell in ((3, 1, "nan"), (7, 4, "inf")):
+        fields = lines[line_no - 1].split(",")
+        fields[column] = cell
+        lines[line_no - 1] = ",".join(fields)
+    Path("data/nonfinite.csv").write_text("\n".join(lines) + "\n")
+    run_case("explain_knn_nonfinite", ["explain", "--dataset", "data/nonfinite.csv",
+                                       "--target", "target", "--model", "knn", *SHARED])
 
 
 if __name__ == "__main__":

@@ -1,14 +1,17 @@
 """CSV ingestion and deterministic train/held-out splitting.
 
 Parsing is strict: every feature cell must be numeric, or the column must
-carry a declared value-to-integer encoding in the run configuration. Errors
-name the file, line, and column so misdeclared datasets fail loudly instead
-of silently shifting attribution indices.
+carry a declared value-to-integer encoding in the run configuration, and
+every cell, target included, must be finite (``nan``, ``inf`` and overflowing
+literals are refused). Errors name the file, line, and column so misdeclared
+datasets fail loudly instead of silently shifting attribution indices or
+turning into NaN attributions.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,14 +36,21 @@ def _parse_cell(raw: str, column: str, encoding: dict | None,
             raise ConfigError(
                 f"{where}: value {raw!r} in column {column!r} has no declared encoding"
             )
-        return float(encoding[raw])
-    try:
-        return float(raw)
-    except ValueError:
+        value = float(encoding[raw])
+    else:
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ConfigError(
+                f"{where}: non-numeric value {raw!r} in column {column!r}; "
+                f"declare an integer encoding for categorical columns"
+            ) from None
+    if not math.isfinite(value):
         raise ConfigError(
-            f"{where}: non-numeric value {raw!r} in column {column!r}; "
-            f"declare an integer encoding for categorical columns"
-        ) from None
+            f"{where}: value {raw!r} in column {column!r} reads as {value}; "
+            f"every cell must be finite"
+        )
+    return value
 
 
 def load_csv(path, target: str, features: list[str] | None = None,

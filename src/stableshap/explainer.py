@@ -18,11 +18,14 @@ A set that sampled nothing, such as the first layer, is fitted by p alone.
 
 Sampled rows correct p on an orthonormal basis of the sum-zero subspace,
 where the complete rows add just ``aI`` to the Gram matrix and nothing to the
-right-hand side. One ``eigh`` gives the least-norm correction. Its rank falls
-short of k - 1 only without complete rows: a set with fewer coalitions than
-free coefficients raises RankDeficiencyError, and a larger one keeps p along
-the directions no coalition observes, so features that no coalition
-separates are treated alike.
+right-hand side. The sampled rows enter in blocks, each cast once to a
+C-ordered (k, rows) float matrix and projected onto the basis before their
+products are summed; the raw k x k Gram matrix is never formed. One ``eigh``
+gives the least-norm correction. Its rank falls short of k - 1 only without
+complete rows: a set with fewer coalitions than free coefficients raises
+RankDeficiencyError, and a larger one keeps p along the directions no
+coalition observes, so features that no coalition separates are treated
+alike.
 """
 
 from __future__ import annotations
@@ -95,7 +98,10 @@ def _constrained_fit(coalition_set: WeightedCoalitionSet, values: np.ndarray,
     n0, k, delta = coalition_set.n_complete, len(free), fx - phi0
     a, p = 0.0, np.full(k, delta / k)
     if n0:
-        r = (weights[:n0] * (values[:n0] - phi0)) @ masks[:n0, free]
+        # a C-ordered operand: numpy multiplies an F-ordered bool matrix by
+        # a float vector on a far slower path
+        head = masks[:n0] if k == masks.shape[1] else masks[:n0, free]
+        r = (weights[:n0] * (values[:n0] - phi0)) @ np.ascontiguousarray(head)
         a = weights[:n0][masks[:n0, 0] & ~masks[:n0, 1]].sum()
         p = r / a + (delta - (r / a).sum()) / k
     phis = np.zeros(masks.shape[1])
@@ -111,10 +117,13 @@ def _constrained_fit(coalition_set: WeightedCoalitionSet, values: np.ndarray,
     gram, rhs = a * np.eye(k - 1), np.zeros(k - 1)
     for start in range(n0, len(masks), _FIT_BLOCK):
         rows = slice(start, start + _FIT_BLOCK)
-        z = masks[rows, free].astype(float)
-        zb = z @ basis
-        gram += zb.T @ (weights[rows, None] * zb)
-        rhs += zb.T @ (weights[rows] * (values[rows] - phi0 - z @ p))
+        # one C-ordered (k, rows) float copy per block, rows along the
+        # contiguous axis, so every product below is a plain BLAS call
+        zt = masks[rows].T[free].astype(float)
+        zbt = basis.T @ zt
+        wzbt = zbt * weights[rows]
+        gram += wzbt @ zbt.T
+        rhs += wzbt @ (values[rows] - phi0 - p @ zt)
     eigvals, eigvecs = np.linalg.eigh(gram)
     kept = eigvals > eigvals.max(initial=0.0) * k * np.finfo(float).eps
     if kept.sum() < k - 1 and len(masks) < k - 1:

@@ -260,6 +260,13 @@ def _global_sample(rng, n_features: int, layers: tuple[int, ...],
     number. Draws after the one that brings the last needed mask are made
     but not counted, so the law of the counted draws is that of drawing one
     at a time until ``n_distinct`` masks are seen.
+
+    Each pass finds the distinct keys (:func:`~stableshap.coalitions.pack`)
+    with one unstable ``argsort``: a key's first draw is the least draw
+    index among its equal keys (``np.minimum.reduceat``), and a running count
+    of the key changes numbers each draw's mask. These are the arrays
+    ``np.unique(keys, return_index=True, return_inverse=True)`` returns,
+    without its stable sort.
     """
     sizes = []
     for i in layers:
@@ -280,14 +287,22 @@ def _global_sample(rng, n_features: int, layers: tuple[int, ...],
         mask_blocks.append(_random_subsets(rng, n_features, drawn_sizes))
         key_blocks.append(pack(mask_blocks[-1]))
         keys = np.concatenate(key_blocks)
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(keys)
+        ordered = keys[order]
+        # `!=`, not np.not_equal: the ufunc has no loop for void keys (M > 64)
+        new = np.empty(len(keys), dtype=bool)
+        new[0] = True
+        new[1:] = ordered[1:] != ordered[:-1]
+        first = np.minimum.reduceat(order, np.flatnonzero(new))
         if len(first) >= n_distinct:
             break
         batch = len(keys) // 2
+    # each draw's distinct key, numbered in key order
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
     # the draw that first brought each of the n_distinct masks seen first, in
     # draw order; the draws stop at the last of these, and only those count
     rows = np.sort(first)[:n_distinct]
-    inverse = inverse.reshape(-1)
     counts = np.bincount(inverse[:rows[-1] + 1], minlength=len(first))
     return np.vstack(mask_blocks)[rows], counts[inverse[rows]].astype(float)
 

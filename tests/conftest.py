@@ -3,12 +3,13 @@
 The oracles here deliberately use different algebra than the library paths
 they check: payoff averaging by explicit Python loops, Shapley values as
 marginal contributions averaged over every player ordering, a
-Lagrange-multiplier KKT solve for the constrained regression, an SVD of its
-weighted design over an orthonormal sum-zero basis for its rank, the paper's
-first-layer formula from table lookups, pair counting for rank correlation,
-kernel SHAP's random phase as a per-draw loop over dicts with a scalar
-selection sampler (Knuth's Algorithm S) per row, and a layer's
-canonical order both as sorted combinations and as a scalar unrank.
+Lagrange-multiplier KKT solve for the constrained regression and a QR
+least-squares solve of it on an orthonormal sum-zero basis, an SVD of its
+weighted design over that basis for its rank, the paper's first-layer
+formula from table lookups, pair counting for rank correlation, kernel
+SHAP's random phase as a per-draw loop over dicts with a scalar selection
+sampler (Knuth's Algorithm S) per row, and a layer's canonical order both as
+sorted combinations and as a scalar unrank.
 """
 
 from itertools import combinations, permutations
@@ -135,6 +136,25 @@ def kkt_constrained_wls(masks, weights, values, phi0, fx) -> np.ndarray:
     target[m] = fx - phi0
     sol = np.linalg.lstsq(kkt, target, rcond=None)[0]
     return sol[:m]
+
+
+def qr_constrained_lstsq(masks, weights, values, phi0, fx) -> np.ndarray:
+    """The constrained weighted least squares of `kkt_constrained_wls`, by QR.
+
+    The sum constraint is met by phi = (fx - phi0)/m + N c, with N an SVD
+    basis of the sum-zero subspace; c is the least-squares solution of the
+    weighted design sqrt(w)·z N from a QR factorization, never forming
+    normal equations, so the reference keeps full double accuracy on
+    ill-conditioned designs. Requires the design to have full rank.
+    """
+    z = np.asarray(masks, dtype=float)
+    w = np.sqrt(np.asarray(weights, dtype=float))
+    m = z.shape[1]
+    basis = np.linalg.svd(np.ones((1, m)))[2][1:].T  # (m, m-1), orthogonal to ones
+    base = np.full(m, (fx - phi0) / m)
+    q, r = np.linalg.qr(w[:, None] * (z @ basis))
+    c = np.linalg.solve(r, q.T @ (w * (np.asarray(values, dtype=float) - phi0 - z @ base)))
+    return base + basis @ c
 
 
 def design_rank_oracle(masks, weights) -> int:

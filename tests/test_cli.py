@@ -666,6 +666,44 @@ class TestModelWiring:
         err = capsys.readouterr().err
         assert "cat.csv:2" in err and "color" in err
 
+    @pytest.mark.parametrize("cells, where", [
+        ({(3, 1): "nan", (5, 2): "inf"}, "cls.csv:5: value 'nan' in column 'f1' reads as nan"),
+        ({(0, 0): "-inf"}, "cls.csv:2: value '-inf' in column 'f0' reads as -inf"),
+        ({(7, 4): "NaN"}, "cls.csv:9: value 'NaN' in column 'label' reads as nan"),
+    ])
+    def test_non_finite_cells_refused(self, tmp_path, capsys, cells, where):
+        data = _write_classification_csv(tmp_path / "cls.csv")
+        lines = data.read_text().splitlines()
+        for (row, col), text in cells.items():
+            fields = lines[row + 1].split(",")
+            fields[col] = text
+            lines[row + 1] = ",".join(fields)
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        code = main([
+            "explain", "--dataset", str(data), "--target", "label", "--model", "knn",
+            "--budgets", "8", "--n-instances", "3", "--background-size", "6",
+            "--output", str(out),
+        ])
+        assert code == 2
+        assert where in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_encoding_refused(self, tmp_path, capsys):
+        data = tmp_path / "cat.csv"
+        data.write_text("color,target\nred,1.0\nblue,2.0\nred,3.0\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"encodings": {"color": {"red": 0, "blue": NaN}}}')
+        out = tmp_path / "run"
+        code = main([
+            "explain", "--config", str(cfg), "--dataset", str(data),
+            "--target", "target", "--budgets", "2", "--output", str(out),
+        ])
+        assert code == 2
+        assert "cat.csv:3: value 'blue' in column 'color' reads as nan" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_target_column(self, reg_csv, tmp_path, capsys):
         code = main([
             "explain", "--dataset", str(reg_csv), "--target", "nope",

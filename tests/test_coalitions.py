@@ -12,6 +12,7 @@ from stableshap.coalitions import (
     layer_members,
     layer_size,
     n_layers,
+    pack,
 )
 
 from conftest import colex_layer_oracle, colex_unrank_oracle, layer_member_oracle
@@ -19,6 +20,35 @@ from conftest import colex_layer_oracle, colex_unrank_oracle, layer_member_oracl
 m_and_layer = st.integers(2, 12).flatmap(
     lambda m: st.tuples(st.just(m), st.integers(1, m // 2))
 )
+
+
+def _layouts(masks):
+    """The same masks C-ordered, F-ordered, and as every other row of a
+    taller matrix."""
+    tall = np.zeros((2 * len(masks), masks.shape[1]), dtype=bool)
+    tall[::2] = masks
+    return {"C": np.ascontiguousarray(masks), "F": np.asfortranarray(masks),
+            "strided": tall[::2]}
+
+
+class TestPack:
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("m", [2, 7, 8, 9, 16, 20, 63, 64, 65, 128, 130])
+    def test_keys_match_python_int_reference(self, m, layout):
+        rng = np.random.default_rng(m)
+        width = -(-m // 64) * 8
+        for n in (0, 1, 5, 1000):
+            # dense, sparse, empty and full rows
+            masks = rng.random((n, m)) < rng.choice([0.0, 0.1, 0.5, 1.0], size=(n, 1))
+            keys = pack(_layouts(masks)[layout])
+            assert keys.shape == (n,) and keys.dtype.itemsize == width
+            assert keys.dtype == (np.dtype("<u8") if m <= 64 else np.dtype((np.void, width)))
+            for row, key in zip(masks, keys):
+                expected = sum(1 << i for i in range(m) if row[i])
+                if m <= 64:
+                    assert int(key) == expected
+                else:
+                    assert key.tobytes() == expected.to_bytes(width, "little")
 
 
 class TestLayerSize:

@@ -13,7 +13,7 @@ from stableshap import (
     exact_shap_game,
     explain,
 )
-from stableshap.coalitions import complete_layer_budgets
+from stableshap.coalitions import complete_layer_budgets, pack
 from stableshap.explainer import Explanation, fit, plan_for, sparsify
 from stableshap.sampling import (
     KERNEL_SHAP,
@@ -28,6 +28,7 @@ from conftest import (
     GLOVE_EXACT,
     design_rank_oracle,
     kkt_constrained_wls,
+    qr_constrained_lstsq,
     random_table_game,
 )
 
@@ -329,6 +330,31 @@ class TestSampledCorrection:
         assert dense.local_accuracy_gap() < 1e-9
         for k in sorted({1, int(rng.integers(1, m + 1)), m}):
             assert sparsify(dense, k, cset, values).local_accuracy_gap() < 1e-9
+
+
+class TestFitAtScale:
+    # st-shap at M=19, b=188366 is seven complete layers, fitted by the
+    # closed form alone; every other case adds 11634 to 166674 sampled rows,
+    # up to six fit blocks
+    @pytest.mark.parametrize("m, budget", [(19, 188366), (19, 200000), (20, 200000)])
+    @pytest.mark.parametrize("strategy", [ST_SHAP, KERNEL_SHAP])
+    def test_matches_qr_reference_in_any_mask_layout(self, m, budget, strategy):
+        rng = np.random.default_rng(budget + m)
+        table = rng.normal(size=2**m)
+        phi0, fx = table[0], table[-1]
+        cset = materialize(plan_for(strategy, m, budget, seed=7))
+        values = table[pack(cset.masks)]
+        f_ordered = WeightedCoalitionSet(np.asfortranarray(cset.masks), cset.weights,
+                                         cset.n_complete)
+        dense = fit(cset, values, phi0, fx)
+        sparse = sparsify(dense, 4, cset, values)
+        for e, kept in ((dense, list(range(m))), (sparse, list(sparse.support))):
+            oracle = qr_constrained_lstsq(cset.masks[:, kept], cset.weights,
+                                          values, phi0, fx)
+            err = np.abs(e.phi_array()[kept] - oracle).max()
+            assert err <= 1e-12 * np.abs(oracle).max()
+        assert fit(f_ordered, values, phi0, fx) == dense
+        assert sparsify(dense, 4, f_ordered, values) == sparse
 
 
 class TestExplain:
