@@ -66,9 +66,11 @@ def _phis_from_values(values: np.ndarray, n_features: int) -> np.ndarray:
     weights = _subset_weights(n_features)
     phis = np.empty(n_features)
     for i in range(n_features):
-        with_i = ints[(ints >> i & 1) == 1]
-        deltas = values[with_i] - values[with_i ^ (1 << i)]
-        phis[i] = float(weights[sizes[with_i]] @ deltas)
+        # (coalitions without bit i's higher bits, bit i, lower bits): [:, 1]
+        # holds i, [:, 0] the same coalitions without it, in mask order
+        v = values.reshape(-1, 2, 1 << i)
+        deltas = (v[:, 1] - v[:, 0]).reshape(-1)
+        phis[i] = float(weights[sizes.reshape(-1, 2, 1 << i)[:, 1].reshape(-1)] @ deltas)
     return phis
 
 

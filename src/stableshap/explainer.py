@@ -31,6 +31,7 @@ alike.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,6 +89,19 @@ class Explanation:
 _FIT_BLOCK = 1 << 15
 
 
+@lru_cache(maxsize=64)
+def _helmert_basis(k: int) -> np.ndarray:
+    """Helmert basis of the sum-zero subspace of R^k, (k, k - 1), read-only.
+    Rows are projected on it before their products are summed, so heavy rows
+    holding every free feature cannot drown the directions that separate
+    features."""
+    basis = np.triu(np.ones((k, k - 1)))
+    basis[np.arange(1, k), np.arange(k - 1)] = -np.arange(1, k)
+    basis /= np.sqrt(np.arange(1, k) * np.arange(2, k + 1))
+    basis.flags.writeable = False
+    return basis
+
+
 def _constrained_fit(coalition_set: WeightedCoalitionSet, values: np.ndarray,
                      phi0: float, fx: float, free: np.ndarray,
                      context: str) -> np.ndarray:
@@ -108,12 +122,7 @@ def _constrained_fit(coalition_set: WeightedCoalitionSet, values: np.ndarray,
     phis[free] = p
     if n0 == len(masks):
         return phis
-    # Helmert basis of the sum-zero subspace. Rows are projected on it before
-    # their products are summed, so heavy rows holding every free feature
-    # cannot drown the directions that separate features.
-    basis = np.triu(np.ones((k, k - 1)))
-    basis[np.arange(1, k), np.arange(k - 1)] = -np.arange(1, k)
-    basis /= np.sqrt(np.arange(1, k) * np.arange(2, k + 1))
+    basis = _helmert_basis(k)
     gram, rhs = a * np.eye(k - 1), np.zeros(k - 1)
     for start in range(n0, len(masks), _FIT_BLOCK):
         rows = slice(start, start + _FIT_BLOCK)

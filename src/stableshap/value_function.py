@@ -16,7 +16,11 @@ instance's distinct coalitions (at most 2^M).
 The coalitions the memo lacks reach the model in blocks of whole masks, at
 most ``ROW_BUDGET`` substituted rows per ``predict`` call (8 masks at the
 least), so the rows of one call stay bounded whatever the budget and the
-background size. The payoffs are bit-identical to those of one single call.
+background size. The bound is small enough that a block (1 MiB at 16
+features) stays in cache between ``substitute`` writing it and ``predict``
+reading it back. A block starts as copies of the background, and each
+feature then writes the instance's value into the masks that hold it. The
+payoffs are bit-identical to those of one single call.
 """
 
 from __future__ import annotations
@@ -36,8 +40,9 @@ from .errors import NonFinitePayoffError
 _MEMOS: dict[int, tuple] = {}
 
 # substituted rows per model call; bounds the (rows, M) float matrix that
-# substitute builds, whatever the budget and the background size
-ROW_BUDGET = 1 << 18
+# substitute builds, whatever the budget and the background size, and keeps
+# it in cache until predict has read it
+ROW_BUDGET = 1 << 13
 
 
 def substitute(masks: np.ndarray, x: np.ndarray, background: np.ndarray) -> np.ndarray:
@@ -46,9 +51,15 @@ def substitute(masks: np.ndarray, x: np.ndarray, background: np.ndarray) -> np.n
     background = np.asarray(background, dtype=float)
     if background.ndim != 2 or background.shape[1] != len(x):
         raise ValueError("background rows must match the instance's feature count")
+    masks = np.asarray(masks, dtype=bool)
     n, m = masks.shape
     b = background.shape[0]
-    rows = np.where(masks[:, None, :], x[None, None, :], background[None, :, :])
+    # copies of the background, then feature by feature the instance's value
+    # into the masks that hold it: values are only selected, never computed
+    rows = np.empty((n, b, m))
+    rows[...] = background
+    for j in range(m):
+        rows[masks[:, j], :, j] = x[j]
     return rows.reshape(n * b, m)
 
 

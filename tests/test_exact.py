@@ -10,6 +10,7 @@ from stableshap import (
     exact_shap,
     exact_shap_game,
 )
+from stableshap.exact import _phis_from_values, _subset_weights
 
 from conftest import (
     GLOVE_EXACT,
@@ -50,6 +51,21 @@ class TestSubsetFormula:
         game = SyntheticGame.cardinality(10, list(range(11)))
         with pytest.raises(OracleCapError, match="1024"):
             exact_shap_game(game, cap=9)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 13])
+    def test_pairs_by_reshape_bitwise_equal_to_the_indexed_sum(self, m):
+        # the same deltas and weights in the same order as indexing every
+        # coalition that holds i and its partner without i
+        values = np.random.default_rng(m).normal(size=2**m)
+        ints = np.arange(2**m)
+        sizes = np.array([bin(int(s)).count("1") for s in ints])
+        weights = _subset_weights(m)
+        want = np.empty(m)
+        for i in range(m):
+            with_i = ints[(ints >> i & 1) == 1]
+            want[i] = weights[sizes[with_i]] @ (values[with_i] - values[with_i ^ (1 << i)])
+        got = _phis_from_values(values, m)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_each_coalition_evaluated_once(self):
         rng = np.random.default_rng(23)

@@ -14,7 +14,7 @@ from stableshap import (
     explain,
 )
 from stableshap.coalitions import complete_layer_budgets, pack
-from stableshap.explainer import Explanation, fit, plan_for, sparsify
+from stableshap.explainer import Explanation, _helmert_basis, fit, plan_for, sparsify
 from stableshap.sampling import (
     KERNEL_SHAP,
     ST_SHAP,
@@ -330,6 +330,18 @@ class TestSampledCorrection:
         assert dense.local_accuracy_gap() < 1e-9
         for k in sorted({1, int(rng.integers(1, m + 1)), m}):
             assert sparsify(dense, k, cset, values).local_accuracy_gap() < 1e-9
+
+
+class TestHelmertBasis:
+    @pytest.mark.parametrize("k", [2, 3, 9, 20])
+    def test_orthonormal_sum_zero_cached_and_read_only(self, k):
+        basis = _helmert_basis(k)
+        assert basis.shape == (k, k - 1)
+        assert np.allclose(basis.T @ basis, np.eye(k - 1), atol=1e-14)
+        assert np.allclose(basis.sum(axis=0), 0.0, atol=1e-14)
+        assert _helmert_basis(k) is basis
+        with pytest.raises(ValueError):
+            basis[0, 0] = 1.0
 
 
 class TestFitAtScale:

@@ -321,6 +321,21 @@ class TestRowBudget:
         assert max(calls) <= 64
         assert got == want
 
+    def test_exact_values_equal_at_the_default_budget_and_in_one_call(self, monkeypatch):
+        # 2^16 masks x 5 background rows: six calls per exact chunk of 8192
+        # masks at the default budget, one per chunk without a bound
+        x, bg, _ = _setup(m=16, n_bg=5, seed=10)
+
+        def run(model):
+            return exact_shap(x, model, bg)
+
+        default = value_function.ROW_BUDGET
+        got, calls = self._pair(monkeypatch, run, default)
+        want, whole = self._pair(monkeypatch, run, 1 << 40)
+        assert max(calls) <= default < max(whole)
+        assert sum(calls) == sum(whole) == 5 << 16
+        assert np.array_equal(got.phi_array(), want.phi_array()) and got == want
+
     def test_one_block_of_rows_alive_at_a_time(self, monkeypatch):
         # 640 masks x 64 background rows in blocks of 4096 rows (256 KB each);
         # building a block while the last one is still held takes two of them
@@ -336,3 +351,39 @@ class TestRowBudget:
         finally:
             tracemalloc.stop()
         assert block_bytes < peak < 2 * block_bytes
+
+
+def _where_reference(masks, x, background):
+    n, m = masks.shape
+    rows = np.where(masks[:, None, :], x[None, None, :], background[None, :, :])
+    return rows.reshape(n * len(background), m)
+
+
+class TestSubstitute:
+    @pytest.mark.parametrize("m, n_bg, n_masks", [(1, 1, 2), (1, 4, 2), (5, 1, 9),
+                                                  (6, 3, 40), (16, 7, 200)])
+    def test_bitwise_equal_to_the_broadcast_select(self, m, n_bg, n_masks):
+        x, bg, _ = _setup(m=m, n_bg=n_bg, seed=m + n_bg)
+        masks = _masks(m, n_masks, seed=n_masks)
+        masks[0], masks[-1] = False, True
+        got = value_function.substitute(masks, x, bg)
+        want = _where_reference(masks, x, bg)
+        assert got.flags.c_contiguous and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_signed_zeros_and_nan_payloads_copied_bit_for_bit(self):
+        m = 4
+        payload = np.array([0x7FF8_0000_0000_0ABC, 0xFFF0_0000_0000_0001],
+                           dtype=np.uint64).view(float)  # a quiet and a signalling NaN
+        x = np.array([-0.0, payload[0], 1.5, 0.0])
+        bg = np.array([[0.0, -0.0, payload[1], -2.0],
+                       [payload[0], 3.0, -0.0, payload[1]]])
+        masks = np.array([[False] * m, [True] * m, [True, False, True, False],
+                          [False, True, False, True]])
+        got = value_function.substitute(masks, x, bg)
+        want = _where_reference(masks, x, bg)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_no_masks_gives_no_rows(self):
+        x, bg, _ = _setup(m=3, n_bg=2)
+        assert value_function.substitute(np.zeros((0, 3), dtype=bool), x, bg).shape == (0, 3)
