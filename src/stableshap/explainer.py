@@ -14,7 +14,10 @@ constrained fit has the closed form
 over the k free features, with r = sum_S w_S (v_S - phi0) z_S, delta = f(x) -
 phi0, and a the weight of the coalitions holding feature 0 but not feature 1
 (Lundberg & Lee 2017 derive the weights); without complete rows p = delta/k.
-A set that sampled nothing, such as the first layer, is fitted by p alone.
+Each complete layer's mean of v_S - phi0 is subtracted before the sum: that
+moves every r_j by the same amount, which p cancels exactly, and keeps the
+sum from losing digits to the offset the layer's payoffs share. A set that
+sampled nothing, such as the first layer, is fitted by p alone.
 
 Sampled rows correct p on an orthonormal basis of the sum-zero subspace,
 where the complete rows add just ``aI`` to the Gram matrix and nothing to the
@@ -115,8 +118,21 @@ def _constrained_fit(coalition_set: WeightedCoalitionSet, values: np.ndarray,
         # a C-ordered operand: numpy multiplies an F-ordered bool matrix by
         # a float vector on a far slower path
         head = masks[:n0] if k == masks.shape[1] else masks[:n0, free]
-        r = (weights[:n0] * (values[:n0] - phi0)) @ np.ascontiguousarray(head)
-        a = weights[:n0][masks[:n0, 0] & ~masks[:n0, 1]].sum()
+        # every free feature sits in the same number of a complete layer's
+        # sets: subtracting a layer's mean payoff moves every r_j alike and
+        # leaves p unchanged, but keeps r from summing ~10^5 copies of an
+        # offset that cancels only in p. A layer is a run of rows at one
+        # weight; when runs repeat a weight, a layer's rows are not
+        # contiguous and the whole head is centred as one.
+        w0 = weights[:n0]
+        starts = np.flatnonzero(np.concatenate(([True], w0[1:] != w0[:-1]))).tolist()
+        if len(set(w0[starts].tolist())) < len(starts):
+            starts = [0]
+        counts = np.diff(starts + [n0])
+        centred = values[:n0] - phi0
+        centred -= np.repeat(np.add.reduceat(centred, starts) / counts, counts)
+        r = (w0 * centred) @ np.ascontiguousarray(head)
+        a = w0[masks[:n0, 0] & ~masks[:n0, 1]].sum()
         p = r / a + (delta - (r / a).sum()) / k
     phis = np.zeros(masks.shape[1])
     phis[free] = p

@@ -368,6 +368,38 @@ class TestFitAtScale:
         assert fit(f_ordered, values, phi0, fx) == dense
         assert sparsify(dense, 4, f_ordered, values) == sparse
 
+    def test_closed_form_does_not_depend_on_the_complete_rows_order(self):
+        # payoffs that grow with the coalition size, so every layer has its
+        # own mean; shuffled rows split each layer into runs of one weight
+        m = 8
+        rng = np.random.default_rng(21)
+        cset = materialize(plan_for(ST_SHAP, m, 184, seed=0))
+        assert cset.n_complete == len(cset)
+        values = 3.0 * cset.masks.sum(axis=1) ** 2 + rng.normal(size=len(cset))
+        order = rng.permutation(len(cset))
+        shuffled = WeightedCoalitionSet(cset.masks[order], cset.weights[order],
+                                        cset.n_complete)
+        want = fit(cset, values, 0.5, 190.0)
+        got = fit(shuffled, values[order], 0.5, 190.0)
+        assert np.allclose(got.phis, want.phis, rtol=0, atol=1e-12)
+        assert np.allclose(sparsify(got, 3, shuffled, values[order]).phis,
+                           sparsify(want, 3, cset, values).phis, rtol=0, atol=1e-12)
+
+    def test_closed_form_keeps_full_precision_over_many_complete_rows(self):
+        # seven complete layers, 188366 rows: every r_j sums about 10^5
+        # weighted payoffs that share each layer's offset, which cancels only
+        # in the differences p depends on
+        m, budget = 19, 188366
+        rng = np.random.default_rng(budget + m)
+        table = rng.normal(size=2**m)
+        phi0, fx = table[0], table[-1]
+        cset = materialize(plan_for(ST_SHAP, m, budget, seed=7))
+        assert cset.n_complete == len(cset)
+        values = table[pack(cset.masks)]
+        dense = fit(cset, values, phi0, fx)
+        oracle = qr_constrained_lstsq(cset.masks, cset.weights, values, phi0, fx)
+        assert np.abs(dense.phi_array() - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
 
 class TestExplain:
     def test_complete_budget_bit_identical_across_seeds(self):
