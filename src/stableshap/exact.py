@@ -66,8 +66,8 @@ def _phis_from_values(values: np.ndarray, n_features: int) -> np.ndarray:
     weights = _subset_weights(n_features)
     phis = np.empty(n_features)
     for i in range(n_features):
-        # (coalitions without bit i's higher bits, bit i, lower bits): [:, 1]
-        # holds i, [:, 0] the same coalitions without it, in mask order
+        # axes (higher bits, bit i, lower bits): [:, 1] holds the coalitions
+        # with i and [:, 0] the same ones without it, both in mask order
         v = values.reshape(-1, 2, 1 << i)
         deltas = (v[:, 1] - v[:, 0]).reshape(-1)
         phis[i] = float(weights[sizes.reshape(-1, 2, 1 << i)[:, 1].reshape(-1)] @ deltas)

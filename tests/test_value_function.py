@@ -383,7 +383,3 @@ class TestSubstitute:
         got = value_function.substitute(masks, x, bg)
         want = _where_reference(masks, x, bg)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-    def test_no_masks_gives_no_rows(self):
-        x, bg, _ = _setup(m=3, n_bg=2)
-        assert value_function.substitute(np.zeros((0, 3), dtype=bool), x, bg).shape == (0, 3)
