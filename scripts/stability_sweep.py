@@ -20,6 +20,21 @@ from stableshap.cli import derive_seed
 from stableshap.coalitions import complete_layer_budgets
 
 
+def knn_recipe(features, instances, background_size, seed):
+    """The sweep's k-NN model, background rows and explained instances.
+
+    120 training rows, then the background, then the instances, all drawn
+    N(0, 1) from ``seed``; the label is the sign of a nonlinear score.
+    """
+    m = features
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(120 + background_size + instances, m))
+    score = (np.sin(X[:, 0]) + X[:, 1] * X[:, 2 % m]
+             + 0.5 * X[:, 3 % m] - 0.3 * X[:, 4 % m] ** 2)
+    knn = ss.KNNClassifierModel(X[:120], (score[:120] > 0).astype(int), k=5)
+    return knn, X[120:120 + background_size], X[120 + background_size:]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("output", help="CSV path to write")
@@ -42,16 +57,8 @@ def main():
         ragged = [50, 100, 200, 500, 1000]
         budgets = sorted(set(complete + [b for b in ragged if b <= 2**m - 2]))
 
-    rng = np.random.default_rng(args.seed)
-    n = args.background_size + args.instances + 120
-    X = rng.normal(size=(n, m))
-    score = (np.sin(X[:, 0]) + X[:, 1] * X[:, 2 % m]
-             + 0.5 * X[:, 3 % m] - 0.3 * X[:, 4 % m] ** 2)
-    labels = (score > 0).astype(int)
-    knn = ss.KNNClassifierModel(X[:120], labels[:120], k=5)
-    background = X[120:120 + args.background_size]
-    instances = X[120 + args.background_size:
-                  120 + args.background_size + args.instances]
+    knn, background, instances = knn_recipe(m, args.instances,
+                                            args.background_size, args.seed)
     # one adapter per instance for the whole sweep: its payoff memo answers
     # every coalition an earlier run or budget already evaluated
     models = [ss.ClassProbabilityModel(knn, knn.predicted_class(x)) for x in instances]

@@ -91,20 +91,33 @@ class KNNClassifierModel:
     training-row order (stable sort), which keeps predictions deterministic.
 
     For speed, distances are first computed as ``|row|^2 - 2 row.t + |t|^2``,
-    one matrix product per block of rows, and the k nearest are taken with a
-    partition. The vote fractions depend only on the set of the k nearest, not
-    on their order. Rows whose k-th and (k+1)-th fast distances are too close
-    for that rounding to separate are rechecked with the exact distance and the
-    stable sort, so the probabilities are bit-identical to the exact formula's.
+    one matrix product per block of rows. One partition gives each row's k-th
+    and (k+1)-th smallest fast distance, and the k nearest are the training
+    rows at or below the k-th: the vote fractions depend only on that set, not
+    on its order, and are counted with one product against the one-hot labels.
+    Rows whose k-th and (k+1)-th fast distances are too close for that rounding
+    to separate are rechecked with the exact distance and the stable sort, so
+    the probabilities are bit-identical to the exact formula's.
     """
 
     def __init__(self, X, y, k: int = 5):
         self.X = np.asarray(X, dtype=float)
         y = np.asarray(y)
+        if self.X.ndim != 2:
+            raise ValueError(f"k-NN training features must be 2-D, got shape {self.X.shape}")
+        if y.ndim != 1 or len(y) != len(self.X):
+            raise ValueError(f"k-NN needs one label per training row: labels of shape "
+                             f"{y.shape} for features of shape {self.X.shape}")
         if not np.issubdtype(y.dtype, np.integer):
             raise ValueError("k-NN targets must be integer class labels")
+        bad = np.argwhere(~np.isfinite(self.X))
+        if len(bad):
+            i, j = bad[0]
+            raise ValueError(f"k-NN training features must be finite: row {i}, "
+                             f"column {j} is {self.X[i, j]}")
         self.y = y
         self.classes = np.unique(y)
+        self._onehot = (y[:, None] == self.classes).astype(float)
         if k < 1 or k > len(self.X):
             raise ValueError(f"k={k} invalid for {len(self.X)} training rows")
         self.k = k
@@ -146,7 +159,7 @@ class KNNClassifierModel:
         rows = _as_matrix(rows, self.n_features)
         k = self.k
         if k == len(self.X):  # every row votes with all training labels
-            return np.tile([(self.y == c).mean() for c in self.classes], (len(rows), 1))
+            return np.tile(self._onehot.mean(axis=0), (len(rows), 1))
         out = np.empty((len(rows), len(self.classes)))
         for start in range(0, len(rows), _PREDICT_CHUNK):
             block = rows[start:start + _PREDICT_CHUNK]
@@ -155,16 +168,18 @@ class KNNClassifierModel:
             d2 *= -2.0
             d2 += row_sq[:, None]
             d2 += self._sq_norms
-            part = np.argpartition(d2, (k - 1, k), axis=1)
-            kth, next_ = np.take_along_axis(d2, part[:, k - 1:k + 1], axis=1).T
+            part = np.partition(d2, k, axis=1)
+            kth, next_ = part[:, :k].max(axis=1), part[:, k]
+            del part  # a block holds at most two (chunk, n_train) matrices
             err = self._err_scale * (row_sq + self._max_sq_norm) + self._err_floor
             unsure = ~(next_ - kth > 2 * err)  # NaN and inf distances are unsure too
-            nearest = part[:, :k]
+            # on a sure row next_ > kth, so exactly the k nearest are <= kth
+            near = d2 <= kth[:, None]
             if unsure.any():
-                nearest[unsure] = _stable_nearest(block[unsure], self.X, k)
-            votes = self.y[nearest]
-            for ci, c in enumerate(self.classes):
-                out[start:start + len(block), ci] = (votes == c).mean(axis=1)
+                redo = np.flatnonzero(unsure)
+                near[redo] = False
+                near[redo[:, None], _stable_nearest(block[redo], self.X, k)] = True
+            out[start:start + len(block)] = (near @ self._onehot) / k
         return out
 
     def predicted_class(self, row) -> int:

@@ -4,7 +4,9 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the PASS/FAIL lines.
 Tolerances are pinned here and nowhere else.
 """
 
+import importlib.util
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,15 @@ def _report(criterion: str, ok: bool, detail: str, elapsed: float):
     line = f"ACCEPTANCE {criterion} {'PASS' if ok else 'FAIL'}: {detail} [{elapsed:.2f}s]"
     print(line)
     assert ok, line
+
+
+def _sweep_knn_recipe(**kwargs):
+    """`scripts/stability_sweep.py`'s k-NN model, background and instances."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "stability_sweep.py"
+    spec = importlib.util.spec_from_file_location("stability_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.knn_recipe(**kwargs)
 
 
 def _mixed_game(m: int, seed: int) -> ss.SyntheticGame:
@@ -299,13 +310,8 @@ def test_criterion_10_stability_trend_knn():
     # scripts/stability_sweep.py's data recipe at its defaults: a nonlinear
     # k-NN model, where the sampled coalitions change the surrogate's support
     t0 = time.perf_counter()
-    rng = np.random.default_rng(0)
-    m, n_background, n_instances = 13, 10, 10
-    X = rng.normal(size=(n_background + n_instances + 120, m))
-    score = (np.sin(X[:, 0]) + X[:, 1] * X[:, 2] + 0.5 * X[:, 3] - 0.3 * X[:, 4] ** 2)
-    knn = ss.KNNClassifierModel(X[:120], (score[:120] > 0).astype(int), k=5)
-    background = X[120:120 + n_background]
-    instances = X[120 + n_background:]
+    knn, background, instances = _sweep_knn_recipe(features=13, instances=10,
+                                                   background_size=10, seed=0)
     models = [ss.ClassProbabilityModel(knn, knn.predicted_class(x)) for x in instances]
 
     def mean_jaccard(strategy, budget):

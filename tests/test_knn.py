@@ -32,10 +32,15 @@ def knn_cases(draw):
 
     base = features(draw(st.integers(1, 40)))
     X = np.repeat(base, copies, axis=0)[rng.permutation(len(base) * copies)]
-    y = rng.integers(0, 3, size=len(X))
-    k = draw(st.integers(1, len(X)))
+    # labels need not be 0..c-1: negative and non-contiguous sets too
+    labels = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4, unique=True))
+    y = rng.choice(labels, size=len(X))
+    # k = len(X) - 1 is the last pivot the partition takes
+    k = draw(st.one_of(st.integers(1, len(X)), st.just(max(len(X) - 1, 1))))
     i, j = rng.integers(0, len(X), size=(2, 8))
     queries = np.vstack([features(16), X, (X[i] + X[j]) / 2])  # midpoints tie
+    if draw(st.booleans()):  # push the ties into a second block
+        queries = np.vstack([features(models._PREDICT_CHUNK), queries])
     return X + offset, y, k, queries + offset
 
 
@@ -45,6 +50,17 @@ class TestKNNAgainstOracle:
     def test_probabilities_bit_identical(self, case):
         X, y, k, queries = case
         model = KNNClassifierModel(X, y, k=k)
+        assert np.array_equal(model.predict_proba(queries),
+                              knn_proba_oracle(model, queries))
+
+    def test_deep_pivot_on_a_large_training_set(self):
+        # a partition leaves the values before its pivot unordered: with
+        # hundreds of training rows and a deep pivot, the k-th smallest of
+        # some rows does not land at position k - 1
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(300, 4))
+        model = KNNClassifierModel(X, rng.integers(0, 3, size=300), k=120)
+        queries = rng.normal(size=(1500, 4))
         assert np.array_equal(model.predict_proba(queries),
                               knn_proba_oracle(model, queries))
 
@@ -76,3 +92,22 @@ def test_recheck_runs_only_on_near_ties(monkeypatch):
     tie, clear = [0.0, 3.0], [0.9, 0.1]
     assert np.array_equal(model.predict_proba([tie, clear]), [[1.0, 0.0], [1.0, 0.0]])
     assert len(seen) == 1 and np.array_equal(seen[0], [tie])
+
+
+def _features_with(row, column, value):
+    X = np.zeros((10, 2))
+    X[row, column] = value
+    return X
+
+
+@pytest.mark.parametrize("X, y, message", [
+    (np.zeros(10), np.zeros(10, dtype=int), r"must be 2-D, got shape \(10,\)"),
+    (np.zeros((10, 2)), np.zeros((10, 1), dtype=int), r"labels of shape \(10, 1\)"),
+    (np.zeros((10, 2)), np.arange(12),
+     r"labels of shape \(12,\) for features of shape \(10, 2\)"),
+    (_features_with(3, 0, np.nan), np.zeros(10, dtype=int), "row 3, column 0 is nan"),
+    (_features_with(7, 1, -np.inf), np.zeros(10, dtype=int), "row 7, column 1 is -inf"),
+], ids=["features-1d", "labels-2d", "extra-labels", "nan-feature", "inf-feature"])
+def test_malformed_training_set_refused(X, y, message):
+    with pytest.raises(ValueError, match=message):
+        KNNClassifierModel(X, y, k=3)
