@@ -1,0 +1,106 @@
+#!/usr/bin/env python3
+"""Median CPU time of the surrogate fit, cell by cell, appended to OUT.json.
+
+The grid is M in {8, 13, 20}, both strategies, and for each M a few budgets
+that end on a complete-layer boundary and a few that do not. Each cell
+materializes the coalition set of seed 0, takes its payoffs from a random
+N(0, 1) table over all 2^M masks, and times `explainer.fit` and
+`explainer.sparsify(..., 4)` one call at a time in process CPU time, after
+one untimed call of each. A cell repeats until it has spent CELL_S of CPU
+time or made MAX_REPS calls (at least MIN_REPS), and reports the median in
+ms with its sample count. Run it with BLAS single-threaded, as the
+benchmark runs; the thread settings go into the entry's provenance.
+
+Each run appends one entry (provenance, the `git describe` of the checkout
+whose `stableshap` it imported, the cells) to OUT.json, so runs in two
+checkouts that share one OUT.json sit side by side:
+
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/fit_grid.py BENCH_fit.json
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import time
+from pathlib import Path
+
+import numpy as np
+
+import stableshap
+from stableshap.coalitions import complete_layer_budgets, pack
+from stableshap.explainer import fit, plan_for, sparsify
+from stableshap.sampling import KERNEL_SHAP, ST_SHAP, materialize
+
+# budgets per M: complete-layer boundaries and ragged budgets between them
+BUDGETS = {8: (16, 40, 100, 184), 13: (26, 50, 182, 200, 500, 754, 1000),
+           20: (420, 3000, 43398, 120918, 200000)}
+CELL_S, MIN_REPS, MAX_REPS = 0.3, 5, 400
+
+
+def median_ms(call) -> tuple[float, int]:
+    call()
+    times, spent = [], 0.0
+    while len(times) < MIN_REPS or (spent < CELL_S and len(times) < MAX_REPS):
+        start = time.process_time()
+        call()
+        times.append(time.process_time() - start)
+        spent += times[-1]
+    return round(1e3 * statistics.median(times), 4), len(times)
+
+
+def cells():
+    for m, budgets in BUDGETS.items():
+        table = np.random.default_rng(m).normal(size=2**m)
+        complete = {b for _, b in complete_layer_budgets(m)}
+        for budget in budgets:
+            for strategy in (ST_SHAP, KERNEL_SHAP):
+                cset = materialize(plan_for(strategy, m, budget, seed=0))
+                values = table[pack(cset.masks)]
+                dense = fit(cset, values, table[0], table[-1])
+                fit_ms, fit_reps = median_ms(lambda: fit(cset, values, table[0], table[-1]))
+                sparse_ms, sparse_reps = median_ms(lambda: sparsify(dense, 4, cset, values))
+                yield {"m": m, "strategy": strategy, "budget": budget,
+                       "complete_budget": budget in complete,
+                       "sampled_rows": len(cset) - cset.n_complete,
+                       "fit_ms": fit_ms, "fit_reps": fit_reps,
+                       "sparsify4_ms": sparse_ms, "sparsify4_reps": sparse_reps}
+
+
+def git_describe() -> str:
+    where = Path(stableshap.__file__).resolve().parent
+    try:
+        return subprocess.run(["git", "describe", "--always", "--dirty"], cwd=where,
+                              capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__,
+                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("out", type=Path, help="JSON file to append this run's entry to")
+    args = p.parse_args(argv)
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
+    entry = {
+        "commit": git_describe(),
+        "provenance": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                       "numpy": np.__version__, "cell_s": CELL_S,
+                       "threads": {k: os.environ.get(k) for k in
+                                   ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")},
+                       "clock": "process CPU time"},
+        "cells": list(cells()),
+    }
+    doc["runs"].append(entry)
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    for c in entry["cells"]:
+        print(f"M={c['m']:2d} {c['strategy']:11s} b={c['budget']:6d} "
+              f"sampled={c['sampled_rows']:6d} fit {c['fit_ms']:8.3f} ms  "
+              f"sparsify(4) {c['sparsify4_ms']:8.3f} ms")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

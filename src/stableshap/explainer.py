@@ -21,9 +21,12 @@ sampled nothing, such as the first layer, is fitted by p alone.
 
 Sampled rows correct p on an orthonormal basis of the sum-zero subspace,
 where the complete rows add just ``aI`` to the Gram matrix and nothing to the
-right-hand side. The sampled rows enter in blocks, each cast once to a
-C-ordered (k, rows) float matrix and projected onto the basis before their
-products are summed; the raw k x k Gram matrix is never formed. One ``eigh``
+right-hand side. The sampled rows enter in blocks, each copied once to a
+C-ordered (k, rows) float matrix scaled by sqrt(w), whose raw k x k Gram
+matrix and right-hand side are summed and projected onto the basis once.
+When k < M, rows holding all or none of the free features are dropped
+first: they project to exactly zero, and at a heavy weight they would drown
+the directions that separate features in the raw Gram matrix. One ``eigh``
 gives the least-norm correction. Its rank falls short of k - 1 only without
 complete rows: a set with fewer coalitions than free coefficients raises
 RankDeficiencyError, and a larger one keeps p along the directions no
@@ -95,9 +98,8 @@ _FIT_BLOCK = 1 << 15
 @lru_cache(maxsize=64)
 def _helmert_basis(k: int) -> np.ndarray:
     """Helmert basis of the sum-zero subspace of R^k, (k, k - 1), read-only.
-    Rows are projected on it before their products are summed, so heavy rows
-    holding every free feature cannot drown the directions that separate
-    features."""
+    The sampled rows' Gram matrix and right-hand side are projected on it, so
+    their correction never moves the sum of the attributions."""
     basis = np.triu(np.ones((k, k - 1)))
     basis[np.arange(1, k), np.arange(k - 1)] = -np.arange(1, k)
     basis /= np.sqrt(np.arange(1, k) * np.arange(2, k + 1))
@@ -138,17 +140,29 @@ def _constrained_fit(coalition_set: WeightedCoalitionSet, values: np.ndarray,
     phis[free] = p
     if n0 == len(masks):
         return phis
-    basis = _helmert_basis(k)
-    gram, rhs = a * np.eye(k - 1), np.zeros(k - 1)
+    # the raw Gram matrix and right-hand side of the sampled rows, summed
+    # block by block and projected onto the basis once
+    gram, rhs = np.zeros((k, k)), np.zeros(k)
     for start in range(n0, len(masks), _FIT_BLOCK):
         rows = slice(start, start + _FIT_BLOCK)
-        # one C-ordered (k, rows) float copy per block, rows along the
-        # contiguous axis, so every product below is a plain BLAS call
-        zt = masks[rows].T[free].astype(float)
-        zbt = basis.T @ zt
-        wzbt = zbt * weights[rows]
-        gram += wzbt @ zbt.T
-        rhs += wzbt @ (values[rows] - phi0 - p @ zt)
+        zt, root_w, v = masks[rows].T[free], np.sqrt(weights[rows]), values[rows] - phi0
+        if k < masks.shape[1]:
+            # rows holding all or none of the free features project to
+            # exactly zero, so dropping them is exact (see the module docstring)
+            proper = np.flatnonzero(zt.any(axis=0) != zt.all(axis=0))
+            zt, root_w, v = zt.take(proper, axis=1), root_w[proper], v[proper]
+        # a C-ordered (k, rows) float copy scaled by sqrt(w), rows along the
+        # contiguous axis: st @ st.T runs as one syrk, summed in the same
+        # order whatever the layout of the masks (a cast, then an in-place
+        # product: numpy multiplies bool by float on a slower path)
+        st = zt.astype(float)
+        st *= root_w
+        gram += st @ st.T
+        rhs += st @ (root_w * v - p @ st)
+        del zt, st  # one block alive at a time
+    basis = _helmert_basis(k)
+    gram = a * np.eye(k - 1) + basis.T @ gram @ basis
+    rhs = basis.T @ rhs
     eigvals, eigvecs = np.linalg.eigh(gram)
     kept = eigvals > eigvals.max(initial=0.0) * k * np.finfo(float).eps
     if kept.sum() < k - 1 and len(masks) < k - 1:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,21 +47,51 @@ def _field(spec: dict, name: str, kind: type):
     return value
 
 
+class _DenseTable(Mapping):
+    """Read-only mask -> payoff view of a complete table's payoff array, so a
+    complete game keeps no per-mask dict."""
+
+    def __init__(self, payoffs: np.ndarray):
+        self.payoffs = payoffs
+
+    def __getitem__(self, mask: int) -> float:
+        if not 0 <= mask < len(self.payoffs):
+            raise KeyError(mask)
+        return float(self.payoffs[mask])
+
+    def __iter__(self):
+        return iter(range(len(self.payoffs)))
+
+    def __len__(self) -> int:
+        return len(self.payoffs)
+
+
 @dataclass(frozen=True)
 class SyntheticGame:
     """A characteristic function over subsets of M players."""
 
     n_players: int
     rule: str
-    table: dict[int, float] | None = None
+    table: Mapping[int, float] | None = None
     weights: np.ndarray | None = None
     by_size: np.ndarray | None = None
-    _dense: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_table(cls, n_players: int, values: dict[int, float]) -> "SyntheticGame":
         if n_players < 2:
             raise ValueError("games need at least 2 players")
+        n = len(values)
+        if n == 2**n_players and n_players <= 24:
+            # a complete table becomes one payoff array, built by vectorized
+            # passes; a key that is no mask falls through to the checks below
+            try:
+                keys = np.fromiter(map(operator.index, values), np.int64, n)
+            except (TypeError, OverflowError):
+                keys = None
+            if keys is not None and keys.min() >= 0 and keys.max() < n:
+                dense = np.empty(n)
+                dense[keys] = np.fromiter(values.values(), float, n)
+                return cls(n_players, RULE_TABLE, table=_DenseTable(dense))
         table = {}
         for mask, v in values.items():
             try:
@@ -74,12 +105,7 @@ class SyntheticGame:
                                  f"(0 to {2**n_players - 1})")
         if 0 not in table:
             raise GameTableError("table must define the empty coalition (mask 0)")
-        dense = None
-        if len(table) == 2**n_players and n_players <= 24:
-            dense = np.empty(2**n_players)
-            for mask, v in table.items():
-                dense[mask] = v
-        return cls(n_players, RULE_TABLE, table=table, _dense=dense)
+        return cls(n_players, RULE_TABLE, table=table)
 
     @classmethod
     def additive(cls, player_weights) -> "SyntheticGame":
@@ -122,8 +148,8 @@ class SyntheticGame:
         if self.n_players > 64:
             raise ValueError("table games support at most 64 players")
         ints = pack(masks)
-        if self._dense is not None:
-            return self._dense[ints]
+        if isinstance(self.table, _DenseTable):
+            return self.table.payoffs[ints]
         return np.array([self.value_of_mask(int(v)) for v in ints])
 
     def to_json_dict(self) -> dict:

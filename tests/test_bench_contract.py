@@ -47,7 +47,7 @@ PUBLIC = [
 ]
 
 CALLERS = ["bench/workloads.py", "bench/worker.py", "bench/run.py",
-           "scripts/stability_sweep.py", "scripts/cli_matrix.py"]
+           "scripts/stability_sweep.py", "scripts/cli_matrix.py", "scripts/fit_grid.py"]
 
 
 def _tracer():

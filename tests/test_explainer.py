@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,16 @@ from stableshap import (
     exact_shap_game,
     explain,
 )
+from stableshap import explainer
 from stableshap.coalitions import complete_layer_budgets, pack
-from stableshap.explainer import Explanation, _helmert_basis, fit, plan_for, sparsify
+from stableshap.explainer import (
+    _FIT_BLOCK,
+    Explanation,
+    _helmert_basis,
+    fit,
+    plan_for,
+    sparsify,
+)
 from stableshap.sampling import (
     KERNEL_SHAP,
     ST_SHAP,
@@ -331,6 +340,31 @@ class TestSampledCorrection:
         for k in sorted({1, int(rng.integers(1, m + 1)), m}):
             assert sparsify(dense, k, cset, values).local_accuracy_gap() < 1e-9
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_rows_holding_all_or_none_of_the_kept_features_move_nothing(self, seed):
+        # such rows project to exactly zero, so even at weight 1e8 they must
+        # leave a sparsified fit as it was, bit for bit, wherever they sit
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(9, 14))
+        table = rng.normal(size=2**m)
+        cset = materialize(plan_for(KERNEL_SHAP, m, int(rng.integers(3 * m, 500)), seed))
+        assert cset.n_complete < len(cset) < _FIT_BLOCK
+        values = table[pack(cset.masks)]
+        dense = fit(cset, values, table[0], table[-1])
+        sparse = sparsify(dense, 4, cset, values)
+        kept = list(sparse.support)
+        other = min(set(range(m)) - set(kept))
+        extra = rng.random((int(rng.integers(1, 40)), m)) < 0.5
+        extra[:, kept] = (rng.random(len(extra)) < 0.5)[:, None]
+        flat = extra.all(axis=1) | ~extra.any(axis=1)
+        extra[flat, other] = ~extra[flat, other]  # proper coalitions only
+        at = np.sort(rng.integers(cset.n_complete, len(cset) + 1, size=len(extra)))
+        grown = WeightedCoalitionSet(np.insert(cset.masks, at, extra, axis=0),
+                                     np.insert(cset.weights, at, 1e8),
+                                     cset.n_complete)
+        grown_values = np.insert(values, at, rng.normal(size=len(extra)) * 1e3)
+        assert sparsify(dense, 4, grown, grown_values) == sparse
+
 
 class TestHelmertBasis:
     @pytest.mark.parametrize("k", [2, 3, 9, 20])
@@ -367,6 +401,40 @@ class TestFitAtScale:
             assert err <= 1e-12 * np.abs(oracle).max()
         assert fit(f_ordered, values, phi0, fx) == dense
         assert sparsify(dense, 4, f_ordered, values) == sparse
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_block_boundaries_do_not_matter(self, monkeypatch, block):
+        cases = []
+        for m, budget in ((13, 1000), (20, 3000)):
+            for strategy in (ST_SHAP, KERNEL_SHAP):
+                rng = np.random.default_rng(budget + m)
+                table = rng.normal(size=2**m)
+                cset = materialize(plan_for(strategy, m, budget, seed=3))
+                assert cset.n_complete < len(cset)
+                values = table[pack(cset.masks)]
+                dense = fit(cset, values, table[0], table[-1])
+                cases.append((cset, values, table, dense, sparsify(dense, 4, cset, values)))
+        monkeypatch.setattr(explainer, "_FIT_BLOCK", block)
+        for cset, values, table, dense, sparse in cases:
+            for want, got in ((dense, fit(cset, values, table[0], table[-1])),
+                              (sparse, sparsify(dense, 4, cset, values))):
+                scale = np.abs(want.phi_array()).max()
+                assert np.abs(got.phi_array() - want.phi_array()).max() <= 1e-12 * scale
+
+    def test_fit_memory_stays_within_a_few_blocks(self):
+        # 156602 sampled rows, 25 MB as floats: they may only ever be cast a
+        # block at a time, beside the closed form's cast of the complete rows
+        m = 20
+        cset = materialize(plan_for(KERNEL_SHAP, m, 200000, seed=7))
+        values = np.random.default_rng(0).normal(size=len(cset))
+        tracemalloc.start()
+        try:
+            fit(cset, values, 0.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cset) - cset.n_complete > 4 * _FIT_BLOCK
+        assert peak < (cset.n_complete + 2 * _FIT_BLOCK) * m * 8
 
     def test_closed_form_does_not_depend_on_the_complete_rows_order(self):
         # payoffs that grow with the coalition size, so every layer has its

@@ -55,6 +55,35 @@ class TestSyntheticGame:
         with pytest.raises(GameTableError, match=re.escape(f"table key {key!r} ")):
             SyntheticGame.from_table(2, values)
 
+    @pytest.mark.parametrize("key, message", [
+        (1.5, "table key 1.5 "), ("7", "table key '7' "), (None, "table key None "),
+        (2**10, "table keys [1024] "), (-3, "table keys [-3] "),
+        (2**70, f"table keys [{2**70}] "),
+    ])
+    def test_complete_table_keys_that_are_no_mask_refused(self, key, message):
+        values = dict(enumerate(np.arange(2.0**10).tolist()))
+        del values[5]
+        values[key] = 5.0
+        with pytest.raises(GameTableError, match=re.escape(message)):
+            SyntheticGame.from_table(10, values)
+
+    def test_complete_table_round_trips_through_json(self, tmp_path):
+        m = 10
+        rng = np.random.default_rng(4)
+        order = rng.permutation(2**m).tolist()
+        values = {mask: float(rng.normal()) for mask in order}
+        game = SyntheticGame.from_table(m, values)
+        assert game.table == values
+        assert [game.value_of_mask(mask) for mask in order] == list(values.values())
+        with pytest.raises(GameTableError, match="missing"):
+            game.value_of_mask(2**m)
+        game.save(tmp_path / "game.json")
+        loaded = SyntheticGame.load(tmp_path / "game.json")
+        assert loaded.to_json_dict() == game.to_json_dict()
+        masks = (np.arange(2**m)[:, None] >> np.arange(m)) & 1 == 1
+        assert (loaded.coalition_values(masks).tolist()
+                == [values[mask] for mask in range(2**m)])
+
     @pytest.mark.parametrize("key", ["1x", "1", "101"])
     def test_json_keys_must_be_bitstrings(self, key):
         spec = {"M": 2, "values": {"00": 0.0, "10": 1.0, key: 2.0}}
