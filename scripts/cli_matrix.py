@@ -7,10 +7,12 @@ k-NN model (M=6, budgets 20,33,50, 3 instances, background 10). The complete
 budgets 12,42,62 (layers 1, 1-2 and all three, where st-shap's fit is the
 closed form alone and kernel-shap at 62 samples nothing) run `explain`,
 `stability` and `compare-exact` on both models with the widest strategy set
-each command takes (`all`; `both` for `stability`). Then one `explain` on a
-game table, one on each of a few game files that hold no game, and one on a
-dataset with a `nan` and an `inf` cell. Runs that a command refuses are kept
-too.
+each command takes (`all`; `both` for `stability`). Then `explain` on game
+files: a complete table, a table holding only the empty and full masks and
+layers 1-2 (st-shap at budgets 12,42 and layer1), an additive and a
+cardinality rule, and each of a few files that hold no game. Last, one
+`explain` on a dataset with a `nan` and an `inf` cell. Runs that a command
+refuses are kept too.
 
 Each run gets OUT/<case>/ with its output files under `run/` and its
 `stdout.txt`, `stderr.txt` and `exit_code.txt`. The datasets are generated
@@ -44,7 +46,16 @@ BAD_GAMES = {
     "list": "[1, 2]",
     "m_string": '{"M": "two", "values": {}}',
     "value_string": '{"M": 2, "values": {"00": 0, "10": "x", "01": 1, "11": 2}}',
+    "additive_length": '{"M": 5, "rule": "additive", "weights": [1, 2, 3]}',
+    "one_player": '{"M": 1, "rule": "cardinality", "by_size": [0, 1]}',
+    "weight_bool": '{"M": 2, "rule": "additive", "weights": [1, true]}',
+    "by_size_bool": '{"M": 2, "rule": "cardinality", "by_size": [0, true, 2]}',
+    "weight_list": '{"M": 2, "rule": "additive", "weights": [1, [2]]}',
+    "unknown_rule": '{"M": 2, "rule": "sum", "weights": [1, 2]}',
+    "players_65": '{"M": 65, "values": {"%s": 0}}' % ("0" * 65),
 }
+# flags beyond `--budgets 2` per bad game: the one-player game is explained by layer1
+BAD_GAME_ARGS = {"one_player": ["--strategy", "layer1", "--explanation-size", "1"]}
 
 
 def write_dataset(path: Path, classification: bool, seed: int) -> None:
@@ -88,6 +99,12 @@ def main():
     write_dataset(Path("data/knn.csv"), classification=True, seed=1)
     rng = np.random.default_rng(2)
     SyntheticGame.from_table(M, dict(enumerate(rng.normal(size=2**M)))).save("data/game.json")
+    # layers 1-2 and the empty and full masks only: no mask of size M/2
+    layers12 = [mask for mask in range(2**M) if bin(mask).count("1") != M // 2]
+    SyntheticGame.from_table(M, dict(zip(layers12, rng.normal(size=len(layers12))))).save(
+        "data/game_layers12.json")
+    SyntheticGame.additive(rng.normal(size=M)).save("data/game_additive.json")
+    SyntheticGame.cardinality(M, rng.normal(size=M + 1)).save("data/game_cardinality.json")
 
     for model in ("ridge", "knn"):
         for command in COMMANDS:
@@ -106,11 +123,19 @@ def main():
     run_case("explain_game_all", ["explain", "--model", "game", "--game-file",
                                   "data/game.json", "--strategy", "all",
                                   "--budgets", "20,33,50"])
+    for name, args in (("st", ["--strategy", "st-shap", "--budgets", "12,42"]),
+                       ("layer1", ["--strategy", "layer1"])):
+        run_case(f"explain_game_layers12_{name}", [
+            "explain", "--model", "game", "--game-file", "data/game_layers12.json", *args])
+    for rule in ("additive", "cardinality"):
+        run_case(f"explain_game_{rule}", ["explain", "--model", "game", "--game-file",
+                                          f"data/game_{rule}.json", "--strategy", "all",
+                                          "--budgets", "20,33,50"])
     for name, content in BAD_GAMES.items():
         Path(f"data/bad_game_{name}.json").write_text(content)
         run_case(f"explain_bad_game_{name}", ["explain", "--model", "game", "--game-file",
                                               f"data/bad_game_{name}.json",
-                                              "--budgets", "2"])
+                                              "--budgets", "2", *BAD_GAME_ARGS.get(name, [])])
     # a nan and an inf feature cell: refused with exit code 2, no output files
     lines = Path("data/knn.csv").read_text().splitlines()
     for line_no, column, cell in ((3, 1, "nan"), (7, 4, "inf")):

@@ -213,7 +213,7 @@ def wire(cfg: RunConfig) -> Wiring:
         spec = _read_json(cfg.game_file, "game file")
         try:
             game = SyntheticGame.from_json_dict(spec)
-        except (GameTableError, ValueError) as exc:
+        except GameTableError as exc:
             raise ConfigError(f"game file {cfg.game_file} holds no game: {exc}") from exc
         adapter = GameModel(game)
         resolved = asdict(cfg) | {

@@ -36,8 +36,8 @@ class RankDeficiencyError(StableShapError):
 
 
 class GameTableError(StableShapError):
-    """A game table has a key that is no integer mask or lacks a coalition
-    mask, or a game's JSON form misses a field or holds one of the wrong type."""
+    """A table key is no mask or a table lacks a coalition, a mask lies outside
+    the game's players, or a game's JSON form misses or misstates a field."""
 
 
 class NonFinitePayoffError(StableShapError):

@@ -4,13 +4,17 @@ Three flavours: an explicit table over bitmasks, an additive rule
 v(S) = sum of per-player weights, and a cardinality rule v(S) = h(|S|).
 Games plug into the explainers through :class:`stableshap.models.GameModel`,
 which evaluates coalitions directly with no background data.
+
+A table game of at most 64 players is two arrays: ``payoffs`` in key order
+and ``keys``, the sorted ``uint64`` masks (:func:`stableshap.coalitions.pack`'s
+key). ``keys`` is None when all 2^M masks are present: mask i's payoff is then
+``payoffs[i]``.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,32 +51,45 @@ def _field(spec: dict, name: str, kind: type):
     return value
 
 
-class _DenseTable(Mapping):
-    """Read-only mask -> payoff view of a complete table's payoff array, so a
-    complete game keeps no per-mask dict."""
-
-    def __init__(self, payoffs: np.ndarray):
-        self.payoffs = payoffs
-
-    def __getitem__(self, mask: int) -> float:
-        if not 0 <= mask < len(self.payoffs):
-            raise KeyError(mask)
-        return float(self.payoffs[mask])
-
-    def __iter__(self):
-        return iter(range(len(self.payoffs)))
-
-    def __len__(self) -> int:
-        return len(self.payoffs)
+def _numbers(spec: dict, name: str, count: int) -> list:
+    """A game spec's array field, refused unless it holds ``count`` numbers."""
+    values = _field(spec, name, list)
+    if len(values) != count:
+        raise GameTableError(f"field {name!r} has {len(values)} entries, not the "
+                             f"{count} that M={spec['M']} needs")
+    for i, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise GameTableError(f"field {name!r} entry {i} is {v!r}, not a number")
+    return values
 
 
-@dataclass(frozen=True)
+def _mask_keys(n_players: int, values: dict) -> np.ndarray:
+    """A table's keys as ``uint64`` masks in dict order; a key that is no mask is named."""
+    try:
+        keys = np.fromiter(map(operator.index, values), np.uint64, len(values))
+        if not len(keys) or keys.max() < 2**n_players:
+            return keys
+    except (TypeError, OverflowError):
+        pass
+    # some key is no mask: the per-key checks word the error
+    for key in values:
+        try:
+            operator.index(key)
+        except TypeError:
+            raise GameTableError(f"table key {key!r} is not an integer mask") from None
+    bad = sorted(k for k in map(operator.index, values) if not 0 <= k < 2**n_players)
+    raise GameTableError(f"table keys {bad} are not masks of {n_players} players "
+                         f"(0 to {2**n_players - 1})")
+
+
+@dataclass(frozen=True, eq=False)
 class SyntheticGame:
-    """A characteristic function over subsets of M players."""
+    """A characteristic function over subsets of M players, compared by identity."""
 
     n_players: int
     rule: str
-    table: Mapping[int, float] | None = None
+    payoffs: np.ndarray | None = None
+    keys: np.ndarray | None = None
     weights: np.ndarray | None = None
     by_size: np.ndarray | None = None
 
@@ -80,32 +97,17 @@ class SyntheticGame:
     def from_table(cls, n_players: int, values: dict[int, float]) -> "SyntheticGame":
         if n_players < 2:
             raise ValueError("games need at least 2 players")
-        n = len(values)
-        if n == 2**n_players and n_players <= 24:
-            # a complete table becomes one payoff array, built by vectorized
-            # passes; a key that is no mask falls through to the checks below
-            try:
-                keys = np.fromiter(map(operator.index, values), np.int64, n)
-            except (TypeError, OverflowError):
-                keys = None
-            if keys is not None and keys.min() >= 0 and keys.max() < n:
-                dense = np.empty(n)
-                dense[keys] = np.fromiter(values.values(), float, n)
-                return cls(n_players, RULE_TABLE, table=_DenseTable(dense))
-        table = {}
-        for mask, v in values.items():
-            try:
-                key = operator.index(mask)
-            except TypeError:
-                raise GameTableError(f"table key {mask!r} is not an integer mask") from None
-            table[key] = float(v)
-        bad = sorted(mask for mask in table if not 0 <= mask < 2**n_players)
-        if bad:
-            raise GameTableError(f"table keys {bad} are not masks of {n_players} players "
-                                 f"(0 to {2**n_players - 1})")
-        if 0 not in table:
+        if n_players > 64:
+            raise GameTableError("table games support at most 64 players")
+        keys = _mask_keys(n_players, values)
+        payoffs = np.fromiter(values.values(), float, len(keys))
+        if np.any(keys[1:] < keys[:-1]):
+            order = np.argsort(keys)
+            keys, payoffs = keys[order], payoffs[order]
+        if not len(keys) or keys[0] != 0:
             raise GameTableError("table must define the empty coalition (mask 0)")
-        return cls(n_players, RULE_TABLE, table=table)
+        return cls(n_players, RULE_TABLE, payoffs=payoffs,
+                   keys=None if len(keys) == 2**n_players else keys)
 
     @classmethod
     def additive(cls, player_weights) -> "SyntheticGame":
@@ -116,6 +118,8 @@ class SyntheticGame:
 
     @classmethod
     def cardinality(cls, n_players: int, values_by_size) -> "SyntheticGame":
+        if n_players < 2:
+            raise ValueError("games need at least 2 players")
         h = np.asarray(values_by_size, dtype=float)
         if len(h) != n_players + 1:
             raise ValueError(
@@ -125,16 +129,20 @@ class SyntheticGame:
         return cls(n_players, RULE_CARDINALITY, by_size=h)
 
     def value_of_mask(self, mask: int) -> float:
+        if not 0 <= mask < 2**self.n_players:
+            raise GameTableError(f"mask {mask} is not a mask of {self.n_players} players "
+                                 f"(0 to {2**self.n_players - 1})")
         if self.rule == RULE_ADDITIVE:
             return float(sum(self.weights[i] for i in range(self.n_players) if mask >> i & 1))
         if self.rule == RULE_CARDINALITY:
             return float(self.by_size[bin(mask).count("1")])
-        try:
-            return self.table[mask]
-        except KeyError:
+        if self.keys is None:
+            return float(self.payoffs[mask])
+        at = min(int(np.searchsorted(self.keys, np.uint64(mask))), len(self.keys) - 1)
+        if self.keys[at] != mask:
             raise GameTableError(
-                f"mask {int_to_bitstring(mask, self.n_players)} missing from game table"
-            ) from None
+                f"mask {int_to_bitstring(mask, self.n_players)} missing from game table")
+        return float(self.payoffs[at])
 
     def coalition_values(self, masks: np.ndarray) -> np.ndarray:
         """Vectorized payoff lookup for a boolean mask matrix (n, M)."""
@@ -145,12 +153,17 @@ class SyntheticGame:
             return masks @ self.weights
         if self.rule == RULE_CARDINALITY:
             return self.by_size[masks.sum(axis=1)]
-        if self.n_players > 64:
-            raise ValueError("table games support at most 64 players")
         ints = pack(masks)
-        if isinstance(self.table, _DenseTable):
-            return self.table.payoffs[ints]
-        return np.array([self.value_of_mask(int(v)) for v in ints])
+        if self.keys is None:
+            return self.payoffs[ints]
+        # a mask above every key lands past the end: clip it onto the last key
+        at = np.minimum(np.searchsorted(self.keys, ints), len(self.keys) - 1)
+        found = self.keys[at] == ints
+        if not found.all():
+            missing = int(ints[np.argmin(found)])
+            raise GameTableError(
+                f"mask {int_to_bitstring(missing, self.n_players)} missing from game table")
+        return self.payoffs[at]
 
     def to_json_dict(self) -> dict:
         if self.rule == RULE_ADDITIVE:
@@ -159,9 +172,10 @@ class SyntheticGame:
         if self.rule == RULE_CARDINALITY:
             return {"M": self.n_players, "rule": RULE_CARDINALITY,
                     "by_size": self.by_size.tolist()}
+        masks = range(len(self.payoffs)) if self.keys is None else self.keys.tolist()
         return {"M": self.n_players,
                 "values": {int_to_bitstring(mask, self.n_players): v
-                           for mask, v in sorted(self.table.items())}}
+                           for mask, v in zip(masks, self.payoffs.tolist())}}
 
     @classmethod
     def from_json_dict(cls, spec: dict) -> "SyntheticGame":
@@ -170,13 +184,16 @@ class SyntheticGame:
         if not isinstance(spec, dict):
             raise GameTableError(f"a game is a JSON object, not a {type(spec).__name__}")
         n_players = _field(spec, "M", int)
+        if n_players < 2:
+            raise GameTableError(f"field 'M' must be at least 2 players, got {n_players}")
         rule = spec.get("rule")
         if rule == RULE_ADDITIVE:
-            return cls.additive(_field(spec, "weights", list))
+            return cls.additive(_numbers(spec, "weights", n_players))
         if rule == RULE_CARDINALITY:
-            return cls.cardinality(n_players, _field(spec, "by_size", list))
+            return cls.cardinality(n_players, _numbers(spec, "by_size", n_players + 1))
         if rule not in (None, RULE_TABLE):
-            raise ValueError(f"unknown game rule: {rule!r}")
+            raise GameTableError(f"field 'rule' must be {RULE_TABLE!r}, {RULE_ADDITIVE!r} "
+                                 f"or {RULE_CARDINALITY!r}, got {rule!r}")
         values = {}
         for key, v in _field(spec, "values", dict).items():
             if len(key) != n_players or set(key) - {"0", "1"}:

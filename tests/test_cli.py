@@ -471,6 +471,40 @@ class TestConfigFileTypes:
         assert err.startswith("config error: ") and message in err and str(game_file) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("content,args,message", [
+        ('{"M": 5, "rule": "additive", "weights": [1, 2, 3]}', [],
+         "field 'weights' has 3 entries, not the 5 that M=5 needs"),
+        ('{"M": 1, "rule": "cardinality", "by_size": [0, 1]}',
+         ["--strategy", "layer1", "--explanation-size", "1"],
+         "field 'M' must be at least 2 players, got 1"),
+        ('{"M": 2, "rule": "additive", "weights": [1, true]}', [],
+         "field 'weights' entry 1 is True, not a number"),
+        ('{"M": 2, "rule": "cardinality", "by_size": [0, true, 2]}', [],
+         "field 'by_size' entry 1 is True, not a number"),
+        ('{"M": 2, "rule": "additive", "weights": [1, [2]]}', [],
+         "field 'weights' entry 1 is [2], not a number"),
+        ('{"M": 2, "rule": "sum", "weights": [1, 2]}', [],
+         "field 'rule' must be 'table', 'additive' or 'cardinality', got 'sum'"),
+        (json.dumps({"M": 65, "values": {"0" * 65: 0}}), [],
+         "table games support at most 64 players"),
+    ], ids=["additive-length", "one-player", "weight-bool", "by-size-bool",
+            "weight-list", "unknown-rule", "65-players"])
+    def test_game_spec_that_breaks_the_maths_is_config_error(self, content, args,
+                                                             message, tmp_path, capsys):
+        game_file = tmp_path / "game.json"
+        game_file.write_text(content)
+        out = tmp_path / "run"
+        code = main([
+            "explain", "--model", "game", "--game-file", str(game_file),
+            "--budgets", "2", *args, "--output", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err and str(game_file) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestRankDeficientBudget:
     @pytest.mark.parametrize("command", ["explain", "stability"])
     def test_exits_1_names_the_rank_and_writes_nothing(self, command, reg_csv,

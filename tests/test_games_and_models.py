@@ -73,9 +73,10 @@ class TestSyntheticGame:
         order = rng.permutation(2**m).tolist()
         values = {mask: float(rng.normal()) for mask in order}
         game = SyntheticGame.from_table(m, values)
-        assert game.table == values
+        assert game.to_json_dict()["values"] == {
+            int_to_bitstring(mask, m): v for mask, v in values.items()}
         assert [game.value_of_mask(mask) for mask in order] == list(values.values())
-        with pytest.raises(GameTableError, match="missing"):
+        with pytest.raises(GameTableError, match=re.escape("mask 1024 is not a mask of 10 ")):
             game.value_of_mask(2**m)
         game.save(tmp_path / "game.json")
         loaded = SyntheticGame.load(tmp_path / "game.json")
@@ -91,7 +92,7 @@ class TestSyntheticGame:
             SyntheticGame.from_json_dict(spec)
 
     def test_missing_mask_errors(self):
-        g = SyntheticGame(2, "table", table={0: 0.0, 3: 1.0})
+        g = SyntheticGame.from_table(2, {0: 0.0, 3: 1.0})
         # mask int 1 = feature 0 present = bitstring "10"
         with pytest.raises(GameTableError, match="10 missing"):
             g.value_of_mask(1)
@@ -134,9 +135,107 @@ class TestSyntheticGame:
         masks[1] = True
         masks[2, 63] = True
         assert game.coalition_values(masks).tolist() == [0.0, 1.0, 2.0]
-        wide = SyntheticGame.from_table(65, {0: 0.0})
-        with pytest.raises(ValueError, match="at most 64 players"):
-            wide.coalition_values(np.zeros((1, 65), bool))
+        with pytest.raises(GameTableError, match="at most 64 players"):
+            SyntheticGame.from_table(65, {0: 0.0})
+
+    @pytest.mark.parametrize("game", [
+        SyntheticGame.from_table(3, dict(enumerate(np.arange(8.0).tolist()))),
+        SyntheticGame.from_table(3, {0: 0.0, 7: 1.0}),
+        SyntheticGame.additive([1.0, 2.0, 3.0]),
+        SyntheticGame.cardinality(3, [0, 1, 4, 9]),
+    ], ids=["complete-table", "incomplete-table", "additive", "cardinality"])
+    @pytest.mark.parametrize("mask", [-1, 8])
+    def test_value_of_mask_refuses_what_is_no_mask(self, game, mask):
+        message = f"mask {mask} is not a mask of 3 players (0 to 7)"
+        with pytest.raises(GameTableError, match=re.escape(message)):
+            game.value_of_mask(mask)
+
+    def test_cardinality_needs_two_players(self):
+        with pytest.raises(ValueError, match="at least 2 players"):
+            SyntheticGame.cardinality(1, [0, 1])
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"M": 5, "rule": "additive", "weights": [1, 2, 3]},
+         "field 'weights' has 3 entries, not the 5 that M=5 needs"),
+        ({"M": 3, "rule": "cardinality", "by_size": [0, 1, 2]},
+         "field 'by_size' has 3 entries, not the 4 that M=3 needs"),
+        ({"M": 1, "rule": "cardinality", "by_size": [0, 1]},
+         "field 'M' must be at least 2 players, got 1"),
+        ({"M": 1, "rule": "additive", "weights": [1]},
+         "field 'M' must be at least 2 players, got 1"),
+        ({"M": 0, "values": {"": 0}}, "field 'M' must be at least 2 players, got 0"),
+        ({"M": 2, "rule": "additive", "weights": [1, True]},
+         "field 'weights' entry 1 is True, not a number"),
+        ({"M": 2, "rule": "cardinality", "by_size": [0, 1, True]},
+         "field 'by_size' entry 2 is True, not a number"),
+        ({"M": 2, "rule": "additive", "weights": [1, [2]]},
+         "field 'weights' entry 1 is [2], not a number"),
+        ({"M": 2, "rule": "additive", "weights": "12"},
+         "field 'weights' must be a JSON array, got '12'"),
+        ({"M": 2, "rule": "sum", "weights": [1, 2]},
+         "field 'rule' must be 'table', 'additive' or 'cardinality', got 'sum'"),
+        ({"M": 65, "values": {"0" * 65: 0}}, "table games support at most 64 players"),
+    ])
+    def test_spec_that_is_no_game_names_the_field(self, spec, message):
+        with pytest.raises(GameTableError, match=re.escape(message)):
+            SyntheticGame.from_json_dict(spec)
+
+    @pytest.mark.parametrize("make", [
+        lambda: SyntheticGame.from_table(2, {0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0}),
+        lambda: SyntheticGame.from_table(2, {0: 0.0, 3: 1.0}),
+        lambda: SyntheticGame.additive([1, 2]),
+        lambda: SyntheticGame.cardinality(2, [0, 1, 2]),
+    ], ids=["complete-table", "incomplete-table", "additive", "cardinality"])
+    def test_games_compare_and_hash_by_identity(self, make):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
+
+    @pytest.mark.parametrize("m, n_keys", [(3, 5), (10, 600), (20, 30000), (64, 5000)])
+    def test_incomplete_table_at_scale(self, m, n_keys):
+        rng = np.random.default_rng(m)
+        if m < 64:
+            drawn = rng.choice(2**m, size=n_keys + 3, replace=False).astype(np.uint64)
+        else:
+            drawn = np.unique(rng.integers(0, 2**64, size=n_keys + 3, dtype=np.uint64))
+        drawn = drawn[drawn != 0]
+        keys = np.append(drawn[:n_keys - 1], np.uint64(0))
+        absent = drawn[n_keys - 1:n_keys + 1]
+        rng.shuffle(keys)
+        values = {int(k): float(v) for k, v in zip(keys, rng.normal(size=len(keys)))}
+        game = SyntheticGame.from_table(m, values)
+
+        def unpack(ints):
+            ints = np.asarray(ints, dtype=np.uint64)
+            return (ints[:, None] >> np.arange(m, dtype=np.uint64)) & 1 == 1
+
+        asked = rng.permutation(keys)
+        looked_up = game.coalition_values(unpack(asked)).tolist()
+        assert looked_up == [game.value_of_mask(int(k)) for k in asked]
+        assert looked_up == [values[int(k)] for k in asked]
+        batch = np.concatenate([asked[:3], absent[1:], asked[3:], absent[:1]])
+        missing = int_to_bitstring(int(absent[1]), m)
+        with pytest.raises(GameTableError, match=f"mask {missing} missing"):
+            game.coalition_values(unpack(batch))
+        with pytest.raises(GameTableError, match=f"mask {missing} missing"):
+            game.value_of_mask(int(absent[1]))
+        back = SyntheticGame.from_json_dict(game.to_json_dict())
+        assert back.to_json_dict() == game.to_json_dict()
+        assert back.keys.tolist() == game.keys.tolist() == sorted(values)
+        assert back.payoffs.tolist() == game.payoffs.tolist()
+
+    @pytest.mark.parametrize("m", [3, 10])
+    def test_shuffled_complete_table_round_trips_through_json(self, m):
+        rng = np.random.default_rng(m)
+        values = {int(k): float(rng.normal()) for k in rng.permutation(2**m)}
+        game = SyntheticGame.from_table(m, values)
+        assert game.keys is None
+        assert game.payoffs.tolist() == [values[k] for k in range(2**m)]
+        back = SyntheticGame.from_json_dict(game.to_json_dict())
+        assert back.keys is None
+        assert back.payoffs.tolist() == game.payoffs.tolist()
+        assert back.to_json_dict() == game.to_json_dict()
 
 
 class TestBuiltinModels:

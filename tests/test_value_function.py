@@ -245,7 +245,7 @@ class TestNonFinitePayoffs:
 
     def test_non_finite_game_payoff_raises(self):
         game = random_table_game(np.random.default_rng(1), 3)
-        table = dict(game.table)
+        table = {mask: game.value_of_mask(mask) for mask in range(8)}
         table[0b011] = float("inf")
         model = GameModel(type(game).from_table(3, table))
         with pytest.raises(NonFinitePayoffError, match="110"):
