@@ -7,12 +7,13 @@ k-NN model (M=6, budgets 20,33,50, 3 instances, background 10). The complete
 budgets 12,42,62 (layers 1, 1-2 and all three, where st-shap's fit is the
 closed form alone and kernel-shap at 62 samples nothing) run `explain`,
 `stability` and `compare-exact` on both models with the widest strategy set
-each command takes (`all`; `both` for `stability`). Then `explain` on game
-files: a complete table, a table holding only the empty and full masks and
-layers 1-2 (st-shap at budgets 12,42 and layer1), an additive and a
-cardinality rule, and each of a few files that hold no game. Last, one
-`explain` on a dataset with a `nan` and an `inf` cell. Runs that a command
-refuses are kept too.
+each command takes (`all`; `both` for `stability`). `compare-exact` also runs
+on both models at M=12 with a 100-row background, so that each instance's
+payoffs come from many row blocks. Then `explain` on game files: a complete
+table, a table holding only the empty and full masks and layers 1-2 (st-shap
+at budgets 12,42 and layer1), an additive and a cardinality rule, and each of
+a few files that hold no game. Last, one `explain` on a dataset with a `nan`
+and an `inf` cell. Runs that a command refuses are kept too.
 
 Each run gets OUT/<case>/ with its output files under `run/` and its
 `stdout.txt`, `stderr.txt` and `exit_code.txt`. The datasets are generated
@@ -37,6 +38,7 @@ from stableshap import SyntheticGame
 from stableshap.cli import main as cli_main
 
 M = 6
+WIDE_M = 12
 COMMANDS = ("explain", "stability", "adherence", "compare-exact")
 SHARED = ["--budgets", "20,33,50", "--n-instances", "3", "--background-size", "10"]
 COMPLETE = {"explain": "all", "stability": "both", "compare-exact": "all"}
@@ -53,17 +55,25 @@ BAD_GAMES = {
     "weight_list": '{"M": 2, "rule": "additive", "weights": [1, [2]]}',
     "unknown_rule": '{"M": 2, "rule": "sum", "weights": [1, 2]}',
     "players_65": '{"M": 65, "values": {"%s": 0}}' % ("0" * 65),
+    "weight_huge": '{"M": 2, "rule": "additive", "weights": [1, %s]}' % ("9" * 401),
+    "value_nan": '{"M": 2, "values": {"00": 0, "10": NaN, "01": 1, "11": 2}}',
+    "by_size_infinity": '{"M": 2, "rule": "cardinality", "by_size": [0, Infinity, 2]}',
 }
-# flags beyond `--budgets 2` per bad game: the one-player game is explained by layer1
-BAD_GAME_ARGS = {"one_player": ["--strategy", "layer1", "--explanation-size", "1"]}
+# flags beyond `--budgets 2` per bad game: the one-player game is explained by
+# layer1, and the two-player games with bad numbers at a size they can carry, so
+# that nothing but the number can refuse them
+FIT_TWO = ["--explanation-size", "2"]
+BAD_GAME_ARGS = {"one_player": ["--strategy", "layer1", "--explanation-size", "1"],
+                 "weight_huge": FIT_TWO, "value_nan": FIT_TWO, "by_size_infinity": FIT_TWO}
 
 
-def write_dataset(path: Path, classification: bool, seed: int) -> None:
+def write_dataset(path: Path, classification: bool, seed: int, m: int = M,
+                  n_rows: int = 120) -> None:
     rng = np.random.default_rng(seed)
-    X = rng.normal(size=(120, M))
-    score = X @ np.linspace(1.0, 2.5, M) + np.sin(X[:, 0] * X[:, 1])
+    X = rng.normal(size=(n_rows, m))
+    score = X @ np.linspace(1.0, 2.5, m) + np.sin(X[:, 0] * X[:, 1])
     with open(path, "w") as fh:
-        fh.write(",".join([f"f{i}" for i in range(M)] + ["target"]) + "\n")
+        fh.write(",".join([f"f{i}" for i in range(m)] + ["target"]) + "\n")
         for row, s in zip(X, score):
             target = str(int(s > 0)) if classification else repr(float(s))
             fh.write(",".join(repr(float(v)) for v in row) + f",{target}\n")
@@ -120,6 +130,15 @@ def main():
                 command, "--dataset", f"data/{model}.csv", "--target", "target",
                 "--model", model, "--strategy", strategy, "--budgets", "12,42,62",
                 "--n-instances", "3", "--background-size", "10"])
+    # M=12 with a 100-row background: an exact table of 2^12 masks is about 52
+    # row blocks per instance, where every case above fits in one block
+    for model in ("ridge", "knn"):
+        write_dataset(Path(f"data/{model}_wide.csv"), classification=model == "knn",
+                      seed=3, m=WIDE_M, n_rows=440)
+        run_case(f"compare-exact_{model}_wide", [
+            "compare-exact", "--dataset", f"data/{model}_wide.csv", "--target", "target",
+            "--model", model, "--strategy", "all", "--budgets", "100,500",
+            "--n-instances", "2", "--background-size", "100"])
     run_case("explain_game_all", ["explain", "--model", "game", "--game-file",
                                   "data/game.json", "--strategy", "all",
                                   "--budgets", "20,33,50"])

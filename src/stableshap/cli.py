@@ -109,7 +109,7 @@ def _read_json(path: str, what: str):
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 

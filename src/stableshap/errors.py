@@ -37,7 +37,8 @@ class RankDeficiencyError(StableShapError):
 
 class GameTableError(StableShapError):
     """A table key is no mask or a table lacks a coalition, a mask lies outside
-    the game's players, or a game's JSON form misses or misstates a field."""
+    the game's players, or a game's JSON form misses or misstates a field
+    (a non-finite or out-of-range number included)."""
 
 
 class NonFinitePayoffError(StableShapError):

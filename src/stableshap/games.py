@@ -14,6 +14,7 @@ key). ``keys`` is None when all 2^M masks are present: mask i's payoff is then
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,15 +52,28 @@ def _field(spec: dict, name: str, kind: type):
     return value
 
 
+def _finite(v, entry: str) -> float:
+    """A spec's number as a finite float; ``entry`` words the refusal of
+    anything else (JSON NaN, Infinity and integers past a float's range too)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise GameTableError(f"{entry} {v!r}, not a number")
+    try:
+        f = float(v)
+    except OverflowError:
+        raise GameTableError(f"{entry} an integer too large for a float") from None
+    if not math.isfinite(f):
+        raise GameTableError(f"{entry} {v!r}, not a finite number")
+    return f
+
+
 def _numbers(spec: dict, name: str, count: int) -> list:
-    """A game spec's array field, refused unless it holds ``count`` numbers."""
+    """A game spec's array field, refused unless it holds ``count`` finite numbers."""
     values = _field(spec, name, list)
     if len(values) != count:
         raise GameTableError(f"field {name!r} has {len(values)} entries, not the "
                              f"{count} that M={spec['M']} needs")
     for i, v in enumerate(values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise GameTableError(f"field {name!r} entry {i} is {v!r}, not a number")
+        _finite(v, f"field {name!r} entry {i} is")
     return values
 
 
@@ -199,10 +213,8 @@ class SyntheticGame:
             if len(key) != n_players or set(key) - {"0", "1"}:
                 raise GameTableError(f"mask {key!r} is not a string of M={n_players} "
                                      "characters 0 or 1")
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise GameTableError(f"field 'values' maps mask {key!r} to {v!r}, "
-                                     "not a number")
-            values[bitstring_to_int(key)] = float(v)
+            values[bitstring_to_int(key)] = _finite(
+                v, f"field 'values' maps mask {key!r} to")
         return cls.from_table(n_players, values)
 
     @classmethod

@@ -18,9 +18,10 @@ most ``ROW_BUDGET`` substituted rows per ``predict`` call (8 masks at the
 least), so the rows of one call stay bounded whatever the budget and the
 background size. The bound is small enough that a block (1 MiB at 16
 features) stays in cache between ``substitute`` writing it and ``predict``
-reading it back. A block starts as copies of the background, and each
-feature then writes the instance's value into the masks that hold it. The
-payoffs are bit-identical to those of one single call.
+reading it back. A block starts as copies of the background, and one
+indexed write then puts the instance's values into every (mask, feature)
+pair that the masks hold. The payoffs are bit-identical to those of one
+single call.
 """
 
 from __future__ import annotations
@@ -54,12 +55,13 @@ def substitute(masks: np.ndarray, x: np.ndarray, background: np.ndarray) -> np.n
     masks = np.asarray(masks, dtype=bool)
     n, m = masks.shape
     b = background.shape[0]
-    # copies of the background, then feature by feature the instance's value
-    # into the masks that hold it: values are only selected, never computed
+    # copies of the background, then one indexed write of the instance's
+    # values into every (mask, feature) pair held: values are only selected,
+    # never computed
     rows = np.empty((n, b, m))
     rows[...] = background
-    for j in range(m):
-        rows[masks[:, j], :, j] = x[j]
+    held, feature = np.nonzero(masks)
+    rows[held, :, feature] = x[feature, None]
     return rows.reshape(n * b, m)
 
 
@@ -87,8 +89,10 @@ def _row_payoffs(masks, x, background, model) -> np.ndarray:
         preds = np.asarray(model.predict(rows), dtype=float).reshape(-1)
         if len(preds) != len(rows):
             raise ValueError(f"model returned {len(preds)} outputs for {len(rows)} rows")
+        # the reduction and division ndarray.mean runs, without its wrapper
         out[start:start + len(block)] = _checked(
-            block, preds.reshape(len(block), n_background).mean(axis=1))
+            block, np.add.reduce(preds.reshape(len(block), n_background), axis=1)
+            / n_background)
         # released before the next block is built: one block alive at a time
         del rows, preds
     return out

@@ -42,6 +42,27 @@ def random_table_game(rng: np.random.Generator, m: int,
     return SyntheticGame.from_table(m, dict(enumerate(values)))
 
 
+# JSON game specs holding a number no float can carry, as (id, file content,
+# the refusal's words): each bad number in each of the three number fields
+_BAD_NUMBERS = {"huge": ("9" * 401, "an integer too large for a float"),
+                "nan": ("NaN", "nan, not a finite number"),
+                "inf": ("Infinity", "inf, not a finite number"),
+                "minus-inf": ("-Infinity", "-inf, not a finite number")}
+_NUMBER_FIELDS = {
+    "weights": ('{"M": 2, "rule": "additive", "weights": [1, %s]}',
+                "field 'weights' entry 1 is "),
+    "by_size": ('{"M": 2, "rule": "cardinality", "by_size": [0, %s, 2]}',
+                "field 'by_size' entry 1 is "),
+    "values": ('{"M": 2, "values": {"00": 0, "10": %s, "01": 1, "11": 2}}',
+               "field 'values' maps mask '10' to "),
+}
+NON_FINITE_GAME_SPECS = [
+    pytest.param(spec % literal, entry + words, id=f"{field}-{name}")
+    for field, (spec, entry) in _NUMBER_FIELDS.items()
+    for name, (literal, words) in _BAD_NUMBERS.items()
+]
+
+
 def value_of_set(game: SyntheticGame, players) -> float:
     """A game's payoff for a set of player indices."""
     return game.value_of_mask(sum(1 << i for i in set(players)))

@@ -11,6 +11,8 @@ import pytest
 
 from stableshap.cli import RunConfig, main, wire
 
+from conftest import NON_FINITE_GAME_SPECS
+
 M_REG = 6
 
 
@@ -491,18 +493,32 @@ class TestConfigFileTypes:
             "weight-list", "unknown-rule", "65-players"])
     def test_game_spec_that_breaks_the_maths_is_config_error(self, content, args,
                                                              message, tmp_path, capsys):
-        game_file = tmp_path / "game.json"
-        game_file.write_text(content)
-        out = tmp_path / "run"
-        code = main([
-            "explain", "--model", "game", "--game-file", str(game_file),
-            "--budgets", "2", *args, "--output", str(out),
-        ])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and message in err and str(game_file) in err
-        assert "Traceback" not in err
-        assert not out.exists()
+        _assert_game_file_refused(content, args, message, tmp_path, capsys)
+
+    @pytest.mark.parametrize("content,message", NON_FINITE_GAME_SPECS + [
+        pytest.param('{"M": 2, "rule": "additive", "weights": [1, %s]}' % ("9" * 5000),
+                     "is not valid JSON: Exceeds the limit", id="weights-past-digit-limit"),
+    ])
+    def test_game_number_no_float_carries_is_config_error(self, content, message,
+                                                          tmp_path, capsys):
+        _assert_game_file_refused(content, [], message, tmp_path, capsys)
+
+
+def _assert_game_file_refused(content, args, message, tmp_path, capsys):
+    """`explain` on a game file exits 2 with a config error naming the file and
+    `message`, prints no traceback and writes no output directory."""
+    game_file = tmp_path / "game.json"
+    game_file.write_text(content)
+    out = tmp_path / "run"
+    code = main([
+        "explain", "--model", "game", "--game-file", str(game_file),
+        "--budgets", "2", *args, "--output", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and str(game_file) in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 class TestRankDeficientBudget:

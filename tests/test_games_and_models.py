@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -18,7 +19,12 @@ from stableshap.coalitions import pack
 from stableshap.games import bitstring_to_int, int_to_bitstring
 from stableshap.value_function import evaluate_batch
 
-from conftest import masked_mean_oracle, random_table_game, value_of_set
+from conftest import (
+    NON_FINITE_GAME_SPECS,
+    masked_mean_oracle,
+    random_table_game,
+    value_of_set,
+)
 
 
 class TestSyntheticGame:
@@ -179,6 +185,11 @@ class TestSyntheticGame:
     def test_spec_that_is_no_game_names_the_field(self, spec, message):
         with pytest.raises(GameTableError, match=re.escape(message)):
             SyntheticGame.from_json_dict(spec)
+
+    @pytest.mark.parametrize("content, message", NON_FINITE_GAME_SPECS)
+    def test_number_no_float_carries_is_refused(self, content, message):
+        with pytest.raises(GameTableError, match=re.escape(message)):
+            SyntheticGame.from_json_dict(json.loads(content))
 
     @pytest.mark.parametrize("make", [
         lambda: SyntheticGame.from_table(2, {0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0}),

@@ -383,3 +383,55 @@ class TestSubstitute:
         got = value_function.substitute(masks, x, bg)
         want = _where_reference(masks, x, bg)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("layout", ["column-strided", "fortran"])
+    def test_mask_layout_does_not_matter(self, layout):
+        x, bg, _ = _setup(m=9, n_bg=6, seed=21)
+        wide = _masks(18, 50, seed=22)
+        masks = wide[:, ::2] if layout == "column-strided" else np.asfortranarray(wide[:, :9])
+        assert not masks.flags.c_contiguous
+        got = value_function.substitute(masks, x, bg)
+        want = _where_reference(masks, x, bg)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("held", [False, True])
+    def test_block_of_masks_holding_no_or_every_feature(self, held):
+        x, bg, _ = _setup(m=7, n_bg=5, seed=23)
+        masks = np.full((24, 7), held)
+        got = value_function.substitute(masks, x, bg)
+        want = _where_reference(masks, x, bg)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(got, np.tile(x, (24 * 5, 1)) if held else np.tile(bg, (24, 1)))
+
+    def test_instance_given_as_a_list(self):
+        x, bg, _ = _setup(m=5, n_bg=4, seed=24)
+        masks = _masks(5, 30, seed=25)
+        got = value_function.substitute(masks, x.tolist(), bg)
+        want = _where_reference(masks, x, bg)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class RecordingModel:
+    """Row model that keeps every prediction vector it returns, with payoffs
+    spread over many magnitudes so the rounding of a mean shows."""
+
+    def __init__(self, weights):
+        self.weights = np.asarray(weights, dtype=float)
+        self.n_features = len(self.weights)
+        self.returned = []
+
+    def predict(self, rows):
+        preds = np.exp(3.0 * np.sin(rows @ self.weights)) / 7.0
+        self.returned.append(preds)
+        return preds
+
+
+@pytest.mark.parametrize("n_bg", [1, 7, 100, 1000])
+def test_block_payoffs_are_the_mean_of_their_predictions(n_bg):
+    x, bg, w = _setup(m=10, n_bg=n_bg, seed=n_bg)
+    masks = _masks(10, 300, seed=n_bg + 1)
+    model = RecordingModel(w)
+    got = value_function._row_payoffs(masks, x, bg, model)
+    want = np.concatenate([preds.reshape(-1, n_bg).mean(axis=1)
+                           for preds in model.returned])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
