@@ -12,8 +12,11 @@ on both models at M=12 with a 100-row background, so that each instance's
 payoffs come from many row blocks. Then `explain` on game files: a complete
 table, a table holding only the empty and full masks and layers 1-2 (st-shap
 at budgets 12,42 and layer1), an additive and a cardinality rule, and each of
-a few files that hold no game. Last, one `explain` on a dataset with a `nan`
-and an `inf` cell. Runs that a command refuses are kept too.
+a few files that hold no game. Then one `explain` on a dataset with a `nan`
+and an `inf` cell. Last, config values that make no run: a negative
+`--split-seed` or `--background-size`, a `task` that is neither regression
+nor classification (under `adherence`), and an encoded value that is not a
+number. Runs that a command refuses are kept too.
 
 Each run gets OUT/<case>/ with its output files under `run/` and its
 `stdout.txt`, `stderr.txt` and `exit_code.txt`. The datasets are generated
@@ -164,6 +167,20 @@ def main():
     Path("data/nonfinite.csv").write_text("\n".join(lines) + "\n")
     run_case("explain_knn_nonfinite", ["explain", "--dataset", "data/nonfinite.csv",
                                        "--target", "target", "--model", "knn", *SHARED])
+    # config values that make no run: each is refused with exit code 2
+    ridge = ["--dataset", "data/ridge.csv", "--target", "target", *SHARED]
+    run_case("explain_ridge_split_seed_negative", ["explain", *ridge, "--split-seed", "-1"])
+    run_case("explain_ridge_background_size_negative",
+             ["explain", *ridge, "--background-size", "-5"])
+    Path("data/task_foo.json").write_text('{"task": "foo"}')
+    run_case("adherence_ridge_task_foo", ["adherence", "--config", "data/task_foo.json",
+                                          *ridge])
+    Path("data/colors.csv").write_text("color,target\nred,1.0\nblue,2.0\nred,3.0\n")
+    Path("data/encoding_x.json").write_text(
+        '{"encodings": {"color": {"red": 0, "blue": "x"}}}')
+    run_case("explain_encoding_not_a_number", [
+        "explain", "--config", "data/encoding_x.json", "--dataset", "data/colors.csv",
+        "--target", "target", "--budgets", "2"])
 
 
 if __name__ == "__main__":

@@ -69,7 +69,7 @@ class RunConfig:
     dataset: str | None = None
     target: str | None = None
     features: list[str] | None = None
-    encodings: dict = field(default_factory=dict)
+    encodings: dict[str, dict] = field(default_factory=dict)  # column -> value -> number
     model: str = "ridge"                 # ridge | knn | external | game
     model_command: str | None = None
     game_file: str | None = None
@@ -121,6 +121,8 @@ def _conforms(value, hint) -> bool:
         return any(_conforms(value, arg) for arg in args)
     if origin is list:
         return isinstance(value, list) and all(_conforms(v, args[0]) for v in value)
+    if origin is dict:  # JSON object keys are strings already
+        return isinstance(value, dict) and all(_conforms(v, args[1]) for v in value.values())
     return (isinstance(value, (int, float) if hint is float else hint)
             and not isinstance(value, bool))
 
@@ -152,12 +154,16 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if name in {f.name for f in fields(RunConfig)} and value is not None
     }
     cfg = replace(cfg, **overrides)
-    if cfg.master_seed < 0:
-        raise ConfigError("master seed must be non-negative")
+    for what, seed in (("master", cfg.master_seed), ("split", cfg.split_seed)):
+        if seed < 0:
+            raise ConfigError(f"{what} seed must be non-negative, got {seed}")
     for flag, count in (("--runs", cfg.explain_runs), ("--n-instances", cfg.n_instances),
-                        ("--workers", cfg.workers)):
+                        ("--workers", cfg.workers),
+                        ("--background-size", cfg.background_size)):
         if count < 1:
             raise ConfigError(f"{flag} must be at least 1, got {count}")
+    if cfg.task not in (None, "regression", "classification"):
+        raise ConfigError(f"task must be regression or classification, got {cfg.task!r}")
     return cfg
 
 
@@ -207,6 +213,8 @@ def _resolve_instances(cfg: RunConfig, heldout: np.ndarray,
 
 def wire(cfg: RunConfig) -> Wiring:
     """Load data, train or attach the model, and pin all derived choices."""
+    task = cfg.task or ("classification" if cfg.model == "knn" else "regression")
+    background, bridge, dataset_header = None, None, {}
     if cfg.model == "game":
         if not cfg.game_file:
             raise ConfigError("model 'game' needs --game-file")
@@ -215,91 +223,72 @@ def wire(cfg: RunConfig) -> Wiring:
             game = SyntheticGame.from_json_dict(spec)
         except GameTableError as exc:
             raise ConfigError(f"game file {cfg.game_file} holds no game: {exc}") from exc
-        adapter = GameModel(game)
-        resolved = asdict(cfg) | {
-            "resolved_n_features": game.n_players,
-            "resolved_task": cfg.task or "regression",
-            "resolved_instances": [0],
-        }
-        return Wiring(
-            cfg=cfg,
-            n_features=game.n_players,
-            task=cfg.task or "regression",
-            background=None,
-            instances=[(0, None, adapter)],
-            resolved=resolved,
-        )
-
-    if not cfg.dataset or not cfg.target:
-        raise ConfigError("a dataset path and target column are required")
-    ds = load_csv(cfg.dataset, cfg.target, cfg.features, cfg.encodings)
-    n_rows, m = ds.X.shape
-    fit_idx, heldout_idx = split_indices(n_rows, cfg.heldout_fraction, cfg.split_seed)
-
-    if cfg.background_rows is not None:
-        bad = [i for i in cfg.background_rows if not 0 <= i < n_rows]
-        if bad:
-            raise ConfigError(f"background rows out of range: {bad}")
-        bg_rows = list(cfg.background_rows)
+        m = game.n_players
+        instances = [(0, None, GameModel(game))]
     else:
-        bg_rows = [int(i) for i in heldout_idx[: min(cfg.background_size, len(heldout_idx))]]
-    if not bg_rows:
-        raise ConfigError("background set resolved to zero rows")
-    background = ds.X[bg_rows]
+        if not cfg.dataset or not cfg.target:
+            raise ConfigError("a dataset path and target column are required")
+        ds = load_csv(cfg.dataset, cfg.target, cfg.features, cfg.encodings)
+        n_rows, m = ds.X.shape
+        if m < 2:
+            raise ConfigError(f"{ds.path}: {m} feature columns; attributions need at least 2")
+        fit_idx, heldout_idx = split_indices(n_rows, cfg.heldout_fraction, cfg.split_seed)
 
-    instance_rows = _resolve_instances(cfg, heldout_idx, len(bg_rows), n_rows)
+        if cfg.background_rows is not None:
+            bad = [i for i in cfg.background_rows if not 0 <= i < n_rows]
+            if bad:
+                raise ConfigError(f"background rows out of range: {bad}")
+            bg_rows = list(cfg.background_rows)
+        else:
+            bg_rows = [int(i) for i in heldout_idx[: min(cfg.background_size, len(heldout_idx))]]
+        if not bg_rows:
+            raise ConfigError("background set resolved to zero rows")
+        background = ds.X[bg_rows]
 
-    if cfg.model == "ridge":
-        task = cfg.task or "regression"
-        model = RidgeRegressionModel.fit(ds.X[fit_idx], ds.y[fit_idx])
+        instance_rows = _resolve_instances(cfg, heldout_idx, len(bg_rows), n_rows)
 
-        def model_for(x, _model=model):
-            # one adapter, so one payoff memo, per instance: under --workers N
-            # concurrent instances sharing an adapter would evict each other
-            return RidgeRegressionModel(_model.coef, _model.intercept)
-    elif cfg.model == "knn":
-        task = cfg.task or "classification"
-        labels = as_int_labels(ds.y[fit_idx], ds.path)
-        try:
-            knn = KNNClassifierModel(ds.X[fit_idx], labels, k=cfg.knn_k)
-        except ValueError as exc:
-            raise ConfigError(f"--knn-k: {exc}") from exc
-        classes = [int(c) for c in knn.classes]
-        if cfg.explained_class is not None and cfg.explained_class not in classes:
-            raise ConfigError(f"explained class {cfg.explained_class} is not one of "
-                              f"the model's classes {classes}")
+        if cfg.model == "ridge":
+            model = RidgeRegressionModel.fit(ds.X[fit_idx], ds.y[fit_idx])
 
-        def model_for(x, _knn=knn):
-            cls = cfg.explained_class
-            if cls is None:
-                cls = _knn.predicted_class(x)
-            return ClassProbabilityModel(_knn, cls)
-    elif cfg.model == "external":
-        if not cfg.model_command:
-            raise ConfigError("model 'external' needs --model-command")
-        task = cfg.task or "regression"
-        bridge = ExternalProcessModel(cfg.model_command, m)
-        # one process behind its lock, but one adapter (so one memo) per instance
-        model_for = lambda x: CallableModel(bridge.predict, m)  # noqa: E731
-    else:
-        raise ConfigError(f"unknown model kind: {cfg.model!r}")
+            def model_for(x, _model=model):
+                # one adapter, so one payoff memo, per instance: under --workers N
+                # concurrent instances sharing an adapter would evict each other
+                return RidgeRegressionModel(_model.coef, _model.intercept)
+        elif cfg.model == "knn":
+            labels = as_int_labels(ds.y[fit_idx], ds.path)
+            try:
+                knn = KNNClassifierModel(ds.X[fit_idx], labels, k=cfg.knn_k)
+            except ValueError as exc:
+                raise ConfigError(f"--knn-k: {exc}") from exc
+            classes = [int(c) for c in knn.classes]
+            if cfg.explained_class is not None and cfg.explained_class not in classes:
+                raise ConfigError(f"explained class {cfg.explained_class} is not one of "
+                                  f"the model's classes {classes}")
 
-    resolved = asdict(cfg) | {
+            def model_for(x, _knn=knn):
+                cls = cfg.explained_class
+                if cls is None:
+                    cls = _knn.predicted_class(x)
+                return ClassProbabilityModel(_knn, cls)
+        elif cfg.model == "external":
+            if not cfg.model_command:
+                raise ConfigError("model 'external' needs --model-command")
+            bridge = ExternalProcessModel(cfg.model_command, m)
+            # one process behind its lock, but one adapter (so one memo) per instance
+            model_for = lambda x: CallableModel(bridge.predict, m)  # noqa: E731
+        else:
+            raise ConfigError(f"unknown model kind: {cfg.model!r}")
+        instances = [(r, ds.X[r], model_for(ds.X[r])) for r in instance_rows]
+        dataset_header = {"resolved_feature_names": list(ds.feature_names),
+                          "resolved_background_rows": bg_rows}
+
+    resolved = asdict(cfg) | dataset_header | {
         "resolved_n_features": m,
-        "resolved_feature_names": list(ds.feature_names),
         "resolved_task": task,
-        "resolved_background_rows": bg_rows,
-        "resolved_instances": instance_rows,
+        "resolved_instances": [row for row, _, _ in instances],
     }
-    return Wiring(
-        cfg=cfg,
-        n_features=m,
-        task=task,
-        background=background,
-        instances=[(r, ds.X[r], model_for(ds.X[r])) for r in instance_rows],
-        resolved=resolved,
-        bridge=bridge if cfg.model == "external" else None,
-    )
+    return Wiring(cfg=cfg, n_features=m, task=task, background=background,
+                  instances=instances, resolved=resolved, bridge=bridge)
 
 
 def _strategies(cfg: RunConfig, default: str, allowed: tuple[str, ...]) -> list[str]:
@@ -596,23 +585,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_layers)
 
-    p = sub.add_parser("explain", help="write explanation JSON files")
-    _add_run_flags(p)
-    p.set_defaults(fn=cmd_explain)
-
-    p = sub.add_parser("stability", help="Jaccard stability across repeated runs")
-    _add_run_flags(p)
-    p.set_defaults(fn=cmd_stability)
-
-    p = sub.add_parser("adherence", help="surrogate fidelity over the budget sweep")
-    _add_run_flags(p)
-    p.set_defaults(fn=cmd_adherence)
-
-    p = sub.add_parser("compare-exact",
-                       help="agreement of a strategy with the exact values")
-    _add_run_flags(p)
-    p.set_defaults(fn=cmd_compare_exact)
-
+    for name, fn, summary in (
+        ("explain", cmd_explain, "write explanation JSON files"),
+        ("stability", cmd_stability, "Jaccard stability across repeated runs"),
+        ("adherence", cmd_adherence, "surrogate fidelity over the budget sweep"),
+        ("compare-exact", cmd_compare_exact, "agreement of a strategy with the exact values"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        _add_run_flags(p)
+        p.set_defaults(fn=fn)
     return parser
 
 

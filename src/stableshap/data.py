@@ -36,7 +36,14 @@ def _parse_cell(raw: str, column: str, encoding: dict | None,
             raise ConfigError(
                 f"{where}: value {raw!r} in column {column!r} has no declared encoding"
             )
-        value = float(encoding[raw])
+        code = encoding[raw]
+        if isinstance(code, bool) or not isinstance(code, (int, float)):
+            raise ConfigError(f"{where}: value {raw!r} in column {column!r} is encoded "
+                              f"as {code!r}, not a number")
+        try:
+            value = float(code)
+        except OverflowError:  # an integer past a float's range reads as an infinity
+            value = math.inf if code > 0 else -math.inf
     else:
         try:
             value = float(raw)

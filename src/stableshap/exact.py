@@ -9,8 +9,7 @@ contributions over all M! player orderings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
+from math import comb
 
 import numpy as np
 
@@ -49,12 +48,11 @@ def all_coalition_values(x, model, background, n_features: int) -> np.ndarray:
 
 
 def _subset_weights(n_features: int) -> np.ndarray:
-    # (s-1)! (M-s)! / M!, exact rationals converted once
-    fact_m = factorial(n_features)
+    # (s-1)! (M-s)! / M! = 1 / (M C(M-1, s-1)): one correctly rounded int division
     weights = np.empty(n_features + 1)
     weights[0] = 0.0  # unused: a coalition containing i has size >= 1
     for s in range(1, n_features + 1):
-        weights[s] = float(Fraction(factorial(s - 1) * factorial(n_features - s), fact_m))
+        weights[s] = 1 / (n_features * comb(n_features - 1, s - 1))
     return weights
 
 

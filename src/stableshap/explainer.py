@@ -36,7 +36,7 @@ alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -79,15 +79,7 @@ class Explanation:
         return abs(self.phi0 + sum(self.phis) - self.fx)
 
     def to_json_dict(self) -> dict:
-        return {
-            "phi0": self.phi0,
-            "phis": list(self.phis),
-            "support": list(self.support),
-            "strategy": self.strategy,
-            "budget": self.budget,
-            "seed": self.seed,
-            "fx": self.fx,
-        }
+        return asdict(self)
 
 
 # sampled rows enter the fit this many at a time, so a large sample never

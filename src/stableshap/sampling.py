@@ -17,12 +17,14 @@ stop enumerating and where the leftover randomness lives:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import ceil, comb, exp, expm1, log1p
 
 import numpy as np
 
 from .coalitions import (
+    complete_layer_budgets,
     kernel_weight,
     layer_masks,
     layer_members,
@@ -124,24 +126,15 @@ class WeightedCoalitionSet:
 
 
 def plan_st_shap(n_features: int, budget: int, seed: int) -> SamplingPlan:
-    """Fill layers in order while they fit; leftover sampled inside one layer."""
+    """The complete layers are those whose :func:`complete_layer_budgets`
+    bound the budget reaches; the leftover is sampled inside the next layer."""
     validate_budget(n_features, budget)
-    remaining = budget
-    complete = []
-    sampled: tuple[int, ...] = ()
-    for i in range(1, n_layers(n_features) + 1):
-        size = layer_size(n_features, i)
-        if remaining >= size:
-            complete.append(i)
-            remaining -= size
-        else:
-            if remaining > 0:
-                sampled = (i,)
-            break
-        if remaining == 0:
-            break
+    bounds = [total for _, total in complete_layer_budgets(n_features)]
+    n_complete = bisect_right(bounds, budget)
+    leftover = budget - (bounds[n_complete - 1] if n_complete else 0)
     return SamplingPlan(ST_SHAP, n_features, budget, seed,
-                        tuple(complete), sampled, remaining)
+                        tuple(range(1, n_complete + 1)),
+                        (n_complete + 1,) if leftover else (), leftover)
 
 
 def plan_kernel_shap(n_features: int, budget: int, seed: int) -> SamplingPlan:
@@ -168,11 +161,6 @@ def plan_kernel_shap(n_features: int, budget: int, seed: int) -> SamplingPlan:
             break
     return SamplingPlan(KERNEL_SHAP, n_features, budget, seed,
                         tuple(complete), sampled, remaining)
-
-
-def _rng_for(plan: SamplingPlan) -> np.random.Generator:
-    # counter-based generator, one per materialization
-    return np.random.Generator(np.random.Philox(plan.seed))
 
 
 def _layer_sample_masks(rng, n_features: int, layer: int, n: int) -> np.ndarray:
@@ -326,7 +314,8 @@ def materialize(plan: SamplingPlan) -> WeightedCoalitionSet:
             np.full(layer_size(m, i), kernel_weight(m, i))
         )
     if plan.n_sampled:
-        rng = _rng_for(plan)
+        # counter-based generator, one per materialization
+        rng = np.random.Generator(np.random.Philox(plan.seed))
         if plan.strategy == ST_SHAP:
             (layer,) = plan.sampled_layers
             assert plan.n_sampled < layer_size(m, layer)

@@ -8,8 +8,9 @@ least-squares solve of it on an orthonormal sum-zero basis, an SVD of its
 weighted design over that basis for its rank, the paper's first-layer
 formula from table lookups, pair counting for rank correlation, kernel
 SHAP's random phase as a per-draw loop over dicts with a scalar selection
-sampler (Knuth's Algorithm S) per row, and a layer's canonical order both as
-sorted combinations and as a scalar unrank.
+sampler (Knuth's Algorithm S) per row, a layer's canonical order both as
+sorted combinations and as a scalar unrank, and pairwise games, whose
+Shapley values have a closed form at any M.
 """
 
 from itertools import combinations, permutations
@@ -61,6 +62,30 @@ NON_FINITE_GAME_SPECS = [
     for field, (spec, entry) in _NUMBER_FIELDS.items()
     for name, (literal, words) in _BAD_NUMBERS.items()
 ]
+
+
+class PairwiseGame:
+    """A game adapter with interactions of order at most two,
+    v(S) = sum_j a_j z_j + sum_{j<k} b_jk z_j z_k, for any number of players.
+
+    Its Shapley values are phi_j = a_j + (1/2) sum_{k != j} b_jk: each
+    pair's surplus is split evenly between its two players."""
+
+    def __init__(self, a, b):
+        self.a = np.asarray(a, dtype=float)
+        self.b = np.triu(np.asarray(b, dtype=float), 1)
+        self.n_features = len(self.a)
+
+    @classmethod
+    def random(cls, rng: np.random.Generator, m: int) -> "PairwiseGame":
+        return cls(rng.normal(size=m), rng.normal(size=(m, m)))
+
+    def coalition_values(self, masks) -> np.ndarray:
+        z = np.asarray(masks, dtype=float)
+        return z @ self.a + ((z @ self.b) * z).sum(axis=1)
+
+    def shapley(self) -> np.ndarray:
+        return self.a + 0.5 * (self.b.sum(axis=0) + self.b.sum(axis=1))
 
 
 def value_of_set(game: SyntheticGame, players) -> float:

@@ -366,6 +366,9 @@ class TestCountsRefused:
         ("explain", ["--runs", "0"], "--runs must be at least 1, got 0"),
         ("explain", ["--runs", "-1"], "--runs must be at least 1, got -1"),
         ("explain", ["--workers", "-3"], "--workers must be at least 1, got -3"),
+        ("explain", ["--background-size", "-5"],
+         "--background-size must be at least 1, got -5"),
+        ("explain", ["--split-seed", "-1"], "split seed must be non-negative, got -1"),
     ])
     def test_ridge_counts(self, command, flags, message, reg_csv, tmp_path, capsys):
         out = tmp_path / "run"
@@ -406,8 +409,8 @@ class TestCountsRefused:
 
 
 class TestConfigFileTypes:
-    """A config value of the wrong JSON type is a config error naming the key,
-    raised before any file is written."""
+    """A config value of the wrong JSON type, or outside its field's values, is
+    a config error naming the key, raised before any file is written."""
 
     @pytest.mark.parametrize("doc,message", [
         ({"workers": "3"}, "config key 'workers' must be int, got '3'"),
@@ -417,6 +420,11 @@ class TestConfigFileTypes:
          "config key 'explanation_size' must be int | None, got '3'"),
         ({"master_seed": 1.5}, "config key 'master_seed' must be int, got 1.5"),
         ({"features": "a,b"}, "config key 'features' must be list[str] | None, got 'a,b'"),
+        ({"encodings": {"color": ["red"]}},
+         "config key 'encodings' must be dict[str, dict], got {'color': ['red']}"),
+        ({"task": "foo"}, "task must be regression or classification, got 'foo'"),
+        ({"features": ["f0"]}, "reg.csv: 1 feature columns; attributions need at least 2"),
+        ({"features": []}, "reg.csv: 0 feature columns; attributions need at least 2"),
         ([{"budgets": [20]}], "must hold a JSON object, not a list"),
     ])
     def test_wrong_type_is_config_error(self, doc, message, reg_csv, tmp_path, capsys):
@@ -751,6 +759,28 @@ class TestModelWiring:
         ])
         assert code == 2
         assert "cat.csv:3: value 'blue' in column 'color' reads as nan" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("code_text,words", [
+        ('"x"', "is encoded as 'x', not a number"),
+        ("null", "is encoded as None, not a number"),
+        ("true", "is encoded as True, not a number"),
+        ("-" + "9" * 401, "reads as -inf"),
+    ])
+    def test_encoding_that_is_no_finite_number_refused(self, tmp_path, capsys, code_text,
+                                                       words):
+        data = tmp_path / "cat.csv"
+        data.write_text("color,target\nred,1.0\nblue,2.0\nred,3.0\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"encodings": {"color": {"red": 0, "blue": %s}}}' % code_text)
+        out = tmp_path / "run"
+        code = main([
+            "explain", "--config", str(cfg), "--dataset", str(data),
+            "--target", "target", "--budgets", "2", "--output", str(out),
+        ])
+        assert code == 2
+        assert f"cat.csv:3: value 'blue' in column 'color' {words}" \
             in capsys.readouterr().err
         assert not out.exists()
 

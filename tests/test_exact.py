@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import factorial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +69,14 @@ class TestSubsetFormula:
             want[i] = weights[sizes[with_i]] @ (values[with_i] - values[with_i ^ (1 << i)])
         got = _phis_from_values(values, m)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_subset_weights_are_the_exact_rationals_rounded(self):
+        # (s-1)! (M-s)! / M! as an exact rational, rounded to a float once
+        for m in range(1, 61):
+            want = [0.0] + [float(Fraction(factorial(s - 1) * factorial(m - s), factorial(m)))
+                            for s in range(1, m + 1)]
+            got = _subset_weights(m)
+            assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64)), m
 
     def test_each_coalition_evaluated_once(self):
         rng = np.random.default_rng(23)

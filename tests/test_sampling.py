@@ -83,6 +83,22 @@ class TestPlanStShap:
         assert plan.complete_layers == (1,)
         assert plan.n_sampled == 0
 
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_fills_layers_in_order_while_they_fit(self, m):
+        # the reference: whole layers while the budget covers them, then the
+        # leftover inside the next layer
+        for budget in range(2, 2**m - 1):
+            complete, left = [], budget
+            for i in range(1, m // 2 + 1):
+                if left < layer_size(m, i):
+                    break
+                complete.append(i)
+                left -= layer_size(m, i)
+            plan = plan_st_shap(m, budget, seed=0)
+            assert plan.complete_layers == tuple(complete)
+            assert plan.sampled_layers == ((len(complete) + 1,) if left else ())
+            assert plan.n_sampled == left
+
     @given(st.integers(2, 14), st.data())
     def test_monotone_in_budget(self, m, data):
         top = 2**m - 2
