@@ -13,10 +13,13 @@ payoffs come from many row blocks. Then `explain` on game files: a complete
 table, a table holding only the empty and full masks and layers 1-2 (st-shap
 at budgets 12,42 and layer1), an additive and a cardinality rule, and each of
 a few files that hold no game. Then one `explain` on a dataset with a `nan`
-and an `inf` cell. Last, config values that make no run: a negative
+and an `inf` cell, one on a dataset whose header names a column twice, and
+`compare-exact` on 21 features (past the exact oracle's cap). `stability`
+runs once with `--runs 3`. Last, config values that make no run: a negative
 `--split-seed` or `--background-size`, a `task` that is neither regression
-nor classification (under `adherence`), and an encoded value that is not a
-number. Runs that a command refuses are kept too.
+nor classification (under `adherence`), an encoded value that is not a
+number, and `compare-exact --runs 2`. Runs that a command refuses are kept
+too.
 
 Each run gets OUT/<case>/ with its output files under `run/` and its
 `stdout.txt`, `stderr.txt` and `exit_code.txt`. The datasets are generated
@@ -167,8 +170,23 @@ def main():
     Path("data/nonfinite.csv").write_text("\n".join(lines) + "\n")
     run_case("explain_knn_nonfinite", ["explain", "--dataset", "data/nonfinite.csv",
                                        "--target", "target", "--model", "knn", *SHARED])
-    # config values that make no run: each is refused with exit code 2
+    # a header naming f0 twice: refused with exit code 2, no output files
+    knn = Path("data/knn.csv").read_text()
+    Path("data/twice.csv").write_text(knn.replace("f1", "f0", 1))
+    run_case("explain_knn_repeated_header", ["explain", "--dataset", "data/twice.csv",
+                                             "--target", "target", "--model", "knn",
+                                             *SHARED])
+    # 21 features, one past the exact oracle's cap: refused with exit code 4
+    write_dataset(Path("data/ridge_21.csv"), classification=False, seed=4, m=21)
+    run_case("compare-exact_ridge_21_features", [
+        "compare-exact", "--dataset", "data/ridge_21.csv", "--target", "target",
+        "--n-instances", "2", "--background-size", "10"])
+    # k-NN, whose supports vary across runs, so the count shows in the Jaccards
+    run_case("stability_knn_runs3", ["stability", "--dataset", "data/knn.csv",
+                                     "--target", "target", "--model", "knn", *SHARED,
+                                     "--runs", "3"])
     ridge = ["--dataset", "data/ridge.csv", "--target", "target", *SHARED]
+    # config values that make no run: each is refused with exit code 2
     run_case("explain_ridge_split_seed_negative", ["explain", *ridge, "--split-seed", "-1"])
     run_case("explain_ridge_background_size_negative",
              ["explain", *ridge, "--background-size", "-5"])
@@ -181,6 +199,7 @@ def main():
     run_case("explain_encoding_not_a_number", [
         "explain", "--config", "data/encoding_x.json", "--dataset", "data/colors.csv",
         "--target", "target", "--budgets", "2"])
+    run_case("compare-exact_ridge_runs2", ["compare-exact", *ridge, "--runs", "2"])
 
 
 if __name__ == "__main__":

@@ -52,12 +52,12 @@ SAMPLING_STRATEGIES = (KERNEL_SHAP, ST_SHAP)
 ALL_STRATEGIES = (KERNEL_SHAP, ST_SHAP, LAYER1)
 EXACT = "exact"  # compare-exact's reference route, run before the others
 
-# run command -> (default strategy, strategies it accepts)
+# run command -> (default strategy, strategies it accepts, default runs)
 _COMMANDS = {
-    "explain": (ST_SHAP, ALL_STRATEGIES),
-    "stability": ("both", SAMPLING_STRATEGIES),
-    "adherence": ("both", SAMPLING_STRATEGIES),
-    "compare-exact": (LAYER1, ALL_STRATEGIES),
+    "explain": (ST_SHAP, ALL_STRATEGIES, 1),
+    "stability": ("both", SAMPLING_STRATEGIES, 20),
+    "adherence": ("both", SAMPLING_STRATEGIES, 1),
+    "compare-exact": (LAYER1, ALL_STRATEGIES, 1),
 }
 CSV_HEADER = ["instance", "budget", "strategy", "metric", "value"]
 
@@ -85,10 +85,8 @@ class RunConfig:
     strategy: str | None = None          # per-command default when omitted
     budgets: list[int] = field(default_factory=list)
     explanation_size: int | None = 4
-    explain_runs: int = 1
-    runs_per_instance: int = 20
+    runs: int | None = None              # per-command default when omitted
     master_seed: int = 0
-    oracle_cap: int = exact.DEFAULT_CAP
     workers: int = 1
     output: str = "stableshap-run"
 
@@ -154,10 +152,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if name in {f.name for f in fields(RunConfig)} and value is not None
     }
     cfg = replace(cfg, **overrides)
+    if cfg.runs is None:
+        cfg = replace(cfg, runs=_COMMANDS[args.command][2])
     for what, seed in (("master", cfg.master_seed), ("split", cfg.split_seed)):
         if seed < 0:
             raise ConfigError(f"{what} seed must be non-negative, got {seed}")
-    for flag, count in (("--runs", cfg.explain_runs), ("--n-instances", cfg.n_instances),
+    for flag, count in (("--runs", cfg.runs), ("--n-instances", cfg.n_instances),
                         ("--workers", cfg.workers),
                         ("--background-size", cfg.background_size)):
         if count < 1:
@@ -311,15 +311,17 @@ def _routes(cfg: RunConfig, strategies: list[str]):
 
 def _validate(cfg: RunConfig, command: str, m: int, strategies: list[str]) -> None:
     if command == "stability":
-        if cfg.runs_per_instance < 2:
+        if cfg.runs < 2:
             raise ConfigError("stability needs at least 2 runs per instance")
         if cfg.explanation_size is None:
             raise ConfigError("stability needs an explanation size (the support sets "
                               "of full-length fits are trivially identical)")
     if command == "compare-exact":
+        if cfg.runs != 1:
+            raise ConfigError(f"compare-exact makes one run per instance, got --runs {cfg.runs}")
         # agreement is measured on full-length vectors: the size goes unused
-        if m > cfg.oracle_cap:
-            raise OracleCapError(m, cfg.oracle_cap)
+        if m > exact.CAP:
+            raise OracleCapError(m, exact.CAP)
     elif cfg.explanation_size is not None and not 1 <= cfg.explanation_size <= m:
         raise ConfigError(f"explanation size {cfg.explanation_size} outside 1..{m}")
     if any(s in SAMPLING_STRATEGIES for s in strategies):
@@ -368,7 +370,7 @@ def _attribution(wiring: Wiring, strategy: str, budget: int | None,
                  row_id: int, x, model, run: int = 0,
                  explanation_size: int | None = None):
     if strategy == EXACT:
-        return exact.exact_shap(x, model, wiring.background, cap=wiring.cfg.oracle_cap)
+        return exact.exact_shap(x, model, wiring.background)
     if strategy == LAYER1:
         # always full-length: --explanation-size does not apply to layer-1
         return layer1_attribution(x, model, wiring.background)
@@ -397,7 +399,7 @@ def _sweep(args, per_route):
     ends.
     """
     cfg = build_config(args)
-    default, allowed = _COMMANDS[args.command]
+    default, allowed, _ = _COMMANDS[args.command]
     strategies = _strategies(cfg, default, allowed)
     if args.command == "compare-exact":
         strategies = [EXACT, *strategies]
@@ -483,7 +485,7 @@ def cmd_explain(args) -> int:
                  {"instance_row": row_id, "run": run}
                  | _attribution(wiring, strategy, budget, row_id, x, model, run,
                                 wiring.cfg.explanation_size).to_json_dict())
-                for run in range(wiring.cfg.explain_runs)]
+                for run in range(wiring.cfg.runs)]
 
     _, writer, _, results = _sweep(args, payloads)
     for per_instance in results:
@@ -498,7 +500,7 @@ def cmd_stability(args) -> int:
         size = wiring.cfg.explanation_size
         return metrics.jaccard_n(
             [set(_attribution(wiring, strategy, budget, row_id, x, model, run, size).support)
-             for run in range(wiring.cfg.runs_per_instance)])
+             for run in range(wiring.cfg.runs)])
 
     return _metric_csv(args, "stability", "jaccard", jaccard)
 
@@ -507,7 +509,7 @@ def cmd_adherence(args) -> int:
     def adherence(wiring, row_id, x, model, strategy, budget):
         cfg = wiring.cfg
         scores = []
-        for run in range(cfg.explain_runs):
+        for run in range(cfg.runs):
             seed = derive_seed(cfg.master_seed, row_id, budget, run)
             e, cset, values = explain_with_training_set(
                 x, model, wiring.background, strategy, budget, seed, cfg.explanation_size)
@@ -564,10 +566,8 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--strategy")
     p.add_argument("--budgets", type=lambda s: [int(v) for v in s.split(",")])
     p.add_argument("--explanation-size", dest="explanation_size", type=int)
-    p.add_argument("--runs", dest="explain_runs", type=int)
-    p.add_argument("--runs-per-instance", dest="runs_per_instance", type=int)
+    p.add_argument("--runs", type=int)
     p.add_argument("--master-seed", dest="master_seed", type=int)
-    p.add_argument("--oracle-cap", dest="oracle_cap", type=int)
     p.add_argument("--workers", type=int)
     p.add_argument("--output")
 

@@ -5,13 +5,15 @@ carry a declared value-to-integer encoding in the run configuration, and
 every cell, target included, must be finite (``nan``, ``inf`` and overflowing
 literals are refused). Errors name the file, line, and column so misdeclared
 datasets fail loudly instead of silently shifting attribution indices or
-turning into NaN attributions.
+turning into NaN attributions. A column named twice, in the header or in the
+feature list, is refused too.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,6 +82,10 @@ def load_csv(path, target: str, features: list[str] | None = None,
             raise ConfigError(f"{path}: target column {target!r} not in header {header}")
         if features is None:
             features = [h for h in header if h != target]
+        for names, what in ((header, "header"), (features, "feature list")):
+            twice = [name for name, count in Counter(names).items() if count > 1]
+            if twice:
+                raise ConfigError(f"{path}: column {twice[0]!r} appears twice in the {what}")
         missing = [c for c in features if c not in header]
         if missing:
             raise ConfigError(f"{path}: feature columns not in header: {missing}")

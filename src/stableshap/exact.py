@@ -18,7 +18,7 @@ from .games import SyntheticGame
 from .models import GameModel
 from .value_function import evaluate_batch
 
-DEFAULT_CAP = 20
+CAP = 20  # most features enumerated: three 2^M arrays of 8-byte numbers, 25 MB at M=20
 
 _EVAL_CHUNK = 8192
 
@@ -72,17 +72,17 @@ def _phis_from_values(values: np.ndarray, n_features: int) -> np.ndarray:
     return phis
 
 
-def exact_shap(x, model, background, cap: int = DEFAULT_CAP) -> ExactValues:
+def exact_shap(x, model, background) -> ExactValues:
     """Exact attribution values by the subset-sum formula over all coalitions."""
     m = model.n_features
-    if m > cap:
-        raise OracleCapError(m, cap)
+    if m > CAP:
+        raise OracleCapError(m, CAP)
     values = all_coalition_values(x, model, background, m)
     phis = _phis_from_values(values, m)
     return ExactValues(tuple(float(v) for v in phis), float(values[0]), 2**m)
 
 
-def exact_shap_game(game: SyntheticGame, cap: int = DEFAULT_CAP) -> ExactValues:
+def exact_shap_game(game: SyntheticGame) -> ExactValues:
     """Exact values of a synthetic game; no instance or background involved."""
-    return exact_shap(None, GameModel(game), None, cap=cap)
+    return exact_shap(None, GameModel(game), None)
 

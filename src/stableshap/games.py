@@ -146,17 +146,8 @@ class SyntheticGame:
         if not 0 <= mask < 2**self.n_players:
             raise GameTableError(f"mask {mask} is not a mask of {self.n_players} players "
                                  f"(0 to {2**self.n_players - 1})")
-        if self.rule == RULE_ADDITIVE:
-            return float(sum(self.weights[i] for i in range(self.n_players) if mask >> i & 1))
-        if self.rule == RULE_CARDINALITY:
-            return float(self.by_size[bin(mask).count("1")])
-        if self.keys is None:
-            return float(self.payoffs[mask])
-        at = min(int(np.searchsorted(self.keys, np.uint64(mask))), len(self.keys) - 1)
-        if self.keys[at] != mask:
-            raise GameTableError(
-                f"mask {int_to_bitstring(mask, self.n_players)} missing from game table")
-        return float(self.payoffs[at])
+        row = [mask >> i & 1 for i in range(self.n_players)]
+        return float(self.coalition_values(np.array([row], dtype=bool))[0])
 
     def coalition_values(self, masks: np.ndarray) -> np.ndarray:
         """Vectorized payoff lookup for a boolean mask matrix (n, M)."""

@@ -247,7 +247,8 @@ class ExternalProcessModel:
 
     Each batch is written as CSV rows (one instance per line, full-precision
     decimals) followed by a blank line; the child must answer with exactly one
-    decimal per input line. Access is serialized: one in-flight batch per
+    decimal per input line; output past a batch's last answer fails the batch
+    and kills the child. Access is serialized: one in-flight batch per
     process. A child that has not answered a batch within READ_TIMEOUT_S
     seconds is killed, and the batch fails with ModelBridgeError.
     """
@@ -258,7 +259,6 @@ class ExternalProcessModel:
         self._proc: subprocess.Popen | None = None
         self._lock = threading.Lock()
         self._batch_index = 0
-        self._pending = b""  # output read past the last batch's lines
 
     def _ensure_started(self):
         if self._proc is not None and self._proc.poll() is not None:
@@ -268,7 +268,6 @@ class ExternalProcessModel:
                 self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE
             )
             os.set_blocking(self._proc.stdin.fileno(), False)
-            self._pending = b""
 
     def predict(self, rows) -> np.ndarray:
         rows = _as_matrix(rows, self.n_features)
@@ -309,8 +308,7 @@ class ExternalProcessModel:
         """
         in_fd, out_fd = proc.stdin.fileno(), proc.stdout.fileno()
         todo = memoryview(payload)
-        buf, self._pending = self._pending, b""
-        got = 0
+        buf, got = b"", 0
         deadline = time.monotonic() + READ_TIMEOUT_S
         with selectors.DefaultSelector() as selector:
             selector.register(in_fd, selectors.EVENT_WRITE)
@@ -321,7 +319,12 @@ class ExternalProcessModel:
                     yield from lines
                     got += len(lines)
                 if got == n and not todo:
-                    self._pending = buf
+                    if buf:  # a later batch would read these as its answers
+                        proc.kill()
+                        self.close()
+                        raise ModelBridgeError(
+                            f"model process wrote past its {n} answer lines: {buf[:40]!r}",
+                            batch)
                     return
                 left = deadline - time.monotonic()
                 ready = selector.select(left) if left > 0 else []

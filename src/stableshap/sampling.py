@@ -24,6 +24,7 @@ from math import ceil, comb, exp, expm1, log1p
 import numpy as np
 
 from .coalitions import (
+    _check_m,
     complete_layer_budgets,
     kernel_weight,
     layer_masks,
@@ -47,8 +48,7 @@ _NEWTON_STEPS = 50
 
 
 def validate_budget(n_features: int, budget: int) -> None:
-    if n_features < 2:
-        raise ValueError(f"need at least 2 features, got M={n_features}")
+    _check_m(n_features)
     top = 2**n_features - 2
     if not 2 <= budget <= top:
         raise ValueError(

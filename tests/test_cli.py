@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stableshap import cli
 from stableshap.cli import RunConfig, main, wire
 
 from conftest import NON_FINITE_GAME_SPECS
@@ -150,7 +151,7 @@ class TestStabilityCommand:
         out = tmp_path / "run"
         code = main([
             "stability", "--dataset", str(reg_csv), "--target", "target",
-            "--budgets", "12,42", "--runs-per-instance", "5",
+            "--budgets", "12,42", "--runs", "5",
             "--n-instances", "3", "--background-size", "8",
             "--explanation-size", "3", "--output", str(out),
         ])
@@ -164,7 +165,7 @@ class TestStabilityCommand:
     def test_single_run_refused(self, reg_csv, tmp_path):
         code = main([
             "stability", "--dataset", str(reg_csv), "--target", "target",
-            "--budgets", "12", "--runs-per-instance", "1",
+            "--budgets", "12", "--runs", "1",
             "--output", str(tmp_path / "x"),
         ])
         assert code == 2
@@ -175,7 +176,7 @@ class TestStabilityCommand:
         code = main([
             "stability", "--config", str(cfg),
             "--dataset", str(reg_csv), "--target", "target",
-            "--budgets", "12", "--runs-per-instance", "3",
+            "--budgets", "12", "--runs", "3",
             "--output", str(tmp_path / "x"),
         ])
         assert code == 2
@@ -190,7 +191,7 @@ class TestRunCommands:
             "--budgets", "12,30", "--n-instances", "3", "--background-size", "8",
         ] + {
             "explain": ["--strategy", "all", "--runs", "2"],
-            "stability": ["--runs-per-instance", "4", "--explanation-size", "3"],
+            "stability": ["--runs", "4", "--explanation-size", "3"],
             "adherence": ["--runs", "2"],
             "compare-exact": ["--strategy", "all"],
         }[command]
@@ -209,12 +210,63 @@ class TestRunCommands:
                 outputs[workers] = _read_metric_rows(out / "metrics" / printed[0])
         assert outputs["1"] and outputs["1"] == outputs["3"]
 
+    def test_stability_runs_sets_the_runs_per_route(self, reg_csv, tmp_path, monkeypatch):
+        calls, explain = [], cli.explain
+
+        def counted(x, model, background, strategy, budget, seed, **kwargs):
+            calls.append(strategy)
+            return explain(x, model, background, strategy, budget, seed, **kwargs)
+
+        monkeypatch.setattr(cli, "explain", counted)
+        out = tmp_path / "run"
+        assert main([
+            "stability", "--dataset", str(reg_csv), "--target", "target",
+            "--runs", "3", "--budgets", "20", "--n-instances", "1",
+            "--background-size", "8", "--output", str(out),
+        ]) == 0
+        assert sorted(calls) == ["kernel-shap"] * 3 + ["st-shap"] * 3
+        assert json.loads((out / "config.resolved.json").read_text())["runs"] == 3
+
+    @pytest.mark.parametrize("command,config,runs", [
+        ("explain", {}, 1), ("stability", {}, 20), ("adherence", {}, 1),
+        ("compare-exact", {}, 1), ("stability", {"runs": None}, 20),
+        ("adherence", {"runs": 2}, 2),
+    ])
+    def test_runs_default_per_command(self, command, config, runs, reg_csv, tmp_path,
+                                      monkeypatch):
+        # one seed per run of each sampled route: the header names the count that ran
+        seeds = []
+        derive_seed = cli.derive_seed
+        monkeypatch.setattr(cli, "derive_seed",
+                            lambda *key: seeds.append(key[3]) or derive_seed(*key))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        assert main([
+            command, "--config", str(cfg), "--dataset", str(reg_csv), "--target", "target",
+            "--strategy", "st-shap", "--budgets", "20", "--n-instances", "1",
+            "--background-size", "8", "--output", str(out),
+        ]) == 0
+        assert seeds == list(range(runs))
+        assert json.loads((out / "config.resolved.json").read_text())["runs"] == runs
+
+    @pytest.mark.parametrize("command", ["explain", "stability", "compare-exact"])
+    @pytest.mark.parametrize("flag", ["--runs-per-instance", "--oracle-cap"])
+    def test_removed_run_flags_rejected(self, command, flag, reg_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--dataset", str(reg_csv), "--target", "target",
+                  "--budgets", "20", flag, "5", "--output", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["stability", "adherence"])
     def test_layer1_strategy_refused_where_not_allowed(self, command, reg_csv,
                                                        tmp_path):
         code = main([
             command, "--dataset", str(reg_csv), "--target", "target",
-            "--strategy", "all", "--budgets", "12", "--runs-per-instance", "3",
+            "--strategy", "all", "--budgets", "12", "--runs", "3",
             "--n-instances", "1", "--background-size", "8",
             "--output", str(tmp_path / "x"),
         ])
@@ -346,14 +398,30 @@ class TestCompareExactCommand:
                 if r["metric"] == "kendall_tau" and r["instance"] not in ("mean", "median")}
         assert taus <= {-1.0, 1.0}
 
-    def test_oracle_cap_refusal_exit_code(self, reg_csv, tmp_path, capsys):
+    def test_oracle_cap_refusal_exit_code(self, tmp_path, capsys):
+        data = _write_regression_csv(tmp_path / "wide.csv", n=40, m=21)
+        out = tmp_path / "x"
         code = main([
-            "compare-exact", "--dataset", str(reg_csv), "--target", "target",
-            "--strategy", "layer1", "--oracle-cap", "5", "--n-instances", "2",
-            "--background-size", "8", "--output", str(tmp_path / "x"),
+            "compare-exact", "--dataset", str(data), "--target", "target",
+            "--strategy", "layer1", "--n-instances", "2",
+            "--background-size", "8", "--output", str(out),
         ])
         assert code == 4
-        assert "cap" in capsys.readouterr().err
+        assert "over 21 features needs 2097152 coalition evaluations; the cap is 20" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_more_than_one_run_refused(self, reg_csv, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main([
+            "compare-exact", "--dataset", str(reg_csv), "--target", "target",
+            "--runs", "2", "--n-instances", "2", "--background-size", "8",
+            "--output", str(out),
+        ])
+        assert code == 2
+        assert "compare-exact makes one run per instance, got --runs 2" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestCountsRefused:
@@ -426,6 +494,9 @@ class TestConfigFileTypes:
         ({"features": ["f0"]}, "reg.csv: 1 feature columns; attributions need at least 2"),
         ({"features": []}, "reg.csv: 0 feature columns; attributions need at least 2"),
         ([{"budgets": [20]}], "must hold a JSON object, not a list"),
+        ({"explain_runs": 2}, "unknown config keys: ['explain_runs']"),
+        ({"runs_per_instance": 5}, "unknown config keys: ['runs_per_instance']"),
+        ({"oracle_cap": 5}, "unknown config keys: ['oracle_cap']"),
     ])
     def test_wrong_type_is_config_error(self, doc, message, reg_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -782,6 +853,24 @@ class TestModelWiring:
         assert code == 2
         assert f"cat.csv:3: value 'blue' in column 'color' {words}" \
             in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("header,features,message", [
+        ("f0,f0,f2,target", [], "column 'f0' appears twice in the header"),
+        ("f0,f1,f2,target", ["--features", "f2,f2"],
+         "column 'f2' appears twice in the feature list"),
+    ])
+    def test_repeated_column_refused(self, header, features, message, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        data = tmp_path / "twice.csv"
+        data.write_text(header + "\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in rng.normal(size=(40, 4))))
+        out = tmp_path / "run"
+        code = main(["compare-exact", "--dataset", str(data), "--target", "target",
+                     *features, "--n-instances", "2", "--background-size", "8",
+                     "--output", str(out)])
+        assert code == 2
+        assert f"twice.csv: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_target_column(self, reg_csv, tmp_path, capsys):

@@ -35,3 +35,14 @@ def test_non_finite_encoding_refused(tmp_path, code):
     with pytest.raises(ConfigError, match=(
             r"d\.csv:3: value 'blue' in column 'c' reads as")):
         load_csv(path, "y", encodings={"c": {"red": 0, "blue": code}})
+
+
+@pytest.mark.parametrize("text,features,message", [
+    ("f0,f0,f2,y\n1,2,3,4\n", None, "d.csv: column 'f0' appears twice in the header"),
+    ("f0,y,f0\n1,2,3\n", ["f0"], "d.csv: column 'f0' appears twice in the header"),
+    ("f0,f1,f2,y\n1,2,3,4\n", ["f2", "f2"],
+     "d.csv: column 'f2' appears twice in the feature list"),
+])
+def test_repeated_column_refused(tmp_path, text, features, message):
+    with pytest.raises(ConfigError, match=message):
+        load_csv(_write(tmp_path, text), "y", features)

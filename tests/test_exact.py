@@ -51,9 +51,9 @@ class TestSubsetFormula:
         assert v.phi0 == pytest.approx(float(bg.mean(axis=0) @ w + 3.0))
 
     def test_cap_refusal_names_required_count(self):
-        game = SyntheticGame.cardinality(10, list(range(11)))
-        with pytest.raises(OracleCapError, match="1024"):
-            exact_shap_game(game, cap=9)
+        game = SyntheticGame.additive(np.ones(21))
+        with pytest.raises(OracleCapError, match="21 features needs 2097152 .* cap is 20"):
+            exact_shap_game(game)
 
     @pytest.mark.parametrize("m", [1, 2, 7, 13])
     def test_pairs_by_reshape_bitwise_equal_to_the_indexed_sum(self, m):

@@ -164,6 +164,28 @@ class TestExternalProcessModel:
             assert model.predict(np.zeros((3, 2))).tolist() == [3.0, 3.1, 3.2]
             assert model.predict(np.zeros((2, 2))).tolist() == [2.0, 2.1]
 
+    def test_output_past_the_last_answer_fails_the_batch(self, tmp_path):
+        # two lines per row, in one write: batch 0's extra lines must not
+        # become batch 1's answers
+        child = textwrap.dedent("""
+            import sys
+            rows = []
+            for line in sys.stdin:
+                if line.strip():
+                    rows.append(sum(float(v) for v in line.split(",")))
+                    continue
+                sys.stdout.write("".join(f"{r}\\n{r + 1000}\\n" for r in rows))
+                sys.stdout.flush()
+                rows = []
+        """)
+        with ExternalProcessModel(_script(tmp_path, "twice.py", child), 2) as model:
+            with pytest.raises(ModelBridgeError,
+                               match=r"batch 0: .*past its 2 answer lines: b'7.0\\n1007.0"):
+                model.predict(np.array([[1.0, 2.0], [3.0, 4.0]]))
+            assert model._proc is None  # killed and closed
+            with pytest.raises(ModelBridgeError, match="batch 1: .*past its 2 answer lines"):
+                model.predict(np.array([[10.0, 20.0], [30.0, 40.0]]))
+
     def test_a_child_answering_while_it_reads_gets_a_batch_larger_than_the_pipes(
             self, tmp_path):
         # 20000 rows are about 320 kB of input and 160 kB of output, more than
