@@ -12,7 +12,9 @@ Coalition payoffs are memoized per adapter object (see
 :mod:`stableshap.value_function`): the memo holds the payoffs of the most
 recent (instance, background) pair, at most 2^M of them, and is dropped with
 the adapter. A model that is re-fit or otherwise changed therefore needs a new
-adapter object.
+adapter object. ``predict`` must not write to its ``rows`` or keep them after
+it returns: they are a read-only view of a buffer that the next block of
+coalitions overwrites.
 
 :class:`KNNClassifierModel` finds neighbours from fast matrix-product
 distances and rechecks rows near a distance tie with the exact formula, so its
@@ -247,8 +249,9 @@ class ExternalProcessModel:
 
     Each batch is written as CSV rows (one instance per line, full-precision
     decimals) followed by a blank line; the child must answer with exactly one
-    decimal per input line; output past a batch's last answer fails the batch
-    and kills the child. Access is serialized: one in-flight batch per
+    decimal per input line; output past a batch's last answer fails the batch,
+    or the next batch when it comes after the batch has returned, and kills
+    the child. Access is serialized: one in-flight batch per
     process. A child that has not answered a batch within READ_TIMEOUT_S
     seconds is killed, and the batch fails with ModelBridgeError.
     """
@@ -304,15 +307,26 @@ class ExternalProcessModel:
         One loop serves both raw pipes, so a child that answers while its
         input is still arriving cannot fill its output pipe and stall both
         sides. A child that has not answered within READ_TIMEOUT_S is killed
-        and reaped.
+        and reaped, and so is one whose output is already waiting before the
+        batch is written: output that comes later than that, while the next
+        batch is in flight, is still read as that batch's answers.
         """
         in_fd, out_fd = proc.stdin.fileno(), proc.stdout.fileno()
         todo = memoryview(payload)
         buf, got = b"", 0
         deadline = time.monotonic() + READ_TIMEOUT_S
         with selectors.DefaultSelector() as selector:
-            selector.register(in_fd, selectors.EVENT_WRITE)
             selector.register(out_fd, selectors.EVENT_READ)
+            # output waiting before this batch is written came late from the
+            # batch before; this batch would read it as its answers
+            late = os.read(out_fd, 1 << 16) if selector.select(0) else b""
+            if late:
+                proc.kill()
+                self.close()
+                raise ModelBridgeError(
+                    f"model process wrote past its last batch's answers: {late[:40]!r}",
+                    batch)
+            selector.register(in_fd, selectors.EVENT_WRITE)
             while True:
                 if got < n:
                     *lines, buf = buf.split(b"\n", n - got)

@@ -17,11 +17,14 @@ The coalitions the memo lacks reach the model in blocks of whole masks, at
 most ``ROW_BUDGET`` substituted rows per ``predict`` call (8 masks at the
 least), so the rows of one call stay bounded whatever the budget and the
 background size. The bound is small enough that a block (1 MiB at 16
-features) stays in cache between ``substitute`` writing it and ``predict``
-reading it back. A block starts as copies of the background, and one
-indexed write then puts the instance's values into every (mask, feature)
-pair that the masks hold. The payoffs are bit-identical to those of one
-single call.
+features) stays in cache between being written and ``predict`` reading it
+back. One block buffer serves a whole request. A block whose packed keys
+each differ from those of the block before in the same features, and take
+the same values there, is rewritten in place, one column per flipped
+feature; this is how the exact oracle's consecutive masks go. Any other
+block is filled fresh by :func:`substitute`. ``predict`` gets the buffer as
+a read-only view, valid until it returns. The payoffs are bit-identical to
+those of one single call.
 """
 
 from __future__ import annotations
@@ -46,8 +49,13 @@ _MEMOS: dict[int, tuple] = {}
 ROW_BUDGET = 1 << 13
 
 
-def substitute(masks: np.ndarray, x: np.ndarray, background: np.ndarray) -> np.ndarray:
-    """Masked input rows: (n_masks * B, M), background varying fastest."""
+def substitute(masks: np.ndarray, x: np.ndarray, background: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Masked input rows: (n_masks * B, M), background varying fastest.
+
+    Written into ``out``, a C-contiguous (n_masks, B, M) float buffer, when
+    one is given; the rows returned are then a view of it.
+    """
     x = np.asarray(x, dtype=float).reshape(-1)
     background = np.asarray(background, dtype=float)
     if background.ndim != 2 or background.shape[1] != len(x):
@@ -58,7 +66,7 @@ def substitute(masks: np.ndarray, x: np.ndarray, background: np.ndarray) -> np.n
     # copies of the background, then one indexed write of the instance's
     # values into every (mask, feature) pair held: values are only selected,
     # never computed
-    rows = np.empty((n, b, m))
+    rows = np.empty((n, b, m)) if out is None else out
     rows[...] = background
     held, feature = np.nonzero(masks)
     rows[held, :, feature] = x[feature, None]
@@ -74,28 +82,57 @@ def _checked(masks: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
     return payoffs
 
 
-def _row_payoffs(masks, x, background, model) -> np.ndarray:
-    """Payoffs of whole masks, in blocks of at most ROW_BUDGET substituted rows
-    per model call (at least 8 masks). A block holds a multiple of 8 masks,
-    so every block starts at a row that is a multiple of 8: BLAS then groups
-    the rows as it would in one call, and the payoffs do not depend on the
-    block size."""
+def _flips(keys: np.ndarray, step: int) -> list:
+    """Per block of ``step`` keys, the bits each of its slots flips against
+    the same slot one block back, or None where the block is filled fresh:
+    the first block, a block whose slots flip different bits or take
+    different values on them, and every block of void keys (over 64
+    features)."""
+    n_blocks = -(-len(keys) // step)
+    if keys.dtype.kind != "u" or n_blocks < 2:
+        return [None] * n_blocks
+    d = keys[step:] ^ keys[:-step]  # each slot against the same slot one block back
+    starts = np.arange(0, len(d), step)
+    flips = d[starts]
+    same = d == np.repeat(flips, step)[:len(d)]
+    # the values the flipped bits take, written over d: at most two arrays
+    # the size of keys are alive at once, which keeps peak memory down
+    to = np.bitwise_and(keys[step:], np.repeat(flips, step)[:len(d)], out=d)
+    same &= to == np.repeat(to[starts], step)[:len(d)]
+    in_place = np.logical_and.reduceat(same, starts).tolist()
+    return [None] + [f if ok else None for f, ok in zip(flips.tolist(), in_place)]
+
+
+def _row_payoffs(masks, keys, x, background, model) -> np.ndarray:
+    """Payoffs of whole masks (``keys`` their packed keys), in blocks of the
+    largest power of two of masks whose rows fit ROW_BUDGET, at least 8.
+    A block holds a multiple of 8 masks, so every block starts at a row that
+    is a multiple of 8: BLAS then groups the rows as it would in one call,
+    and the payoffs do not depend on the block size."""
     n_background = background.shape[0]
-    step = max(8, ROW_BUDGET // n_background // 8 * 8)
+    step = 1 << max(3, (ROW_BUDGET // n_background).bit_length() - 1)
+    buf = np.empty((min(step, len(masks)), n_background, len(x)))
     out = np.empty(len(masks))
-    for start in range(0, len(masks), step):
-        block = masks[start:start + step]
-        rows = substitute(block, x, background)
+    for start, flipped in zip(range(0, len(masks), step), _flips(keys, step)):
+        n = min(step, len(masks) - start)
+        if flipped is None:
+            substitute(masks[start:start + n], x, background, out=buf[:n])
+        else:
+            to = int(keys[start])
+            while flipped:  # one column write per feature the block flips
+                bit = flipped & -flipped
+                j = bit.bit_length() - 1
+                buf[:n, :, j] = x[j] if to & bit else background[:, j]
+                flipped ^= bit
+        rows = buf[:n].reshape(n * n_background, -1)
+        rows.flags.writeable = False
         preds = np.asarray(model.predict(rows), dtype=float).reshape(-1)
         if len(preds) != len(rows):
             raise ValueError(f"model returned {len(preds)} outputs for {len(rows)} rows")
         # the reduction and division ndarray.mean runs, without its wrapper
-        out[start:start + len(block)] = _checked(
-            block, np.add.reduce(preds.reshape(len(block), n_background), axis=1)
-            / n_background)
-        # released before the next block is built: one block alive at a time
-        del rows, preds
-    return out
+        out[start:start + n] = (np.add.reduce(preds.reshape(n, n_background), axis=1)
+                                / n_background)
+    return _checked(masks, out)
 
 
 def _forget(model_id: int, ref: weakref.ref) -> None:
@@ -105,15 +142,15 @@ def _forget(model_id: int, ref: weakref.ref) -> None:
 
 def _memoized_payoffs(masks, x, background, model) -> np.ndarray:
     """Row payoffs; only coalitions the adapter's memo lacks reach the model."""
+    packed = pack(masks)
     entry = _MEMOS.get(id(model))
     if entry is None or entry[0]() is not model:
         try:
             entry = (weakref.ref(model, partial(_forget, id(model))), None)
         except TypeError:  # no weak references: evaluated without a memo
-            return _row_payoffs(masks, x, background, model)
+            return _row_payoffs(masks, packed, x, background, model)
     ref, state = entry
     instance = (x.tobytes(), background.shape, background.tobytes())
-    packed = pack(masks)
     if state is None or state[0] != instance:
         state = (instance, packed[:0], np.empty(0))
     _, keys, payoffs = state
@@ -133,7 +170,8 @@ def _memoized_payoffs(masks, x, background, model) -> np.ndarray:
     # the model sees the missing coalitions once each, in request order
     order = np.argsort(first)
     new_payoffs = np.empty(len(new_keys))
-    new_payoffs[order] = _row_payoffs(masks[miss[first[order]]], x, background, model)
+    new_payoffs[order] = _row_payoffs(masks[miss[first[order]]], new_keys[order], x,
+                                      background, model)
     out[miss] = new_payoffs[inverse.reshape(-1)]
     at = np.searchsorted(keys, new_keys)
     _MEMOS[id(model)] = (ref, (instance, np.insert(keys, at, new_keys),

@@ -1,5 +1,6 @@
 """Line protocol tests for the external model process bridge."""
 
+import select
 import sys
 import textwrap
 import threading
@@ -185,6 +186,36 @@ class TestExternalProcessModel:
             assert model._proc is None  # killed and closed
             with pytest.raises(ModelBridgeError, match="batch 1: .*past its 2 answer lines"):
                 model.predict(np.array([[10.0, 20.0], [30.0, 40.0]]))
+
+    def test_output_after_a_batch_returned_fails_the_next_batch(self, tmp_path):
+        # answers, then one late line per row once the batch has returned:
+        # batch 1 must not read batch 0's [1003, 1007] as its answers
+        child = textwrap.dedent("""
+            import sys, time
+            rows = []
+            for line in sys.stdin:
+                if line.strip():
+                    rows.append(sum(float(v) for v in line.split(",")))
+                    continue
+                sys.stdout.write("".join(f"{r}\\n" for r in rows))
+                sys.stdout.flush()
+                time.sleep(0.2)
+                sys.stdout.write("".join(f"{r + 1000}\\n" for r in rows))
+                sys.stdout.flush()
+                rows = []
+        """)
+        rows = np.array([[1.0, 2.0], [3.0, 4.0]])
+        with ExternalProcessModel(_script(tmp_path, "late.py", child), 2) as model:
+            assert model.predict(rows).tolist() == [3.0, 7.0]
+            proc = model._proc
+            assert select.select([proc.stdout], [], [], 10)[0]  # the late lines are in
+            with pytest.raises(ModelBridgeError,
+                               match=r"batch 1: .*past its last batch's answers: "
+                                     r"b'1003.0\\n1007.0"):
+                model.predict(rows)
+            assert model._proc is None and proc.poll() is not None
+            assert proc.stdin.closed and proc.stdout.closed
+            assert model.predict(rows).tolist() == [3.0, 7.0]  # a fresh child
 
     def test_a_child_answering_while_it_reads_gets_a_batch_larger_than_the_pipes(
             self, tmp_path):

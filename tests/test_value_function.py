@@ -12,6 +12,7 @@ import pytest
 from stableshap import (
     KERNEL_SHAP,
     ST_SHAP,
+    CallableModel,
     GameModel,
     NonFinitePayoffError,
     RidgeRegressionModel,
@@ -19,7 +20,8 @@ from stableshap import (
     explain,
     layer1_attribution,
 )
-from stableshap import value_function
+from stableshap import exact, value_function
+from stableshap.coalitions import pack
 from stableshap.value_function import evaluate_batch
 
 from conftest import CountingGameModel, masked_mean_oracle, random_table_game
@@ -270,6 +272,95 @@ class TestNonFinitePayoffs:
         assert np.all(np.isfinite(got))
         assert np.array_equal(got, evaluate_batch(masks, x, bg, CountingRowModel(w)))
 
+    def test_nan_in_the_first_block_named_after_every_block_ran(self, monkeypatch):
+        # 256 consecutive masks in 32 blocks of 8; NaN at masks 3 and 200
+        model, masks = self._nan_at(monkeypatch, {3, 200})
+        with pytest.raises(NonFinitePayoffError) as info:
+            evaluate_batch(masks, model.x, model.bg, model)
+        assert info.value.coalition == _bitstring(3, 8)
+        assert model.calls == 32  # checked once, after the last block
+
+    def test_nan_in_the_last_of_several_blocks(self, monkeypatch):
+        model, masks = self._nan_at(monkeypatch, {250})
+        with pytest.raises(NonFinitePayoffError) as info:
+            evaluate_batch(masks, model.x, model.bg, model)
+        assert info.value.coalition == _bitstring(250, 8)
+        assert model.calls == 32
+
+    def test_nan_named_in_request_order(self, monkeypatch):
+        model, masks = self._nan_at(monkeypatch, {3, 200})
+        with pytest.raises(NonFinitePayoffError) as info:
+            evaluate_batch(masks[::-1], model.x, model.bg, model)
+        assert info.value.coalition == _bitstring(200, 8)
+
+    def _nan_at(self, monkeypatch, bad):
+        monkeypatch.setattr(value_function, "ROW_BUDGET", 64)
+        x, bg, w = _setup(m=8, n_bg=5, seed=12)
+        return NanAtMasks(w, x, bg, bad), _consecutive(0, 256, 8)
+
+
+def _bitstring(key, m):
+    return "".join(str(key >> i & 1) for i in range(m))
+
+
+def _consecutive(start, stop, m):
+    return (np.arange(start, stop)[:, None] >> np.arange(m) & 1).astype(bool)
+
+
+class NanAtMasks(CountingRowModel):
+    """Row model whose payoff is NaN for the given mask integers; the instance
+    and background share no value, so a row tells its mask."""
+
+    def __init__(self, weights, x, bg, bad):
+        super().__init__(weights)
+        self.x, self.bg, self.bad = x, bg, sorted(bad)
+        self.calls = 0
+
+    def predict(self, rows):
+        self.calls += 1
+        keys = (rows == self.x).astype(np.int64) @ (1 << np.arange(len(self.x)))
+        return np.where(np.isin(keys, self.bad), np.nan, super().predict(rows))
+
+
+class BlockCheckingModel:
+    """Linear row model that checks each block of rows, bit for bit, against
+    a fresh ``substitute`` of the masks it expects next."""
+
+    def __init__(self, expected, x, bg, fresh):
+        self.expected, self.x, self.bg, self.fresh = expected, x, bg, fresh
+        self.n_features = expected.shape[1]
+        self.seen = 0
+        self.writeable = []
+
+    def predict(self, rows):
+        n = len(rows) // len(self.bg)
+        want = self.fresh(self.expected[self.seen:self.seen + n], self.x, self.bg)
+        assert np.array_equal(rows.view(np.uint64), want.view(np.uint64)), self.seen
+        self.writeable.append(rows.flags.writeable)
+        self.seen += n
+        return np.zeros(len(rows))
+
+
+def _block_masks(budget, n_bg):
+    n = 8
+    while 2 * n * n_bg <= budget:
+        n *= 2
+    return n
+
+
+def _fresh_reference(keys, step):
+    """Blocks filled fresh by the in-place rule, slot by slot: a block is
+    rewritten in place when every slot flips the same bits against the slot
+    one block back, to the same values."""
+    keys = [int(k) for k in keys]
+    fresh = 1
+    for start in range(step, len(keys), step):
+        block, before = keys[start:start + step], keys[start - step:start]
+        d = block[0] ^ before[0]
+        fresh += not all(k ^ p == d and k & d == block[0] & d
+                         for k, p in zip(block, before))
+    return fresh
+
 
 class CallLoggingRidge(RidgeRegressionModel):
     """Ridge adapter that records the rows of every predict call."""
@@ -346,11 +437,105 @@ class TestRowBudget:
         block_bytes = (1 << 12) * 8 * 8
         tracemalloc.start()
         try:
-            value_function._row_payoffs(masks, x, bg, model)
+            value_function._row_payoffs(masks, pack(masks), x, bg, model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert block_bytes < peak < 2 * block_bytes
+
+    def _run(self, monkeypatch, budget, requests, expected, x, bg):
+        """Evaluates the requests on one adapter; returns the fresh fills."""
+        monkeypatch.setattr(value_function, "ROW_BUDGET", budget)
+        fresh = value_function.substitute
+        fills = []
+        monkeypatch.setattr(value_function, "substitute",
+                            lambda *args, **kw: fills.append(1) or fresh(*args, **kw))
+        model = BlockCheckingModel(expected, x, bg, fresh)
+        for masks in requests:
+            evaluate_batch(masks, x, bg, model)
+        assert model.seen == len(expected)
+        assert not any(model.writeable)
+        return len(fills)
+
+    @pytest.mark.parametrize("budget", [1 << 10, 1 << 13])
+    @pytest.mark.parametrize("n_bg", [1, 7, 100, 1100])
+    @pytest.mark.parametrize("m", range(2, 17))
+    def test_oracle_blocks_equal_fresh_substitute(self, monkeypatch, m, n_bg, budget):
+        # one of the exact oracle's chunks of consecutive masks: all 2^M up
+        # to 13 features, then the last chunk, whose high bits are all set
+        masks = _consecutive(max(0, 2**m - exact._EVAL_CHUNK), 2**m, m)
+        x, bg, _ = _setup(m=m, n_bg=n_bg, seed=m * n_bg)
+        fills = self._run(monkeypatch, budget, [masks], masks, x, bg)
+        assert fills == 1 == _fresh_reference(pack(masks), _block_masks(budget, n_bg))
+
+    def test_short_last_block_rewritten_in_place(self, monkeypatch):
+        # blocks of 128 masks: 128, 128, 128 and 5
+        x, bg, _ = _setup(m=10, n_bg=7, seed=31)
+        masks = _consecutive(0, 3 * 128 + 5, 10)
+        fills = self._run(monkeypatch, 1 << 10, [masks], masks, x, bg)
+        assert fills == 1 == _fresh_reference(pack(masks), 128)
+
+    def test_scattered_misses_of_a_warm_memo_fill_fresh(self, monkeypatch):
+        x, bg, _ = _setup(m=12, n_bg=7, seed=32)
+        masks = _consecutive(0, 2**12, 12)
+        warm = np.random.default_rng(33).random(len(masks)) < 1 / 3
+        expected = np.vstack([masks[warm], masks[~warm]])
+        fills = self._run(monkeypatch, 1 << 10, [masks[warm], masks], expected, x, bg)
+        blocks_warm, blocks_miss = -(-warm.sum() // 128), -(-(~warm).sum() // 128)
+        assert fills == blocks_warm + blocks_miss
+        assert fills == (_fresh_reference(pack(masks[warm]), 128)
+                         + _fresh_reference(pack(masks[~warm]), 128))
+
+    def test_every_other_mask_missing_still_rewritten_in_place(self, monkeypatch):
+        # misses 1, 3, 5, ...: each block of 128 flips the same bits of every slot
+        x, bg, _ = _setup(m=12, n_bg=7, seed=34)
+        masks = _consecutive(0, 2**12, 12)
+        expected = np.vstack([masks[::2], masks[1::2]])
+        fills = self._run(monkeypatch, 1 << 10, [masks[::2], masks], expected, x, bg)
+        assert fills == 2 == (_fresh_reference(pack(masks[::2]), 128)
+                              + _fresh_reference(pack(masks[1::2]), 128))
+
+    def test_slots_flipping_the_same_bits_to_other_values_fill_fresh(self, monkeypatch):
+        # blocks of 8: masks 0-7, then 15-8; every slot flips bits 0-3, but
+        # not every slot sets them to the same values
+        x, bg, _ = _setup(m=6, n_bg=5, seed=37)
+        masks = _consecutive(0, 16, 6)[np.r_[np.arange(8), np.arange(15, 7, -1)]]
+        fills = self._run(monkeypatch, 64, [masks], masks, x, bg)
+        assert fills == 2 == _fresh_reference(pack(masks), 8)
+
+    def test_signed_zeros_and_nan_payloads_rewritten_bit_for_bit(self, monkeypatch):
+        # blocks of 8 masks in the order 0-7, 8-15, 24-31, 16-23: features 3,
+        # 4 and 3 again flip, to the instance's values and back to the background's
+        payload = np.array([0x7FF8_0000_0000_0ABC, 0xFFF0_0000_0000_0001],
+                           dtype=np.uint64).view(float)  # a quiet and a signalling NaN
+        x = np.array([-0.0, payload[0], 1.5, payload[0], -0.0])
+        bg = np.array([[0.0, -0.0, payload[1], payload[1], -0.0],
+                       [payload[0], 3.0, -0.0, -0.0, payload[1]]])
+        masks = _consecutive(0, 32, 5)[np.r_[0:16, 24:32, 16:24]]
+        fills = self._run(monkeypatch, 16, [masks], masks, x, bg)
+        assert fills == 1 == _fresh_reference(pack(masks), 8)
+
+    def test_void_keys_fill_every_block_fresh(self, monkeypatch):
+        # 70 features: keys wider than 64 bits; 100 masks in blocks of 16
+        x, bg, _ = _setup(m=70, n_bg=3, seed=35)
+        masks = _consecutive(0, 100, 70)
+        fills = self._run(monkeypatch, 64, [masks], masks, x, bg)
+        assert fills == 7
+
+    def test_a_model_writing_to_its_rows_raises_at_the_first_block(self, monkeypatch):
+        monkeypatch.setattr(value_function, "ROW_BUDGET", 64)
+        x, bg, w = _setup(m=8, n_bg=5, seed=36)
+        calls = []
+
+        def scribble(rows):
+            calls.append(len(rows))
+            rows[:, 0] = 0.0
+            return rows @ w
+
+        masks = _consecutive(0, 256, 8)
+        with pytest.raises(ValueError, match="read-only"):
+            evaluate_batch(masks, x, bg, CallableModel(scribble, 8))
+        assert calls == [40]
 
 
 def _where_reference(masks, x, background):
@@ -431,7 +616,7 @@ def test_block_payoffs_are_the_mean_of_their_predictions(n_bg):
     x, bg, w = _setup(m=10, n_bg=n_bg, seed=n_bg)
     masks = _masks(10, 300, seed=n_bg + 1)
     model = RecordingModel(w)
-    got = value_function._row_payoffs(masks, x, bg, model)
+    got = value_function._row_payoffs(masks, pack(masks), x, bg, model)
     want = np.concatenate([preds.reshape(-1, n_bg).mean(axis=1)
                            for preds in model.returned])
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
