@@ -38,11 +38,12 @@ class ExactValues:
 def all_coalition_values(x, model, background, n_features: int) -> np.ndarray:
     """Payoffs of every coalition, indexed by mask integer (bit i = feature i)."""
     total = 2**n_features
-    bits = np.arange(n_features)
     out = np.empty(total)
     for start in range(0, total, _EVAL_CHUNK):
-        ints = np.arange(start, min(start + _EVAL_CHUNK, total))
-        masks = (ints[:, None] >> bits[None, :] & 1).astype(bool)
+        ints = np.arange(start, min(start + _EVAL_CHUNK, total), dtype="<u8")
+        # bit i of mask integer n is bit i of its little-endian bytes
+        masks = np.unpackbits(ints.view(np.uint8).reshape(-1, 8), axis=1,
+                              count=n_features, bitorder="little").view(bool)
         out[start:start + len(ints)] = evaluate_batch(masks, x, background, model)
     return out
 

@@ -93,10 +93,11 @@ class KNNClassifierModel:
     training-row order (stable sort), which keeps predictions deterministic.
 
     For speed, distances are first computed as ``|row|^2 - 2 row.t + |t|^2``,
-    one matrix product per block of rows. One partition gives each row's k-th
-    and (k+1)-th smallest fast distance, and the k nearest are the training
-    rows at or below the k-th: the vote fractions depend only on that set, not
-    on its order, and are counted with one product against the one-hot labels.
+    one matrix product per block of rows. One row-wise sort gives each row's
+    k-th and (k+1)-th smallest fast distance, and the k nearest are the
+    training rows at or below the k-th: the vote fractions depend only on that
+    set, not on its order, and are counted with one product of the 0/1 vote
+    mask against the one-hot labels.
     Rows whose k-th and (k+1)-th fast distances are too close for that rounding
     to separate are rechecked with the exact distance and the stable sort, so
     the probabilities are bit-identical to the exact formula's.
@@ -125,6 +126,7 @@ class KNNClassifierModel:
         self.k = k
         self.n_features = self.X.shape[1]
         self._class_pos = {int(c): i for i, c in enumerate(self.classes)}
+        self._neg2_xt = -2.0 * self.X.T  # scaling by -2 is exact
         self._sq_norms = np.einsum("ij,ij->i", self.X, self.X)
         self._max_sq_norm = self._sq_norms.max()
         # How far a fast distance F may be from the exact one D, for a row r
@@ -140,11 +142,12 @@ class KNNClassifierModel:
         #   true distance.
         # - F = (|r|^2 - 2 r.t) + |t|^2: the two norms and the dot product are
         #   within gamma_M |r|^2, gamma_M |t|^2 and 2 gamma_M S/2 of theirs
-        #   (doubling is exact), and the two final roundings, of values below
-        #   2(1 + gamma_M)(1 + u) S, add at most 4u(1 + u)(1 + gamma_M) S
-        #   <= gamma_{M+5} S: F is within 3 gamma_{M+5} S.
+        #   (the dot product is taken with -2 t, and doubling is exact), and
+        #   the two final roundings, of values below 2(1 + gamma_M)(1 + u) S,
+        #   add at most 4u(1 + u)(1 + gamma_M) S <= gamma_{M+5} S: F is
+        #   within 3 gamma_{M+5} S.
         # - An underflowing product also errs by up to eta/2, eta the
-        #   subnormal spacing; counting the doubled dot product twice, the two
+        #   subnormal spacing; counting the products with -2 t twice, the two
         #   formulas hold 5M products, under 3M eta in all.
         # So |F - D| <= E0 = 5 gamma_{M+5} (|r|^2 + max_t |t|^2) + 3M eta, and
         # the code uses E = 2 E0: the factor 2 is a safety margin that also
@@ -166,21 +169,20 @@ class KNNClassifierModel:
         for start in range(0, len(rows), _PREDICT_CHUNK):
             block = rows[start:start + _PREDICT_CHUNK]
             row_sq = np.einsum("ij,ij->i", block, block)
-            d2 = block @ self.X.T
-            d2 *= -2.0
+            d2 = block @ self._neg2_xt
             d2 += row_sq[:, None]
             d2 += self._sq_norms
-            part = np.partition(d2, k, axis=1)
-            kth, next_ = part[:, :k].max(axis=1), part[:, k]
-            del part  # a block holds at most two (chunk, n_train) matrices
+            ordered = np.sort(d2, axis=1)  # NaN sorts last
+            kth, next_ = ordered[:, k - 1].copy(), ordered[:, k]
             err = self._err_scale * (row_sq + self._max_sq_norm) + self._err_floor
             unsure = ~(next_ - kth > 2 * err)  # NaN and inf distances are unsure too
-            # on a sure row next_ > kth, so exactly the k nearest are <= kth
-            near = d2 <= kth[:, None]
+            # on a sure row next_ > kth, so exactly the k nearest are <= kth;
+            # the 0/1 vote mask goes into the sort's buffer
+            near = np.less_equal(d2, kth[:, None], out=ordered, casting="unsafe")
             if unsure.any():
                 redo = np.flatnonzero(unsure)
-                near[redo] = False
-                near[redo[:, None], _stable_nearest(block[redo], self.X, k)] = True
+                near[redo] = 0.0
+                near[redo[:, None], _stable_nearest(block[redo], self.X, k)] = 1.0
             out[start:start + len(block)] = (near @ self._onehot) / k
         return out
 

@@ -18,11 +18,13 @@ most ``ROW_BUDGET`` substituted rows per ``predict`` call (8 masks at the
 least), so the rows of one call stay bounded whatever the budget and the
 background size. The bound is small enough that a block (1 MiB at 16
 features) stays in cache between being written and ``predict`` reading it
-back. One block buffer serves a whole request. A block whose packed keys
-each differ from those of the block before in the same features, and take
-the same values there, is rewritten in place, one column per flipped
-feature; this is how the exact oracle's consecutive masks go. Any other
-block is filled fresh by :func:`substitute`. ``predict`` gets the buffer as
+back. One block buffer serves a whole request, and its whole blocks are
+visited in reflected Gray-code order of their index, any short last block
+last. A block whose packed keys each differ from those of the block visited
+before it in the same features, and take the same values there, is
+rewritten in place, one column per flipped feature; this is how the exact
+oracle's consecutive masks go, one column a block. Any other block is
+filled fresh by :func:`substitute`. ``predict`` gets the buffer as
 a read-only view, valid until it returns. The payoffs are bit-identical to
 those of one single call.
 """
@@ -82,9 +84,25 @@ def _checked(masks: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
     return payoffs
 
 
+def _visit_order(n: int, step: int) -> np.ndarray:
+    """Positions of n masks in the order their blocks of ``step`` are
+    visited: the whole blocks in reflected Gray-code order of their index,
+    so that consecutive blocks of consecutive masks differ in one bit, then
+    a short last block."""
+    n_full = n // step
+    if n_full < 2:
+        return np.arange(n)
+    gray = np.arange(1 << (n_full - 1).bit_length())
+    gray ^= gray >> 1
+    starts = gray[gray < n_full] * step
+    return np.append((starts[:, None] + np.arange(step)).reshape(-1),
+                     np.arange(n_full * step, n))
+
+
 def _flips(keys: np.ndarray, step: int) -> list:
-    """Per block of ``step`` keys, the bits each of its slots flips against
-    the same slot one block back, or None where the block is filled fresh:
+    """Per block of ``step`` keys, keys in visiting order, the bits each of
+    its slots flips against the same slot one block back, or None where the
+    block is filled fresh:
     the first block, a block whose slots flip different bits or take
     different values on them, and every block of void keys (over 64
     features)."""
@@ -105,18 +123,22 @@ def _flips(keys: np.ndarray, step: int) -> list:
 
 def _row_payoffs(masks, keys, x, background, model) -> np.ndarray:
     """Payoffs of whole masks (``keys`` their packed keys), in blocks of the
-    largest power of two of masks whose rows fit ROW_BUDGET, at least 8.
-    A block holds a multiple of 8 masks, so every block starts at a row that
-    is a multiple of 8: BLAS then groups the rows as it would in one call,
-    and the payoffs do not depend on the block size."""
+    largest power of two of masks whose rows fit ROW_BUDGET, at least 8,
+    visited in the order of :func:`_visit_order`. A block holds a multiple
+    of 8 masks, so every block starts at a row that is a multiple of 8: BLAS
+    then groups the rows as it would in one call, and the payoffs depend on
+    neither the block size nor the order of the blocks."""
     n_background = background.shape[0]
     step = 1 << max(3, (ROW_BUDGET // n_background).bit_length() - 1)
     buf = np.empty((min(step, len(masks)), n_background, len(x)))
     out = np.empty(len(masks))
+    order = _visit_order(len(masks), step)
+    keys = keys[order]
     for start, flipped in zip(range(0, len(masks), step), _flips(keys, step)):
         n = min(step, len(masks) - start)
+        at = order[start:start + n]
         if flipped is None:
-            substitute(masks[start:start + n], x, background, out=buf[:n])
+            substitute(masks[at], x, background, out=buf[:n])
         else:
             to = int(keys[start])
             while flipped:  # one column write per feature the block flips
@@ -130,8 +152,7 @@ def _row_payoffs(masks, keys, x, background, model) -> np.ndarray:
         if len(preds) != len(rows):
             raise ValueError(f"model returned {len(preds)} outputs for {len(rows)} rows")
         # the reduction and division ndarray.mean runs, without its wrapper
-        out[start:start + n] = (np.add.reduce(preds.reshape(n, n_background), axis=1)
-                                / n_background)
+        out[at] = np.add.reduce(preds.reshape(n, n_background), axis=1) / n_background
     return _checked(masks, out)
 
 
@@ -167,7 +188,8 @@ def _memoized_payoffs(masks, x, background, model) -> np.ndarray:
     miss = np.flatnonzero(~hit)
     new_keys, first, inverse = np.unique(packed[miss], return_index=True,
                                          return_inverse=True)
-    # the model sees the missing coalitions once each, in request order
+    # the model sees the missing coalitions once each, cut into blocks in
+    # request order
     order = np.argsort(first)
     new_payoffs = np.empty(len(new_keys))
     new_payoffs[order] = _row_payoffs(masks[miss[first[order]]], new_keys[order], x,

@@ -322,23 +322,35 @@ class NanAtMasks(CountingRowModel):
         return np.where(np.isin(keys, self.bad), np.nan, super().predict(rows))
 
 
+def _decode(rows, x, bg):
+    """Each slot's mask, read off its rows: feature j is held where every
+    row of the slot carries the instance's value, bit for bit. The tests'
+    instances differ from every background column in some row."""
+    slots = rows.view(np.uint64).reshape(-1, len(bg), len(x))
+    return (slots == x.view(np.uint64)).all(axis=1)
+
+
 class BlockCheckingModel:
-    """Linear row model that checks each block of rows, bit for bit, against
-    a fresh ``substitute`` of the masks it expects next."""
+    """Row model that reads each block's masks off its rows and checks the
+    rows, bit for bit, against a fresh ``substitute`` of those masks. A
+    mask's prediction is its position in ``expected``, so each payoff shows
+    which rows it was computed from."""
 
     def __init__(self, expected, x, bg, fresh):
-        self.expected, self.x, self.bg, self.fresh = expected, x, bg, fresh
+        self.x, self.bg, self.fresh = x, bg, fresh
         self.n_features = expected.shape[1]
-        self.seen = 0
+        self.position = {mask.tobytes(): i for i, mask in enumerate(expected)}
+        self.seen = []
         self.writeable = []
 
     def predict(self, rows):
-        n = len(rows) // len(self.bg)
-        want = self.fresh(self.expected[self.seen:self.seen + n], self.x, self.bg)
-        assert np.array_equal(rows.view(np.uint64), want.view(np.uint64)), self.seen
+        masks = _decode(rows, self.x, self.bg)
+        want = self.fresh(masks, self.x, self.bg)
+        assert np.array_equal(rows.view(np.uint64), want.view(np.uint64)), len(self.seen)
         self.writeable.append(rows.flags.writeable)
-        self.seen += n
-        return np.zeros(len(rows))
+        positions = [self.position[mask.tobytes()] for mask in masks]
+        self.seen += positions
+        return np.repeat(np.array(positions, dtype=float), len(self.bg))
 
 
 def _block_masks(budget, n_bg):
@@ -349,10 +361,15 @@ def _block_masks(budget, n_bg):
 
 
 def _fresh_reference(keys, step):
-    """Blocks filled fresh by the in-place rule, slot by slot: a block is
-    rewritten in place when every slot flips the same bits against the slot
-    one block back, to the same values."""
+    """Blocks filled fresh by the in-place rule, slot by slot. Whole blocks
+    are visited in reflected Gray-code order of their index, a short last
+    block last; a block is rewritten in place when every slot flips the same
+    bits against the slot of the block visited before, to the same values."""
     keys = [int(k) for k in keys]
+    n_full = len(keys) // step
+    gray = [g ^ g >> 1 for g in range(1 << max(n_full - 1, 0).bit_length())]
+    order = [g for g in gray if g < n_full] + [n_full] * (len(keys) % step > 0)
+    keys = [k for b in order for k in keys[b * step:(b + 1) * step]]
     fresh = 1
     for start in range(step, len(keys), step):
         block, before = keys[start:start + step], keys[start - step:start]
@@ -452,8 +469,9 @@ class TestRowBudget:
                             lambda *args, **kw: fills.append(1) or fresh(*args, **kw))
         model = BlockCheckingModel(expected, x, bg, fresh)
         for masks in requests:
-            evaluate_batch(masks, x, bg, model)
-        assert model.seen == len(expected)
+            got = evaluate_batch(masks, x, bg, model)
+            assert np.array_equal(got, [model.position[mask.tobytes()] for mask in masks])
+        assert sorted(model.seen) == list(range(len(expected)))
         assert not any(model.writeable)
         return len(fills)
 
@@ -504,14 +522,15 @@ class TestRowBudget:
         assert fills == 2 == _fresh_reference(pack(masks), 8)
 
     def test_signed_zeros_and_nan_payloads_rewritten_bit_for_bit(self, monkeypatch):
-        # blocks of 8 masks in the order 0-7, 8-15, 24-31, 16-23: features 3,
-        # 4 and 3 again flip, to the instance's values and back to the background's
+        # blocks of 8 masks, visited in Gray-code order 0-7, 8-15, 24-31,
+        # 16-23: features 3, 4 and 3 again flip, to the instance's values and
+        # back to the background's
         payload = np.array([0x7FF8_0000_0000_0ABC, 0xFFF0_0000_0000_0001],
                            dtype=np.uint64).view(float)  # a quiet and a signalling NaN
         x = np.array([-0.0, payload[0], 1.5, payload[0], -0.0])
         bg = np.array([[0.0, -0.0, payload[1], payload[1], -0.0],
                        [payload[0], 3.0, -0.0, -0.0, payload[1]]])
-        masks = _consecutive(0, 32, 5)[np.r_[0:16, 24:32, 16:24]]
+        masks = _consecutive(0, 32, 5)
         fills = self._run(monkeypatch, 16, [masks], masks, x, bg)
         assert fills == 1 == _fresh_reference(pack(masks), 8)
 
@@ -521,6 +540,29 @@ class TestRowBudget:
         masks = _consecutive(0, 100, 70)
         fills = self._run(monkeypatch, 64, [masks], masks, x, bg)
         assert fills == 7
+
+    def test_consecutive_oracle_blocks_differ_in_one_column(self):
+        # 2^16 masks x 100 background rows: blocks of 64 masks, 128 to each
+        # exact chunk of 8192; every block of a chunk but its first is one
+        # column away from the block visited before it
+        x, bg, w = _setup(m=16, n_bg=100, seed=38)
+        changed = []
+
+        class ColumnCounting(RidgeRegressionModel):
+            held = None
+
+            def predict(self, rows):
+                bits = rows.view(np.uint64)
+                if self.held is not None:
+                    changed.append(int((bits != self.held).any(axis=0).sum()))
+                self.held = bits.copy()
+                return super().predict(rows)
+
+        exact_shap(x, ColumnCounting(w, 0.0), bg)
+        step = _block_masks(value_function.ROW_BUDGET, 100)
+        blocks = exact._EVAL_CHUNK // step
+        assert step == 64 and len(changed) == 2**16 // step - 1
+        assert {n for i, n in enumerate(changed, 1) if i % blocks} == {1}
 
     def test_a_model_writing_to_its_rows_raises_at_the_first_block(self, monkeypatch):
         monkeypatch.setattr(value_function, "ROW_BUDGET", 64)
@@ -597,26 +639,31 @@ class TestSubstitute:
 
 
 class RecordingModel:
-    """Row model that keeps every prediction vector it returns, with payoffs
-    spread over many magnitudes so the rounding of a mean shows."""
+    """Row model that keeps every block's masks, read off its rows, and the
+    prediction vector it returns, with payoffs spread over many magnitudes
+    so the rounding of a mean shows."""
 
-    def __init__(self, weights):
+    def __init__(self, weights, x, bg):
         self.weights = np.asarray(weights, dtype=float)
         self.n_features = len(self.weights)
+        self.x, self.bg = x, bg
         self.returned = []
 
     def predict(self, rows):
         preds = np.exp(3.0 * np.sin(rows @ self.weights)) / 7.0
-        self.returned.append(preds)
+        self.returned.append((_decode(rows, self.x, self.bg), preds))
         return preds
 
 
 @pytest.mark.parametrize("n_bg", [1, 7, 100, 1000])
 def test_block_payoffs_are_the_mean_of_their_predictions(n_bg):
     x, bg, w = _setup(m=10, n_bg=n_bg, seed=n_bg)
-    masks = _masks(10, 300, seed=n_bg + 1)
-    model = RecordingModel(w)
+    # 300 distinct masks in random order, so a mask names its position
+    masks = _consecutive(0, 2**10, 10)[np.random.default_rng(n_bg + 1).permutation(2**10)[:300]]
+    model = RecordingModel(w, x, bg)
     got = value_function._row_payoffs(masks, pack(masks), x, bg, model)
-    want = np.concatenate([preds.reshape(-1, n_bg).mean(axis=1)
-                           for preds in model.returned])
+    position = {mask.tobytes(): i for i, mask in enumerate(masks)}
+    want = np.full(len(masks), np.nan)
+    for seen, preds in model.returned:
+        want[[position[mask.tobytes()] for mask in seen]] = preds.reshape(-1, n_bg).mean(axis=1)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
