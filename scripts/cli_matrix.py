@@ -18,8 +18,8 @@ and an `inf` cell, one on a dataset whose header names a column twice, and
 runs once with `--runs 3`. Last, config values that make no run: a negative
 `--split-seed` or `--background-size`, a `task` that is neither regression
 nor classification (under `adherence`), an encoded value that is not a
-number, and `compare-exact --runs 2`. Runs that a command refuses are kept
-too.
+number, `compare-exact --runs 2`, and an `--instances` row or a `--budgets`
+value given twice. Runs that a command refuses are kept too.
 
 Each run gets OUT/<case>/ with its output files under `run/` and its
 `stdout.txt`, `stderr.txt` and `exit_code.txt`. The datasets are generated
@@ -200,6 +200,12 @@ def main():
         "explain", "--config", "data/encoding_x.json", "--dataset", "data/colors.csv",
         "--target", "target", "--budgets", "2"])
     run_case("compare-exact_ridge_runs2", ["compare-exact", *ridge, "--runs", "2"])
+    # an instance row or a budget given twice
+    run_case("explain_ridge_instances_repeated",
+             ["explain", *ridge, "--instances", "100,100", "--budgets", "20,20"])
+    run_case("explain_ridge_budgets_repeated", ["explain", *ridge, "--budgets", "20,33,20"])
+    run_case("stability_ridge_instances_repeated",
+             ["stability", *ridge, "--instances", "100,110,100"])
 
 
 if __name__ == "__main__":

@@ -78,8 +78,11 @@ def git_describe() -> str:
         return "unknown"
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__,
+def run_grid(description: str, cells, line, argv=None) -> int:
+    """The body of a grid script's main: reads OUT from ``argv``, appends one
+    entry (commit, provenance, the cells ``cells()`` yields) to it, and
+    prints ``line(cell)`` for each cell."""
+    p = argparse.ArgumentParser(description=description,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("out", type=Path, help="JSON file to append this run's entry to")
     args = p.parse_args(argv)
@@ -96,10 +99,15 @@ def main(argv=None) -> int:
     doc["runs"].append(entry)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     for c in entry["cells"]:
-        print(f"M={c['m']:2d} {c['strategy']:11s} b={c['budget']:6d} "
-              f"sampled={c['sampled_rows']:6d} fit {c['fit_ms']:8.3f} ms  "
-              f"sparsify(4) {c['sparsify4_ms']:8.3f} ms")
+        print(line(c))
     return 0
+
+
+def main(argv=None) -> int:
+    return run_grid(__doc__, cells, lambda c: (
+        f"M={c['m']:2d} {c['strategy']:11s} b={c['budget']:6d} "
+        f"sampled={c['sampled_rows']:6d} fit {c['fit_ms']:8.3f} ms  "
+        f"sparsify(4) {c['sparsify4_ms']:8.3f} ms"), argv)
 
 
 if __name__ == "__main__":

@@ -18,15 +18,9 @@ checkouts that share one OUT.json sit side by side:
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/knn_grid.py BENCH_knn.json
 """
 
-import argparse
-import json
-import os
-import platform
-from pathlib import Path
-
 import numpy as np
 
-from fit_grid import CELL_S, git_describe, median_ms
+from fit_grid import median_ms, run_grid
 from stableshap import KNNClassifierModel
 
 N_TRAIN, FEATURES, KS = (40, 120, 1000), (8, 13, 20), (1, 5)
@@ -48,26 +42,9 @@ def cells():
 
 
 def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("out", type=Path, help="JSON file to append this run's entry to")
-    args = p.parse_args(argv)
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
-    entry = {
-        "commit": git_describe(),
-        "provenance": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                       "numpy": np.__version__, "cell_s": CELL_S,
-                       "threads": {k: os.environ.get(k) for k in
-                                   ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")},
-                       "clock": "process CPU time"},
-        "cells": list(cells()),
-    }
-    doc["runs"].append(entry)
-    args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    for c in entry["cells"]:
-        print(f"n_train={c['n_train']:5d} M={c['m']:2d} k={c['k']} "
-              f"{c['ms_per_1000_rows']:8.3f} ms per 1000 rows ({c['reps']} calls)")
-    return 0
+    return run_grid(__doc__, cells, lambda c: (
+        f"n_train={c['n_train']:5d} M={c['m']:2d} k={c['k']} "
+        f"{c['ms_per_1000_rows']:8.3f} ms per 1000 rows ({c['reps']} calls)"), argv)
 
 
 if __name__ == "__main__":

@@ -162,6 +162,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                         ("--background-size", cfg.background_size)):
         if count < 1:
             raise ConfigError(f"{flag} must be at least 1, got {count}")
+    for flag, values in (("--instances", cfg.instances or []), ("--budgets", cfg.budgets)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:  # a repeat would overwrite an output, or count twice in a mean
+            raise ConfigError(f"{flag} repeats {repeated[0]}")
     if cfg.task not in (None, "regression", "classification"):
         raise ConfigError(f"task must be regression or classification, got {cfg.task!r}")
     return cfg

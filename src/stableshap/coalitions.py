@@ -15,7 +15,8 @@ and the st-shap sampler unranks positions of layers too large to enumerate.
 
 :func:`pack` is the one key a mask is looked up, counted or deduplicated by:
 bit i of the key is feature i. The sampler, the payoff memo, set validation
-and game-table lookups all use it.
+and game-table lookups all use it; :func:`unpack` turns integer keys back
+into masks.
 """
 
 from __future__ import annotations
@@ -47,6 +48,14 @@ def pack(masks: np.ndarray) -> np.ndarray:
     if width == 8:
         return packed.view("<u8").reshape(-1)
     return packed.view(np.dtype((np.void, width))).reshape(-1)
+
+
+def unpack(keys, n_features: int) -> np.ndarray:
+    """Masks of integer keys, the inverse of :func:`pack` up to 64 features."""
+    keys = np.asarray(keys, dtype="<u8").reshape(-1)
+    # bit i of key n is bit i of its little-endian bytes
+    return np.unpackbits(keys.view(np.uint8).reshape(-1, 8), axis=1, count=n_features,
+                         bitorder="little").view(bool)
 
 
 def n_layers(n_features: int) -> int:

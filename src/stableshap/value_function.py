@@ -15,18 +15,15 @@ instance's distinct coalitions (at most 2^M).
 
 The coalitions the memo lacks reach the model in blocks of whole masks, at
 most ``ROW_BUDGET`` substituted rows per ``predict`` call (8 masks at the
-least), so the rows of one call stay bounded whatever the budget and the
-background size. The bound is small enough that a block (1 MiB at 16
-features) stays in cache between being written and ``predict`` reading it
-back. One block buffer serves a whole request, and its whole blocks are
-visited in reflected Gray-code order of their index, any short last block
-last. A block whose packed keys each differ from those of the block visited
-before it in the same features, and take the same values there, is
-rewritten in place, one column per flipped feature; this is how the exact
-oracle's consecutive masks go, one column a block. Any other block is
-filled fresh by :func:`substitute`. ``predict`` gets the buffer as
-a read-only view, valid until it returns. The payoffs are bit-identical to
-those of one single call.
+least), so a call's rows stay bounded whatever the budget and background
+size, and a block (1 MiB at 16 features) stays in cache between being
+written and read. :func:`substitute` fills each block of a request fresh,
+into one buffer that ``predict`` gets as a read-only view, valid until it
+returns. A cold exact oracle (no payoff of the instance memoized) takes
+:func:`walk_payoffs` instead: a Gray-code walk over the blocks of all 2^M
+masks, one column write a block, whose table becomes the memo. Either way
+each payoff is computed at most once per adapter and instance, and is
+bit-identical to that of one single call.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from functools import partial
 
 import numpy as np
 
-from .coalitions import pack
+from .coalitions import pack, unpack
 from .errors import NonFinitePayoffError
 
 # id(adapter) -> (weak reference to the adapter, memo state); an entry goes
@@ -45,9 +42,8 @@ from .errors import NonFinitePayoffError
 # adapter never read a half-merged memo or another instance's payoffs.
 _MEMOS: dict[int, tuple] = {}
 
-# substituted rows per model call; bounds the (rows, M) float matrix that
-# substitute builds, whatever the budget and the background size, and keeps
-# it in cache until predict has read it
+# substituted rows per model call: bounds the rows a block holds, whatever the
+# budget and the background size, and keeps them in cache until predict reads them
 ROW_BUDGET = 1 << 13
 
 
@@ -75,85 +71,44 @@ def substitute(masks: np.ndarray, x: np.ndarray, background: np.ndarray,
     return rows.reshape(n * b, m)
 
 
-def _checked(masks: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
+def _checked(payoffs: np.ndarray, mask_of) -> np.ndarray:
     bad = ~np.isfinite(payoffs)
     if bad.any():
         i = int(np.argmax(bad))
-        coalition = "".join("1" if present else "0" for present in masks[i])
+        coalition = "".join("1" if present else "0" for present in mask_of(i))
         raise NonFinitePayoffError(coalition, float(payoffs[i]))
     return payoffs
 
 
-def _visit_order(n: int, step: int) -> np.ndarray:
-    """Positions of n masks in the order their blocks of ``step`` are
-    visited: the whole blocks in reflected Gray-code order of their index,
-    so that consecutive blocks of consecutive masks differ in one bit, then
-    a short last block."""
-    n_full = n // step
-    if n_full < 2:
-        return np.arange(n)
-    gray = np.arange(1 << (n_full - 1).bit_length())
-    gray ^= gray >> 1
-    starts = gray[gray < n_full] * step
-    return np.append((starts[:, None] + np.arange(step)).reshape(-1),
-                     np.arange(n_full * step, n))
+def _block_masks(n_background: int) -> int:
+    """Masks per block: the largest power of two whose rows fit ROW_BUDGET, at
+    least 8. Every block starts at a multiple of 8 rows, so BLAS groups the rows
+    as in one call: payoffs depend on neither the block size nor block order."""
+    return 1 << max(3, (ROW_BUDGET // n_background).bit_length() - 1)
 
 
-def _flips(keys: np.ndarray, step: int) -> list:
-    """Per block of ``step`` keys, keys in visiting order, the bits each of
-    its slots flips against the same slot one block back, or None where the
-    block is filled fresh:
-    the first block, a block whose slots flip different bits or take
-    different values on them, and every block of void keys (over 64
-    features)."""
-    n_blocks = -(-len(keys) // step)
-    if keys.dtype.kind != "u" or n_blocks < 2:
-        return [None] * n_blocks
-    d = keys[step:] ^ keys[:-step]  # each slot against the same slot one block back
-    starts = np.arange(0, len(d), step)
-    flips = d[starts]
-    same = d == np.repeat(flips, step)[:len(d)]
-    # the values the flipped bits take, written over d: at most two arrays
-    # the size of keys are alive at once, which keeps peak memory down
-    to = np.bitwise_and(keys[step:], np.repeat(flips, step)[:len(d)], out=d)
-    same &= to == np.repeat(to[starts], step)[:len(d)]
-    in_place = np.logical_and.reduceat(same, starts).tolist()
-    return [None] + [f if ok else None for f, ok in zip(flips.tolist(), in_place)]
+def _block_payoffs(block: np.ndarray, model) -> np.ndarray:
+    """Mean prediction per mask of an (n_masks, B, M) block, read-only to predict."""
+    n, n_background, _ = block.shape
+    rows = block.reshape(n * n_background, -1)
+    rows.flags.writeable = False
+    preds = np.asarray(model.predict(rows), dtype=float).reshape(-1)
+    if len(preds) != len(rows):
+        raise ValueError(f"model returned {len(preds)} outputs for {len(rows)} rows")
+    # the reduction and division ndarray.mean runs, without its wrapper
+    return np.add.reduce(preds.reshape(n, n_background), axis=1) / n_background
 
 
-def _row_payoffs(masks, keys, x, background, model) -> np.ndarray:
-    """Payoffs of whole masks (``keys`` their packed keys), in blocks of the
-    largest power of two of masks whose rows fit ROW_BUDGET, at least 8,
-    visited in the order of :func:`_visit_order`. A block holds a multiple
-    of 8 masks, so every block starts at a row that is a multiple of 8: BLAS
-    then groups the rows as it would in one call, and the payoffs depend on
-    neither the block size nor the order of the blocks."""
-    n_background = background.shape[0]
-    step = 1 << max(3, (ROW_BUDGET // n_background).bit_length() - 1)
-    buf = np.empty((min(step, len(masks)), n_background, len(x)))
+def _row_payoffs(masks, x, background, model) -> np.ndarray:
+    """Payoffs of whole masks, each block filled fresh into one buffer."""
+    step = _block_masks(background.shape[0])
+    buf = np.empty((min(step, len(masks)), background.shape[0], len(x)))
     out = np.empty(len(masks))
-    order = _visit_order(len(masks), step)
-    keys = keys[order]
-    for start, flipped in zip(range(0, len(masks), step), _flips(keys, step)):
+    for start in range(0, len(masks), step):
         n = min(step, len(masks) - start)
-        at = order[start:start + n]
-        if flipped is None:
-            substitute(masks[at], x, background, out=buf[:n])
-        else:
-            to = int(keys[start])
-            while flipped:  # one column write per feature the block flips
-                bit = flipped & -flipped
-                j = bit.bit_length() - 1
-                buf[:n, :, j] = x[j] if to & bit else background[:, j]
-                flipped ^= bit
-        rows = buf[:n].reshape(n * n_background, -1)
-        rows.flags.writeable = False
-        preds = np.asarray(model.predict(rows), dtype=float).reshape(-1)
-        if len(preds) != len(rows):
-            raise ValueError(f"model returned {len(preds)} outputs for {len(rows)} rows")
-        # the reduction and division ndarray.mean runs, without its wrapper
-        out[at] = np.add.reduce(preds.reshape(n, n_background), axis=1) / n_background
-    return _checked(masks, out)
+        substitute(masks[start:start + n], x, background, out=buf[:n])
+        out[start:start + n] = _block_payoffs(buf[:n], model)
+    return _checked(out, masks.__getitem__)
 
 
 def _forget(model_id: int, ref: weakref.ref) -> None:
@@ -161,20 +116,26 @@ def _forget(model_id: int, ref: weakref.ref) -> None:
         _MEMOS.pop(model_id, None)
 
 
+def _memo(model, x, background):
+    """(adapter's weak reference or None, instance key, its memo or None)."""
+    instance = (x.tobytes(), background.shape, background.tobytes())
+    entry = _MEMOS.get(id(model))
+    if entry is not None and entry[0]() is model:
+        ref, (held, keys, payoffs) = entry
+        return ref, instance, ((keys, payoffs) if held == instance else None)
+    try:
+        return weakref.ref(model, partial(_forget, id(model))), instance, None
+    except TypeError:  # no weak references: evaluated without a memo
+        return None, instance, None
+
+
 def _memoized_payoffs(masks, x, background, model) -> np.ndarray:
     """Row payoffs; only coalitions the adapter's memo lacks reach the model."""
+    ref, instance, held = _memo(model, x, background)
+    if ref is None:
+        return _row_payoffs(masks, x, background, model)
     packed = pack(masks)
-    entry = _MEMOS.get(id(model))
-    if entry is None or entry[0]() is not model:
-        try:
-            entry = (weakref.ref(model, partial(_forget, id(model))), None)
-        except TypeError:  # no weak references: evaluated without a memo
-            return _row_payoffs(masks, packed, x, background, model)
-    ref, state = entry
-    instance = (x.tobytes(), background.shape, background.tobytes())
-    if state is None or state[0] != instance:
-        state = (instance, packed[:0], np.empty(0))
-    _, keys, payoffs = state
+    keys, payoffs = held or (packed[:0], np.empty(0))
 
     out = np.empty(len(masks))
     hit = np.zeros(len(masks), dtype=bool)
@@ -188,16 +149,58 @@ def _memoized_payoffs(masks, x, background, model) -> np.ndarray:
     miss = np.flatnonzero(~hit)
     new_keys, first, inverse = np.unique(packed[miss], return_index=True,
                                          return_inverse=True)
-    # the model sees the missing coalitions once each, cut into blocks in
-    # request order
+    # the model sees the missing coalitions once each, in request order
     order = np.argsort(first)
     new_payoffs = np.empty(len(new_keys))
-    new_payoffs[order] = _row_payoffs(masks[miss[first[order]]], new_keys[order], x,
-                                      background, model)
+    new_payoffs[order] = _row_payoffs(masks[miss[first[order]]], x, background, model)
     out[miss] = new_payoffs[inverse.reshape(-1)]
     at = np.searchsorted(keys, new_keys)
     _MEMOS[id(model)] = (ref, (instance, np.insert(keys, at, new_keys),
                                np.insert(payoffs, at, new_payoffs)))
+    return out
+
+
+def _row_inputs(x, background):
+    if x is None or background is None:
+        raise ValueError("row models need an instance and a background set")
+    x = np.asarray(x, dtype=float).reshape(-1)
+    background = np.asarray(background, dtype=float)
+    if background.shape[0] < 1:
+        raise ValueError("background set needs at least one row")
+    return x, background
+
+
+def walk_payoffs(x, background, model, n_features: int) -> np.ndarray | None:
+    """Payoffs of all 2^M coalitions by mask integer if the row adapter's memo
+    holds none of this instance, else None (a game, a warm memo or a wrong M).
+
+    Blocks of consecutive masks go in reflected Gray-code order of their
+    index: :func:`substitute` fills the first, and each next one is a column
+    write away. The first non-finite payoff by mask integer raises; else the
+    table becomes the memo, keyed as :func:`~.coalitions.pack` keys masks.
+    """
+    if hasattr(model, "coalition_values") or n_features != model.n_features:
+        return None
+    x, background = _row_inputs(x, background)
+    ref, instance, held = _memo(model, x, background)
+    if held is not None:
+        return None
+    total = 1 << n_features
+    step = min(_block_masks(background.shape[0]), total)
+    buf = np.empty((step, background.shape[0], n_features))
+    substitute(unpack(np.arange(step), n_features), x, background, out=buf)
+    out = np.empty(total)
+    start = 0  # the first mask of the block, whose index is the i-th Gray code
+    for i in range(total // step):
+        if i:
+            flip = (i & -i) * step  # the Gray bit, above the block's low bits
+            start ^= flip
+            j = flip.bit_length() - 1
+            buf[:, :, j] = x[j] if start & flip else background[:, j]
+        out[start:start + step] = _block_payoffs(buf, model)
+    _checked(out, lambda i: unpack(i, n_features)[0])
+    if ref is not None:
+        _MEMOS[id(model)] = (ref, (instance, np.arange(total, dtype="<u8"), out))
     return out
 
 
@@ -216,13 +219,9 @@ def evaluate_batch(coalitions, x, background, model) -> np.ndarray:
         return np.empty(0)
     if hasattr(model, "coalition_values"):
         # a game's lookup is already O(1) per mask; no memo
-        return _checked(masks, np.asarray(model.coalition_values(masks), dtype=float))
-    if x is None or background is None:
-        raise ValueError("row models need an instance and a background set")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    background = np.asarray(background, dtype=float)
-    if background.shape[0] < 1:
-        raise ValueError("background set needs at least one row")
+        return _checked(np.asarray(model.coalition_values(masks), dtype=float),
+                        masks.__getitem__)
+    x, background = _row_inputs(x, background)
     return _memoized_payoffs(masks, x, background, model)
 
 

@@ -10,6 +10,7 @@ import ast
 import csv
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,8 @@ PUBLIC = [
 ]
 
 CALLERS = ["bench/workloads.py", "bench/worker.py", "bench/run.py",
-           "scripts/stability_sweep.py", "scripts/cli_matrix.py", "scripts/fit_grid.py"]
+           "scripts/stability_sweep.py", "scripts/cli_matrix.py", "scripts/fit_grid.py",
+           "scripts/knn_grid.py"]
 
 
 def _tracer():
@@ -76,6 +78,51 @@ def test_callers_resolve_every_library_name(path):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in aliases):
             assert hasattr(stableshap, node.attr), f"stableshap.{node.attr}"
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))
+def test_scripts_resolve_their_sibling_imports(path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    tree = ast.parse((ROOT / "scripts" / path).read_text())
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.module
+                and (ROOT / "scripts" / f"{node.module}.py").exists()):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
+
+
+def test_grid_scripts_append_entries_of_one_layout(tmp_path, monkeypatch, capsys):
+    """fit_grid and knn_grid share their main body: each run appends one
+    entry (commit, provenance, cells) to its JSON file. Tiny grids, with the
+    timing stubbed out."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    fit_grid = importlib.import_module("fit_grid")
+    knn_grid = importlib.import_module("knn_grid")
+
+    def stub(call):
+        call()
+        return 0.5, 5
+
+    monkeypatch.setattr(fit_grid, "BUDGETS", {8: (16, 40)})
+    monkeypatch.setattr(fit_grid, "median_ms", stub)
+    for name, value in (("N_TRAIN", (40,)), ("FEATURES", (8,)), ("KS", (1,)),
+                        ("median_ms", stub)):
+        monkeypatch.setattr(knn_grid, name, value)
+    docs = {}
+    for module, n_cells in ((fit_grid, 4), (knn_grid, 1)):
+        out = tmp_path / f"{module.__name__}.json"
+        for _ in range(2):
+            assert module.main([str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert list(doc) == ["runs"] and len(doc["runs"]) == 2
+        for entry in doc["runs"]:
+            assert list(entry) == ["commit", "provenance", "cells"]
+            assert len(entry["cells"]) == n_cells
+        docs[module.__name__] = doc["runs"][0]["provenance"]
+    assert list(docs["fit_grid"]) == list(docs["knn_grid"]) == [
+        "nproc", "python", "numpy", "cell_s", "threads", "clock"]
+    assert len(capsys.readouterr().out.splitlines()) == 2 * (4 + 1)
 
 
 def test_every_traced_target_resolves():

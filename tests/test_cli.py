@@ -437,6 +437,12 @@ class TestCountsRefused:
         ("explain", ["--background-size", "-5"],
          "--background-size must be at least 1, got -5"),
         ("explain", ["--split-seed", "-1"], "split seed must be non-negative, got -1"),
+        ("explain", ["--instances", "150,150", "--budgets", "20,20"],
+         "--instances repeats 150"),
+        ("explain", ["--budgets", "20,33,20"], "--budgets repeats 20"),
+        ("stability", ["--instances", "3,7,3,7"], "--instances repeats 3"),
+        ("stability", ["--budgets", "33,20,33,33"], "--budgets repeats 33"),
+        ("compare-exact", ["--instances", "5,5"], "--instances repeats 5"),
     ])
     def test_ridge_counts(self, command, flags, message, reg_csv, tmp_path, capsys):
         out = tmp_path / "run"

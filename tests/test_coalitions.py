@@ -13,6 +13,7 @@ from stableshap.coalitions import (
     layer_size,
     n_layers,
     pack,
+    unpack,
 )
 
 from conftest import colex_layer_oracle, colex_unrank_oracle, layer_member_oracle
@@ -49,6 +50,15 @@ class TestPack:
                     assert int(key) == expected
                 else:
                     assert key.tobytes() == expected.to_bytes(width, "little")
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 20, 63, 64])
+    def test_unpack_inverts_pack(self, m):
+        rng = np.random.default_rng(m)
+        masks = rng.random((300, m)) < rng.choice([0.0, 0.1, 0.5, 1.0], size=(300, 1))
+        got = unpack(pack(masks), m)
+        assert got.dtype == bool and np.array_equal(got, masks)
+        for key, mask in zip(range(300), unpack(np.arange(300), m)):
+            assert mask.tolist() == [bool(key >> i & 1) for i in range(m)]
 
 
 class TestLayerSize:

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 from stableshap import (
     CallableModel,
     OracleCapError,
+    RidgeRegressionModel,
     SyntheticGame,
     exact_shap,
     exact_shap_game,
 )
-from stableshap.exact import _phis_from_values, _subset_weights
+from stableshap.exact import CAP, _phis_from_values, _subset_weights
 
 from conftest import (
     GLOVE_EXACT,
@@ -83,6 +85,21 @@ class TestSubsetFormula:
         model = CountingGameModel(random_table_game(rng, 7))
         v = exact_shap(None, model, None)
         assert model.calls == 2**7 == v.eval_count
+
+    def test_peak_memory_at_the_cap(self):
+        # one ridge instance with one background row peaks at 44.0 MiB under
+        # tracemalloc (the 2^20 payoffs, their memo keys and the subset-sum
+        # temporaries); 48 MiB leaves room for allocator noise, not for
+        # another 2^20 array of 8-byte numbers
+        rng = np.random.default_rng(29)
+        x, bg, w = rng.normal(size=CAP), rng.normal(size=(1, CAP)), rng.normal(size=CAP)
+        tracemalloc.start()
+        try:
+            exact_shap(x, RidgeRegressionModel(w, 0.5), bg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 << 20
 
 
 class TestPermutationFormula:

@@ -20,7 +20,7 @@ from stableshap import (
     explain,
     layer1_attribution,
 )
-from stableshap import exact, value_function
+from stableshap import value_function
 from stableshap.coalitions import pack
 from stableshap.value_function import evaluate_batch
 
@@ -360,25 +360,6 @@ def _block_masks(budget, n_bg):
     return n
 
 
-def _fresh_reference(keys, step):
-    """Blocks filled fresh by the in-place rule, slot by slot. Whole blocks
-    are visited in reflected Gray-code order of their index, a short last
-    block last; a block is rewritten in place when every slot flips the same
-    bits against the slot of the block visited before, to the same values."""
-    keys = [int(k) for k in keys]
-    n_full = len(keys) // step
-    gray = [g ^ g >> 1 for g in range(1 << max(n_full - 1, 0).bit_length())]
-    order = [g for g in gray if g < n_full] + [n_full] * (len(keys) % step > 0)
-    keys = [k for b in order for k in keys[b * step:(b + 1) * step]]
-    fresh = 1
-    for start in range(step, len(keys), step):
-        block, before = keys[start:start + step], keys[start - step:start]
-        d = block[0] ^ before[0]
-        fresh += not all(k ^ p == d and k & d == block[0] & d
-                         for k, p in zip(block, before))
-    return fresh
-
-
 class CallLoggingRidge(RidgeRegressionModel):
     """Ridge adapter that records the rows of every predict call."""
 
@@ -430,8 +411,8 @@ class TestRowBudget:
         assert got == want
 
     def test_exact_values_equal_at_the_default_budget_and_in_one_call(self, monkeypatch):
-        # 2^16 masks x 5 background rows: six calls per exact chunk of 8192
-        # masks at the default budget, one per chunk without a bound
+        # 2^16 masks x 5 background rows: 48 calls at the default budget, one
+        # without a bound
         x, bg, _ = _setup(m=16, n_bg=5, seed=10)
 
         def run(model):
@@ -454,19 +435,25 @@ class TestRowBudget:
         block_bytes = (1 << 12) * 8 * 8
         tracemalloc.start()
         try:
-            value_function._row_payoffs(masks, pack(masks), x, bg, model)
+            value_function._row_payoffs(masks, x, bg, model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert block_bytes < peak < 2 * block_bytes
 
-    def _run(self, monkeypatch, budget, requests, expected, x, bg):
-        """Evaluates the requests on one adapter; returns the fresh fills."""
+    def _fills(self, monkeypatch, budget):
+        """Sets the row budget and counts fresh fills; returns the list that
+        counts them and the unpatched ``substitute``."""
         monkeypatch.setattr(value_function, "ROW_BUDGET", budget)
         fresh = value_function.substitute
         fills = []
         monkeypatch.setattr(value_function, "substitute",
                             lambda *args, **kw: fills.append(1) or fresh(*args, **kw))
+        return fills, fresh
+
+    def _run(self, monkeypatch, budget, requests, expected, x, bg):
+        """Evaluates the requests on one adapter; returns the fresh fills."""
+        fills, fresh = self._fills(monkeypatch, budget)
         model = BlockCheckingModel(expected, x, bg, fresh)
         for masks in requests:
             got = evaluate_batch(masks, x, bg, model)
@@ -475,53 +462,31 @@ class TestRowBudget:
         assert not any(model.writeable)
         return len(fills)
 
+    def _oracle(self, monkeypatch, budget, x, bg):
+        """A cold exact oracle on a checking adapter whose payoff of a mask is
+        its mask integer; returns the adapter and the fresh fills."""
+        m = len(x)
+        fills, fresh = self._fills(monkeypatch, budget)
+        model = BlockCheckingModel(_consecutive(0, 2**m, m), x, bg, fresh)
+        exact_shap(x, model, bg)
+        assert sorted(model.seen) == list(range(2**m))
+        assert not any(model.writeable)
+        # the whole table is the memo: read back without a model call
+        seen = len(model.seen)
+        got = evaluate_batch(_consecutive(0, 2**m, m), x, bg, model)
+        assert np.array_equal(got, np.arange(2**m)) and len(model.seen) == seen
+        return model, len(fills)
+
     @pytest.mark.parametrize("budget", [1 << 10, 1 << 13])
-    @pytest.mark.parametrize("n_bg", [1, 7, 100, 1100])
-    @pytest.mark.parametrize("m", range(2, 17))
-    def test_oracle_blocks_equal_fresh_substitute(self, monkeypatch, m, n_bg, budget):
-        # one of the exact oracle's chunks of consecutive masks: all 2^M up
-        # to 13 features, then the last chunk, whose high bits are all set
-        masks = _consecutive(max(0, 2**m - exact._EVAL_CHUNK), 2**m, m)
+    @pytest.mark.parametrize("m, n_bg", [(m, n_bg) for n_bg, top in
+                                         ((1, 16), (7, 16), (100, 14), (1100, 12))
+                                         for m in range(2, top + 1)])
+    def test_cold_oracle_blocks_equal_fresh_substitute(self, monkeypatch, m, n_bg, budget):
         x, bg, _ = _setup(m=m, n_bg=n_bg, seed=m * n_bg)
-        fills = self._run(monkeypatch, budget, [masks], masks, x, bg)
-        assert fills == 1 == _fresh_reference(pack(masks), _block_masks(budget, n_bg))
+        _, fills = self._oracle(monkeypatch, budget, x, bg)
+        assert fills == 1
 
-    def test_short_last_block_rewritten_in_place(self, monkeypatch):
-        # blocks of 128 masks: 128, 128, 128 and 5
-        x, bg, _ = _setup(m=10, n_bg=7, seed=31)
-        masks = _consecutive(0, 3 * 128 + 5, 10)
-        fills = self._run(monkeypatch, 1 << 10, [masks], masks, x, bg)
-        assert fills == 1 == _fresh_reference(pack(masks), 128)
-
-    def test_scattered_misses_of_a_warm_memo_fill_fresh(self, monkeypatch):
-        x, bg, _ = _setup(m=12, n_bg=7, seed=32)
-        masks = _consecutive(0, 2**12, 12)
-        warm = np.random.default_rng(33).random(len(masks)) < 1 / 3
-        expected = np.vstack([masks[warm], masks[~warm]])
-        fills = self._run(monkeypatch, 1 << 10, [masks[warm], masks], expected, x, bg)
-        blocks_warm, blocks_miss = -(-warm.sum() // 128), -(-(~warm).sum() // 128)
-        assert fills == blocks_warm + blocks_miss
-        assert fills == (_fresh_reference(pack(masks[warm]), 128)
-                         + _fresh_reference(pack(masks[~warm]), 128))
-
-    def test_every_other_mask_missing_still_rewritten_in_place(self, monkeypatch):
-        # misses 1, 3, 5, ...: each block of 128 flips the same bits of every slot
-        x, bg, _ = _setup(m=12, n_bg=7, seed=34)
-        masks = _consecutive(0, 2**12, 12)
-        expected = np.vstack([masks[::2], masks[1::2]])
-        fills = self._run(monkeypatch, 1 << 10, [masks[::2], masks], expected, x, bg)
-        assert fills == 2 == (_fresh_reference(pack(masks[::2]), 128)
-                              + _fresh_reference(pack(masks[1::2]), 128))
-
-    def test_slots_flipping_the_same_bits_to_other_values_fill_fresh(self, monkeypatch):
-        # blocks of 8: masks 0-7, then 15-8; every slot flips bits 0-3, but
-        # not every slot sets them to the same values
-        x, bg, _ = _setup(m=6, n_bg=5, seed=37)
-        masks = _consecutive(0, 16, 6)[np.r_[np.arange(8), np.arange(15, 7, -1)]]
-        fills = self._run(monkeypatch, 64, [masks], masks, x, bg)
-        assert fills == 2 == _fresh_reference(pack(masks), 8)
-
-    def test_signed_zeros_and_nan_payloads_rewritten_bit_for_bit(self, monkeypatch):
+    def test_signed_zeros_and_nan_payloads_walked_bit_for_bit(self, monkeypatch):
         # blocks of 8 masks, visited in Gray-code order 0-7, 8-15, 24-31,
         # 16-23: features 3, 4 and 3 again flip, to the instance's values and
         # back to the background's
@@ -530,9 +495,20 @@ class TestRowBudget:
         x = np.array([-0.0, payload[0], 1.5, payload[0], -0.0])
         bg = np.array([[0.0, -0.0, payload[1], payload[1], -0.0],
                        [payload[0], 3.0, -0.0, -0.0, payload[1]]])
-        masks = _consecutive(0, 32, 5)
-        fills = self._run(monkeypatch, 16, [masks], masks, x, bg)
-        assert fills == 1 == _fresh_reference(pack(masks), 8)
+        model, fills = self._oracle(monkeypatch, 16, x, bg)
+        assert fills == 1 and len(model.writeable) == 4
+
+    @pytest.mark.parametrize("n_bg", [1, 7, 100, 1100])
+    def test_requests_fill_every_block_fresh(self, monkeypatch, n_bg):
+        # consecutive masks, a third of them requested first: each request's
+        # blocks of 8 (or 128 at one background row) are all filled fresh
+        x, bg, _ = _setup(m=12, n_bg=n_bg, seed=32)
+        masks = _consecutive(0, 2**12, 12)
+        warm = np.random.default_rng(33).random(len(masks)) < 1 / 3
+        expected = np.vstack([masks[warm], masks[~warm]])
+        fills = self._run(monkeypatch, 1 << 10, [masks[warm], masks], expected, x, bg)
+        step = _block_masks(1 << 10, n_bg)
+        assert fills == -(-warm.sum() // step) + -(-(~warm).sum() // step)
 
     def test_void_keys_fill_every_block_fresh(self, monkeypatch):
         # 70 features: keys wider than 64 bits; 100 masks in blocks of 16
@@ -542,9 +518,8 @@ class TestRowBudget:
         assert fills == 7
 
     def test_consecutive_oracle_blocks_differ_in_one_column(self):
-        # 2^16 masks x 100 background rows: blocks of 64 masks, 128 to each
-        # exact chunk of 8192; every block of a chunk but its first is one
-        # column away from the block visited before it
+        # 2^16 masks x 100 background rows: blocks of 64 masks; every block
+        # but the first is one column away from the block visited before it
         x, bg, w = _setup(m=16, n_bg=100, seed=38)
         changed = []
 
@@ -559,10 +534,35 @@ class TestRowBudget:
                 return super().predict(rows)
 
         exact_shap(x, ColumnCounting(w, 0.0), bg)
-        step = _block_masks(value_function.ROW_BUDGET, 100)
-        blocks = exact._EVAL_CHUNK // step
-        assert step == 64 and len(changed) == 2**16 // step - 1
-        assert {n for i, n in enumerate(changed, 1) if i % blocks} == {1}
+        assert _block_masks(value_function.ROW_BUDGET, 100) == 64
+        assert changed == [1] * (2**16 // 64 - 1)
+
+    def test_oracle_after_explain_sends_only_the_missing_coalitions(self):
+        m = 12
+        x, bg, w = _setup(m=m, n_bg=7, seed=39)
+        model = RecordingModel(w, x, bg)
+        explain(x, model, bg, ST_SHAP, 700, seed=4)
+        warm = set(value_function._MEMOS[id(model)][1][1].tolist())
+        assert 0 < len(warm) < 2**m
+        model.returned.clear()
+        got = exact_shap(x, model, bg)
+        sent = pack(np.vstack([seen for seen, _ in model.returned]))
+        assert sorted(sent.tolist()) == sorted(set(range(2**m)) - warm)
+        model.returned.clear()
+        assert exact_shap(x, model, bg) == got and model.returned == []
+        assert got == exact_shap(x, RecordingModel(w, x, bg), bg)
+
+    def test_cold_oracle_names_a_nan_in_mask_integer_order(self, monkeypatch):
+        # blocks of 8 masks: block 3 (masks 24-31) is visited before block 2
+        # (16-23), so the NaN at 30 is met before the one at 17
+        monkeypatch.setattr(value_function, "ROW_BUDGET", 64)
+        x, bg, w = _setup(m=8, n_bg=5, seed=12)
+        model = NanAtMasks(w, x, bg, {17, 30})
+        with pytest.raises(NonFinitePayoffError) as info:
+            exact_shap(x, model, bg)
+        assert info.value.coalition == _bitstring(17, 8)
+        assert model.calls == 32  # checked once, after the last block
+        assert id(model) not in value_function._MEMOS  # nothing memoized
 
     def test_a_model_writing_to_its_rows_raises_at_the_first_block(self, monkeypatch):
         monkeypatch.setattr(value_function, "ROW_BUDGET", 64)
@@ -661,7 +661,7 @@ def test_block_payoffs_are_the_mean_of_their_predictions(n_bg):
     # 300 distinct masks in random order, so a mask names its position
     masks = _consecutive(0, 2**10, 10)[np.random.default_rng(n_bg + 1).permutation(2**10)[:300]]
     model = RecordingModel(w, x, bg)
-    got = value_function._row_payoffs(masks, pack(masks), x, bg, model)
+    got = value_function._row_payoffs(masks, x, bg, model)
     position = {mask.tobytes(): i for i, mask in enumerate(masks)}
     want = np.full(len(masks), np.nan)
     for seen, preds in model.returned:
