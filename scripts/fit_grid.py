@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Median CPU time of the surrogate fit, cell by cell, appended to OUT.json.
+"""Median CPU time of the sampler and the surrogate fit, cell by cell,
+appended to OUT.json.
 
 The grid is M in {8, 13, 20}, both strategies, and for each M a few budgets
 that end on a complete-layer boundary and a few that do not. Each cell
-materializes the coalition set of seed 0, takes its payoffs from a random
-N(0, 1) table over all 2^M masks, and times `explainer.fit` and
-`explainer.sparsify(..., 4)` one call at a time in process CPU time, after
-one untimed call of each. A cell repeats until it has spent CELL_S of CPU
+times `sampling.materialize` of the seed-0 plan, takes the payoffs of the
+set it made from a random N(0, 1) table over all 2^M masks, and times
+`explainer.fit` and `explainer.sparsify(..., 4)`, one call at a time in
+process CPU time, after one untimed call of each. A cell repeats until it has spent CELL_S of CPU
 time or made MAX_REPS calls (at least MIN_REPS), and reports the median in
 ms with its sample count. Run it with BLAS single-threaded, as the
 benchmark runs; the thread settings go into the entry's provenance.
@@ -57,7 +58,9 @@ def cells():
         complete = {b for _, b in complete_layer_budgets(m)}
         for budget in budgets:
             for strategy in (ST_SHAP, KERNEL_SHAP):
-                cset = materialize(plan_for(strategy, m, budget, seed=0))
+                plan = plan_for(strategy, m, budget, seed=0)
+                materialize_ms, materialize_reps = median_ms(lambda: materialize(plan))
+                cset = materialize(plan)
                 values = table[pack(cset.masks)]
                 dense = fit(cset, values, table[0], table[-1])
                 fit_ms, fit_reps = median_ms(lambda: fit(cset, values, table[0], table[-1]))
@@ -65,6 +68,8 @@ def cells():
                 yield {"m": m, "strategy": strategy, "budget": budget,
                        "complete_budget": budget in complete,
                        "sampled_rows": len(cset) - cset.n_complete,
+                       "materialize_ms": materialize_ms,
+                       "materialize_reps": materialize_reps,
                        "fit_ms": fit_ms, "fit_reps": fit_reps,
                        "sparsify4_ms": sparse_ms, "sparsify4_reps": sparse_reps}
 
@@ -106,7 +111,8 @@ def run_grid(description: str, cells, line, argv=None) -> int:
 def main(argv=None) -> int:
     return run_grid(__doc__, cells, lambda c: (
         f"M={c['m']:2d} {c['strategy']:11s} b={c['budget']:6d} "
-        f"sampled={c['sampled_rows']:6d} fit {c['fit_ms']:8.3f} ms  "
+        f"sampled={c['sampled_rows']:6d} materialize {c['materialize_ms']:8.3f} ms  "
+        f"fit {c['fit_ms']:8.3f} ms  "
         f"sparsify(4) {c['sparsify4_ms']:8.3f} ms"), argv)
 
 

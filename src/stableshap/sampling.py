@@ -6,9 +6,11 @@ stop enumerating and where the leftover randomness lives:
 * ``kernel-shap``: a layer is filled only while its share of the remaining
   coalition weight would cover it anyway; after the first refusal, the whole
   leftover budget is drawn (with replacement, weight-proportionally) from all
-  non-complete layers, duplicates merged by multiplicity. The draws come in
-  batches sized from the expected repeat rate, and each drawn subset is
-  built by integer selection sampling, with no sort.
+  non-complete layers, duplicates merged by multiplicity. As in shap's
+  ``KernelExplainer``, the draws come in complement pairs: a subset of a
+  layer's smaller size, then its complement at the same multiplicity. The
+  draws come in batches sized from the expected repeat rate, and each drawn
+  subset is built by integer selection sampling, with no sort.
 * ``st-shap``: layers are filled in order while the budget lasts; the first
   layer that does not fit absorbs the leftover as a uniform
   without-replacement draw, and deeper layers get nothing. Budgets that land
@@ -178,7 +180,7 @@ def _layer_sample_masks(rng, n_features: int, layer: int, n: int) -> np.ndarray:
     population = layer_size(n_features, layer)
     positions = np.sort(rng.choice(population, size=n, replace=False))
     if population <= _ENUM_LIMIT:
-        return layer_masks(n_features, layer)[positions]
+        return np.take(layer_masks(n_features, layer), positions, axis=0)
     return layer_members(n_features, layer, positions)
 
 
@@ -207,19 +209,21 @@ def _draws_for(n_distinct: int, sizes: list[int], probs: list[float],
     """Draws to make so that ``n_distinct`` distinct masks are expected, plus
     a margin of 1% and 64.
 
-    After n draws the expected number of distinct masks is
-    E[D(n)] = sum_s C(M, s) (1 - (1 - q_s)^n), where q_s = p_s / C(M, s) is
-    the chance of one given mask of size s. E[D] is increasing and concave
-    with E[D(n)] <= n, so Newton's method started at n = n_distinct climbs
-    to the root without overshooting it. A few steps suffice away from
-    saturation; the step cap only bounds the cost near it, where the
-    caller's follow-up batches make up any shortfall.
+    A draw of size s picks one of the C(M, s) subsets of that size, with
+    chance q_s = p_s / C(M, s) each, and brings c_s masks: the subset and,
+    unless 2s = M, its complement. After n draws the expected number of
+    distinct masks is E[D(n)] = sum_s c_s C(M, s) (1 - (1 - q_s)^n). E[D] is
+    increasing and concave with E[D(n)] <= 2n, so Newton's method started at
+    n = n_distinct / 2 climbs to the root without overshooting it. A few
+    steps suffice away from saturation; the step cap only bounds the cost
+    near it, where the caller's follow-up batches make up any shortfall.
     """
     terms = []
     for s, p in zip(sizes, probs):
         count = comb(n_features, s)
-        terms.append((float(count), log1p(-p / count)))
-    n = float(n_distinct)
+        brings = 1 if 2 * s == n_features else 2
+        terms.append((float(brings * count), log1p(-p / count)))
+    n = n_distinct / 2
     for _ in range(_NEWTON_STEPS):
         short, slope = float(n_distinct), 0.0
         for count, log_miss in terms:
@@ -234,12 +238,19 @@ def _draws_for(n_distinct: int, sizes: list[int], probs: list[float],
 
 def _global_sample(rng, n_features: int, layers: tuple[int, ...],
                    n_distinct: int) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel SHAP's random phase over the union of non-complete layers.
+    """Kernel SHAP's random phase over the union of non-complete layers, in
+    complement pairs as shap's ``KernelExplainer`` draws them.
 
-    Single coalitions are drawn with replacement, proportionally to their
-    weight, until the set holds ``n_distinct`` distinct masks; repeats raise
-    a mask's multiplicity instead of occupying budget. Returns the distinct
-    masks in first-appearance order plus their multiplicities.
+    Each draw picks a layer i with probability proportional to one side's
+    weight, C(M, i) times the kernel weight of size i, then a uniform subset
+    of i features. Outside the middle layer of an even M the subset's
+    complement comes with it at no further random cost, so every mask keeps
+    an expected multiplicity proportional to its kernel weight. Draws go on,
+    with replacement, until the set holds ``n_distinct`` distinct masks; a
+    repeat raises the multiplicity of its subset and its complement alike,
+    and the draw that brings the last mask needed may leave its complement
+    out. Returns the distinct masks, each subset followed by its complement,
+    in first-draw order, plus their multiplicities.
 
     The draws come in batches. The first is sized from the expected repeat
     rate (:func:`_draws_for`), so it usually holds all the masks needed; a
@@ -247,33 +258,38 @@ def _global_sample(rng, n_features: int, layers: tuple[int, ...],
     made so far, which keeps the passes over every key logarithmic in
     number. Draws after the one that brings the last needed mask are made
     but not counted, so the law of the counted draws is that of drawing one
-    at a time until ``n_distinct`` masks are seen.
+    at a time until ``n_distinct`` masks are seen. A layer is picked by
+    comparing one ``rng.random`` per draw against the cumulative weights,
+    as ``rng.choice`` does, without its ``searchsorted``.
 
-    Each pass finds the distinct keys (:func:`~stableshap.coalitions.pack`)
-    with one unstable ``argsort``: a key's first draw is the least draw
-    index among its equal keys (``np.minimum.reduceat``), and a running count
-    of the key changes numbers each draw's mask. These are the arrays
+    The drawn subset identifies its pair, so each pass finds the distinct
+    draws (:func:`~stableshap.coalitions.pack`) on the subsets alone, with
+    one unstable ``argsort``: a key's first draw is the least draw index
+    among its equal keys (``np.minimum.reduceat``), and a running count of
+    the key changes numbers each draw's subset. These are the arrays
     ``np.unique(keys, return_index=True, return_inverse=True)`` returns,
     without its stable sort.
     """
-    sizes = []
-    for i in layers:
-        sizes.append(i)
-        if 2 * i != n_features:
-            sizes.append(n_features - i)
-    sizes.sort()
+    sizes = sorted(layers)
     # Python ints: C(M, s) * s * (M - s) outgrows int64 from M = 57
-    probs = np.array(
-        [comb(n_features, s) * kernel_weight(n_features, s) for s in sizes]
-    )
+    probs = np.array([comb(n_features, i) * kernel_weight(n_features, i) for i in sizes])
     probs /= probs.sum()
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
 
+    # a middle-layer draw brings one mask, any other draw two
+    brings = np.array([1 if 2 * i == n_features else 2 for i in sizes])
     batch = _draws_for(n_distinct, sizes, probs.tolist(), n_features)
-    mask_blocks, key_blocks = [], []
+    sizes = np.array(sizes, dtype=np.min_scalar_type(n_features))
+    subset_blocks, layer_blocks, key_blocks = [], [], []
     while True:
-        drawn_sizes = rng.choice(sizes, size=batch, p=probs)
-        mask_blocks.append(_random_subsets(rng, n_features, drawn_sizes))
-        key_blocks.append(pack(mask_blocks[-1]))
+        u = rng.random(batch)
+        picked = np.zeros(batch, dtype=np.min_scalar_type(len(sizes)))
+        for edge in cdf[:-1]:
+            picked += u >= edge
+        layer_blocks.append(picked)
+        subset_blocks.append(_random_subsets(rng, n_features, sizes[picked]))
+        key_blocks.append(pack(subset_blocks[-1]))
         keys = np.concatenate(key_blocks)
         order = np.argsort(keys)
         ordered = keys[order]
@@ -282,17 +298,34 @@ def _global_sample(rng, n_features: int, layers: tuple[int, ...],
         new[0] = True
         new[1:] = ordered[1:] != ordered[:-1]
         first = np.minimum.reduceat(order, np.flatnonzero(new))
-        if len(first) >= n_distinct:
+        drawn_layers = np.concatenate(layer_blocks)
+        if brings[drawn_layers[first]].sum() >= n_distinct:
             break
         batch = len(keys) // 2
-    # each draw's distinct key, numbered in key order
+    # each draw's distinct subset, numbered in key order
     inverse = np.empty(len(keys), dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
-    # the draw that first brought each of the n_distinct masks seen first, in
-    # draw order; the draws stop at the last of these, and only those count
-    rows = np.sort(first)[:n_distinct]
+    # the draws that first brought each subset, in draw order, up to the one
+    # that brings the n_distinct-th mask; the draws stop there, and only
+    # those count
+    rows = np.sort(first)
+    per_row = brings[drawn_layers[rows]]
+    brought = np.cumsum(per_row)
+    last = int(np.searchsorted(brought, n_distinct))
+    rows, per_row, brought = rows[:last + 1], per_row[:last + 1], brought[:last + 1]
+    if brought[-1] > n_distinct:
+        per_row[-1] = 1  # the last mask needed is the subset alone
+        brought[-1] = n_distinct
     counts = np.bincount(inverse[:rows[-1] + 1], minlength=len(first))
-    return np.vstack(mask_blocks)[rows], counts[inverse[rows]].astype(float)
+    # every kept subset once, twice when its complement follows it; the
+    # second copy is flipped into the complement
+    take = np.repeat(rows, per_row)
+    flip = np.zeros(len(take), dtype=bool)
+    flip[brought - 1] = per_row == 2
+    subsets = subset_blocks[0] if len(subset_blocks) == 1 else np.concatenate(subset_blocks)
+    masks = np.take(subsets, take, axis=0)
+    masks ^= flip[:, None]
+    return masks, counts[inverse[take]].astype(float)
 
 
 def materialize(plan: SamplingPlan) -> WeightedCoalitionSet:

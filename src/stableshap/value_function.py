@@ -152,7 +152,8 @@ def _memoized_payoffs(masks, x, background, model) -> np.ndarray:
     # the model sees the missing coalitions once each, in request order
     order = np.argsort(first)
     new_payoffs = np.empty(len(new_keys))
-    new_payoffs[order] = _row_payoffs(masks[miss[first[order]]], x, background, model)
+    new_payoffs[order] = _row_payoffs(np.take(masks, miss[first[order]], axis=0),
+                                      x, background, model)
     out[miss] = new_payoffs[inverse.reshape(-1)]
     at = np.searchsorted(keys, new_keys)
     _MEMOS[id(model)] = (ref, (instance, np.insert(keys, at, new_keys),

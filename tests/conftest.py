@@ -7,12 +7,13 @@ Lagrange-multiplier KKT solve for the constrained regression and a QR
 least-squares solve of it on an orthonormal sum-zero basis, an SVD of its
 weighted design over that basis for its rank, the paper's first-layer
 formula from table lookups, pair counting for rank correlation, kernel
-SHAP's random phase as a per-draw loop over dicts with a scalar selection
-sampler (Knuth's Algorithm S) per row, a layer's canonical order both as
-sorted combinations and as a scalar unrank, and pairwise games, whose
-Shapley values have a closed form at any M.
+SHAP's paired random phase as a per-draw loop over dicts with a scalar
+selection sampler (Knuth's Algorithm S) per row, a layer's canonical order
+both as sorted combinations and as a scalar unrank, and pairwise games,
+whose Shapley values have a closed form at any M.
 """
 
+from bisect import bisect_right
 from itertools import combinations, permutations
 from math import comb, factorial
 
@@ -277,35 +278,47 @@ def selection_sample_reference(draws, size: int) -> list[bool]:
 
 
 def global_sample_reference(rng, n_features: int, layers, n_distinct: int):
-    """Kernel SHAP's random phase, one draw at a time: the same RNG calls and
-    batch sizes as the library, a scalar Algorithm S per row, and per-draw
-    bookkeeping in dicts. Returns the distinct masks in first-draw order and
-    their multiplicities."""
-    sizes = sorted({s for i in layers for s in (i, n_features - i)})
-    probs = np.array([comb(n_features, s) * kernel_weight(n_features, s) for s in sizes])
+    """Kernel SHAP's random phase in complement pairs, one draw at a time:
+    the same RNG calls and batch sizes as the library, a layer found by
+    bisecting the cumulative weights, a scalar Algorithm S per row, and
+    per-draw bookkeeping in dicts. Returns the distinct masks in first-draw
+    order, each subset followed by its complement (none in the middle layer
+    of an even M, or when only the subset is still needed), and their
+    multiplicities."""
+    sizes = sorted(layers)
+    probs = np.array([comb(n_features, i) * kernel_weight(n_features, i) for i in sizes])
     probs /= probs.sum()
+    cdf = np.cumsum(probs)
+    cdf /= cdf[-1]
     dtype = np.min_scalar_type(n_features)
-    order, counts, first_rows = [], {}, {}
+    order, counts, seen = [], {}, 0
     batch, drawn = _draws_for(n_distinct, sizes, probs.tolist(), n_features), 0
-    while len(order) < n_distinct:
-        drawn_sizes = rng.choice(sizes, size=batch, p=probs).tolist()
+    while seen < n_distinct:
+        uniforms = rng.random(batch).tolist()
         columns = [rng.integers(0, n_features - j, size=batch, dtype=dtype).tolist()
                    for j in range(n_features)]
-        for size, draws in zip(drawn_sizes, zip(*columns)):
-            row = selection_sample_reference(draws, size)
-            key = tuple(row)
+        for u, draws in zip(uniforms, zip(*columns)):
+            size = sizes[bisect_right(cdf.tolist(), u)]
+            key = tuple(selection_sample_reference(draws, size))
             if key in counts:
                 counts[key] += 1
             else:
                 counts[key] = 1
-                order.append(key)
-                first_rows[key] = row
-            if len(order) == n_distinct:
+                paired = 2 * size != n_features and seen + 2 <= n_distinct
+                order.append((key, paired))
+                seen += 1 + paired
+            if seen == n_distinct:
                 break
         drawn += batch
         batch = drawn // 2  # a batch that fell short is followed by half the draws so far
-    return (np.array([first_rows[k] for k in order], dtype=bool),
-            np.array([counts[k] for k in order], dtype=float))
+    masks, mult = [], []
+    for key, paired in order:
+        masks.append(key)
+        mult.append(counts[key])
+        if paired:
+            masks.append(tuple(not b for b in key))
+            mult.append(counts[key])
+    return np.array(masks, dtype=bool), np.array(mult, dtype=float)
 
 
 def colex_layer_oracle(n_features: int, layer: int) -> np.ndarray:

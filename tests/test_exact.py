@@ -87,10 +87,10 @@ class TestSubsetFormula:
         assert model.calls == 2**7 == v.eval_count
 
     def test_peak_memory_at_the_cap(self):
-        # one ridge instance with one background row peaks at 44.0 MiB under
+        # one ridge instance with one background row peaks at 25.6 MiB under
         # tracemalloc (the 2^20 payoffs, their memo keys and the subset-sum
-        # temporaries); 48 MiB leaves room for allocator noise, not for
-        # another 2^20 array of 8-byte numbers
+        # temporaries over one-byte coalition sizes); 28 MiB leaves room for
+        # allocator noise, not for another 2^20 array of 8-byte numbers
         rng = np.random.default_rng(29)
         x, bg, w = rng.normal(size=CAP), rng.normal(size=(1, CAP)), rng.normal(size=CAP)
         tracemalloc.start()
@@ -99,7 +99,7 @@ class TestSubsetFormula:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 48 << 20
+        assert peak < 28 << 20
 
 
 class TestPermutationFormula:

@@ -146,11 +146,17 @@ def _sampled_set(strategy, m, budget, seed):
 
 class TestRankDeficiency:
     # M=13 (12 free coefficients): 10 coalitions can never determine the fit;
-    # 13 can, but these draws reach rank 10 and leave features tied.
-    # Kernel-shap's seed is the first from 0 whose draws meet the condition
+    # 13 can, but these draws reach rank 10 (st-shap) or 7 (kernel-shap) and
+    # leave features tied. Under the sum constraint a complement pair at one
+    # weight observes a single direction, so kernel-shap's rank is at most
+    # its number of draws. Its seed is the first from 0 whose draws meet the
+    # condition
     SEED = {ST_SHAP: 3, KERNEL_SHAP: 0}
+    SHORT_RANK = {ST_SHAP: 10, KERNEL_SHAP: 7}
+    # 12 complement pairs can determine the fit, 10 cannot
+    FULL_BUDGET = {ST_SHAP: 20, KERNEL_SHAP: 24}
 
-    @pytest.mark.parametrize("strategy,rank", [(ST_SHAP, 7), (KERNEL_SHAP, 8)])
+    @pytest.mark.parametrize("strategy,rank", [(ST_SHAP, 7), (KERNEL_SHAP, 5)])
     def test_too_few_coalitions_raise_with_their_rank(self, strategy, rank):
         cset, values = _sampled_set(strategy, 13, 10, self.SEED[strategy])
         assert design_rank_oracle(cset.masks, cset.weights) == rank
@@ -163,7 +169,7 @@ class TestRankDeficiency:
     @pytest.mark.parametrize("strategy", [ST_SHAP, KERNEL_SHAP])
     def test_unobserved_directions_get_the_least_norm_fit(self, strategy):
         cset, values = _sampled_set(strategy, 13, 13, self.SEED[strategy])
-        assert design_rank_oracle(cset.masks, cset.weights) == 10
+        assert design_rank_oracle(cset.masks, cset.weights) == self.SHORT_RANK[strategy]
         e = fit(cset, values, 0.5, 1.0)
         assert e.local_accuracy_gap() < 1e-9
         oracle = kkt_constrained_wls(cset.masks, cset.weights, values, 0.5, 1.0)
@@ -179,7 +185,7 @@ class TestRankDeficiency:
 
     @pytest.mark.parametrize("strategy", [ST_SHAP, KERNEL_SHAP])
     def test_enough_coalitions_fit(self, strategy):
-        cset, values = _sampled_set(strategy, 13, 20, seed=3)
+        cset, values = _sampled_set(strategy, 13, self.FULL_BUDGET[strategy], seed=3)
         assert cset.n_complete < len(cset)
         assert design_rank_oracle(cset.masks, cset.weights) == 12
         e = fit(cset, values, 0.5, 1.0)

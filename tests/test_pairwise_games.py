@@ -3,8 +3,9 @@
 A game with interactions of order at most two has a closed-form Shapley value
 (`conftest.PairwiseGame`), so these checks reach far past the exact oracle's
 cap. Layer-1, every complete-layer budget, and any complement-closed set
-whose pairs share one weight reproduce it; the same sets without their
-complements, or a game with one third-order term, do not.
+whose pairs share one weight reproduce it, kernel-shap's paired draws among
+them; the same sets without their complements, or a game with one
+third-order term, do not.
 """
 
 import numpy as np
@@ -12,9 +13,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stableshap import ST_SHAP, CallableModel, exact_shap, explain, layer1_attribution
+from stableshap import (
+    KERNEL_SHAP,
+    ST_SHAP,
+    CallableModel,
+    exact_shap,
+    explain,
+    layer1_attribution,
+)
 from stableshap.coalitions import complete_layer_budgets, kernel_weight, layer_masks, pack
-from stableshap.explainer import fit
+from stableshap.explainer import explain_with_training_set, fit
 from stableshap.sampling import WeightedCoalitionSet
 
 from conftest import PairwiseGame, design_rank_oracle
@@ -117,6 +125,34 @@ class TestComplementClosedSets:
             keep = np.r_[np.arange(n_complete), firsts]
             assert design_rank_oracle(masks[keep], weights[keep]) == m - 1
             assert _fit_error(game, masks[keep], weights[keep], n_complete) > 0.1
+
+
+class TestKernelShapPairs:
+    # at an odd M every layer has an even size, so an even budget leaves an
+    # even sampled remainder: every draw brings its complement, and the
+    # sampled rows form pairs at one weight each
+    @pytest.mark.parametrize("m,budgets", [(9, (60, 100, 200)),
+                                           (11, (60, 200, 1000, 1500)),
+                                           (13, (100, 200, 1000, 1500))])
+    def test_exact_when_every_draw_came_in_pairs(self, m, budgets):
+        game = PairwiseGame.random(np.random.default_rng(300 + m), m)
+        for budget in budgets:
+            for seed in range(3):
+                e, cset, _ = explain_with_training_set(None, game, None, KERNEL_SHAP,
+                                                       budget, seed)
+                sampled = cset.masks[cset.n_complete:]
+                assert len(sampled) > 0
+                assert set(pack(sampled).tolist()) == set(pack(~sampled).tolist())
+                assert design_rank_oracle(cset.masks, cset.weights) == m - 1
+                assert _error(e.phis, game) <= EXACT, (budget, seed)
+
+    @pytest.mark.parametrize("m,budget", [(9, 61), (11, 201), (13, 1001)])
+    def test_not_exact_with_a_last_subset_alone(self, m, budget):
+        # an odd budget ends the draws on a subset without its complement
+        game = PairwiseGame.random(np.random.default_rng(300 + m), m)
+        for seed in range(3):
+            e = explain(None, game, None, KERNEL_SHAP, budget, seed)
+            assert _error(e.phis, game) > 1e-6, seed
 
 
 def test_one_third_order_term_breaks_layer1():

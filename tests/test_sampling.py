@@ -13,6 +13,7 @@ from stableshap.coalitions import (
     layer_total_weight,
     n_layers,
     pack,
+    unpack,
 )
 from stableshap.sampling import (
     KERNEL_SHAP,
@@ -35,6 +36,14 @@ from conftest import (
 
 def _rng(seed):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _drawn_subsets(masks, mult):
+    """Sizes and multiplicities of the masks kernel-shap's sampler drew, not
+    the complements that came with them: the sides of at most M/2 features."""
+    sizes = masks.sum(axis=1)
+    drawn = 2 * sizes <= masks.shape[1]
+    return sizes[drawn], mult[drawn]
 
 
 class TestPlanKernelShap:
@@ -361,40 +370,87 @@ class TestKernelShapSampler:
             assert len(counts) == comb(m, s)
             assert stats.chisquare(counts).pvalue > 1e-3
 
-    def test_counted_sizes_pass_chi_square(self):
-        # By Wald's identity the draws counted before the stop hold each size
-        # in proportion to p_s, repeats included, whatever the stopping rule
+    def test_counted_layers_pass_chi_square(self):
+        # By Wald's identity the draws counted before the stop hold each
+        # layer in proportion to one side's weight, repeats included,
+        # whatever the stopping rule; a draw is counted once, by its subset
         from scipy import stats
         m, layers = 12, (2, 3, 4, 5, 6)
-        sizes = np.arange(2, 11)
-        p = np.array([comb(m, int(s)) * kernel_weight(m, int(s)) for s in sizes])
+        p = np.array([comb(m, i) * kernel_weight(m, i) for i in layers])
         p /= p.sum()
-        observed = np.zeros(len(sizes))
+        observed = np.zeros(len(layers))
         for seed in range(5):
             masks, mult = _global_sample(_rng(seed), m, layers, 2000)
-            observed += np.bincount(masks.sum(axis=1), weights=mult,
-                                    minlength=m)[2:11]
+            observed += np.bincount(*_drawn_subsets(masks, mult), minlength=m)[2:7]
         assert stats.chisquare(observed, observed.sum() * p).pvalue > 1e-3
+
+    # layers 2 and up, about two thirds of their masks per run
+    @pytest.mark.parametrize("m,n_distinct", [(7, 80), (8, 150)])
+    def test_pair_frequencies_pass_chi_square(self, m, n_distinct):
+        # each pair (or middle-layer mask) is drawn in proportion to the
+        # kernel weight of its subset, summed over 200 stopped runs
+        from scipy import stats
+        layers = tuple(range(2, m // 2 + 1))
+        observed = {}
+        for seed in range(200):
+            masks, mult = _global_sample(_rng(seed), m, layers, n_distinct)
+            drawn = masks.sum(axis=1) <= m // 2
+            for key, count in zip(pack(masks[drawn]).tolist(), mult[drawn]):
+                observed[key] = observed.get(key, 0.0) + count
+        keys = np.array(sorted(observed), dtype="<u8")
+        sizes = unpack(keys, m).sum(axis=1)
+        assert len(keys) == sum(comb(m, i) for i in layers)
+        expected = np.array([kernel_weight(m, int(s)) for s in sizes])
+        counts = np.array([observed[k] for k in keys.tolist()])
+        assert stats.chisquare(counts, counts.sum() * expected / expected.sum()).pvalue > 1e-3
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 80), st.integers(0, 2**32 - 1), st.data())
+    def test_masks_come_in_complement_pairs(self, m, seed, data):
+        # each drawn subset is followed by its complement at the same
+        # multiplicity, except in the middle layer of an even M and for a
+        # last subset whose complement the budget had no room for
+        plan = plan_kernel_shap(m, data.draw(st.integers(2, min(2**m - 2, 3000))), seed)
+        assume(plan.n_sampled > 0)
+        masks, mult = _global_sample(_rng(seed), m, plan.sampled_layers, plan.n_sampled)
+        assert len(masks) == plan.n_sampled
+        assert len(set(pack(masks).tolist())) == len(masks)
+        sizes = masks.sum(axis=1)
+        row, lone = 0, []
+        while row < len(masks):
+            if 2 * sizes[row] == m:
+                row += 1
+                continue
+            assert 2 * sizes[row] < m  # the smaller side is drawn, and comes first
+            if row + 1 < len(masks) and np.array_equal(masks[row + 1], ~masks[row]):
+                assert mult[row] == mult[row + 1]
+                row += 2
+            else:
+                lone.append(row)
+                row += 1
+        assert lone in ([], [len(masks) - 1])
+        if lone:
+            assert mult[-1] == 1  # it came with the draw that stopped the sampler
 
     @staticmethod
     def _made_and_counted(m, budget, seed):
-        """Draws the sampler made (the sizes of its ``choice`` calls) and the
-        draws it counted (the multiplicities' sum)."""
+        """Draws the sampler made (the sizes of its ``random`` calls) and the
+        draws it counted (the multiplicities of the drawn subsets)."""
         class RecordingRng:
             def __init__(self):
                 self.rng, self.made = _rng(seed), 0
 
-            def choice(self, a, size, p):
+            def random(self, size):
                 self.made += size
-                return self.rng.choice(a, size=size, p=p)
+                return self.rng.random(size)
 
             def integers(self, *args, **kwargs):
                 return self.rng.integers(*args, **kwargs)
 
         plan = plan_kernel_shap(m, budget, seed)
         rng = RecordingRng()
-        _, mult = _global_sample(rng, m, plan.sampled_layers, plan.n_sampled)
-        return rng.made, mult.sum()
+        masks, mult = _global_sample(rng, m, plan.sampled_layers, plan.n_sampled)
+        return rng.made, _drawn_subsets(masks, mult)[1].sum()
 
     @pytest.mark.parametrize("budget", [43398, 120918, 200000])
     def test_draws_made_track_draws_counted(self, budget):
