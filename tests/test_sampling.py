@@ -370,10 +370,11 @@ class TestKernelShapSampler:
             assert len(counts) == comb(m, s)
             assert stats.chisquare(counts).pvalue > 1e-3
 
-    def test_counted_layers_pass_chi_square(self):
+    def test_counted_sizes_pass_chi_square(self):
         # By Wald's identity the draws counted before the stop hold each
-        # layer in proportion to one side's weight, repeats included,
-        # whatever the stopping rule; a draw is counted once, by its subset
+        # subset size in proportion to its layer's one-side weight, repeats
+        # included, whatever the stopping rule; a draw is counted once, by
+        # its subset
         from scipy import stats
         m, layers = 12, (2, 3, 4, 5, 6)
         p = np.array([comb(m, i) * kernel_weight(m, i) for i in layers])
