@@ -2,15 +2,24 @@
 """Median CPU time of the sampler and the surrogate fit, cell by cell,
 appended to OUT.json.
 
-The grid is M in {8, 13, 20}, both strategies, and for each M a few budgets
-that end on a complete-layer boundary and a few that do not. Each cell
-times `sampling.materialize` of the seed-0 plan, takes the payoffs of the
-set it made from a random N(0, 1) table over all 2^M masks, and times
-`explainer.fit` and `explainer.sparsify(..., 4)`, one call at a time in
-process CPU time, after one untimed call of each. A cell repeats until it has spent CELL_S of CPU
+The grid is M in {8, 13, 16, 20}, both strategies, and for each M a few
+budgets that end on a complete-layer boundary and a few that do not; M=13
+b=4000 and M=16 b=10000 sit on either side of the fit's switch to byte-pair
+histograms at 8192 sampled rows. Each cell times `sampling.materialize` of
+the seed-0 plan, takes the payoffs of the set it made from a random N(0, 1)
+table over all 2^M masks, and times `explainer.fit` and
+`explainer.sparsify(..., 4)`, one call at a time in process CPU time, after
+one untimed call of each. A cell repeats until it has spent CELL_S of CPU
 time or made MAX_REPS calls (at least MIN_REPS), and reports the median in
-ms with its sample count. Run it with BLAS single-threaded, as the
-benchmark runs; the thread settings go into the entry's provenance.
+ms with its sample count.
+
+Each cell also times `reference`, a fixed computation of the script's own
+that never calls stableshap, and reports its median as `ref_ms` and each
+time above divided by it (`*_in_ref`), which cancels the host's drift from
+one run to the next. It does not cancel a cell's own spread: two runs of
+the same code on a 2-CPU box moved single cells by up to 2x, two-thirds
+of them by under 10%. Run it with BLAS single-threaded, as the benchmark
+runs; the thread settings go into the entry's provenance.
 
 Each run appends one entry (provenance, the `git describe` of the checkout
 whose `stableshap` it imported, the cells) to OUT.json, so runs in two
@@ -36,9 +45,23 @@ from stableshap.explainer import fit, plan_for, sparsify
 from stableshap.sampling import KERNEL_SHAP, ST_SHAP, materialize
 
 # budgets per M: complete-layer boundaries and ragged budgets between them
-BUDGETS = {8: (16, 40, 100, 184), 13: (26, 50, 182, 200, 500, 754, 1000),
-           20: (420, 3000, 43398, 120918, 200000)}
+BUDGETS = {8: (16, 40, 100, 184), 13: (26, 50, 182, 200, 500, 754, 1000, 4000),
+           16: (10000,), 20: (420, 3000, 43398, 120918, 200000)}
 CELL_S, MIN_REPS, MAX_REPS = 0.3, 5, 400
+
+_REF = np.random.default_rng(0)
+REF_FLOATS = _REF.normal(size=(20, 4096))
+REF_CODES = _REF.integers(0, 1 << 16, size=1 << 15).astype(np.uint16)
+REF_WEIGHTS = _REF.random(1 << 15)
+
+
+def reference():
+    """The kinds of work a fit does, on fixed inputs: a float product, a
+    weighted bincount, a sort and an interpreter loop."""
+    REF_FLOATS @ REF_FLOATS.T
+    np.bincount(REF_CODES, weights=REF_WEIGHTS)
+    np.sort(REF_FLOATS, axis=1)
+    sum(i * i % 7 for i in range(2000))
 
 
 def median_ms(call) -> tuple[float, int]:
@@ -59,6 +82,7 @@ def cells():
         for budget in budgets:
             for strategy in (ST_SHAP, KERNEL_SHAP):
                 plan = plan_for(strategy, m, budget, seed=0)
+                ref_ms, ref_reps = median_ms(reference)
                 materialize_ms, materialize_reps = median_ms(lambda: materialize(plan))
                 cset = materialize(plan)
                 values = table[pack(cset.masks)]
@@ -71,7 +95,11 @@ def cells():
                        "materialize_ms": materialize_ms,
                        "materialize_reps": materialize_reps,
                        "fit_ms": fit_ms, "fit_reps": fit_reps,
-                       "sparsify4_ms": sparse_ms, "sparsify4_reps": sparse_reps}
+                       "sparsify4_ms": sparse_ms, "sparsify4_reps": sparse_reps,
+                       "ref_ms": ref_ms, "ref_reps": ref_reps,
+                       "materialize_in_ref": round(materialize_ms / ref_ms, 4),
+                       "fit_in_ref": round(fit_ms / ref_ms, 4),
+                       "sparsify4_in_ref": round(sparse_ms / ref_ms, 4)}
 
 
 def git_describe() -> str:
@@ -111,9 +139,9 @@ def run_grid(description: str, cells, line, argv=None) -> int:
 def main(argv=None) -> int:
     return run_grid(__doc__, cells, lambda c: (
         f"M={c['m']:2d} {c['strategy']:11s} b={c['budget']:6d} "
-        f"sampled={c['sampled_rows']:6d} materialize {c['materialize_ms']:8.3f} ms  "
-        f"fit {c['fit_ms']:8.3f} ms  "
-        f"sparsify(4) {c['sparsify4_ms']:8.3f} ms"), argv)
+        f"sampled={c['sampled_rows']:6d} ref {c['ref_ms']:6.3f} ms, in ref: "
+        f"materialize {c['materialize_in_ref']:8.3f}  fit {c['fit_in_ref']:8.3f}  "
+        f"sparsify(4) {c['sparsify4_in_ref']:8.3f}"), argv)
 
 
 if __name__ == "__main__":

@@ -21,17 +21,25 @@ sampled nothing, such as the first layer, is fitted by p alone.
 
 Sampled rows correct p on an orthonormal basis of the sum-zero subspace,
 where the complete rows add just ``aI`` to the Gram matrix and nothing to the
-right-hand side. The sampled rows enter in blocks, each copied once to a
-C-ordered (k, rows) float matrix scaled by sqrt(w), whose raw k x k Gram
-matrix and right-hand side are summed and projected onto the basis once.
-When k < M, rows holding all or none of the free features are dropped
-first: they project to exactly zero, and at a heavy weight they would drown
-the directions that separate features in the raw Gram matrix. One ``eigh``
-gives the least-norm correction. Its rank falls short of k - 1 only without
-complete rows: a set with fewer coalitions than free coefficients raises
-RankDeficiencyError, and a larger one keeps p along the directions no
-coalition observes, so features that no coalition separates are treated
-alike.
+right-hand side. The sampled rows' raw k x k Gram matrix sum w z z^T and
+right-hand side sum w (v - phi0 - p.z) z are projected onto the basis once.
+Fewer than 8192 sampled rows, or k <= 8, are copied once to a C-ordered
+(k, rows) float matrix scaled by sqrt(w), whose product gives both. From
+8192 rows over more than 8 free features, the sums come from histograms: a
+coalition is a bit pattern, so the free columns are packed one byte per 8
+features and each pair of bytes adds one weighted joint ``bincount`` of at
+most 2^16 bins, whose off-diagonal Gram block is T_g^T H T_h (T the table of
+a byte code's bits) and whose margins give the diagonal blocks; a single
+byte's 256 bins would each sum hundreds of rows and lose digits. The
+right-hand side sums each row's residual per byte, p.z read from per-byte
+lookup tables. When k < M, rows holding all or none of the free features are
+dropped first (on the histograms, they weigh zero): they project to exactly
+zero, and at a heavy weight they would drown the directions that separate
+features in the raw Gram matrix. One ``eigh`` gives the least-norm
+correction. Its rank falls short of k - 1 only without complete rows: a set
+with fewer coalitions than free coefficients raises RankDeficiencyError, and
+a larger one keeps p along the directions no coalition observes, so features
+that no coalition separates are treated alike.
 """
 
 from __future__ import annotations
@@ -82,9 +90,11 @@ class Explanation:
         return asdict(self)
 
 
-# sampled rows enter the fit this many at a time, so a large sample never
-# holds a float copy of all its masks (kernel-shap at M=20 draws 177k rows)
-_FIT_BLOCK = 1 << 15
+# sampled rows from which a set over more than one byte of free features
+# enters the fit as byte-pair histograms; fewer rows, or k <= 8, are cast to
+# float and multiplied (at k = 13 the two are level near 3000 rows, at
+# k = 16 and 20 the histograms win below 8192)
+_PATTERN_ROWS = 1 << 13
 
 
 @lru_cache(maxsize=64)
@@ -97,6 +107,68 @@ def _helmert_basis(k: int) -> np.ndarray:
     basis /= np.sqrt(np.arange(1, k) * np.arange(2, k + 1))
     basis.flags.writeable = False
     return basis
+
+
+@lru_cache(maxsize=8)
+def _bit_table(width: int) -> np.ndarray:
+    """(2^width, width) float table of bits, read-only: row c holds the bits
+    of c, lowest first, so T.T @ h sums a histogram h over the codes that
+    hold each bit."""
+    table = (np.arange(1 << width)[:, None] >> np.arange(width) & 1).astype(float)
+    table.flags.writeable = False
+    return table
+
+
+def _histogram_moments(rows: np.ndarray, weights: np.ndarray, v: np.ndarray,
+                       p: np.ndarray, drop_flat: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Raw Gram matrix sum w z z^T and right-hand side sum w (v - p.z) z of
+    the (n, k) boolean rows z, from weighted histograms of their byte codes;
+    `v` is overwritten. With `drop_flat`, rows holding all or none of the k
+    columns weigh zero."""
+    n, k = rows.shape
+    n_bytes = -(-k // 8)
+    bits = np.zeros((n, 8 * n_bytes), dtype=bool)
+    bits[:, :k] = rows
+    codes = np.packbits(bits.reshape(-1), bitorder="little").reshape(n, n_bytes)
+    del bits
+    widths = [min(8, k - 8 * g) for g in range(n_bytes)]
+    spans = [slice(8 * g, 8 * g + b) for g, b in enumerate(widths)]
+    tables = [_bit_table(b) for b in widths]
+    if drop_flat:
+        # byte by byte: numpy reduces along a short axis far more slowly
+        every, none = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
+        for g, b in enumerate(widths):
+            every &= codes[:, g] == (1 << b) - 1
+            none &= codes[:, g] == 0
+        weights = np.where(every | none, 0.0, weights)
+    # one joint histogram per pair of bytes g < h, at most 2^16 bins; the
+    # diagonal blocks come from margins of the pairs with byte 0
+    gram, margins = np.empty((k, k)), [None] * n_bytes
+    for g in range(n_bytes):
+        for h in range(g + 1, n_bytes):
+            joint = codes[:, g].astype(np.uint16)
+            joint <<= widths[h]
+            joint |= codes[:, h]
+            hist = np.bincount(joint, weights=weights, minlength=1 << (widths[g] + widths[h]))
+            hist = hist.reshape(1 << widths[g], 1 << widths[h])
+            del joint
+            block = tables[g].T @ hist @ tables[h]
+            gram[spans[g], spans[h]], gram[spans[h], spans[g]] = block, block.T
+            if g == 0:
+                margins[h] = hist.sum(axis=0)
+                if h == 1:
+                    margins[0] = hist.sum(axis=1)
+    for g, margin in enumerate(margins):
+        gram[spans[g], spans[g]] = tables[g].T @ (margin[:, None] * tables[g])
+    # each row's residual first, p.z from per-byte lookup tables, then one
+    # sum per byte: b - G p would lose digits where p already fits the rows
+    for g in range(n_bytes):
+        v -= (tables[g] @ p[spans[g]]).take(codes[:, g])
+    v *= weights
+    rhs = np.concatenate([
+        tables[g].T @ np.bincount(codes[:, g], weights=v, minlength=1 << widths[g])
+        for g in range(n_bytes)])
+    return gram, rhs
 
 
 def _constrained_fit(coalition_set: WeightedCoalitionSet, values: np.ndarray,
@@ -132,12 +204,14 @@ def _constrained_fit(coalition_set: WeightedCoalitionSet, values: np.ndarray,
     phis[free] = p
     if n0 == len(masks):
         return phis
-    # the raw Gram matrix and right-hand side of the sampled rows, summed
-    # block by block and projected onto the basis once
-    gram, rhs = np.zeros((k, k)), np.zeros(k)
-    for start in range(n0, len(masks), _FIT_BLOCK):
-        rows = slice(start, start + _FIT_BLOCK)
-        zt, root_w, v = masks[rows].T[free], np.sqrt(weights[rows]), values[rows] - phi0
+    # the raw Gram matrix and right-hand side of the sampled rows, projected
+    # onto the basis once
+    v = values[n0:] - phi0
+    if len(masks) - n0 >= _PATTERN_ROWS and k > 8:
+        rows = masks[n0:] if k == masks.shape[1] else masks[n0:, free]
+        gram, rhs = _histogram_moments(rows, weights[n0:], v, p, k < masks.shape[1])
+    else:
+        zt, root_w = masks[n0:].T[free], np.sqrt(weights[n0:])
         if k < masks.shape[1]:
             # rows holding all or none of the free features project to
             # exactly zero, so dropping them is exact (see the module docstring)
@@ -149,9 +223,8 @@ def _constrained_fit(coalition_set: WeightedCoalitionSet, values: np.ndarray,
         # product: numpy multiplies bool by float on a slower path)
         st = zt.astype(float)
         st *= root_w
-        gram += st @ st.T
-        rhs += st @ (root_w * v - p @ st)
-        del zt, st  # one block alive at a time
+        gram = st @ st.T
+        rhs = st @ (root_w * v - p @ st)
     basis = _helmert_basis(k)
     gram = a * np.eye(k - 1) + basis.T @ gram @ basis
     rhs = basis.T @ rhs

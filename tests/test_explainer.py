@@ -17,7 +17,7 @@ from stableshap import (
 from stableshap import explainer
 from stableshap.coalitions import complete_layer_budgets, pack
 from stableshap.explainer import (
-    _FIT_BLOCK,
+    _PATTERN_ROWS,
     Explanation,
     _helmert_basis,
     fit,
@@ -346,18 +346,27 @@ class TestSampledCorrection:
         for k in sorted({1, int(rng.integers(1, m + 1)), m}):
             assert sparsify(dense, k, cset, values).local_accuracy_gap() < 1e-9
 
-    @pytest.mark.parametrize("seed", range(30))
-    def test_rows_holding_all_or_none_of_the_kept_features_move_nothing(self, seed):
+    @pytest.mark.parametrize("seed, histograms",
+                             [(seed, False) for seed in range(30)]
+                             + [(seed, True) for seed in range(3)])
+    def test_rows_holding_all_or_none_of_the_kept_features_move_nothing(self, seed, histograms):
         # such rows project to exactly zero, so even at weight 1e8 they must
-        # leave a sparsified fit as it was, bit for bit, wherever they sit
+        # leave a sparsified fit as it was, bit for bit, wherever they sit:
+        # on the float product, and on the byte-pair histograms (at least
+        # _PATTERN_ROWS sampled rows over more than 8 kept features)
         rng = np.random.default_rng(seed)
-        m = int(rng.integers(9, 14))
+        if histograms:
+            m, k = int(rng.integers(14, 17)), 10
+            budget = int(rng.integers(12000, 15000))
+        else:
+            m, k = int(rng.integers(9, 14)), 4
+            budget = int(rng.integers(3 * m, 500))
         table = rng.normal(size=2**m)
-        cset = materialize(plan_for(KERNEL_SHAP, m, int(rng.integers(3 * m, 500)), seed))
-        assert cset.n_complete < len(cset) < _FIT_BLOCK
+        cset = materialize(plan_for(KERNEL_SHAP, m, budget, seed))
+        assert (len(cset) - cset.n_complete >= _PATTERN_ROWS) == histograms
         values = table[pack(cset.masks)]
         dense = fit(cset, values, table[0], table[-1])
-        sparse = sparsify(dense, 4, cset, values)
+        sparse = sparsify(dense, k, cset, values)
         kept = list(sparse.support)
         other = min(set(range(m)) - set(kept))
         extra = rng.random((int(rng.integers(1, 40)), m)) < 0.5
@@ -369,7 +378,7 @@ class TestSampledCorrection:
                                      np.insert(cset.weights, at, 1e8),
                                      cset.n_complete)
         grown_values = np.insert(values, at, rng.normal(size=len(extra)) * 1e3)
-        assert sparsify(dense, 4, grown, grown_values) == sparse
+        assert sparsify(dense, k, grown, grown_values) == sparse
 
 
 class TestHelmertBasis:
@@ -387,7 +396,8 @@ class TestHelmertBasis:
 class TestFitAtScale:
     # st-shap at M=19, b=188366 is seven complete layers, fitted by the
     # closed form alone; every other case adds 11634 to 166674 sampled rows,
-    # up to six fit blocks
+    # which the dense fit and sparsify(10) take as byte-pair histograms and
+    # sparsify(4) as a float product
     @pytest.mark.parametrize("m, budget", [(19, 188366), (19, 200000), (20, 200000)])
     @pytest.mark.parametrize("strategy", [ST_SHAP, KERNEL_SHAP])
     def test_matches_qr_reference_in_any_mask_layout(self, m, budget, strategy):
@@ -399,37 +409,46 @@ class TestFitAtScale:
         f_ordered = WeightedCoalitionSet(np.asfortranarray(cset.masks), cset.weights,
                                          cset.n_complete)
         dense = fit(cset, values, phi0, fx)
-        sparse = sparsify(dense, 4, cset, values)
-        for e, kept in ((dense, list(range(m))), (sparse, list(sparse.support))):
+        sparse = {k: sparsify(dense, k, cset, values) for k in (4, 10)}
+        for e, kept in [(dense, list(range(m)))] + [(e, list(e.support))
+                                                    for e in sparse.values()]:
             oracle = qr_constrained_lstsq(cset.masks[:, kept], cset.weights,
                                           values, phi0, fx)
             err = np.abs(e.phi_array()[kept] - oracle).max()
             assert err <= 1e-12 * np.abs(oracle).max()
         assert fit(f_ordered, values, phi0, fx) == dense
-        assert sparsify(dense, 4, f_ordered, values) == sparse
+        for k, e in sparse.items():
+            assert sparsify(dense, k, f_ordered, values) == e
 
-    @pytest.mark.parametrize("block", [1, 7, 4096])
-    def test_block_boundaries_do_not_matter(self, monkeypatch, block):
+    @pytest.mark.parametrize("pattern_rows", [1, 2**62])
+    def test_both_gram_paths_agree(self, monkeypatch, pattern_rows):
+        # the same sets, with more than 8 free features, through the
+        # byte-pair histograms (pattern_rows=1) or the float product (2**62)
         cases = []
-        for m, budget in ((13, 1000), (20, 3000)):
+        for m, budget in ((13, 1000), (20, 3000), (16, 10000), (20, 43398)):
             for strategy in (ST_SHAP, KERNEL_SHAP):
                 rng = np.random.default_rng(budget + m)
                 table = rng.normal(size=2**m)
                 cset = materialize(plan_for(strategy, m, budget, seed=3))
-                assert cset.n_complete < len(cset)
+                if cset.n_complete == len(cset):
+                    continue  # st-shap at M=20, b=43398: complete layers only
                 values = table[pack(cset.masks)]
                 dense = fit(cset, values, table[0], table[-1])
-                cases.append((cset, values, table, dense, sparsify(dense, 4, cset, values)))
-        monkeypatch.setattr(explainer, "_FIT_BLOCK", block)
+                cases.append((cset, values, table, dense,
+                              {k: sparsify(dense, k, cset, values) for k in (4, 10)}))
+        assert len(cases) == 7
+        monkeypatch.setattr(explainer, "_PATTERN_ROWS", pattern_rows)
         for cset, values, table, dense, sparse in cases:
-            for want, got in ((dense, fit(cset, values, table[0], table[-1])),
-                              (sparse, sparsify(dense, 4, cset, values))):
+            pairs = [(dense, fit(cset, values, table[0], table[-1]))]
+            pairs += [(e, sparsify(dense, k, cset, values)) for k, e in sparse.items()]
+            for want, got in pairs:
                 scale = np.abs(want.phi_array()).max()
                 assert np.abs(got.phi_array() - want.phi_array()).max() <= 1e-12 * scale
 
     def test_fit_memory_stays_within_a_few_blocks(self):
-        # 156602 sampled rows, 25 MB as floats: they may only ever be cast a
-        # block at a time, beside the closed form's cast of the complete rows
+        # 156602 sampled rows, 25 MB as floats: they may never be cast whole,
+        # only the closed form casts the complete rows. The bound is the
+        # complete rows plus 65536 rows as M floats each, 17.4 MB.
         m = 20
         cset = materialize(plan_for(KERNEL_SHAP, m, 200000, seed=7))
         values = np.random.default_rng(0).normal(size=len(cset))
@@ -439,8 +458,8 @@ class TestFitAtScale:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(cset) - cset.n_complete > 4 * _FIT_BLOCK
-        assert peak < (cset.n_complete + 2 * _FIT_BLOCK) * m * 8
+        assert len(cset) - cset.n_complete > 2 * 65536
+        assert peak < (cset.n_complete + 65536) * m * 8
 
     def test_closed_form_does_not_depend_on_the_complete_rows_order(self):
         # payoffs that grow with the coalition size, so every layer has its
