@@ -7,8 +7,10 @@ budgets that end on a complete-layer boundary and a few that do not; M=13
 b=4000 and M=16 b=10000 sit on either side of the fit's switch to byte-pair
 histograms at 8192 sampled rows. Each cell times `sampling.materialize` of
 the seed-0 plan, takes the payoffs of the set it made from a random N(0, 1)
-table over all 2^M masks, and times `explainer.fit` and
-`explainer.sparsify(..., 4)`, one call at a time in process CPU time, after
+table over all 2^M masks, and times `coalitions.pack` of its masks (the
+lookup a table game and the payoff memo make for each explanation),
+`explainer.fit` and `explainer.sparsify(..., 4)`, one call at a time in
+process CPU time, after
 one untimed call of each. A cell repeats until it has spent CELL_S of CPU
 time or made MAX_REPS calls (at least MIN_REPS), and reports the median in
 ms with its sample count.
@@ -85,6 +87,7 @@ def cells():
                 ref_ms, ref_reps = median_ms(reference)
                 materialize_ms, materialize_reps = median_ms(lambda: materialize(plan))
                 cset = materialize(plan)
+                pack_ms, pack_reps = median_ms(lambda: pack(cset.masks))
                 values = table[pack(cset.masks)]
                 dense = fit(cset, values, table[0], table[-1])
                 fit_ms, fit_reps = median_ms(lambda: fit(cset, values, table[0], table[-1]))
@@ -94,10 +97,12 @@ def cells():
                        "sampled_rows": len(cset) - cset.n_complete,
                        "materialize_ms": materialize_ms,
                        "materialize_reps": materialize_reps,
+                       "pack_ms": pack_ms, "pack_reps": pack_reps,
                        "fit_ms": fit_ms, "fit_reps": fit_reps,
                        "sparsify4_ms": sparse_ms, "sparsify4_reps": sparse_reps,
                        "ref_ms": ref_ms, "ref_reps": ref_reps,
                        "materialize_in_ref": round(materialize_ms / ref_ms, 4),
+                       "pack_in_ref": round(pack_ms / ref_ms, 4),
                        "fit_in_ref": round(fit_ms / ref_ms, 4),
                        "sparsify4_in_ref": round(sparse_ms / ref_ms, 4)}
 
@@ -140,7 +145,8 @@ def main(argv=None) -> int:
     return run_grid(__doc__, cells, lambda c: (
         f"M={c['m']:2d} {c['strategy']:11s} b={c['budget']:6d} "
         f"sampled={c['sampled_rows']:6d} ref {c['ref_ms']:6.3f} ms, in ref: "
-        f"materialize {c['materialize_in_ref']:8.3f}  fit {c['fit_in_ref']:8.3f}  "
+        f"materialize {c['materialize_in_ref']:8.3f}  pack {c['pack_in_ref']:8.3f}  "
+        f"fit {c['fit_in_ref']:8.3f}  "
         f"sparsify(4) {c['sparsify4_in_ref']:8.3f}"), argv)
 
 

@@ -14,9 +14,15 @@ has no complements). :func:`layer_masks` is that order over a whole layer,
 and the st-shap sampler unranks positions of layers too large to enumerate.
 
 :func:`pack` is the one key a mask is looked up, counted or deduplicated by:
-bit i of the key is feature i. The sampler, the payoff memo, set validation
-and game-table lookups all use it; :func:`unpack` turns integer keys back
-into masks.
+bit i of the key is feature i. Its bytes are little-endian, so byte g of a
+key holds features 8g to 8g + 7, feature 8g + j at bit j; :func:`key_bytes`
+reads them as a (n, bytes) ``uint8`` view, and bytes past feature M - 1 are
+zero. The sampler, the payoff memo, game-table lookups and the surrogate
+fit, which sums its complete rows by byte histograms of the keys, all use
+it; :func:`unpack` turns integer keys back into masks, and
+:func:`complement_keys` turns keys into their complements'. :func:`layer_keys`
+caches the keys of :func:`layer_masks`, so the complete layers of a
+coalition set are packed once per process.
 """
 
 from __future__ import annotations
@@ -32,22 +38,60 @@ def _check_m(n_features: int) -> None:
         raise ValueError(f"need at least 2 features, got M={n_features}")
 
 
+def key_dtype(n_features: int) -> np.dtype:
+    """The dtype of :func:`pack`'s keys: ``<u8`` up to 64 features, else
+    fixed-width void of whole 8-byte words."""
+    if n_features > 64:
+        return np.dtype((np.void, -(-n_features // 64) * 8))
+    return np.dtype("<u8")
+
+
+# by M up to 64: the narrowest little-endian unsigned integer, of 1, 2, 4 or
+# 8 bytes, that holds M bits
+_NARROW_DTYPES = tuple(np.dtype(f"<u{1 << max(0, (m - 1).bit_length() - 3)}")
+                       for m in range(65))
+
+
 def pack(masks: np.ndarray) -> np.ndarray:
     """One sortable key per mask, for any M: bit i of the packed bytes is feature i.
 
     Up to 64 features the keys are ``<u8`` integers; wider masks get
-    fixed-width void keys. Each row is zero-padded to the key's whole bytes,
+    fixed-width void keys. Each row is zero-padded only to the narrowest of
+    1, 2, 4 or 8 bytes that holds it (whole 8-byte words past 64 features),
     so one ``packbits`` over the flattened matrix packs every row at once
-    (per-row packing is several times slower).
+    (per-row packing is several times slower), and narrow keys are widened
+    to ``<u8`` after packing.
     """
     n, m = masks.shape
-    width = -(-m // 64) * 8
-    bits = np.zeros((n, width * 8), dtype=bool)
+    packed = _NARROW_DTYPES[m] if m <= 64 else key_dtype(m)
+    bits = np.zeros((n, 8 * packed.itemsize), dtype=bool)
     bits[:, :m] = masks
-    packed = np.packbits(bits.reshape(-1), bitorder="little").reshape(n, width)
-    if width == 8:
-        return packed.view("<u8").reshape(-1)
-    return packed.view(np.dtype((np.void, width))).reshape(-1)
+    keys = np.packbits(bits.reshape(-1), bitorder="little").view(packed)
+    return keys.astype("<u8", copy=False) if m <= 64 else keys
+
+
+def key_bytes(keys: np.ndarray) -> np.ndarray:
+    """The bytes of :func:`pack`'s keys as a (n, bytes) ``uint8`` view: byte
+    g holds features 8g to 8g + 7, feature 8g + j at bit j, so column g is
+    each mask's byte code over those features."""
+    keys = np.ascontiguousarray(keys)
+    return keys.view(np.uint8).reshape(len(keys), keys.dtype.itemsize)
+
+
+@lru_cache(maxsize=64)
+def _grand_key_words(n_features: int) -> np.ndarray:
+    """The grand coalition's key as ``<u8`` words, read-only."""
+    words = pack(np.ones((1, n_features), dtype=bool)).view("<u8")
+    words.setflags(write=False)
+    return words
+
+
+def complement_keys(keys: np.ndarray, where: np.ndarray, n_features: int) -> None:
+    """Turn the keys at the True entries of `where` into the keys of their
+    masks' complements, in place: each 8-byte word of a key XORed with the
+    grand coalition's. `keys` must be contiguous."""
+    words = keys.view("<u8").reshape(len(keys), -1)
+    words ^= _grand_key_words(n_features) * where[:, None]
 
 
 def unpack(keys, n_features: int) -> np.ndarray:
@@ -153,3 +197,14 @@ def layer_masks(n_features: int, layer: int) -> np.ndarray:
     masks = layer_members(n_features, layer, np.arange(layer_size(n_features, layer)))
     masks.setflags(write=False)
     return masks
+
+
+@lru_cache(maxsize=64)
+def layer_keys(n_features: int, layer: int) -> np.ndarray:
+    """The :func:`pack` keys of :func:`layer_masks`, in the same order.
+
+    Cached and marked read-only; callers must copy before mutating.
+    """
+    keys = pack(layer_masks(n_features, layer))
+    keys.setflags(write=False)
+    return keys

@@ -16,8 +16,15 @@ phi0, and a the weight of the coalitions holding feature 0 but not feature 1
 (Lundberg & Lee 2017 derive the weights); without complete rows p = delta/k.
 Each complete layer's mean of v_S - phi0 is subtracted before the sum: that
 moves every r_j by the same amount, which p cancels exactly, and keeps the
-sum from losing digits to the offset the layer's payoffs share. A set that
-sampled nothing, such as the first layer, is fitted by p alone.
+sum from losing digits to the offset the layer's payoffs share. The rows are
+never cast to float: r is summed per byte of the set's keys (their layout is
+:mod:`stableshap.coalitions`'), one weighted ``bincount`` of the centred
+payoffs per byte, whose bins T^T h sums into the byte's features (T the
+table of a byte code's bits); each bin sums a few hundred rows, which loses
+fewer digits than one running sum over all of them. r is computed over all M
+features and sliced to the free ones, so every kept subset reads the dense
+fit's r_j bit for bit, and a comes from byte 0's weight histogram. A set
+that sampled nothing, such as the first layer, is fitted by p alone.
 
 Sampled rows correct p on an orthonormal basis of the sum-zero subspace,
 where the complete rows add just ``aI`` to the Gram matrix and nothing to the
@@ -25,21 +32,22 @@ right-hand side. The sampled rows' raw k x k Gram matrix sum w z z^T and
 right-hand side sum w (v - phi0 - p.z) z are projected onto the basis once.
 Fewer than 8192 sampled rows, or k <= 8, are copied once to a C-ordered
 (k, rows) float matrix scaled by sqrt(w), whose product gives both. From
-8192 rows over more than 8 free features, the sums come from histograms: a
-coalition is a bit pattern, so the free columns are packed one byte per 8
-features and each pair of bytes adds one weighted joint ``bincount`` of at
-most 2^16 bins, whose off-diagonal Gram block is T_g^T H T_h (T the table of
-a byte code's bits) and whose margins give the diagonal blocks; a single
-byte's 256 bins would each sum hundreds of rows and lose digits. The
-right-hand side sums each row's residual per byte, p.z read from per-byte
-lookup tables. When k < M, rows holding all or none of the free features are
-dropped first (on the histograms, they weigh zero): they project to exactly
-zero, and at a heavy weight they would drown the directions that separate
-features in the raw Gram matrix. One ``eigh`` gives the least-norm
-correction. Its rank falls short of k - 1 only without complete rows: a set
-with fewer coalitions than free coefficients raises RankDeficiencyError, and
-a larger one keeps p along the directions no coalition observes, so features
-that no coalition separates are treated alike.
+8192 rows over more than 8 free features, the sums come from histograms of
+the rows' byte codes: the dense fit reads them from the set's keys, and
+``sparsify`` packs its free columns with :func:`~stableshap.coalitions.pack`.
+Each pair of bytes adds one weighted joint ``bincount`` of at most 2^16
+bins, whose off-diagonal Gram block is T_g^T H T_h and whose margins give
+the diagonal blocks; diagonal blocks read off a single byte's 256 bins would
+lose digits against the float product. The right-hand side sums each row's
+residual per byte, p.z read from per-byte lookup tables. When k < M, rows
+holding all or none of the free features are dropped first (on the
+histograms, they weigh zero): they project to exactly zero, and at a heavy
+weight they would drown the directions that separate features in the raw
+Gram matrix. One ``eigh`` gives the least-norm correction. Its rank falls
+short of k - 1 only without complete rows: a set with fewer coalitions than
+free coefficients raises RankDeficiencyError, and a larger one keeps p along
+the directions no coalition observes, so features that no coalition
+separates are treated alike.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .coalitions import key_bytes, pack
 from .errors import RankDeficiencyError
 from .sampling import (
     KERNEL_SHAP,
@@ -119,24 +128,33 @@ def _bit_table(width: int) -> np.ndarray:
     return table
 
 
-def _histogram_moments(rows: np.ndarray, weights: np.ndarray, v: np.ndarray,
+def _byte_widths(k: int) -> list[int]:
+    """Columns held by each byte code of k columns: 8 each, the rest last."""
+    return [min(8, k - 8 * g) for g in range(-(-k // 8))]
+
+
+def _byte_sums(codes: np.ndarray, k: int, values: np.ndarray) -> np.ndarray:
+    """sum over rows of values * z for the k columns whose byte codes are
+    `codes`, (n, >= ceil(k/8)): one weighted ``bincount`` per byte, summed
+    over the codes that hold each bit."""
+    return np.concatenate([
+        _bit_table(b).T @ np.bincount(codes[:, g], weights=values, minlength=1 << b)
+        for g, b in enumerate(_byte_widths(k))])
+
+
+def _histogram_moments(codes: np.ndarray, k: int, weights: np.ndarray, v: np.ndarray,
                        p: np.ndarray, drop_flat: bool) -> tuple[np.ndarray, np.ndarray]:
     """Raw Gram matrix sum w z z^T and right-hand side sum w (v - p.z) z of
-    the (n, k) boolean rows z, from weighted histograms of their byte codes;
-    `v` is overwritten. With `drop_flat`, rows holding all or none of the k
-    columns weigh zero."""
-    n, k = rows.shape
-    n_bytes = -(-k // 8)
-    bits = np.zeros((n, 8 * n_bytes), dtype=bool)
-    bits[:, :k] = rows
-    codes = np.packbits(bits.reshape(-1), bitorder="little").reshape(n, n_bytes)
-    del bits
-    widths = [min(8, k - 8 * g) for g in range(n_bytes)]
+    the rows z over k columns, from weighted histograms of their byte codes
+    `codes`, (n, >= ceil(k/8)); `v` is overwritten. With `drop_flat`, rows
+    holding all or none of the k columns weigh zero."""
+    widths = _byte_widths(k)
+    n_bytes = len(widths)
     spans = [slice(8 * g, 8 * g + b) for g, b in enumerate(widths)]
     tables = [_bit_table(b) for b in widths]
     if drop_flat:
         # byte by byte: numpy reduces along a short axis far more slowly
-        every, none = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
+        every, none = np.ones(len(v), dtype=bool), np.ones(len(v), dtype=bool)
         for g, b in enumerate(widths):
             every &= codes[:, g] == (1 << b) - 1
             none &= codes[:, g] == 0
@@ -165,10 +183,7 @@ def _histogram_moments(rows: np.ndarray, weights: np.ndarray, v: np.ndarray,
     for g in range(n_bytes):
         v -= (tables[g] @ p[spans[g]]).take(codes[:, g])
     v *= weights
-    rhs = np.concatenate([
-        tables[g].T @ np.bincount(codes[:, g], weights=v, minlength=1 << widths[g])
-        for g in range(n_bytes)])
-    return gram, rhs
+    return gram, _byte_sums(codes, k, v)
 
 
 def _constrained_fit(coalition_set: WeightedCoalitionSet, values: np.ndarray,
@@ -178,12 +193,10 @@ def _constrained_fit(coalition_set: WeightedCoalitionSet, values: np.ndarray,
     free ones constrained to sum to fx - phi0: the closed form over the
     complete rows, corrected by the sampled rows."""
     masks, weights = coalition_set.masks, coalition_set.weights
-    n0, k, delta = coalition_set.n_complete, len(free), fx - phi0
+    n0, m, k, delta = coalition_set.n_complete, masks.shape[1], len(free), fx - phi0
     a, p = 0.0, np.full(k, delta / k)
     if n0:
-        # a C-ordered operand: numpy multiplies an F-ordered bool matrix by
-        # a float vector on a far slower path
-        head = masks[:n0] if k == masks.shape[1] else masks[:n0, free]
+        codes = key_bytes(coalition_set.keys[:n0])
         # every free feature sits in the same number of a complete layer's
         # sets: subtracting a layer's mean payoff moves every r_j alike and
         # leaves p unchanged, but keeps r from summing ~10^5 copies of an
@@ -191,16 +204,20 @@ def _constrained_fit(coalition_set: WeightedCoalitionSet, values: np.ndarray,
         # weight; when runs repeat a weight, a layer's rows are not
         # contiguous and the whole head is centred as one.
         w0 = weights[:n0]
-        starts = np.flatnonzero(np.concatenate(([True], w0[1:] != w0[:-1]))).tolist()
+        starts = [0] + (np.flatnonzero(w0[1:] != w0[:-1]) + 1).tolist()
         if len(set(w0[starts].tolist())) < len(starts):
             starts = [0]
-        counts = np.diff(starts + [n0])
+        counts = np.subtract(starts[1:] + [n0], starts)
         centred = values[:n0] - phi0
         centred -= np.repeat(np.add.reduceat(centred, starts) / counts, counts)
-        r = (w0 * centred) @ np.ascontiguousarray(head)
-        a = w0[masks[:n0, 0] & ~masks[:n0, 1]].sum()
+        centred *= w0
+        # r over every column and then sliced, so any kept subset reads the
+        # dense fit's r_j bit for bit
+        r = _byte_sums(codes, m, centred)[free]
+        # byte codes 1 mod 4 hold feature 0 but not feature 1
+        a = np.bincount(codes[:, 0], weights=w0)[1::4].sum()
         p = r / a + (delta - (r / a).sum()) / k
-    phis = np.zeros(masks.shape[1])
+    phis = np.zeros(m)
     phis[free] = p
     if n0 == len(masks):
         return phis
@@ -208,11 +225,11 @@ def _constrained_fit(coalition_set: WeightedCoalitionSet, values: np.ndarray,
     # onto the basis once
     v = values[n0:] - phi0
     if len(masks) - n0 >= _PATTERN_ROWS and k > 8:
-        rows = masks[n0:] if k == masks.shape[1] else masks[n0:, free]
-        gram, rhs = _histogram_moments(rows, weights[n0:], v, p, k < masks.shape[1])
+        keys = coalition_set.keys[n0:] if k == m else pack(masks[n0:, free])
+        gram, rhs = _histogram_moments(key_bytes(keys), k, weights[n0:], v, p, k < m)
     else:
         zt, root_w = masks[n0:].T[free], np.sqrt(weights[n0:])
-        if k < masks.shape[1]:
+        if k < m:
             # rows holding all or none of the free features project to
             # exactly zero, so dropping them is exact (see the module docstring)
             proper = np.flatnonzero(zt.any(axis=0) != zt.all(axis=0))

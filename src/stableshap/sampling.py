@@ -27,8 +27,11 @@ import numpy as np
 
 from .coalitions import (
     _check_m,
+    complement_keys,
     complete_layer_budgets,
     kernel_weight,
+    key_dtype,
+    layer_keys,
     layer_masks,
     layer_members,
     layer_size,
@@ -107,17 +110,29 @@ class WeightedCoalitionSet:
     The first ``n_complete`` rows are a union of complete layers: every mask
     of each size present, at one weight per size. The surrogate fit has a
     closed form on them (see :mod:`stableshap.explainer`).
+
+    ``keys`` holds each mask's :func:`~stableshap.coalitions.pack` key, which
+    the fit reads its byte codes from. :func:`materialize` hands them over
+    from the sampler and the layer cache; a set made from masks alone packs
+    them here. Keys that do not match the masks in number or dtype are
+    refused; their values are trusted to equal ``pack(masks)``.
     """
 
     masks: np.ndarray  # (n, M) bool
     weights: np.ndarray  # (n,) positive finite
     n_complete: int = 0
+    keys: np.ndarray | None = None  # (n,) pack(masks)
 
     def __post_init__(self):
         if self.masks.ndim != 2 or len(self.weights) != len(self.masks):
             raise ValueError("masks and weights must align")
         if not 0 <= self.n_complete <= len(self.masks):
             raise ValueError("n_complete outside the set's rows")
+        if self.keys is None:
+            object.__setattr__(self, "keys", pack(self.masks))
+        elif (self.keys.shape != (len(self.masks),)
+              or self.keys.dtype != key_dtype(self.masks.shape[1])):
+            raise ValueError("keys must align with the masks: one pack() key per row")
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -165,13 +180,15 @@ def plan_kernel_shap(n_features: int, budget: int, seed: int) -> SamplingPlan:
                         tuple(complete), sampled, remaining)
 
 
-def _layer_sample_masks(rng, n_features: int, layer: int, n: int) -> np.ndarray:
+def _layer_sample_masks(rng, n_features: int, layer: int,
+                        n: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniform without-replacement draw of n coalitions from one layer, in the
-    layer's canonical order.
+    layer's canonical order: their masks and their keys.
 
     One ``rng.choice`` picks the positions. A layer of at most ``_ENUM_LIMIT``
-    masks is indexed through the cached :func:`layer_masks`; a larger one has
-    only the drawn positions unranked by :func:`layer_members`.
+    masks is indexed through the cached :func:`layer_masks` and
+    :func:`layer_keys`; a larger one has only the drawn positions unranked by
+    :func:`layer_members`, and packed.
 
     st-shap samples a layer only after materializing every layer before it.
     For any layer of over 2^63 coalitions those masks take over 10^19 bytes,
@@ -180,8 +197,10 @@ def _layer_sample_masks(rng, n_features: int, layer: int, n: int) -> np.ndarray:
     population = layer_size(n_features, layer)
     positions = np.sort(rng.choice(population, size=n, replace=False))
     if population <= _ENUM_LIMIT:
-        return np.take(layer_masks(n_features, layer), positions, axis=0)
-    return layer_members(n_features, layer, positions)
+        return (np.take(layer_masks(n_features, layer), positions, axis=0),
+                layer_keys(n_features, layer)[positions])
+    masks = layer_members(n_features, layer, positions)
+    return masks, pack(masks)
 
 
 def _random_subsets(rng, n_features: int, sizes: np.ndarray) -> np.ndarray:
@@ -237,7 +256,7 @@ def _draws_for(n_distinct: int, sizes: list[int], probs: list[float],
 
 
 def _global_sample(rng, n_features: int, layers: tuple[int, ...],
-                   n_distinct: int) -> tuple[np.ndarray, np.ndarray]:
+                   n_distinct: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kernel SHAP's random phase over the union of non-complete layers, in
     complement pairs as shap's ``KernelExplainer`` draws them.
 
@@ -250,7 +269,7 @@ def _global_sample(rng, n_features: int, layers: tuple[int, ...],
     repeat raises the multiplicity of its subset and its complement alike,
     and the draw that brings the last mask needed may leave its complement
     out. Returns the distinct masks, each subset followed by its complement,
-    in first-draw order, plus their multiplicities.
+    in first-draw order, their keys and their multiplicities.
 
     The draws come in batches. The first is sized from the expected repeat
     rate (:func:`_draws_for`), so it usually holds all the masks needed; a
@@ -268,7 +287,8 @@ def _global_sample(rng, n_features: int, layers: tuple[int, ...],
     among its equal keys (``np.minimum.reduceat``), and a running count of
     the key changes numbers each draw's subset. These are the arrays
     ``np.unique(keys, return_index=True, return_inverse=True)`` returns,
-    without its stable sort.
+    without its stable sort. A complement's key is made from its subset's
+    (:func:`~stableshap.coalitions.complement_keys`).
     """
     sizes = sorted(layers)
     # Python ints: C(M, s) * s * (M - s) outgrows int64 from M = 57
@@ -325,7 +345,9 @@ def _global_sample(rng, n_features: int, layers: tuple[int, ...],
     subsets = subset_blocks[0] if len(subset_blocks) == 1 else np.concatenate(subset_blocks)
     masks = np.take(subsets, take, axis=0)
     masks ^= flip[:, None]
-    return masks, counts[inverse[take]].astype(float)
+    keys = keys[take]
+    complement_keys(keys, flip, n_features)
+    return masks, keys, counts[inverse[take]].astype(float)
 
 
 def materialize(plan: SamplingPlan) -> WeightedCoalitionSet:
@@ -339,10 +361,10 @@ def materialize(plan: SamplingPlan) -> WeightedCoalitionSet:
     plan's seed.
     """
     m = plan.n_features
-    mask_blocks = []
-    weight_blocks = []
+    mask_blocks, key_blocks, weight_blocks = [], [], []
     for i in plan.complete_layers:
         mask_blocks.append(layer_masks(m, i))
+        key_blocks.append(layer_keys(m, i))
         weight_blocks.append(
             np.full(layer_size(m, i), kernel_weight(m, i))
         )
@@ -352,20 +374,20 @@ def materialize(plan: SamplingPlan) -> WeightedCoalitionSet:
         if plan.strategy == ST_SHAP:
             (layer,) = plan.sampled_layers
             assert plan.n_sampled < layer_size(m, layer)
-            masks = _layer_sample_masks(rng, m, layer, plan.n_sampled)
+            masks, keys = _layer_sample_masks(rng, m, layer, plan.n_sampled)
             per_draw = layer_total_weight(m, layer) / plan.n_sampled
-            mask_blocks.append(masks)
             weight_blocks.append(np.full(plan.n_sampled, per_draw))
         else:
-            masks, multiplicities = _global_sample(
+            masks, keys, multiplicities = _global_sample(
                 rng, m, plan.sampled_layers, plan.n_sampled
             )
             pool_weight = sum(layer_total_weight(m, i) for i in plan.sampled_layers)
-            mask_blocks.append(masks)
             weight_blocks.append(multiplicities * (pool_weight / multiplicities.sum()))
+        mask_blocks.append(masks)
+        key_blocks.append(keys)
     if not mask_blocks:
         raise ValueError("plan materialized nothing")
     return WeightedCoalitionSet(
         np.vstack(mask_blocks), np.concatenate(weight_blocks),
-        n_complete=plan.budget - plan.n_sampled,
+        n_complete=plan.budget - plan.n_sampled, keys=np.concatenate(key_blocks),
     )

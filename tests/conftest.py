@@ -6,7 +6,8 @@ marginal contributions averaged over every player ordering, a
 Lagrange-multiplier KKT solve for the constrained regression and a QR
 least-squares solve of it on an orthonormal sum-zero basis, an SVD of its
 weighted design over that basis for its rank, the paper's first-layer
-formula from table lookups, pair counting for rank correlation, kernel
+formula from table lookups, a mask's key packed per row into whole 64-bit
+words, pair counting for rank correlation, kernel
 SHAP's paired random phase as a per-draw loop over dicts with a scalar
 selection sampler (Knuth's Algorithm S) per row, a layer's canonical order
 both as sorted combinations and as a scalar unrank, and pairwise games,
@@ -120,12 +121,29 @@ def exact_shap_permutation(game: SyntheticGame,
     return ExactValues(tuple(float(a / scale) for a in acc), float(values[0]), 2**m)
 
 
+def pack_reference(masks: np.ndarray) -> np.ndarray:
+    """The keys ``coalitions.pack`` gives: each row zero-padded to whole
+    64-bit words and packed on its own, little-endian; ``<u8`` up to 64
+    features, fixed-width void beyond."""
+    n, m = masks.shape
+    width = -(-m // 64) * 8
+    bits = np.zeros((n, 8 * width), dtype=bool)
+    bits[:, :m] = masks
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    dtype = np.dtype("<u8") if width == 8 else np.dtype((np.void, width))
+    return packed.view(dtype).reshape(n)
+
+
 def check_coalition_set(cset) -> None:
     """Raise ValueError unless a WeightedCoalitionSet holds distinct proper
-    coalitions at positive finite weights, and its first n_complete rows hold
-    every coalition of each size among them at one weight per size."""
+    coalitions at positive finite weights, its keys are its masks'
+    :func:`pack_reference` keys, and its first n_complete rows hold every
+    coalition of each size among them at one weight per size."""
     if not np.all(np.isfinite(cset.weights)) or np.any(cset.weights <= 0):
         raise ValueError("regression weights must be positive and finite")
+    want = pack_reference(cset.masks)
+    if cset.keys.dtype != want.dtype or cset.keys.tobytes() != want.tobytes():
+        raise ValueError("keys do not match the masks")
     sizes = cset.masks.sum(axis=1)
     if np.any(sizes == 0) or np.any(sizes == cset.n_features):
         raise ValueError("empty or grand coalition leaked into the set")

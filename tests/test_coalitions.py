@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stableshap.coalitions import (
+    complement_keys,
     complete_layer_budgets,
     kernel_weight,
+    key_bytes,
+    layer_keys,
     layer_masks,
     layer_members,
     layer_size,
@@ -16,7 +19,12 @@ from stableshap.coalitions import (
     unpack,
 )
 
-from conftest import colex_layer_oracle, colex_unrank_oracle, layer_member_oracle
+from conftest import (
+    colex_layer_oracle,
+    colex_unrank_oracle,
+    layer_member_oracle,
+    pack_reference,
+)
 
 m_and_layer = st.integers(2, 12).flatmap(
     lambda m: st.tuples(st.just(m), st.integers(1, m // 2))
@@ -50,6 +58,38 @@ class TestPack:
                     assert int(key) == expected
                 else:
                     assert key.tobytes() == expected.to_bytes(width, "little")
+
+    @pytest.mark.parametrize("m", range(2, 67))
+    def test_matches_64_column_reference(self, m):
+        # every key width, 1 to 8 bytes and then 16: masks are padded only to
+        # the narrowest, and the keys must not show it
+        rng = np.random.default_rng(1000 + m)
+        for n in (0, 1, 97):
+            masks = rng.random((n, m)) < rng.choice([0.0, 0.1, 0.5, 1.0], size=(n, 1))
+            keys, want = pack(masks), pack_reference(masks)
+            assert keys.shape == (n,) and keys.dtype == want.dtype
+            assert keys.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [2, 8, 9, 20, 64, 65, 130])
+    def test_key_bytes_are_the_byte_codes_of_each_eight_features(self, m):
+        rng = np.random.default_rng(m)
+        masks = rng.random((50, m)) < 0.5
+        codes = key_bytes(pack(masks))
+        assert codes.dtype == np.uint8 and codes.shape == (50, -(-m // 64) * 8)
+        for g in range(codes.shape[1]):
+            want = [sum(1 << j for j in range(8) if 8 * g + j < m and row[8 * g + j])
+                    for row in masks]
+            assert codes[:, g].tolist() == want
+
+    @pytest.mark.parametrize("m", [2, 13, 64, 65, 130])
+    def test_complement_keys_are_the_complements_keys(self, m):
+        rng = np.random.default_rng(m)
+        masks = rng.random((40, m)) < 0.5
+        where = rng.random(40) < 0.5
+        keys = pack(masks)
+        complement_keys(keys, where, m)
+        want = pack_reference(np.where(where[:, None], ~masks, masks))
+        assert keys.dtype == want.dtype and keys.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 20, 63, 64])
     def test_unpack_inverts_pack(self, m):
@@ -119,6 +159,15 @@ class TestEnumerateLayer:
         assert len(masks) == layer_size(m, i)
         assert len(set(_bitstrings(masks))) == len(masks)
         assert all(row.sum() in {i, m - i} for row in masks)
+
+    @pytest.mark.parametrize("m, i", [(2, 1), (9, 4), (13, 3), (20, 5), (65, 2)])
+    def test_layer_keys_are_the_cached_keys_of_layer_masks(self, m, i):
+        keys = layer_keys(m, i)
+        want = pack_reference(layer_masks(m, i))
+        assert keys.dtype == want.dtype and keys.tobytes() == want.tobytes()
+        assert layer_keys(m, i) is keys
+        with pytest.raises(ValueError):
+            keys[0] = keys[1]
 
     @given(m_and_layer)
     def test_order_stable_across_calls(self, ml):

@@ -420,6 +420,21 @@ class TestFitAtScale:
         for k, e in sparse.items():
             assert sparsify(dense, k, f_ordered, values) == e
 
+    # past 64 features the keys are void: st-shap at M=66, b=9000 holds
+    # layers 1-2 and 4578 draws from layer 3, kernel-shap 8868 sampled rows,
+    # which the dense fit and sparsify(10) take as byte-pair histograms
+    @pytest.mark.parametrize("m, budget", [(70, 500), (66, 9000)])
+    @pytest.mark.parametrize("strategy", [ST_SHAP, KERNEL_SHAP])
+    def test_matches_qr_reference_past_64_features(self, m, budget, strategy):
+        rng = np.random.default_rng(m)
+        cset = materialize(plan_for(strategy, m, budget, seed=1))
+        values = cset.masks @ rng.normal(size=m) + 0.1 * rng.normal(size=len(cset))
+        dense = fit(cset, values, 0.0, 2.0)
+        for e in (dense, sparsify(dense, 10, cset, values)):
+            kept = list(e.support)
+            oracle = qr_constrained_lstsq(cset.masks[:, kept], cset.weights, values, 0.0, 2.0)
+            assert np.abs(e.phi_array()[kept] - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
     @pytest.mark.parametrize("pattern_rows", [1, 2**62])
     def test_both_gram_paths_agree(self, monkeypatch, pattern_rows):
         # the same sets, with more than 8 free features, through the
@@ -445,21 +460,37 @@ class TestFitAtScale:
                 scale = np.abs(want.phi_array()).max()
                 assert np.abs(got.phi_array() - want.phi_array()).max() <= 1e-12 * scale
 
+    @staticmethod
+    def _peak_bytes(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_fit_memory_stays_within_a_few_blocks(self):
-        # 156602 sampled rows, 25 MB as floats: they may never be cast whole,
-        # only the closed form casts the complete rows. The bound is the
-        # complete rows plus 65536 rows as M floats each, 17.4 MB.
+        # 156602 sampled rows, 25 MB as floats: no rows are ever cast to
+        # float, the complete ones are summed by byte histograms of their
+        # keys and the sampled ones by byte-pair histograms. The bound is
+        # three floats per row, 4.8 MB.
         m = 20
         cset = materialize(plan_for(KERNEL_SHAP, m, 200000, seed=7))
         values = np.random.default_rng(0).normal(size=len(cset))
-        tracemalloc.start()
-        try:
-            fit(cset, values, 0.0, 1.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert len(cset) - cset.n_complete > 2 * 65536
-        assert peak < (cset.n_complete + 65536) * m * 8
+        assert self._peak_bytes(lambda: fit(cset, values, 0.0, 1.0)) < len(cset) * 3 * 8
+
+    def test_closed_form_memory_stays_below_three_floats_per_complete_row(self):
+        # 120918 complete rows, 19 MB as M floats each: the closed form holds
+        # the centred payoffs and one histogram's codes at a time
+        m = 20
+        cset = materialize(plan_for(ST_SHAP, m, 120918, seed=7))
+        assert cset.n_complete == len(cset)
+        values = np.random.default_rng(0).normal(size=len(cset))
+        dense = fit(cset, values, 0.0, 1.0)
+        bound = cset.n_complete * 3 * 8
+        assert self._peak_bytes(lambda: fit(cset, values, 0.0, 1.0)) < bound
+        assert self._peak_bytes(lambda: sparsify(dense, 10, cset, values)) < bound
 
     def test_closed_form_does_not_depend_on_the_complete_rows_order(self):
         # payoffs that grow with the coalition size, so every layer has its
@@ -492,6 +523,28 @@ class TestFitAtScale:
         dense = fit(cset, values, phi0, fx)
         oracle = qr_constrained_lstsq(cset.masks, cset.weights, values, phi0, fx)
         assert np.abs(dense.phi_array() - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+    def test_closed_form_sums_a_large_head_to_near_long_double_precision(self):
+        # payoffs that saturate with the coalition size, 50 tanh(|S|/3), plus
+        # N(0, 1) noise: seven complete layers whose offsets differ widely,
+        # against the closed form computed in long double
+        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+            pytest.skip("long double is no wider than double here")
+        m, budget = 19, 188366
+        cset = materialize(plan_for(ST_SHAP, m, budget, seed=7))
+        assert cset.n_complete == len(cset)
+        values = (50 * np.tanh(cset.masks.sum(axis=1) / 3)
+                  + np.random.default_rng(5).normal(size=len(cset)))
+        phi0, fx = 0.0, 50 * np.tanh(m / 3)
+        got = fit(cset, values, phi0, fx).phi_array()
+        ld = np.longdouble
+        w = cset.weights.astype(ld)
+        payoffs = w * (values.astype(ld) - ld(phi0))
+        r = np.array([payoffs[cset.masks[:, j]].sum() for j in range(m)])
+        a = w[cset.masks[:, 0] & ~cset.masks[:, 1]].sum()
+        want = r / a + (ld(fx) - ld(phi0) - (r / a).sum()) / m
+        assert np.abs(got - want).max() <= 5e-14 * np.abs(want).max()
 
 
 class TestExplain:

@@ -15,7 +15,9 @@ from stableshap.coalitions import (
     pack,
     unpack,
 )
+from stableshap.explainer import fit, sparsify
 from stableshap.sampling import (
+    _ENUM_LIMIT,
     KERNEL_SHAP,
     ST_SHAP,
     WeightedCoalitionSet,
@@ -31,6 +33,7 @@ from conftest import (
     check_coalition_set,
     global_sample_reference,
     layer_member_oracle,
+    pack_reference,
 )
 
 
@@ -260,6 +263,53 @@ class TestMaterialize:
         assert np.array_equal(cset.masks, expected)
 
 
+class TestKeys:
+    """Every set carries each mask's pack() key, however it was made."""
+
+    # (M, budget): complete and ragged budgets for both strategies; at M=65,
+    # b=91700 st-shap samples layer 4, whose 1.35M masks are over the
+    # enumeration limit and unranked; kernel-shap keys M > 64 as void
+    CASES = [(2, 2), (13, 26), (13, 182), (13, 50), (13, 1000), (20, 420), (20, 3000),
+             (20, 43398), (65, 130), (65, 500), (65, 91700), (100, 200), (100, 500)]
+
+    @pytest.mark.parametrize("m, budget", CASES)
+    @pytest.mark.parametrize("planner", [plan_st_shap, plan_kernel_shap])
+    def test_materialized_keys_are_the_masks_keys(self, m, budget, planner):
+        plan = planner(m, budget, seed=5)
+        cset = materialize(plan)
+        want = pack_reference(cset.masks)
+        assert cset.keys.dtype == want.dtype and cset.keys.tobytes() == want.tobytes()
+        if (m, budget) == (65, 91700) and planner is plan_st_shap:
+            assert plan.n_sampled and layer_size(m, plan.sampled_layers[0]) > _ENUM_LIMIT
+
+    @pytest.mark.parametrize("m, budget", [(13, 500), (20, 3000), (16, 10000),
+                                           (19, 188366), (20, 200000), (65, 500),
+                                           (100, 500)])
+    @pytest.mark.parametrize("strategy", [ST_SHAP, KERNEL_SHAP])
+    def test_a_set_made_from_masks_alone_fits_bit_for_bit(self, m, budget, strategy):
+        planner = plan_st_shap if strategy == ST_SHAP else plan_kernel_shap
+        cset = materialize(planner(m, budget, seed=2))
+        bare = WeightedCoalitionSet(cset.masks, cset.weights, cset.n_complete)
+        assert bare.keys.tobytes() == cset.keys.tobytes()
+        values = np.random.default_rng(budget).normal(size=len(cset))
+        dense = fit(cset, values, 0.1, 2.3)
+        assert fit(bare, values, 0.1, 2.3) == dense
+        for k in (4, 10):
+            assert sparsify(dense, k, bare, values) == sparsify(dense, k, cset, values)
+
+    def test_misaligned_keys_are_refused(self):
+        cset = materialize(plan_st_shap(13, 200, seed=1))
+        wide = materialize(plan_kernel_shap(65, 200, seed=1))
+        for masks, keys in [(cset.masks, cset.keys[1:]),
+                            (cset.masks, np.concatenate([cset.keys, cset.keys[:1]])),
+                            (cset.masks, cset.keys[:, None]),
+                            (cset.masks, cset.keys.astype(np.int64)),
+                            (cset.masks, cset.keys.astype("<u4")),
+                            (wide.masks, wide.keys.view("<u8")[::2])]:
+            with pytest.raises(ValueError, match="keys must align"):
+                WeightedCoalitionSet(masks, np.ones(len(masks)), 0, keys)
+
+
 class TestHugeLayerSampling:
     # populations too large to enumerate are drawn by position and unranked;
     # every layer st-shap can sample in fits the int64 position sampler
@@ -267,7 +317,8 @@ class TestHugeLayerSampling:
     def _draws(self, m, layer, n, seed=4):
         from stableshap.sampling import _layer_sample_masks
         rng = np.random.Generator(np.random.Philox(seed))
-        return _layer_sample_masks(rng, m, layer, n)
+        masks, _ = _layer_sample_masks(rng, m, layer, n)
+        return masks
 
     def test_unranked_path(self):
         m, layer, n = 45, 5, 40  # 2*C(45,5) ~ 2.4M members, over the enum limit
@@ -317,7 +368,7 @@ class TestKernelShapSampler:
     def test_matches_reference_loop(self, m, seed, data):
         plan = plan_kernel_shap(m, data.draw(st.integers(2, min(2**m - 2, 3000))), seed)
         assume(plan.n_sampled > 0)
-        (masks, mult), (ref_masks, ref_mult) = self._both(plan)
+        (masks, _, mult), (ref_masks, ref_mult) = self._both(plan)
         assert np.array_equal(masks, ref_masks)
         assert np.array_equal(mult, ref_mult)
         assert mult.dtype == ref_mult.dtype == np.float64
@@ -329,7 +380,7 @@ class TestKernelShapSampler:
     def test_matches_reference_loop_pinned(self, m, budget):
         plan = plan_kernel_shap(m, budget, 0)
         assert plan.n_sampled > 0
-        (masks, mult), (ref_masks, ref_mult) = self._both(plan)
+        (masks, _, mult), (ref_masks, ref_mult) = self._both(plan)
         assert np.array_equal(masks, ref_masks)
         assert np.array_equal(mult, ref_mult)
 
@@ -381,7 +432,7 @@ class TestKernelShapSampler:
         p /= p.sum()
         observed = np.zeros(len(layers))
         for seed in range(5):
-            masks, mult = _global_sample(_rng(seed), m, layers, 2000)
+            masks, _, mult = _global_sample(_rng(seed), m, layers, 2000)
             observed += np.bincount(*_drawn_subsets(masks, mult), minlength=m)[2:7]
         assert stats.chisquare(observed, observed.sum() * p).pvalue > 1e-3
 
@@ -394,7 +445,7 @@ class TestKernelShapSampler:
         layers = tuple(range(2, m // 2 + 1))
         observed = {}
         for seed in range(200):
-            masks, mult = _global_sample(_rng(seed), m, layers, n_distinct)
+            masks, _, mult = _global_sample(_rng(seed), m, layers, n_distinct)
             drawn = masks.sum(axis=1) <= m // 2
             for key, count in zip(pack(masks[drawn]).tolist(), mult[drawn]):
                 observed[key] = observed.get(key, 0.0) + count
@@ -413,7 +464,7 @@ class TestKernelShapSampler:
         # last subset whose complement the budget had no room for
         plan = plan_kernel_shap(m, data.draw(st.integers(2, min(2**m - 2, 3000))), seed)
         assume(plan.n_sampled > 0)
-        masks, mult = _global_sample(_rng(seed), m, plan.sampled_layers, plan.n_sampled)
+        masks, _, mult = _global_sample(_rng(seed), m, plan.sampled_layers, plan.n_sampled)
         assert len(masks) == plan.n_sampled
         assert len(set(pack(masks).tolist())) == len(masks)
         sizes = masks.sum(axis=1)
@@ -450,7 +501,7 @@ class TestKernelShapSampler:
 
         plan = plan_kernel_shap(m, budget, seed)
         rng = RecordingRng()
-        masks, mult = _global_sample(rng, m, plan.sampled_layers, plan.n_sampled)
+        masks, _, mult = _global_sample(rng, m, plan.sampled_layers, plan.n_sampled)
         return rng.made, _drawn_subsets(masks, mult)[1].sum()
 
     @pytest.mark.parametrize("budget", [43398, 120918, 200000])
