@@ -9,21 +9,30 @@ Row-model payoffs are memoized per adapter object: each adapter keeps the
 payoffs of its most recent (instance, background) pair, so a coalition that
 explain, the first-layer attribution or the exact oracle asks for again is
 answered without a model call. Adapters are deterministic (see
-:mod:`stableshap.models`), so a memoized payoff is the payoff the model would
-return. The memo is dropped with its adapter and never holds more than one
-instance's distinct coalitions (at most 2^M).
+:mod:`stableshap.models`), so a memoized payoff is the payoff the model
+returned for the request that first held the coalition. The memo is dropped
+with its adapter and never holds more than one instance's distinct
+coalitions (at most 2^M); once it holds all 2^M it is a table indexed by
+mask integer, as a complete table game is.
 
 The coalitions the memo lacks reach the model in blocks of whole masks, at
 most ``ROW_BUDGET`` substituted rows per ``predict`` call (8 masks at the
 least), so a call's rows stay bounded whatever the budget and background
 size, and a block (1 MiB at 16 features) stays in cache between being
-written and read. :func:`substitute` fills each block of a request fresh,
-into one buffer that ``predict`` gets as a read-only view, valid until it
-returns. A cold exact oracle (no payoff of the instance memoized) takes
+written and read. Rows are column-major: :func:`substitute` fills a
+C-contiguous (M, masks, B) buffer, one plane per feature, and ``predict``
+gets its rows as a read-only, column-major view of it, valid until it
+returns. Each block of a request is filled fresh, into a prefix of one
+buffer. A cold exact oracle (no payoff of the instance memoized) takes
 :func:`walk_payoffs` instead: a Gray-code walk over the blocks of all 2^M
-masks, one column write a block, whose table becomes the memo. Either way
-each payoff is computed at most once per adapter and instance, and is
-bit-identical to that of one single call.
+masks, one contiguous plane write a block, whose table becomes the memo.
+Either way each payoff is computed at most once per adapter and instance.
+
+A request's payoffs are bit-identical to those of one single ``predict``
+call of the request, whatever its blocks. A BLAS-backed adapter's products
+round the last rows of a call (n mod 4 of them) differently, so its payoff
+of one coalition may differ in the last bits between two routes, a warm
+memo's request and the cold walk.
 """
 
 from __future__ import annotations
@@ -39,7 +48,9 @@ from .errors import NonFinitePayoffError
 # id(adapter) -> (weak reference to the adapter, memo state); an entry goes
 # when its adapter is collected. The state (instance key, sorted packed masks,
 # payoffs) is immutable and replaced in one assignment, so threads sharing an
-# adapter never read a half-merged memo or another instance's payoffs.
+# adapter never read a half-merged memo or another instance's payoffs. A memo
+# of all 2^M masks keeps no masks (None), as a complete table game does: its
+# payoffs are indexed by mask integer.
 _MEMOS: dict[int, tuple] = {}
 
 # substituted rows per model call: bounds the rows a block holds, whatever the
@@ -51,8 +62,9 @@ def substitute(masks: np.ndarray, x: np.ndarray, background: np.ndarray,
                out: np.ndarray | None = None) -> np.ndarray:
     """Masked input rows: (n_masks * B, M), background varying fastest.
 
-    Written into ``out``, a C-contiguous (n_masks, B, M) float buffer, when
-    one is given; the rows returned are then a view of it.
+    The rows are a column-major view of a C-contiguous (M, n_masks, B) float
+    buffer, ``out`` when one is given: feature j's column is plane j, each
+    mask's B values of it one contiguous run.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     background = np.asarray(background, dtype=float)
@@ -61,14 +73,14 @@ def substitute(masks: np.ndarray, x: np.ndarray, background: np.ndarray,
     masks = np.asarray(masks, dtype=bool)
     n, m = masks.shape
     b = background.shape[0]
-    # copies of the background, then one indexed write of the instance's
-    # values into every (mask, feature) pair held: values are only selected,
-    # never computed
-    rows = np.empty((n, b, m)) if out is None else out
-    rows[...] = background
-    held, feature = np.nonzero(masks)
-    rows[held, :, feature] = x[feature, None]
-    return rows.reshape(n * b, m)
+    # each plane a copy of its background column, then one indexed write of
+    # the instance's value into the run of every (feature, mask) pair held,
+    # feature by feature: values are only selected, never computed
+    planes = np.empty((m, n, b)) if out is None else out
+    planes[...] = background.T[:, None, :]
+    held = np.flatnonzero(masks.T)  # feature * n + mask
+    planes.reshape(m * n, b)[held] = x[held // n, None]
+    return planes.reshape(m, n * b).T
 
 
 def _checked(payoffs: np.ndarray, mask_of) -> np.ndarray:
@@ -82,32 +94,33 @@ def _checked(payoffs: np.ndarray, mask_of) -> np.ndarray:
 
 def _block_masks(n_background: int) -> int:
     """Masks per block: the largest power of two whose rows fit ROW_BUDGET, at
-    least 8. Every block starts at a multiple of 8 rows, so BLAS groups the rows
-    as in one call: payoffs depend on neither the block size nor block order."""
+    least 8. Every block starts at a multiple of 8 rows, so BLAS groups a
+    request's rows as one call of it does: its payoffs depend on neither the
+    block size nor the block order."""
     return 1 << max(3, (ROW_BUDGET // n_background).bit_length() - 1)
 
 
-def _block_payoffs(block: np.ndarray, model) -> np.ndarray:
-    """Mean prediction per mask of an (n_masks, B, M) block, read-only to predict."""
-    n, n_background, _ = block.shape
-    rows = block.reshape(n * n_background, -1)
+def _block_payoffs(rows: np.ndarray, n_background: int, model) -> np.ndarray:
+    """Mean prediction per mask of a block of substituted rows, read-only to predict."""
     rows.flags.writeable = False
     preds = np.asarray(model.predict(rows), dtype=float).reshape(-1)
     if len(preds) != len(rows):
         raise ValueError(f"model returned {len(preds)} outputs for {len(rows)} rows")
     # the reduction and division ndarray.mean runs, without its wrapper
-    return np.add.reduce(preds.reshape(n, n_background), axis=1) / n_background
+    return np.add.reduce(preds.reshape(-1, n_background), axis=1) / n_background
 
 
 def _row_payoffs(masks, x, background, model) -> np.ndarray:
-    """Payoffs of whole masks, each block filled fresh into one buffer."""
-    step = _block_masks(background.shape[0])
-    buf = np.empty((min(step, len(masks)), background.shape[0], len(x)))
+    """Payoffs of whole masks, each block filled fresh into a prefix of one buffer."""
+    b, m = background.shape
+    step = _block_masks(b)
+    buf = np.empty(min(step, len(masks)) * b * m)
     out = np.empty(len(masks))
     for start in range(0, len(masks), step):
         n = min(step, len(masks) - start)
-        substitute(masks[start:start + n], x, background, out=buf[:n])
-        out[start:start + n] = _block_payoffs(buf[:n], model)
+        rows = substitute(masks[start:start + n], x, background,
+                          out=buf[:m * n * b].reshape(m, n, b))
+        out[start:start + n] = _block_payoffs(rows, b, model)
     return _checked(out, masks.__getitem__)
 
 
@@ -136,6 +149,8 @@ def _memoized_payoffs(masks, x, background, model) -> np.ndarray:
         return _row_payoffs(masks, x, background, model)
     packed = pack(masks)
     keys, payoffs = held or (packed[:0], np.empty(0))
+    if keys is None:
+        return payoffs[packed]
 
     out = np.empty(len(masks))
     hit = np.zeros(len(masks), dtype=bool)
@@ -156,7 +171,8 @@ def _memoized_payoffs(masks, x, background, model) -> np.ndarray:
                                       x, background, model)
     out[miss] = new_payoffs[inverse.reshape(-1)]
     at = np.searchsorted(keys, new_keys)
-    _MEMOS[id(model)] = (ref, (instance, np.insert(keys, at, new_keys),
+    keys = np.insert(keys, at, new_keys)
+    _MEMOS[id(model)] = (ref, (instance, None if len(keys) == 1 << masks.shape[1] else keys,
                                np.insert(payoffs, at, new_payoffs)))
     return out
 
@@ -176,9 +192,10 @@ def walk_payoffs(x, background, model, n_features: int) -> np.ndarray | None:
     holds none of this instance, else None (a game, a warm memo or a wrong M).
 
     Blocks of consecutive masks go in reflected Gray-code order of their
-    index: :func:`substitute` fills the first, and each next one is a column
-    write away. The first non-finite payoff by mask integer raises; else the
-    table becomes the memo, keyed as :func:`~.coalitions.pack` keys masks.
+    index: :func:`substitute` fills the first, and each next one is one
+    feature's plane away, a contiguous write. The first non-finite payoff by
+    mask integer raises; else the table becomes the memo, indexed by mask
+    integer (:func:`~.coalitions.pack`'s key) with no key array.
     """
     if hasattr(model, "coalition_values") or n_features != model.n_features:
         return None
@@ -187,9 +204,10 @@ def walk_payoffs(x, background, model, n_features: int) -> np.ndarray | None:
     if held is not None:
         return None
     total = 1 << n_features
-    step = min(_block_masks(background.shape[0]), total)
-    buf = np.empty((step, background.shape[0], n_features))
-    substitute(unpack(np.arange(step), n_features), x, background, out=buf)
+    b = background.shape[0]
+    step = min(_block_masks(b), total)
+    buf = np.empty((n_features, step, b))
+    rows = substitute(unpack(np.arange(step), n_features), x, background, out=buf)
     out = np.empty(total)
     start = 0  # the first mask of the block, whose index is the i-th Gray code
     for i in range(total // step):
@@ -197,11 +215,11 @@ def walk_payoffs(x, background, model, n_features: int) -> np.ndarray | None:
             flip = (i & -i) * step  # the Gray bit, above the block's low bits
             start ^= flip
             j = flip.bit_length() - 1
-            buf[:, :, j] = x[j] if start & flip else background[:, j]
-        out[start:start + step] = _block_payoffs(buf, model)
+            buf[j] = x[j] if start & flip else background[:, j]
+        out[start:start + step] = _block_payoffs(rows, b, model)
     _checked(out, lambda i: unpack(i, n_features)[0])
     if ref is not None:
-        _MEMOS[id(model)] = (ref, (instance, np.arange(total, dtype="<u8"), out))
+        _MEMOS[id(model)] = (ref, (instance, None, out))
     return out
 
 

@@ -49,7 +49,7 @@ PUBLIC = [
 
 CALLERS = ["bench/workloads.py", "bench/worker.py", "bench/run.py",
            "scripts/stability_sweep.py", "scripts/cli_matrix.py", "scripts/fit_grid.py",
-           "scripts/knn_grid.py"]
+           "scripts/knn_grid.py", "scripts/walk_grid.py"]
 
 
 def _tracer():
@@ -93,12 +93,13 @@ def test_scripts_resolve_their_sibling_imports(path, monkeypatch):
 
 
 def test_grid_scripts_append_entries_of_one_layout(tmp_path, monkeypatch, capsys):
-    """fit_grid and knn_grid share their main body: each run appends one
-    entry (commit, provenance, cells) to its JSON file. Tiny grids, with the
-    timing stubbed out."""
+    """fit_grid, knn_grid and walk_grid share their main body: each run
+    appends one entry (commit, provenance, cells) to its JSON file. Tiny
+    grids, with the timing stubbed out."""
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     fit_grid = importlib.import_module("fit_grid")
     knn_grid = importlib.import_module("knn_grid")
+    walk_grid = importlib.import_module("walk_grid")
 
     def stub(call):
         call()
@@ -109,8 +110,10 @@ def test_grid_scripts_append_entries_of_one_layout(tmp_path, monkeypatch, capsys
     for name, value in (("N_TRAIN", (40,)), ("FEATURES", (8,)), ("KS", (1,)),
                         ("median_ms", stub)):
         monkeypatch.setattr(knn_grid, name, value)
+    for name, value in (("FEATURES", (8,)), ("BACKGROUNDS", (3,)), ("median_ms", stub)):
+        monkeypatch.setattr(walk_grid, name, value)
     docs = {}
-    for module, n_cells in ((fit_grid, 4), (knn_grid, 1)):
+    for module, n_cells in ((fit_grid, 4), (knn_grid, 1), (walk_grid, 2)):
         out = tmp_path / f"{module.__name__}.json"
         for _ in range(2):
             assert module.main([str(out)]) == 0
@@ -120,9 +123,9 @@ def test_grid_scripts_append_entries_of_one_layout(tmp_path, monkeypatch, capsys
             assert list(entry) == ["commit", "provenance", "cells"]
             assert len(entry["cells"]) == n_cells
         docs[module.__name__] = doc["runs"][0]["provenance"]
-    assert list(docs["fit_grid"]) == list(docs["knn_grid"]) == [
+    assert list(docs["fit_grid"]) == list(docs["knn_grid"]) == list(docs["walk_grid"]) == [
         "nproc", "python", "numpy", "cell_s", "threads", "clock"]
-    assert len(capsys.readouterr().out.splitlines()) == 2 * (4 + 1)
+    assert len(capsys.readouterr().out.splitlines()) == 2 * (4 + 1 + 2)
 
 
 def test_every_traced_target_resolves():

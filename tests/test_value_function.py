@@ -22,9 +22,20 @@ from stableshap import (
 )
 from stableshap import value_function
 from stableshap.coalitions import pack
+from stableshap.exact import all_coalition_values
 from stableshap.value_function import evaluate_batch
 
 from conftest import CountingGameModel, masked_mean_oracle, random_table_game
+
+
+def _column_sum(rows, weights):
+    """``rows @ weights`` summed over columns in a fixed order, so that a row's
+    value depends on that row alone, whatever the batch it arrives in: a BLAS
+    product rounds the last rows of a call differently."""
+    z = np.zeros(rows.shape[:-1])
+    for j, w in enumerate(weights):
+        z += rows[..., j] * w
+    return z
 
 
 class CountingRowModel:
@@ -39,7 +50,7 @@ class CountingRowModel:
     def predict(self, rows):
         rows = np.asarray(rows, dtype=float)
         self.rows += len(rows)
-        return np.tanh(rows @ self.weights) + self.bias
+        return np.tanh(_column_sum(rows, self.weights)) + self.bias
 
 
 class CountingRidge(RidgeRegressionModel):
@@ -213,6 +224,35 @@ class TestMemo:
         layer1_attribution(x, model, bg)
         assert model.rows == 2**m * len(bg)
 
+    def test_cold_oracle_memo_is_indexed_by_mask_integer(self):
+        rng = np.random.default_rng(6)
+        m = 10
+        X = rng.normal(size=(40, m))
+        model = CountingRidge.fit(X[:30], X[:30] @ rng.normal(size=m))
+        x, bg = X[35], X[30:35]
+        table = all_coalition_values(x, model, bg, m)
+        rows = model.rows
+        assert rows == 2**m * len(bg)
+        assert value_function._MEMOS[id(model)][1][1] is None  # no key array
+        masks = _masks(m, 300, seed=7)
+        got = evaluate_batch(masks, x, bg, model)
+        assert np.array_equal(got.view(np.uint64), table[pack(masks)].view(np.uint64))
+        for strategy in (ST_SHAP, KERNEL_SHAP):
+            explain(x, model, bg, strategy, 500, seed=1)
+        assert model.rows == rows
+
+    def test_memo_completed_by_requests_drops_its_keys(self):
+        x, bg, w = _setup()
+        model = CountingRowModel(w)
+        masks = _consecutive(0, 64, 6)
+        first = evaluate_batch(masks[::2], x, bg, model)
+        assert len(value_function._MEMOS[id(model)][1][1]) == 32
+        evaluate_batch(masks, x, bg, model)
+        assert value_function._MEMOS[id(model)][1][1] is None
+        again = evaluate_batch(masks[::-1], x, bg, model)
+        assert model.rows == 64 * len(bg)
+        assert np.array_equal(again[::-1][::2], first)
+
     def test_game_adapters_bypass_the_memo(self):
         game = random_table_game(np.random.default_rng(4), 5)
         model = CountingGameModel(game)
@@ -342,12 +382,14 @@ class BlockCheckingModel:
         self.position = {mask.tobytes(): i for i, mask in enumerate(expected)}
         self.seen = []
         self.writeable = []
+        self.column_major = []
 
     def predict(self, rows):
         masks = _decode(rows, self.x, self.bg)
         want = self.fresh(masks, self.x, self.bg)
         assert np.array_equal(rows.view(np.uint64), want.view(np.uint64)), len(self.seen)
         self.writeable.append(rows.flags.writeable)
+        self.column_major.append(rows.flags.f_contiguous)
         positions = [self.position[mask.tobytes()] for mask in masks]
         self.seen += positions
         return np.repeat(np.array(positions, dtype=float), len(self.bg))
@@ -396,6 +438,37 @@ class TestRowBudget:
         assert max(calls) <= max(64, 8 * n_bg)
         assert sum(calls) == n_distinct * n_bg
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_bg", [7, 10])
+    def test_ridge_payoffs_equal_at_every_row_budget(self, monkeypatch, n_bg):
+        # 1003 distinct masks: at every budget the request ends in a partial
+        # block, whose rows, like those of the single call, are no multiple of 8
+        m = 16
+        x, bg, _ = _setup(m=m, n_bg=n_bg, seed=40 + n_bg)
+        masks = _consecutive(0, 2**m, m)[np.random.default_rng(n_bg).permutation(2**m)[:1003]]
+
+        def run(model):
+            return evaluate_batch(masks, x, bg, model)
+
+        got = {}
+        for budget in (64, 1 << 10, 1 << 13, 1 << 40):
+            got[budget], calls = self._pair(monkeypatch, run, budget)
+            assert sum(calls) == 1003 * n_bg and calls[-1] % 8 != 0
+        for budget in (64, 1 << 10, 1 << 13):
+            assert np.array_equal(got[budget].view(np.uint64), got[1 << 40].view(np.uint64))
+
+    def test_every_block_is_a_read_only_column_major_view(self, monkeypatch):
+        # 700 masks in blocks of 8: 87 whole blocks, then one of 4 masks
+        monkeypatch.setattr(value_function, "ROW_BUDGET", 64)
+        x, bg, w = _setup(m=10, n_bg=7, seed=41)
+        seen = []
+
+        def record(rows):
+            seen.append((len(rows), rows.flags.f_contiguous, rows.flags.writeable))
+            return rows @ w
+
+        evaluate_batch(_consecutive(0, 700, 10), x, bg, CallableModel(record, 10))
+        assert seen == [(56, True, False)] * 87 + [(28, True, False)]
 
     @pytest.mark.parametrize("strategy", [ST_SHAP, KERNEL_SHAP])
     def test_explanations_bit_identical_across_row_budgets(self, monkeypatch, strategy):
@@ -459,7 +532,7 @@ class TestRowBudget:
             got = evaluate_batch(masks, x, bg, model)
             assert np.array_equal(got, [model.position[mask.tobytes()] for mask in masks])
         assert sorted(model.seen) == list(range(len(expected)))
-        assert not any(model.writeable)
+        assert not any(model.writeable) and all(model.column_major)
         return len(fills)
 
     def _oracle(self, monkeypatch, budget, x, bg):
@@ -470,7 +543,7 @@ class TestRowBudget:
         model = BlockCheckingModel(_consecutive(0, 2**m, m), x, bg, fresh)
         exact_shap(x, model, bg)
         assert sorted(model.seen) == list(range(2**m))
-        assert not any(model.writeable)
+        assert not any(model.writeable) and all(model.column_major)
         # the whole table is the memo: read back without a model call
         seen = len(model.seen)
         got = evaluate_batch(_consecutive(0, 2**m, m), x, bg, model)
@@ -595,7 +668,7 @@ class TestSubstitute:
         masks[0], masks[-1] = False, True
         got = value_function.substitute(masks, x, bg)
         want = _where_reference(masks, x, bg)
-        assert got.flags.c_contiguous and got.shape == want.shape
+        assert got.flags.f_contiguous and got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_signed_zeros_and_nan_payloads_copied_bit_for_bit(self):
@@ -641,7 +714,8 @@ class TestSubstitute:
 class RecordingModel:
     """Row model that keeps every block's masks, read off its rows, and the
     prediction vector it returns, with payoffs spread over many magnitudes
-    so the rounding of a mean shows."""
+    so the rounding of a mean shows. A row's prediction does not depend on
+    the batch it arrives in."""
 
     def __init__(self, weights, x, bg):
         self.weights = np.asarray(weights, dtype=float)
@@ -650,7 +724,7 @@ class RecordingModel:
         self.returned = []
 
     def predict(self, rows):
-        preds = np.exp(3.0 * np.sin(rows @ self.weights)) / 7.0
+        preds = np.exp(3.0 * np.sin(_column_sum(rows, self.weights))) / 7.0
         self.returned.append((_decode(rows, self.x, self.bg), preds))
         return preds
 
