@@ -15,11 +15,12 @@ one untimed call of each. A cell repeats until it has spent CELL_S of CPU
 time or made MAX_REPS calls (at least MIN_REPS), and reports the median in
 ms with its sample count.
 
-Each cell also times `reference`, a fixed computation of the script's own
-that never calls stableshap, and reports its median as `ref_ms` and each
-time above divided by it (`*_in_ref`), which cancels the host's drift from
-one run to the next. It does not cancel a cell's own spread: two runs of
-the same code on a 2-CPU box moved single cells by up to 2x, two-thirds
+Each timed call comes right after a timed call of `reference`, a fixed
+computation of the script's own that never calls stableshap, and each
+median above is also reported divided by the median of its own references
+(`*_in_ref`), which cancels the host's drift from one run to the next and
+from one cell to the next. It does not cancel a cell's own spread: two runs
+of the same code on a 2-CPU box moved single cells by up to 2x, two-thirds
 of them by under 10%. Run it with BLAS single-threaded, as the benchmark
 runs; the thread settings go into the entry's provenance.
 
@@ -66,15 +67,19 @@ def reference():
     sum(i * i % 7 for i in range(2000))
 
 
-def median_ms(call) -> tuple[float, int]:
+def median_ms(call) -> tuple[float, int, float]:
+    """(median ms of ``call``, its timed calls, that median in units of the
+    median of the `reference` calls timed one before each of them)."""
     call()
-    times, spent = [], 0.0
+    times, refs, spent = [], [], 0.0
     while len(times) < MIN_REPS or (spent < CELL_S and len(times) < MAX_REPS):
-        start = time.process_time()
-        call()
-        times.append(time.process_time() - start)
+        for work, record in ((reference, refs), (call, times)):
+            start = time.process_time()
+            work()
+            record.append(time.process_time() - start)
         spent += times[-1]
-    return round(1e3 * statistics.median(times), 4), len(times)
+    ms = statistics.median(times)
+    return round(1e3 * ms, 4), len(times), round(ms / statistics.median(refs), 4)
 
 
 def cells():
@@ -84,14 +89,16 @@ def cells():
         for budget in budgets:
             for strategy in (ST_SHAP, KERNEL_SHAP):
                 plan = plan_for(strategy, m, budget, seed=0)
-                ref_ms, ref_reps = median_ms(reference)
-                materialize_ms, materialize_reps = median_ms(lambda: materialize(plan))
+                materialize_ms, materialize_reps, materialize_in_ref = median_ms(
+                    lambda: materialize(plan))
                 cset = materialize(plan)
-                pack_ms, pack_reps = median_ms(lambda: pack(cset.masks))
+                pack_ms, pack_reps, pack_in_ref = median_ms(lambda: pack(cset.masks))
                 values = table[pack(cset.masks)]
                 dense = fit(cset, values, table[0], table[-1])
-                fit_ms, fit_reps = median_ms(lambda: fit(cset, values, table[0], table[-1]))
-                sparse_ms, sparse_reps = median_ms(lambda: sparsify(dense, 4, cset, values))
+                fit_ms, fit_reps, fit_in_ref = median_ms(
+                    lambda: fit(cset, values, table[0], table[-1]))
+                sparse_ms, sparse_reps, sparse_in_ref = median_ms(
+                    lambda: sparsify(dense, 4, cset, values))
                 yield {"m": m, "strategy": strategy, "budget": budget,
                        "complete_budget": budget in complete,
                        "sampled_rows": len(cset) - cset.n_complete,
@@ -100,11 +107,10 @@ def cells():
                        "pack_ms": pack_ms, "pack_reps": pack_reps,
                        "fit_ms": fit_ms, "fit_reps": fit_reps,
                        "sparsify4_ms": sparse_ms, "sparsify4_reps": sparse_reps,
-                       "ref_ms": ref_ms, "ref_reps": ref_reps,
-                       "materialize_in_ref": round(materialize_ms / ref_ms, 4),
-                       "pack_in_ref": round(pack_ms / ref_ms, 4),
-                       "fit_in_ref": round(fit_ms / ref_ms, 4),
-                       "sparsify4_in_ref": round(sparse_ms / ref_ms, 4)}
+                       "materialize_in_ref": materialize_in_ref,
+                       "pack_in_ref": pack_in_ref,
+                       "fit_in_ref": fit_in_ref,
+                       "sparsify4_in_ref": sparse_in_ref}
 
 
 def git_describe() -> str:
@@ -144,7 +150,7 @@ def run_grid(description: str, cells, line, argv=None) -> int:
 def main(argv=None) -> int:
     return run_grid(__doc__, cells, lambda c: (
         f"M={c['m']:2d} {c['strategy']:11s} b={c['budget']:6d} "
-        f"sampled={c['sampled_rows']:6d} ref {c['ref_ms']:6.3f} ms, in ref: "
+        f"sampled={c['sampled_rows']:6d} in ref: "
         f"materialize {c['materialize_in_ref']:8.3f}  pack {c['pack_in_ref']:8.3f}  "
         f"fit {c['fit_in_ref']:8.3f}  "
         f"sparsify(4) {c['sparsify4_in_ref']:8.3f}"), argv)

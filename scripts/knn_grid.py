@@ -7,7 +7,9 @@ training rows with three labels, all drawn from a seed of the cell's own,
 and times `predict_proba` on ROWS N(0, 1) query rows one call at a time in
 process CPU time, after one untimed call, with `median_ms` of
 `scripts/fit_grid.py` (at least 5 calls, then until 0.3 s of CPU time or 400
-calls). It reports the median as ms per 1000 rows, with its sample count.
+calls, each right after a timed call of fit_grid's `reference`). It reports
+the median as ms per 1000 rows, with its sample count, and the call's median
+in units of its references' median (`call_in_ref`).
 Run it with BLAS single-threaded, as the benchmark runs; the thread settings
 go into the entry's provenance.
 
@@ -36,9 +38,10 @@ def cells():
                 model = KNNClassifierModel(rng.normal(size=(n_train, m)),
                                            rng.integers(0, 3, size=n_train), k=k)
                 rows = rng.normal(size=(ROWS, m))
-                ms, reps = median_ms(lambda: model.predict_proba(rows))
+                ms, reps, in_ref = median_ms(lambda: model.predict_proba(rows))
                 yield {"n_train": n_train, "m": m, "k": k, "rows_per_call": ROWS,
-                       "ms_per_1000_rows": round(ms * 1000 / ROWS, 4), "reps": reps}
+                       "ms_per_1000_rows": round(ms * 1000 / ROWS, 4), "reps": reps,
+                       "call_in_ref": in_ref}
 
 
 def main(argv=None) -> int:

@@ -7,8 +7,8 @@ The grid is a ridge and a k-NN adapter, M in {8, 13, 16} features and B in
 instance and a background from a seed of its own, and times two cold calls
 on a fresh adapter each time, so no payoff memo is warm:
 
-* `walk_payoffs`, the exact oracle's Gray-code walk over all 2^M masks
-  (2^M * B model rows);
+* `all_payoffs`, the exact oracle's table, which on a fresh adapter is the
+  Gray-code walk over all 2^M masks (2^M * B model rows);
 * `evaluate_batch` of one request of REQUEST random masks (at M=8 fewer are
   distinct; the cell reports how many).
 
@@ -16,10 +16,11 @@ The ridge model is fit to a random linear target; the k-NN adapter is the
 probability of class 0 of a `KNNClassifierModel` with k=5 on N_TRAIN rows of
 three labels. Each call is timed in process CPU time with `median_ms` of
 `scripts/fit_grid.py` (one untimed call, at least 5 calls, then until 0.3 s
-of CPU time or 400 calls), and each cell also times fit_grid's `reference`
-and reports every median in its units (`*_in_ref`), which cancels the
-host's drift from one run to the next. Run it with BLAS single-threaded, as
-the benchmark runs; the thread settings go into the entry's provenance.
+of CPU time or 400 calls), each timed call right after a timed call of
+fit_grid's `reference`, and every median is also reported in units of its
+own references' median (`*_in_ref`), which cancels the host's drift from
+one run and one cell to the next. Run it with BLAS single-threaded, as the
+benchmark runs; the thread settings go into the entry's provenance.
 
 Each run appends one entry (provenance, the `git describe` of the checkout
 whose `stableshap` it imported, the cells) to OUT.json, so runs in two
@@ -30,9 +31,9 @@ checkouts that share one OUT.json sit side by side:
 
 import numpy as np
 
-from fit_grid import median_ms, reference, run_grid
+from fit_grid import median_ms, run_grid
 from stableshap import ClassProbabilityModel, KNNClassifierModel, RidgeRegressionModel
-from stableshap.value_function import evaluate_batch, walk_payoffs
+from stableshap.value_function import all_payoffs, evaluate_batch
 
 FEATURES, BACKGROUNDS = (8, 13, 16), (1, 7, 100)
 REQUEST = 1000
@@ -56,10 +57,9 @@ def cells():
             background = rng.normal(size=(n_background, m))
             masks = rng.random((REQUEST, m)) < 0.5
             for name, fresh in adapters(rng, m):
-                ref_ms, ref_reps = median_ms(reference)
-                walk_ms, walk_reps = median_ms(
-                    lambda: walk_payoffs(x, background, fresh(), m))
-                request_ms, request_reps = median_ms(
+                walk_ms, walk_reps, walk_in_ref = median_ms(
+                    lambda: all_payoffs(x, background, fresh()))
+                request_ms, request_reps, request_in_ref = median_ms(
                     lambda: evaluate_batch(masks, x, background, fresh()))
                 yield {"model": name, "m": m, "n_background": n_background,
                        "walk_rows": n_background << m,
@@ -67,15 +67,12 @@ def cells():
                        "distinct_masks": len(np.unique(masks, axis=0)),
                        "walk_ms": walk_ms, "walk_reps": walk_reps,
                        "request_ms": request_ms, "request_reps": request_reps,
-                       "ref_ms": ref_ms, "ref_reps": ref_reps,
-                       "walk_in_ref": round(walk_ms / ref_ms, 4),
-                       "request_in_ref": round(request_ms / ref_ms, 4)}
-
+                       "walk_in_ref": walk_in_ref, "request_in_ref": request_in_ref}
 
 def main(argv=None) -> int:
     return run_grid(__doc__, cells, lambda c: (
         f"{c['model']:5s} M={c['m']:2d} B={c['n_background']:3d} "
-        f"ref {c['ref_ms']:6.3f} ms, in ref: walk {c['walk_in_ref']:9.3f}  "
+        f"in ref: walk {c['walk_in_ref']:9.3f}  "
         f"request of {c['request_masks']} {c['request_in_ref']:8.3f}"), argv)
 
 

@@ -52,13 +52,6 @@ SAMPLING_STRATEGIES = (KERNEL_SHAP, ST_SHAP)
 ALL_STRATEGIES = (KERNEL_SHAP, ST_SHAP, LAYER1)
 EXACT = "exact"  # compare-exact's reference route, run before the others
 
-# run command -> (default strategy, strategies it accepts, default runs)
-_COMMANDS = {
-    "explain": (ST_SHAP, ALL_STRATEGIES, 1),
-    "stability": ("both", SAMPLING_STRATEGIES, 20),
-    "adherence": ("both", SAMPLING_STRATEGIES, 1),
-    "compare-exact": (LAYER1, ALL_STRATEGIES, 1),
-}
 CSV_HEADER = ["instance", "budget", "strategy", "metric", "value"]
 
 
@@ -89,6 +82,9 @@ class RunConfig:
     master_seed: int = 0
     workers: int = 1
     output: str = "stableshap-run"
+
+
+_HINTS = typing.get_type_hints(RunConfig)  # field -> type hint, read once at import
 
 
 def derive_seed(master: int, instance_key: int, budget: int, run: int) -> int:
@@ -134,9 +130,8 @@ def _load_config_file(path: str) -> dict:
     unknown = set(raw) - set(known)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    hints = typing.get_type_hints(RunConfig)
     for name, value in raw.items():
-        if not _conforms(value, hints[name]):
+        if not _conforms(value, _HINTS[name]):
             raise ConfigError(f"config key {name!r} must be {known[name].type}, "
                               f"got {value!r}")
     return raw
@@ -146,11 +141,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
         cfg = replace(cfg, **_load_config_file(args.config))
-    overrides = {
-        name: value
-        for name, value in vars(args).items()
-        if name in {f.name for f in fields(RunConfig)} and value is not None
-    }
+    overrides = {name: value for name, value in vars(args).items()
+                 if name in _HINTS and value is not None}
     cfg = replace(cfg, **overrides)
     if cfg.runs is None:
         cfg = replace(cfg, runs=_COMMANDS[args.command][2])
@@ -166,8 +158,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:  # a repeat would overwrite an output, or count twice in a mean
             raise ConfigError(f"{flag} repeats {repeated[0]}")
-    if cfg.task not in (None, "regression", "classification"):
-        raise ConfigError(f"task must be regression or classification, got {cfg.task!r}")
+    for name, valid in (("model", ("ridge", "knn", "external", "game")),
+                        ("task", ("regression", "classification"))):
+        value = getattr(cfg, name)
+        if value is not None and value not in valid:
+            raise ConfigError(f"{name} must be {', '.join(valid[:-1])} or {valid[-1]}, "
+                              f"got {value!r}")
     return cfg
 
 
@@ -274,14 +270,12 @@ def wire(cfg: RunConfig) -> Wiring:
                 if cls is None:
                     cls = _knn.predicted_class(x)
                 return ClassProbabilityModel(_knn, cls)
-        elif cfg.model == "external":
+        else:  # external
             if not cfg.model_command:
                 raise ConfigError("model 'external' needs --model-command")
             bridge = ExternalProcessModel(cfg.model_command, m)
             # one process behind its lock, but one adapter (so one memo) per instance
             model_for = lambda x: CallableModel(bridge.predict, m)  # noqa: E731
-        else:
-            raise ConfigError(f"unknown model kind: {cfg.model!r}")
         instances = [(r, ds.X[r], model_for(ds.X[r])) for r in instance_rows]
         dataset_header = {"resolved_feature_names": list(ds.feature_names),
                           "resolved_background_rows": bg_rows}
@@ -403,7 +397,7 @@ def _sweep(args, per_route):
     ends.
     """
     cfg = build_config(args)
-    default, allowed, _ = _COMMANDS[args.command]
+    default, allowed, *_ = _COMMANDS[args.command]
     strategies = _strategies(cfg, default, allowed)
     if args.command == "compare-exact":
         strategies = [EXACT, *strategies]
@@ -549,31 +543,38 @@ def cmd_compare_exact(args) -> int:
 # argument parsing
 
 
+# run command -> (default strategy, strategies it accepts, default runs,
+# handler, help line)
+_COMMANDS = {
+    "explain": (ST_SHAP, ALL_STRATEGIES, 1, cmd_explain, "write explanation JSON files"),
+    "stability": ("both", SAMPLING_STRATEGIES, 20, cmd_stability,
+                  "Jaccard stability across repeated runs"),
+    "adherence": ("both", SAMPLING_STRATEGIES, 1, cmd_adherence,
+                  "surrogate fidelity over the budget sweep"),
+    "compare-exact": (LAYER1, ALL_STRATEGIES, 1, cmd_compare_exact,
+                      "agreement of a strategy with the exact values"),
+}
+
+
+def _flag_type(hint):
+    """A RunConfig field's flag parser: Optional unwrapped, list[T] comma-separated."""
+    if typing.get_origin(hint) is types.UnionType:
+        hint = typing.get_args(hint)[0]
+    if typing.get_origin(hint) is list:
+        item = typing.get_args(hint)[0]
+        return lambda s: [item(v) for v in s.split(",")]
+    return hint
+
+
+# --<field-with-dashes> and its parser for every RunConfig field but encodings
+_RUN_FLAGS = [("--" + name.replace("_", "-"), _flag_type(hint))
+              for name, hint in _HINTS.items() if name != "encodings"]
+
+
 def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON config file; flags override its fields")
-    p.add_argument("--dataset")
-    p.add_argument("--target")
-    p.add_argument("--features", type=lambda s: s.split(","))
-    p.add_argument("--model", choices=["ridge", "knn", "external", "game"])
-    p.add_argument("--model-command", dest="model_command")
-    p.add_argument("--game-file", dest="game_file")
-    p.add_argument("--knn-k", dest="knn_k", type=int)
-    p.add_argument("--explained-class", dest="explained_class", type=int)
-    p.add_argument("--task", choices=["regression", "classification"])
-    p.add_argument("--background-size", dest="background_size", type=int)
-    p.add_argument("--background-rows", dest="background_rows",
-                   type=lambda s: [int(v) for v in s.split(",")])
-    p.add_argument("--heldout-fraction", dest="heldout_fraction", type=float)
-    p.add_argument("--split-seed", dest="split_seed", type=int)
-    p.add_argument("--instances", type=lambda s: [int(v) for v in s.split(",")])
-    p.add_argument("--n-instances", dest="n_instances", type=int)
-    p.add_argument("--strategy")
-    p.add_argument("--budgets", type=lambda s: [int(v) for v in s.split(",")])
-    p.add_argument("--explanation-size", dest="explanation_size", type=int)
-    p.add_argument("--runs", type=int)
-    p.add_argument("--master-seed", dest="master_seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--output")
+    for flag, kind in _RUN_FLAGS:
+        p.add_argument(flag, type=kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -589,12 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_layers)
 
-    for name, fn, summary in (
-        ("explain", cmd_explain, "write explanation JSON files"),
-        ("stability", cmd_stability, "Jaccard stability across repeated runs"),
-        ("adherence", cmd_adherence, "surrogate fidelity over the budget sweep"),
-        ("compare-exact", cmd_compare_exact, "agreement of a strategy with the exact values"),
-    ):
+    for name, (*_, fn, summary) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         _add_run_flags(p)
         p.set_defaults(fn=fn)

@@ -1,8 +1,7 @@
 """Ground-truth attribution values by exhaustive enumeration.
 
 The subset-sum form over all 2^M coalitions, whose payoffs come from
-:func:`stableshap.value_function.walk_payoffs` or, for games and warm memos,
-from ``evaluate_batch`` in chunks of masks. The test suite checks it against
+:func:`stableshap.value_function.all_payoffs`. The test suite checks it against
 an independent permutation form that averages marginal contributions over
 all M! player orderings.
 """
@@ -14,15 +13,15 @@ from math import comb
 
 import numpy as np
 
-from .coalitions import unpack
 from .errors import OracleCapError
 from .games import SyntheticGame
 from .models import GameModel
-from .value_function import evaluate_batch, walk_payoffs
+from .value_function import all_payoffs
 
-CAP = 20  # most features enumerated: one instance peaks at 25.6 MiB at M=20 (tracemalloc)
-
-_EVAL_CHUNK = 8192
+# most features enumerated. At M=20 one instance peaks at 17.57 MiB under
+# tracemalloc (a ridge instance with one background row, or a complete table
+# game): the 2^20 payoffs, plus the subset sums' deltas and their weights
+CAP = 20
 
 
 @dataclass(frozen=True)
@@ -35,18 +34,6 @@ class ExactValues:
 
     def phi_array(self) -> np.ndarray:
         return np.array(self.phis)
-
-
-def all_coalition_values(x, model, background, n_features: int) -> np.ndarray:
-    """Payoffs of every coalition, indexed by mask integer (bit i = feature i)."""
-    total = 2**n_features
-    out = walk_payoffs(x, background, model, n_features)
-    if out is None:  # a game or a warm memo: chunks through evaluate_batch
-        out = np.empty(total)
-        for start in range(0, total, _EVAL_CHUNK):
-            masks = unpack(np.arange(start, min(start + _EVAL_CHUNK, total)), n_features)
-            out[start:start + len(masks)] = evaluate_batch(masks, x, background, model)
-    return out
 
 
 def _subset_weights(n_features: int) -> np.ndarray:
@@ -80,7 +67,7 @@ def exact_shap(x, model, background) -> ExactValues:
     m = model.n_features
     if m > CAP:
         raise OracleCapError(m, CAP)
-    values = all_coalition_values(x, model, background, m)
+    values = all_payoffs(x, background, model)
     phis = _phis_from_values(values, m)
     return ExactValues(tuple(float(v) for v in phis), float(values[0]), 2**m)
 

@@ -23,10 +23,12 @@ written and read. Rows are column-major: :func:`substitute` fills a
 C-contiguous (M, masks, B) buffer, one plane per feature, and ``predict``
 gets its rows as a read-only, column-major view of it, valid until it
 returns. Each block of a request is filled fresh, into a prefix of one
-buffer. A cold exact oracle (no payoff of the instance memoized) takes
-:func:`walk_payoffs` instead: a Gray-code walk over the blocks of all 2^M
-masks, one contiguous plane write a block, whose table becomes the memo.
-Either way each payoff is computed at most once per adapter and instance.
+buffer. :func:`all_payoffs`, the exact oracle's table, walks the blocks of
+all 2^M masks in Gray-code order instead when the memo holds none of the
+instance, one contiguous plane write a block, and the table becomes the
+memo. Either way each payoff is computed at most once per adapter and
+instance. An adapter without weak references keeps no memo: each request
+sends its distinct coalitions once, and the next request sends them again.
 
 A request's payoffs are bit-identical to those of one single ``predict``
 call of the request, whatever its blocks. A BLAS-backed adapter's products
@@ -56,6 +58,8 @@ _MEMOS: dict[int, tuple] = {}
 # substituted rows per model call: bounds the rows a block holds, whatever the
 # budget and the background size, and keeps them in cache until predict reads them
 ROW_BUDGET = 1 << 13
+
+_EVAL_CHUNK = 8192  # masks per evaluate_batch call of a table not walked
 
 
 def substitute(masks: np.ndarray, x: np.ndarray, background: np.ndarray,
@@ -138,15 +142,13 @@ def _memo(model, x, background):
         return ref, instance, ((keys, payoffs) if held == instance else None)
     try:
         return weakref.ref(model, partial(_forget, id(model))), instance, None
-    except TypeError:  # no weak references: evaluated without a memo
+    except TypeError:  # no weak references: nothing is memoized
         return None, instance, None
 
 
 def _memoized_payoffs(masks, x, background, model) -> np.ndarray:
-    """Row payoffs; only coalitions the adapter's memo lacks reach the model."""
+    """Row payoffs; only distinct coalitions the adapter's memo lacks reach the model."""
     ref, instance, held = _memo(model, x, background)
-    if ref is None:
-        return _row_payoffs(masks, x, background, model)
     packed = pack(masks)
     keys, payoffs = held or (packed[:0], np.empty(0))
     if keys is None:
@@ -170,6 +172,8 @@ def _memoized_payoffs(masks, x, background, model) -> np.ndarray:
     new_payoffs[order] = _row_payoffs(np.take(masks, miss[first[order]], axis=0),
                                       x, background, model)
     out[miss] = new_payoffs[inverse.reshape(-1)]
+    if ref is None:  # no weak reference to keep the memo under
+        return out
     at = np.searchsorted(keys, new_keys)
     keys = np.insert(keys, at, new_keys)
     _MEMOS[id(model)] = (ref, (instance, None if len(keys) == 1 << masks.shape[1] else keys,
@@ -185,42 +189,6 @@ def _row_inputs(x, background):
     if background.shape[0] < 1:
         raise ValueError("background set needs at least one row")
     return x, background
-
-
-def walk_payoffs(x, background, model, n_features: int) -> np.ndarray | None:
-    """Payoffs of all 2^M coalitions by mask integer if the row adapter's memo
-    holds none of this instance, else None (a game, a warm memo or a wrong M).
-
-    Blocks of consecutive masks go in reflected Gray-code order of their
-    index: :func:`substitute` fills the first, and each next one is one
-    feature's plane away, a contiguous write. The first non-finite payoff by
-    mask integer raises; else the table becomes the memo, indexed by mask
-    integer (:func:`~.coalitions.pack`'s key) with no key array.
-    """
-    if hasattr(model, "coalition_values") or n_features != model.n_features:
-        return None
-    x, background = _row_inputs(x, background)
-    ref, instance, held = _memo(model, x, background)
-    if held is not None:
-        return None
-    total = 1 << n_features
-    b = background.shape[0]
-    step = min(_block_masks(b), total)
-    buf = np.empty((n_features, step, b))
-    rows = substitute(unpack(np.arange(step), n_features), x, background, out=buf)
-    out = np.empty(total)
-    start = 0  # the first mask of the block, whose index is the i-th Gray code
-    for i in range(total // step):
-        if i:
-            flip = (i & -i) * step  # the Gray bit, above the block's low bits
-            start ^= flip
-            j = flip.bit_length() - 1
-            buf[j] = x[j] if start & flip else background[:, j]
-        out[start:start + step] = _block_payoffs(rows, b, model)
-    _checked(out, lambda i: unpack(i, n_features)[0])
-    if ref is not None:
-        _MEMOS[id(model)] = (ref, (instance, None, out))
-    return out
 
 
 def evaluate_batch(coalitions, x, background, model) -> np.ndarray:
@@ -254,3 +222,46 @@ def anchors(x, background, model) -> tuple[float, float]:
     masks[1, :] = True
     empty_v, full_v = evaluate_batch(masks, x, background, model)
     return float(empty_v), float(full_v)
+
+
+def all_payoffs(x, background, model) -> np.ndarray:
+    """Payoffs of all 2^M coalitions by mask integer (bit i = feature i), M
+    the adapter's ``n_features``.
+
+    A row adapter whose memo holds none of the instance walks the blocks of
+    consecutive masks in reflected Gray-code order of their index:
+    :func:`substitute` fills the first, and each next one is one feature's
+    plane away, a contiguous write. The first non-finite payoff by mask
+    integer raises; else the table becomes the memo, indexed by mask integer
+    (:func:`~.coalitions.pack`'s key) with no key array. A game or a warm
+    memo is asked through :func:`evaluate_batch` in chunks of masks.
+    """
+    m = model.n_features
+    total = 1 << m
+    game = hasattr(model, "coalition_values")
+    if not game:
+        x, background = _row_inputs(x, background)
+        ref, instance, held = _memo(model, x, background)
+    if game or held is not None:
+        out = np.empty(total)
+        for start in range(0, total, _EVAL_CHUNK):
+            masks = unpack(np.arange(start, min(start + _EVAL_CHUNK, total)), m)
+            out[start:start + len(masks)] = evaluate_batch(masks, x, background, model)
+        return out
+    b = background.shape[0]
+    step = min(_block_masks(b), total)
+    buf = np.empty((m, step, b))
+    rows = substitute(unpack(np.arange(step), m), x, background, out=buf)
+    out = np.empty(total)
+    start = 0  # the first mask of the block, whose index is the i-th Gray code
+    for i in range(total // step):
+        if i:
+            flip = (i & -i) * step  # the Gray bit, above the block's low bits
+            start ^= flip
+            j = flip.bit_length() - 1
+            buf[j] = x[j] if start & flip else background[:, j]
+        out[start:start + step] = _block_payoffs(rows, b, model)
+    _checked(out, lambda i: unpack(i, m)[0])
+    if ref is not None:
+        _MEMOS[id(model)] = (ref, (instance, None, out))
+    return out

@@ -21,10 +21,11 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from stableshap import GameModel, SyntheticGame
+from stableshap import GameModel, SyntheticGame, value_function
 from stableshap.coalitions import kernel_weight, pack
-from stableshap.exact import ExactValues, all_coalition_values
+from stableshap.exact import ExactValues
 from stableshap.sampling import _draws_for
+from stableshap.value_function import all_payoffs
 
 
 @pytest.fixture
@@ -107,7 +108,7 @@ def exact_shap_permutation(game: SyntheticGame,
     if m > cap:
         raise ValueError(f"{m} players need {factorial(m)} player orderings; "
                          f"the cap is {cap} players")
-    values = all_coalition_values(None, GameModel(game), None, m)
+    values = all_payoffs(None, None, GameModel(game))
     acc = [0.0] * m
     for order in permutations(range(m)):
         mask = 0
@@ -168,6 +169,17 @@ class CountingGameModel(GameModel):
     def coalition_values(self, masks):
         self.calls += len(np.atleast_2d(masks))
         return super().coalition_values(masks)
+
+
+def memo(model_id: int):
+    """What the payoff memo holds under an adapter's id: (the adapter, or None
+    once collected; the sorted packed keys, or None when all 2^M masks are
+    held), or None without an entry. The tests' one read of the memo's layout."""
+    entry = value_function._MEMOS.get(model_id)
+    if entry is None:
+        return None
+    ref, (_, keys, _) = entry
+    return ref(), keys
 
 
 def masked_mean_oracle(mask, x, background, predict) -> float:

@@ -103,7 +103,7 @@ def test_grid_scripts_append_entries_of_one_layout(tmp_path, monkeypatch, capsys
 
     def stub(call):
         call()
-        return 0.5, 5
+        return 0.5, 5, 1.0
 
     monkeypatch.setattr(fit_grid, "BUDGETS", {8: (16, 40)})
     monkeypatch.setattr(fit_grid, "median_ms", stub)

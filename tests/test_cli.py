@@ -1,6 +1,7 @@
 """End-to-end command tests: files, schemas, exit codes, reproducibility."""
 
 import csv
+import dataclasses
 import json
 import sys
 import textwrap
@@ -162,24 +163,30 @@ class TestStabilityCommand:
         assert st_rows and ks_rows  # both columns present for plotting
         assert all(float(r["value"]) == 1.0 for r in st_rows)  # 12 and 42 complete
 
-    def test_single_run_refused(self, reg_csv, tmp_path):
+    def test_single_run_refused(self, reg_csv, tmp_path, capsys):
+        out = tmp_path / "x"
         code = main([
             "stability", "--dataset", str(reg_csv), "--target", "target",
-            "--budgets", "12", "--runs", "1",
-            "--output", str(tmp_path / "x"),
+            "--budgets", "12", "--runs", "1", "--n-instances", "2",
+            "--background-size", "10", "--output", str(out),
         ])
         assert code == 2
+        assert "stability needs at least 2 runs per instance" in capsys.readouterr().err
+        assert not out.exists()
 
-    def test_dense_fit_refused(self, reg_csv, tmp_path):
+    def test_dense_fit_refused(self, reg_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"explanation_size": None}))
+        out = tmp_path / "x"
         code = main([
             "stability", "--config", str(cfg),
             "--dataset", str(reg_csv), "--target", "target",
-            "--budgets", "12", "--runs", "3",
-            "--output", str(tmp_path / "x"),
+            "--budgets", "12", "--runs", "3", "--n-instances", "2",
+            "--background-size", "10", "--output", str(out),
         ])
         assert code == 2
+        assert "stability needs an explanation size" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRunCommands:
@@ -480,6 +487,102 @@ class TestCountsRefused:
         assert code == 2
         assert "instance rows empty" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestRefusedBeforeWriting:
+    """A run whose configuration cannot work exits 2 with a config error that
+    says why, and its --output holds nothing."""
+
+    DATA = ["--dataset", "{data}", "--target", "target", "--n-instances", "2",
+            "--background-size", "10"]
+
+    @pytest.mark.parametrize("argv,doc,message", [
+        (["explain", "--model", "game", "--budgets", "2"], None,
+         "model 'game' needs --game-file"),
+        (["explain", "--target", "target", "--budgets", "2"], None,
+         "a dataset path and target column are required"),
+        (["explain", "--dataset", "{data}", "--budgets", "2"], None,
+         "a dataset path and target column are required"),
+        (["explain", *DATA, "--model", "external"], None,
+         "model 'external' needs --model-command"),
+        (["explain", *DATA, "--n-instances", "30"], None,
+         "held-out split leaves 12 rows after the background block; 30 instances requested"),
+        (["explain", *DATA], {"background_rows": []}, "background set resolved to zero rows"),
+        (["explain", *DATA, "--background-rows", "3,90,-1"], None,
+         "background rows out of range: [90, -1]"),
+        (["explain", *DATA, "--explanation-size", "7"], None,
+         "explanation size 7 outside 1..6"),
+        (["adherence", *DATA, "--explanation-size", "0"], None,
+         "explanation size 0 outside 1..6"),
+        (["explain", *DATA], {"budgets": []}, "at least one budget is required (--budgets)"),
+        (["explain", "--budgets", "2"], {"model": "foo"},
+         "model must be ridge, knn, external or game, got 'foo'"),
+        (["explain", *DATA, "--model", "foo"], None,
+         "model must be ridge, knn, external or game, got 'foo'"),
+        (["explain", *DATA, "--task", "foo"], None,
+         "task must be regression or classification, got 'foo'"),
+    ])
+    def test_refused(self, argv, doc, message, reg_csv, tmp_path, capsys):
+        argv = [str(reg_csv) if a == "{data}" else a for a in argv]
+        if doc is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            argv += ["--config", str(cfg)]
+        out = tmp_path / "run"
+        code = main([*argv, "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,rows,key", [
+        ("--instances", [17, 3], "instances"),
+        ("--background-rows", [0, 9, 5], "background_rows"),
+    ])
+    def test_selected_rows_are_the_rows_run(self, flag, rows, key, reg_csv, tmp_path):
+        out = tmp_path / "run"
+        code = main([
+            "explain", "--dataset", str(reg_csv), "--target", "target",
+            "--strategy", "layer1", "--n-instances", "2", "--background-size", "10",
+            flag, ",".join(map(str, rows)), "--output", str(out),
+        ])
+        assert code == 0
+        resolved = json.loads((out / "config.resolved.json").read_text())
+        assert resolved[key] == resolved[f"resolved_{key}"] == rows
+        docs = [json.loads(f.read_text()) for f in sorted((out / "explanations").glob("*"))]
+        assert len(docs) == 2 and all(doc["config"] == resolved for doc in docs)
+        if key == "instances":
+            assert sorted(doc["instance_row"] for doc in docs) == sorted(rows)
+            assert sorted(f.name for f in (out / "explanations").glob("*")) == sorted(
+                f"row{row}_layer1.json" for row in rows)
+
+
+class TestRunFlags:
+    """Every RunConfig field but `encodings` is a flag of the same name, with
+    dashes for underscores, that parses to the field's type."""
+
+    SAMPLES = {"str": ("x", "x"), "int": ("3", 3), "float": ("0.5", 0.5),
+               "list[int]": ("4,5", [4, 5]), "list[str]": ("a,b", ["a", "b"])}
+
+    @pytest.mark.parametrize("command", ["explain", "stability", "adherence",
+                                         "compare-exact"])
+    def test_each_field_parses_to_its_type(self, command):
+        parser = cli.build_parser()
+        names = [f.name for f in dataclasses.fields(RunConfig) if f.name != "encodings"]
+        for f in dataclasses.fields(RunConfig):
+            if f.name == "encodings":
+                continue
+            sample, want = self.SAMPLES[f.type.removesuffix(" | None")]
+            args = parser.parse_args([command, "--" + f.name.replace("_", "-"), sample])
+            got = getattr(args, f.name)
+            assert got == want and type(got) is type(want), f.name
+            assert all(getattr(args, other) is None for other in names if other != f.name)
+
+    def test_encodings_is_no_flag(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.build_parser().parse_args(["explain", "--encodings", "{}"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --encodings" in capsys.readouterr().err
 
 
 class TestConfigFileTypes:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stableshap.data import load_csv
+from stableshap.data import as_int_labels, load_csv, split_indices
 from stableshap.errors import ConfigError
 
 
@@ -46,3 +46,50 @@ def test_non_finite_encoding_refused(tmp_path, code):
 def test_repeated_column_refused(tmp_path, text, features, message):
     with pytest.raises(ConfigError, match=message):
         load_csv(_write(tmp_path, text), "y", features)
+
+
+def test_undeclared_encoded_value_refused(tmp_path):
+    path = _write(tmp_path, "c,y\nred,1\nblue,2\n")
+    with pytest.raises(ConfigError, match=(
+            r"d\.csv:3: value 'blue' in column 'c' has no declared encoding")):
+        load_csv(path, "y", encodings={"c": {"red": 0}})
+
+
+def test_unreadable_file_refused(tmp_path):
+    with pytest.raises(ConfigError, match=r"cannot open dataset .*absent\.csv"):
+        load_csv(tmp_path / "absent.csv", "y")
+
+
+@pytest.mark.parametrize("text,features,message", [
+    ("", None, r"d\.csv: empty file"),
+    ("a,y\n", None, r"d\.csv: no data rows"),
+    ("a,y\n\n , \n", None, r"d\.csv: no data rows"),
+    ("a,b,y\n1,2,3\n", ["a", "z"], r"d\.csv: feature columns not in header: \['z'\]"),
+    ("a,b,y\n1,2,3\n", ["a", "y"], r"d\.csv: target 'y' cannot also be a feature"),
+    ("a,b,y\n1,2,3\n4,5\n", None, r"d\.csv:3: expected 3 cells, got 2"),
+])
+def test_malformed_file_refused(tmp_path, text, features, message):
+    with pytest.raises(ConfigError, match=message):
+        load_csv(_write(tmp_path, text), "y", features)
+
+
+def test_blank_lines_skipped(tmp_path):
+    ds = load_csv(_write(tmp_path, "a,y\n1,2\n\n , \n3,4\n"), "y")
+    np.testing.assert_array_equal(ds.X, [[1.0], [3.0]])
+    np.testing.assert_array_equal(ds.y, [2.0, 4.0])
+
+
+@pytest.mark.parametrize("n_rows,fraction,message", [
+    (10, 0.0, "held-out fraction 0.0 outside"),
+    (10, 1.0, "held-out fraction 1.0 outside"),
+    (2, 0.9, "held-out fraction 0.9 leaves no rows to fit on"),
+])
+def test_held_out_fraction_refused(n_rows, fraction, message):
+    with pytest.raises(ConfigError, match=message):
+        split_indices(n_rows, fraction, seed=0)
+
+
+def test_non_integer_class_labels_refused():
+    np.testing.assert_array_equal(as_int_labels(np.array([0.0, 2.0]), "d.csv"), [0, 2])
+    with pytest.raises(ConfigError, match="d.csv: classification targets must be integer"):
+        as_int_labels(np.array([0.0, 1.5]), "d.csv")

@@ -87,9 +87,7 @@ class TestSubsetFormula:
         assert model.calls == 2**7 == v.eval_count
 
     def test_peak_memory_at_the_cap(self):
-        # one ridge instance with one background row peaks at 25.6 MiB under
-        # tracemalloc (the 2^20 payoffs, their memo keys and the subset-sum
-        # temporaries over one-byte coalition sizes); 28 MiB leaves room for
+        # the figure exact.CAP's comment states; 20 MiB leaves room for
         # allocator noise, not for another 2^20 array of 8-byte numbers
         rng = np.random.default_rng(29)
         x, bg, w = rng.normal(size=CAP), rng.normal(size=(1, CAP)), rng.normal(size=CAP)
@@ -99,7 +97,7 @@ class TestSubsetFormula:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 28 << 20
+        assert peak < 20 << 20
 
 
 class TestPermutationFormula:

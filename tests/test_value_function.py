@@ -22,10 +22,9 @@ from stableshap import (
 )
 from stableshap import value_function
 from stableshap.coalitions import pack
-from stableshap.exact import all_coalition_values
-from stableshap.value_function import evaluate_batch
+from stableshap.value_function import all_payoffs, evaluate_batch
 
-from conftest import CountingGameModel, masked_mean_oracle, random_table_game
+from conftest import CountingGameModel, masked_mean_oracle, memo, random_table_game
 
 
 def _column_sum(rows, weights):
@@ -161,8 +160,8 @@ class TestMemo:
         del model
         gc.collect()
         assert alive() is None
-        entry = value_function._MEMOS.get(key)
-        assert entry is None or entry[0]() is not None
+        entry = memo(key)
+        assert entry is None or entry[0] is not None
 
     def test_adapter_without_weak_references_is_evaluated_every_time(self):
         class Slotted:
@@ -183,6 +182,12 @@ class TestMemo:
         b = evaluate_batch(masks, x, bg, model)
         assert model.rows == 2 * len(masks) * len(bg)
         assert np.array_equal(a, b)
+        # within a request each distinct coalition is sent once; nothing is kept
+        rows = model.rows
+        c = evaluate_batch(np.vstack([masks, masks[::-1], masks[:2]]), x, bg, model)
+        assert model.rows == rows + len(np.unique(masks, axis=0)) * len(bg)
+        assert np.array_equal(c, np.concatenate([a, a[::-1], a[:2]]))
+        assert memo(id(model)) is None
 
     def test_threads_sharing_an_adapter_get_their_own_instance_payoffs(self):
         rng = np.random.default_rng(5)
@@ -230,10 +235,10 @@ class TestMemo:
         X = rng.normal(size=(40, m))
         model = CountingRidge.fit(X[:30], X[:30] @ rng.normal(size=m))
         x, bg = X[35], X[30:35]
-        table = all_coalition_values(x, model, bg, m)
+        table = all_payoffs(x, bg, model)
         rows = model.rows
         assert rows == 2**m * len(bg)
-        assert value_function._MEMOS[id(model)][1][1] is None  # no key array
+        assert memo(id(model))[1] is None  # no key array
         masks = _masks(m, 300, seed=7)
         got = evaluate_batch(masks, x, bg, model)
         assert np.array_equal(got.view(np.uint64), table[pack(masks)].view(np.uint64))
@@ -246,9 +251,9 @@ class TestMemo:
         model = CountingRowModel(w)
         masks = _consecutive(0, 64, 6)
         first = evaluate_batch(masks[::2], x, bg, model)
-        assert len(value_function._MEMOS[id(model)][1][1]) == 32
+        assert len(memo(id(model))[1]) == 32
         evaluate_batch(masks, x, bg, model)
-        assert value_function._MEMOS[id(model)][1][1] is None
+        assert memo(id(model))[1] is None
         again = evaluate_batch(masks[::-1], x, bg, model)
         assert model.rows == 64 * len(bg)
         assert np.array_equal(again[::-1][::2], first)
@@ -615,7 +620,7 @@ class TestRowBudget:
         x, bg, w = _setup(m=m, n_bg=7, seed=39)
         model = RecordingModel(w, x, bg)
         explain(x, model, bg, ST_SHAP, 700, seed=4)
-        warm = set(value_function._MEMOS[id(model)][1][1].tolist())
+        warm = set(memo(id(model))[1].tolist())
         assert 0 < len(warm) < 2**m
         model.returned.clear()
         got = exact_shap(x, model, bg)
@@ -635,7 +640,7 @@ class TestRowBudget:
             exact_shap(x, model, bg)
         assert info.value.coalition == _bitstring(17, 8)
         assert model.calls == 32  # checked once, after the last block
-        assert id(model) not in value_function._MEMOS  # nothing memoized
+        assert memo(id(model)) is None  # nothing memoized
 
     def test_a_model_writing_to_its_rows_raises_at_the_first_block(self, monkeypatch):
         monkeypatch.setattr(value_function, "ROW_BUDGET", 64)
@@ -741,3 +746,72 @@ def test_block_payoffs_are_the_mean_of_their_predictions(n_bg):
     for seen, preds in model.returned:
         want[[position[mask.tobytes()] for mask in seen]] = preds.reshape(-1, n_bg).mean(axis=1)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestAllPayoffs:
+    def test_cold_row_adapter_walks_every_mask_once(self):
+        m = 7
+        x, bg, w = _setup(m=m, n_bg=3, seed=40)
+        model = CountingRowModel(w)
+        table = all_payoffs(x, bg, model)
+        assert model.rows == 2**m * len(bg)
+        want = evaluate_batch(_consecutive(0, 2**m, m), x, bg, CountingRowModel(w))
+        assert np.array_equal(table.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(all_payoffs(x, bg, model), table)
+        assert model.rows == 2**m * len(bg)
+
+    def test_warm_memo_sends_only_the_missing_coalitions(self):
+        m = 9
+        x, bg, w = _setup(m=m, n_bg=4, seed=41)
+        model = RecordingModel(w, x, bg)
+        warm = _masks(m, 150, seed=42)
+        evaluate_batch(warm, x, bg, model)
+        model.returned.clear()
+        table = all_payoffs(x, bg, model)
+        sent = pack(np.vstack([seen for seen, _ in model.returned]))
+        assert sorted(sent.tolist()) == sorted(set(range(2**m)) - set(pack(warm).tolist()))
+        assert np.array_equal(table, all_payoffs(x, bg, RecordingModel(w, x, bg)))
+
+    def test_game_is_asked_for_each_mask_once(self):
+        game = random_table_game(np.random.default_rng(43), 7)
+        model = CountingGameModel(game)
+        table = all_payoffs(None, None, model)
+        assert model.calls == 2**7
+        assert table.tolist() == [game.value_of_mask(i) for i in range(2**7)]
+
+
+class TestRefusals:
+    def test_background_of_the_wrong_width(self):
+        with pytest.raises(ValueError, match="background rows must match"):
+            value_function.substitute(_masks(3, 4), np.zeros(3), np.zeros((2, 4)))
+
+    def test_model_returning_the_wrong_number_of_outputs(self):
+        class OneOutput:
+            n_features = 3
+
+            def predict(self, rows):
+                return rows[:1, 0]
+
+        x, bg, _ = _setup(m=3, n_bg=4)
+        model = OneOutput()
+        with pytest.raises(ValueError, match="model returned 1 outputs for 8 rows"):
+            evaluate_batch(_consecutive(1, 3, 3), x, bg, model)
+
+    @pytest.mark.parametrize("no_x", [True, False])
+    def test_row_model_without_an_instance_or_background(self, no_x):
+        x, bg, w = _setup(m=3)
+        args = (None, bg) if no_x else (x, None)
+        with pytest.raises(ValueError, match="row models need an instance and a background"):
+            evaluate_batch(_masks(3, 4), *args, CountingRowModel(w))
+
+    def test_zero_row_background(self):
+        x, _, w = _setup(m=3)
+        with pytest.raises(ValueError, match="background set needs at least one row"):
+            evaluate_batch(_masks(3, 4), x, np.empty((0, 3)), CountingRowModel(w))
+
+    @pytest.mark.parametrize("shape", [(4, 2), (4,), (2, 4, 3)])
+    def test_masks_of_the_wrong_shape(self, shape):
+        x, bg, w = _setup(m=3)
+        with pytest.raises(ValueError, match=r"expected masks of shape \(n, 3\), got"):
+            evaluate_batch(np.ones(shape, dtype=bool), x, bg, CountingRowModel(w))
+
