@@ -5,9 +5,10 @@ Uses the nonlinear built-in k-NN classifier, where surrogate coefficients
 genuinely depend on which coalitions get sampled, so the Jaccard curves
 separate. Writes a plot-ready CSV: budget, strategy, metric, value.
 
-Expect the stable variant to sit at 1.0 on complete-layer budgets and to
-dominate most of the sweep elsewhere; between complete layers the two curves
-can touch.
+Expect the stable variant to sit at 1.0 on complete-layer budgets. Between
+them neither strategy leads everywhere: at the defaults st-shap leads at
+b = 50, 100, 500 and 1000, and kernel-shap leads at b=200, 0.571 against
+0.323.
 """
 
 import argparse
@@ -35,7 +36,7 @@ def knn_recipe(features, instances, background_size, seed):
     return knn, X[120:120 + background_size], X[120 + background_size:]
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("output", help="CSV path to write")
     parser.add_argument("--features", type=int, default=13)
@@ -47,7 +48,7 @@ def main():
     parser.add_argument("--background-size", type=int, default=10)
     parser.add_argument("--explanation-size", type=int, default=4)
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     m = args.features
     budgets = args.budgets

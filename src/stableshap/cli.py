@@ -46,7 +46,7 @@ from .models import (
     KNNClassifierModel,
     RidgeRegressionModel,
 )
-from .sampling import KERNEL_SHAP, ST_SHAP
+from .sampling import KERNEL_SHAP, ST_SHAP, validate_budget
 
 SAMPLING_STRATEGIES = (KERNEL_SHAP, ST_SHAP)
 ALL_STRATEGIES = (KERNEL_SHAP, ST_SHAP, LAYER1)
@@ -323,12 +323,13 @@ def _validate(cfg: RunConfig, command: str, m: int, strategies: list[str]) -> No
     elif cfg.explanation_size is not None and not 1 <= cfg.explanation_size <= m:
         raise ConfigError(f"explanation size {cfg.explanation_size} outside 1..{m}")
     if any(s in SAMPLING_STRATEGIES for s in strategies):
-        top = 2**m - 2
         if not cfg.budgets:
             raise ConfigError("at least one budget is required (--budgets)")
-        bad = [b for b in cfg.budgets if not 2 <= b <= top]
-        if bad:
-            raise ConfigError(f"budgets {bad} outside the valid range [2, {top}] for M={m}")
+        for budget in cfg.budgets:
+            try:
+                validate_budget(m, budget)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

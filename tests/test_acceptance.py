@@ -331,7 +331,8 @@ def test_criterion_10_stability_trend_knn():
         st = mean_jaccard(ss.ST_SHAP, budget)
         ok = ok and st == 1.0
         lines.append(f"b={budget}: st={st:.3f} (=1)")
-    # b=200 and b=1000 are near-ties between the strategies, so not pinned
+    # not pinned: at b=1000 st-shap leads by under 0.05 (0.740 against 0.703),
+    # and at b=200 kernel-shap leads (0.571 against 0.323)
     for budget in (50, 100, 500):
         st, ks = mean_jaccard(ss.ST_SHAP, budget), mean_jaccard(ss.KERNEL_SHAP, budget)
         ok = ok and st >= ks + 0.05

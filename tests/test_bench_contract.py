@@ -48,8 +48,7 @@ PUBLIC = [
 ]
 
 CALLERS = ["bench/workloads.py", "bench/worker.py", "bench/run.py",
-           "scripts/stability_sweep.py", "scripts/cli_matrix.py", "scripts/fit_grid.py",
-           "scripts/knn_grid.py", "scripts/walk_grid.py"]
+           "scripts/stability_sweep.py", "scripts/cli_matrix.py", "scripts/grid.py"]
 
 
 def _tracer():
@@ -93,39 +92,67 @@ def test_scripts_resolve_their_sibling_imports(path, monkeypatch):
 
 
 def test_grid_scripts_append_entries_of_one_layout(tmp_path, monkeypatch, capsys):
-    """fit_grid, knn_grid and walk_grid share their main body: each run
-    appends one entry (commit, provenance, cells) to its JSON file. Tiny
-    grids, with the timing stubbed out."""
+    """Every grid of scripts/grid.py goes through one main: each run appends
+    one entry (commit, provenance, cells) to BENCH_<grid>.json, and no cell
+    carries reference units. Tiny grids, with the timing stubbed out."""
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
-    fit_grid = importlib.import_module("fit_grid")
-    knn_grid = importlib.import_module("knn_grid")
-    walk_grid = importlib.import_module("walk_grid")
+    grid = importlib.import_module("grid")
 
     def stub(call):
         call()
-        return 0.5, 5, 1.0
+        return 0.5, 5
 
-    monkeypatch.setattr(fit_grid, "BUDGETS", {8: (16, 40)})
-    monkeypatch.setattr(fit_grid, "median_ms", stub)
-    for name, value in (("N_TRAIN", (40,)), ("FEATURES", (8,)), ("KS", (1,)),
-                        ("median_ms", stub)):
-        monkeypatch.setattr(knn_grid, name, value)
-    for name, value in (("FEATURES", (8,)), ("BACKGROUNDS", (3,)), ("median_ms", stub)):
-        monkeypatch.setattr(walk_grid, name, value)
+    for name, value in (("median_ms", stub), ("FIT_BUDGETS", {8: (16, 40)}),
+                        ("KNN_N_TRAIN", (40,)), ("KNN_FEATURES", (8,)), ("KNN_KS", (1,)),
+                        ("WALK_FEATURES", (8,)), ("WALK_BACKGROUNDS", (3,))):
+        monkeypatch.setattr(grid, name, value)
+    n_cells = {"fit": 4, "knn": 1, "walk": 2}
+    assert list(grid.GRIDS) == list(n_cells)
     docs = {}
-    for module, n_cells in ((fit_grid, 4), (knn_grid, 1), (walk_grid, 2)):
-        out = tmp_path / f"{module.__name__}.json"
+    for name, count in n_cells.items():
+        out = tmp_path / f"BENCH_{name}.json"
         for _ in range(2):
-            assert module.main([str(out)]) == 0
+            assert grid.main([str(out)]) == 0
         doc = json.loads(out.read_text())
         assert list(doc) == ["runs"] and len(doc["runs"]) == 2
         for entry in doc["runs"]:
             assert list(entry) == ["commit", "provenance", "cells"]
-            assert len(entry["cells"]) == n_cells
-        docs[module.__name__] = doc["runs"][0]["provenance"]
-    assert list(docs["fit_grid"]) == list(docs["knn_grid"]) == list(docs["walk_grid"]) == [
+            assert len(entry["cells"]) == count
+            assert not [key for cell in entry["cells"] for key in cell
+                        if key.startswith("ref_") or key.endswith("_in_ref")]
+        docs[name] = doc["runs"][0]["provenance"]
+    assert list(docs["fit"]) == list(docs["knn"]) == list(docs["walk"]) == [
         "nproc", "python", "numpy", "cell_s", "threads", "clock"]
-    assert len(capsys.readouterr().out.splitlines()) == 2 * (4 + 1 + 2)
+    assert len(capsys.readouterr().out.splitlines()) == 2 * sum(n_cells.values())
+
+
+def test_grid_script_refuses_a_file_that_names_no_grid(tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    grid = importlib.import_module("grid")
+    for name in ("out.json", "BENCH_sweep.json", "BENCH_fit.csv"):
+        with pytest.raises(SystemExit) as exit_:
+            grid.main([str(tmp_path / name)])
+        assert exit_.value.code == 2
+        assert "fit, knn, walk" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_stability_sweep_writes_one_jaccard_row_per_route(tmp_path, monkeypatch, capsys):
+    """The headline sweep, scaled down: M=6, where 12 is layer 1's complete
+    budget and 20 is ragged."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    sweep = importlib.import_module("stability_sweep")
+    out = tmp_path / "sweep.csv"
+    sweep.main([str(out), "--features", "6", "--instances", "2", "--runs", "3",
+                "--budgets", "12,20"])
+    with open(out, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["budget", "strategy", "metric", "value"]
+    assert [row[:3] for row in rows] == [[b, s, "jaccard"] for b in ("12", "20")
+                                         for s in (stableshap.ST_SHAP, stableshap.KERNEL_SHAP)]
+    assert float(rows[0][3]) == 1.0
+    assert all(0.0 <= float(row[3]) <= 1.0 for row in rows)
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {out}"
 
 
 def test_every_traced_target_resolves():
