@@ -137,6 +137,25 @@ def test_grid_script_refuses_a_file_that_names_no_grid(tmp_path, monkeypatch, ca
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("name", ["fit", "knn", "walk"])
+def test_grid_cells_keep_the_fields_of_their_bench_file(name, tmp_path, monkeypatch):
+    """A cell of each grid carries, in order, the fields of the last run in
+    BENCH_<grid>.json, and those are the fields of the run before it less
+    the reference units (ref_*, *_in_ref) that the fit and walk grids timed."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    grid = importlib.import_module("grid")
+    for attr, value in (("median_ms", lambda call: (call(), (0.5, 5))[1]),
+                        ("FIT_BUDGETS", {8: (16,)}), ("KNN_N_TRAIN", (40,)),
+                        ("KNN_FEATURES", (8,)), ("KNN_KS", (1,)),
+                        ("WALK_FEATURES", (8,)), ("WALK_BACKGROUNDS", (3,))):
+        monkeypatch.setattr(grid, attr, value)
+    fields = list(next(grid.GRIDS[name]()))
+    runs = json.loads((ROOT / f"BENCH_{name}.json").read_text())["runs"]
+    assert list(runs[-1]["cells"][0]) == fields
+    assert [key for key in runs[-2]["cells"][0]
+            if not (key.startswith("ref_") or key.endswith("_in_ref"))] == fields
+
+
 def test_stability_sweep_writes_one_jaccard_row_per_route(tmp_path, monkeypatch, capsys):
     """The headline sweep, scaled down: M=6, where 12 is layer 1's complete
     budget and 20 is ragged."""

@@ -521,6 +521,10 @@ class TestRefusedBeforeWriting:
          "model must be ridge, knn, external or game, got 'foo'"),
         (["explain", *DATA, "--task", "foo"], None,
          "task must be regression or classification, got 'foo'"),
+        (["explain", *DATA, "--budgets", "12,1,90"], None,
+         "budget 1 outside the valid range [2, 62] for M=6"),
+        (["explain", *DATA, "--strategy", "kernel-shap", "--budgets", "62,63"], None,
+         "budget 63 outside the valid range [2, 62] for M=6"),
     ])
     def test_refused(self, argv, doc, message, reg_csv, tmp_path, capsys):
         argv = [str(reg_csv) if a == "{data}" else a for a in argv]
