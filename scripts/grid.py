@@ -28,6 +28,19 @@ The file name picks the grid:
   are distinct; the cell reports how many). The ridge model is fit to a
   random linear target; the k-NN adapter is the probability of class 0 of a
   `KNNClassifierModel` with k=5 on WALK_N_TRAIN rows of three labels.
+* explain: whole explanations, as the headline sweep makes them. A ridge, a
+  k-NN and a table-game model at M in {8, 13, 20}; for each M the first two
+  complete-layer budgets and two ragged ones; both strategies, with no
+  explanation size and with 4. The k-NN model, its background of
+  EXPLAIN_BACKGROUND rows and the instance are
+  `stability_sweep.knn_recipe`'s at seed M; the ridge model is fit to a
+  random linear target on the same rows, and the game is a table of N(0, 1)
+  payoffs over all 2^M masks. A timed call makes one fresh adapter and
+  explains the instance EXPLAIN_RUNS times on it, with the seeds
+  `derive_seed(0, 0, budget, run)`, so the payoff memo fills as it does for
+  one instance of the sweep. A cell reports explanations per CPU-second and,
+  from one more call on a counting adapter, model rows (a game: coalitions)
+  per explanation.
 
 Each call is timed alone in process CPU time, after one untimed call, at
 least MIN_REPS times and then until CELL_S of CPU time or MAX_REPS calls;
@@ -56,9 +69,19 @@ from pathlib import Path
 import numpy as np
 
 import stableshap
-from stableshap import ClassProbabilityModel, KNNClassifierModel, RidgeRegressionModel
+from stability_sweep import knn_recipe
+from stableshap import (
+    ClassProbabilityModel,
+    GameModel,
+    KNNClassifierModel,
+    RidgeRegressionModel,
+    SyntheticGame,
+    explain,
+)
+from stableshap.cli import derive_seed
 from stableshap.coalitions import complete_layer_budgets, pack
 from stableshap.explainer import fit, plan_for, sparsify
+from stableshap.games import RULE_TABLE
 from stableshap.sampling import KERNEL_SHAP, ST_SHAP, materialize
 from stableshap.value_function import all_payoffs, evaluate_batch
 
@@ -71,6 +94,9 @@ KNN_N_TRAIN, KNN_FEATURES, KNN_KS = (40, 120, 1000), (8, 13, 20), (1, 5)
 KNN_ROWS = 1270
 WALK_FEATURES, WALK_BACKGROUNDS = (8, 13, 16), (1, 7, 100)
 WALK_REQUEST, WALK_N_TRAIN = 1000, 40
+# ragged budgets per M; the complete ones are the first two layer boundaries
+EXPLAIN_RAGGED = {8: (40, 100), 13: (100, 500), 20: (200, 3000)}
+EXPLAIN_RUNS, EXPLAIN_BACKGROUND, EXPLAIN_SIZES = 20, 10, (None, 4)
 
 
 def median_ms(call) -> tuple[float, int]:
@@ -149,7 +175,59 @@ def walk_cells():
                        "request_ms": request_ms, "request_reps": request_reps}
 
 
-GRIDS = {"fit": fit_cells, "knn": knn_cells, "walk": walk_cells}
+class Counting:
+    """Adapter wrapper counting the rows its model predicts or, for a game,
+    the coalitions it looks up."""
+
+    def __init__(self, inner):
+        self.n_features, self.rows = inner.n_features, 0
+        name = "coalition_values" if hasattr(inner, "coalition_values") else "predict"
+        call = getattr(inner, name)
+
+        def counted(arg):
+            out = call(arg)
+            self.rows += len(out)
+            return out
+
+        setattr(self, name, counted)
+
+
+def explain_models(m):
+    """(name, instance, background, a function making a fresh adapter) per model."""
+    knn, background, (x,) = knn_recipe(m, 1, EXPLAIN_BACKGROUND, seed=m)
+    rng = np.random.default_rng([m, 1])
+    ridge = RidgeRegressionModel.fit(knn.X, knn.X @ rng.normal(size=m))
+    game = SyntheticGame(m, RULE_TABLE, payoffs=rng.normal(size=1 << m))
+    explained = knn.predicted_class(x)
+    yield "ridge", x, background, lambda: RidgeRegressionModel(ridge.coef, ridge.intercept)
+    yield "knn", x, background, lambda: ClassProbabilityModel(knn, explained)
+    yield "game", None, None, lambda: GameModel(game)
+
+
+def explain_cells():
+    for m, ragged in EXPLAIN_RAGGED.items():
+        complete = [b for _, b in complete_layer_budgets(m)[:2]]
+        for name, x, background, fresh in explain_models(m):
+            for budget in (*complete, *ragged):
+                for strategy in (ST_SHAP, KERNEL_SHAP):
+                    for size in EXPLAIN_SIZES:
+                        def runs(model):
+                            for run in range(EXPLAIN_RUNS):
+                                explain(x, model, background, strategy, budget,
+                                        derive_seed(0, 0, budget, run), size)
+
+                        ms, reps = median_ms(lambda: runs(fresh()))
+                        counted = Counting(fresh())
+                        runs(counted)
+                        yield {"model": name, "m": m, "strategy": strategy,
+                               "budget": budget, "complete_budget": budget in complete,
+                               "explanation_size": size, "runs": EXPLAIN_RUNS,
+                               "explain_per_cpu_s": round(EXPLAIN_RUNS * 1e3 / ms, 2),
+                               "explain_reps": reps,
+                               "model_rows_per_explanation": counted.rows / EXPLAIN_RUNS}
+
+
+GRIDS = {"fit": fit_cells, "knn": knn_cells, "walk": walk_cells, "explain": explain_cells}
 
 
 def git_describe() -> str:

@@ -178,9 +178,11 @@ class Wiring:
     n_features: int
     task: str
     background: np.ndarray | None
-    # (original row id, x, scalar adapter); one adapter per instance for the
-    # whole run, so its payoff memo serves every explanation of that instance
-    instances: list[tuple[int, np.ndarray | None, object]]
+    instances: list[tuple[int, np.ndarray | None]]  # (original row id, x)
+    # x -> a new scalar adapter. Each instance gets one for all of its routes,
+    # so its payoff memo serves every explanation of that instance, and drops
+    # it (and the memo) when they are done
+    adapter_for: typing.Callable[[np.ndarray | None], object]
     resolved: dict                                   # reproducibility header
     bridge: ExternalProcessModel | None = None
 
@@ -224,7 +226,10 @@ def wire(cfg: RunConfig) -> Wiring:
         except GameTableError as exc:
             raise ConfigError(f"game file {cfg.game_file} holds no game: {exc}") from exc
         m = game.n_players
-        instances = [(0, None, GameModel(game))]
+        instances = [(0, None)]
+
+        def adapter_for(x):
+            return GameModel(game)
     else:
         if not cfg.dataset or not cfg.target:
             raise ConfigError("a dataset path and target column are required")
@@ -250,7 +255,7 @@ def wire(cfg: RunConfig) -> Wiring:
         if cfg.model == "ridge":
             model = RidgeRegressionModel.fit(ds.X[fit_idx], ds.y[fit_idx])
 
-            def model_for(x, _model=model):
+            def adapter_for(x, _model=model):
                 # one adapter, so one payoff memo, per instance: under --workers N
                 # concurrent instances sharing an adapter would evict each other
                 return RidgeRegressionModel(_model.coef, _model.intercept)
@@ -265,7 +270,7 @@ def wire(cfg: RunConfig) -> Wiring:
                 raise ConfigError(f"explained class {cfg.explained_class} is not one of "
                                   f"the model's classes {classes}")
 
-            def model_for(x, _knn=knn):
+            def adapter_for(x, _knn=knn):
                 cls = cfg.explained_class
                 if cls is None:
                     cls = _knn.predicted_class(x)
@@ -275,18 +280,19 @@ def wire(cfg: RunConfig) -> Wiring:
                 raise ConfigError("model 'external' needs --model-command")
             bridge = ExternalProcessModel(cfg.model_command, m)
             # one process behind its lock, but one adapter (so one memo) per instance
-            model_for = lambda x: CallableModel(bridge.predict, m)  # noqa: E731
-        instances = [(r, ds.X[r], model_for(ds.X[r])) for r in instance_rows]
+            adapter_for = lambda x: CallableModel(bridge.predict, m)  # noqa: E731
+        instances = [(r, ds.X[r]) for r in instance_rows]
         dataset_header = {"resolved_feature_names": list(ds.feature_names),
                           "resolved_background_rows": bg_rows}
 
     resolved = asdict(cfg) | dataset_header | {
         "resolved_n_features": m,
         "resolved_task": task,
-        "resolved_instances": [row for row, _, _ in instances],
+        "resolved_instances": [row for row, _ in instances],
     }
     return Wiring(cfg=cfg, n_features=m, task=task, background=background,
-                  instances=instances, resolved=resolved, bridge=bridge)
+                  instances=instances, adapter_for=adapter_for, resolved=resolved,
+                  bridge=bridge)
 
 
 def _strategies(cfg: RunConfig, default: str, allowed: tuple[str, ...]) -> list[str]:
@@ -390,9 +396,11 @@ def _sweep(args, per_route):
     every instance.
 
     ``per_route(wiring, row_id, x, model, strategy, budget)`` computes one
-    route's result. Each instance runs all of its routes back to back, so its
-    adapter's payoff memo serves every route; instances go through the worker
-    pool. compare-exact's first route is the exact values. Returns (wiring,
+    route's result. Each instance gets a new adapter and runs all of its
+    routes back to back, so the adapter's payoff memo serves every route and
+    goes with it once they are done: at most ``--workers`` memos are alive.
+    Instances go through the worker pool. compare-exact's first route is the
+    exact values. Returns (wiring,
     writer, routes, results) with ``results[i][k]`` the result of instance i
     on route k. The bridge to an external model is closed however the sweep
     ends.
@@ -408,7 +416,9 @@ def _sweep(args, per_route):
         writer = RunWriter(cfg.output, wiring.resolved)
 
         def one_instance(item):
-            row_id, x, model = item
+            row_id, x = item
+            # the adapter, and its memo, live only while this instance's routes run
+            model = wiring.adapter_for(x)
             return [per_route(wiring, row_id, x, model, strategy, budget)
                     for strategy, budget in routes]
 
@@ -423,7 +433,7 @@ def _metric_csv(args, name: str, metric: str, per_route) -> int:
     for k, (strategy, budget) in enumerate(routes):
         values = [per_instance[k] for per_instance in results]
         rows.extend([row_id, budget, strategy, metric, repr(v)]
-                    for (row_id, _, _), v in zip(wiring.instances, values))
+                    for (row_id, _), v in zip(wiring.instances, values))
         rows.append(["mean", budget, strategy, metric, repr(float(np.mean(values)))])
     print(writer.write_csv(name, CSV_HEADER, rows))
     return 0
@@ -526,7 +536,7 @@ def cmd_compare_exact(args) -> int:
     wiring, writer, routes, results = _sweep(args, phi)
     rows = []  # csv writes layer-1's None budget as an empty cell
     scores: dict[tuple, list[float]] = {}  # (strategy, budget, metric) -> per instance
-    for (row_id, _, _), (reference, *phis) in zip(wiring.instances, results):
+    for (row_id, _), (reference, *phis) in zip(wiring.instances, results):
         for (strategy, budget), p in zip(routes[1:], phis):
             for metric, value in (("kendall_tau", metrics.kendall_tau(reference, p)),
                                   ("r2", metrics.r2_score(reference, p))):

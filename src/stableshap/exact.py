@@ -16,12 +16,11 @@ import numpy as np
 from .errors import OracleCapError
 from .games import SyntheticGame
 from .models import GameModel
-from .value_function import all_payoffs
-
-# most features enumerated. At M=20 one instance peaks at 17.57 MiB under
-# tracemalloc (a ridge instance with one background row, or a complete table
-# game): the 2^20 payoffs, plus the subset sums' deltas and their weights
-CAP = 20
+# CAP: most features enumerated. At M=20 one instance peaks under tracemalloc
+# at 18.57 MiB for a ridge instance with one background row (the 2^20 payoffs
+# and the memo's marks of them) and at 17.57 MiB for a complete table game,
+# each plus the subset sums' deltas and their weights
+from .value_function import CAP, all_payoffs
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,9 @@ payoffs per byte, whose bins T^T h sums into the byte's features (T the
 table of a byte code's bits); each bin sums a few hundred rows, which loses
 fewer digits than one running sum over all of them. r is computed over all M
 features and sliced to the free ones, so every kept subset reads the dense
-fit's r_j bit for bit, and a comes from byte 0's weight histogram. A set
-that sampled nothing, such as the first layer, is fitted by p alone.
+fit's r_j bit for bit, and a comes from byte 0's weight histogram: an
+explanation computes r and a once, for its dense fit and its sparse re-fit.
+A set that sampled nothing, such as the first layer, is fitted by p alone.
 
 Sampled rows correct p on an orthonormal basis of the sum-zero subspace,
 where the complete rows add just ``aI`` to the Gram matrix and nothing to the
@@ -186,36 +187,51 @@ def _histogram_moments(codes: np.ndarray, k: int, weights: np.ndarray, v: np.nda
     return gram, _byte_sums(codes, k, v)
 
 
+def _head_sums(coalition_set: WeightedCoalitionSet, values: np.ndarray,
+               phi0: float) -> tuple[np.ndarray, float]:
+    """(r over every column, a) of the set's complete rows, zero without any:
+    what every constrained fit of the set, its payoffs and phi0 shares."""
+    n0, weights = coalition_set.n_complete, coalition_set.weights
+    if not n0:
+        return np.zeros(coalition_set.n_features), 0.0
+    codes = key_bytes(coalition_set.keys[:n0])
+    # every free feature sits in the same number of a complete layer's
+    # sets: subtracting a layer's mean payoff moves every r_j alike and
+    # leaves p unchanged, but keeps r from summing ~10^5 copies of an
+    # offset that cancels only in p. A layer is a run of rows at one
+    # weight; when runs repeat a weight, a layer's rows are not
+    # contiguous and the whole head is centred as one.
+    w0 = weights[:n0]
+    starts = [0] + (np.flatnonzero(w0[1:] != w0[:-1]) + 1).tolist()
+    if len(set(w0[starts].tolist())) < len(starts):
+        starts = [0]
+    counts = np.subtract(starts[1:] + [n0], starts)
+    centred = values[:n0] - phi0
+    centred -= np.repeat(np.add.reduceat(centred, starts) / counts, counts)
+    centred *= w0
+    # r over every column, so any kept subset reads the dense fit's r_j bit
+    # for bit; byte codes 1 mod 4 hold feature 0 but not feature 1
+    return (_byte_sums(codes, coalition_set.n_features, centred),
+            np.bincount(codes[:, 0], weights=w0)[1::4].sum())
+
+
 def _constrained_fit(coalition_set: WeightedCoalitionSet, values: np.ndarray,
                      phi0: float, fx: float, free: np.ndarray,
-                     context: str) -> np.ndarray:
+                     context: str, head) -> np.ndarray:
     """Weighted fit with coefficients outside `free` pinned to zero and the
     free ones constrained to sum to fx - phi0: the closed form over the
-    complete rows, corrected by the sampled rows."""
+    complete rows, from their sums `head` (:func:`_head_sums`, computed here
+    when None), corrected by the sampled rows."""
     masks, weights = coalition_set.masks, coalition_set.weights
     n0, m, k, delta = coalition_set.n_complete, masks.shape[1], len(free), fx - phi0
+    if head is None:
+        head = _head_sums(coalition_set, values, phi0)
+    elif len(head[0]) != m or (head[1] > 0) != bool(n0):
+        raise ValueError(f"complete-row sums of another coalition set ({context})")
     a, p = 0.0, np.full(k, delta / k)
     if n0:
-        codes = key_bytes(coalition_set.keys[:n0])
-        # every free feature sits in the same number of a complete layer's
-        # sets: subtracting a layer's mean payoff moves every r_j alike and
-        # leaves p unchanged, but keeps r from summing ~10^5 copies of an
-        # offset that cancels only in p. A layer is a run of rows at one
-        # weight; when runs repeat a weight, a layer's rows are not
-        # contiguous and the whole head is centred as one.
-        w0 = weights[:n0]
-        starts = [0] + (np.flatnonzero(w0[1:] != w0[:-1]) + 1).tolist()
-        if len(set(w0[starts].tolist())) < len(starts):
-            starts = [0]
-        counts = np.subtract(starts[1:] + [n0], starts)
-        centred = values[:n0] - phi0
-        centred -= np.repeat(np.add.reduceat(centred, starts) / counts, counts)
-        centred *= w0
-        # r over every column and then sliced, so any kept subset reads the
-        # dense fit's r_j bit for bit
-        r = _byte_sums(codes, m, centred)[free]
-        # byte codes 1 mod 4 hold feature 0 but not feature 1
-        a = np.bincount(codes[:, 0], weights=w0)[1::4].sum()
+        r, a = head
+        r = r[free]
         p = r / a + (delta - (r / a).sum()) / k
     phis = np.zeros(m)
     phis[free] = p
@@ -258,23 +274,26 @@ def _constrained_fit(coalition_set: WeightedCoalitionSet, values: np.ndarray,
 
 def fit(coalition_set: WeightedCoalitionSet, values, phi0: float, fx: float,
         *, strategy: str = "custom", budget: int | None = None,
-        seed: int | None = None) -> Explanation:
-    """Dense constrained fit over every feature."""
+        seed: int | None = None, _head=None) -> Explanation:
+    """Dense constrained fit over every feature. `_head` is internal: the
+    complete rows' sums of the same set, payoffs and phi0 (see
+    :func:`explain_with_training_set`), computed when None."""
     values = np.asarray(values, dtype=float)
     if len(values) != len(coalition_set):
         raise ValueError("values must align with the coalition set")
     m = coalition_set.n_features
     context = f"strategy={strategy} budget={budget} n={len(coalition_set)} M={m}"
-    phis = _constrained_fit(coalition_set, values, phi0, fx, np.arange(m), context)
+    phis = _constrained_fit(coalition_set, values, phi0, fx, np.arange(m), context, _head)
     support = tuple(int(i) for i in np.flatnonzero(phis))
     return Explanation(float(phi0), tuple(float(v) for v in phis), support,
                        strategy, budget, seed, float(fx))
 
 
 def sparsify(explanation: Explanation, k: int,
-             coalition_set: WeightedCoalitionSet, values) -> Explanation:
+             coalition_set: WeightedCoalitionSet, values, *, _head=None) -> Explanation:
     """Keep the k largest-magnitude features and re-fit with the rest pinned
-    to zero. Magnitude ties break toward the lower feature index."""
+    to zero. Magnitude ties break toward the lower feature index. `_head` is
+    internal, as in :func:`fit`, for the explanation's phi0."""
     m = explanation.n_features
     if not 1 <= k <= m:
         raise ValueError(f"explanation size {k} outside 1..{m}")
@@ -285,7 +304,7 @@ def sparsify(explanation: Explanation, k: int,
     context = (f"sparsify k={k} strategy={explanation.strategy} "
                f"budget={explanation.budget} n={len(coalition_set)} M={m}")
     phis = _constrained_fit(coalition_set, values, explanation.phi0, explanation.fx,
-                            selected, context)
+                            selected, context, _head)
     return replace(
         explanation,
         phis=tuple(float(v) for v in phis),
@@ -310,10 +329,14 @@ def explain_with_training_set(x, model, background, strategy: str, budget: int,
     coalition_set = materialize(plan)
     values = evaluate_batch(coalition_set.masks, x, background, model)
     phi0, fx = anchors(x, background, model)
+    # a sparse re-fit reuses the dense fit's complete-row sums; a dense fit
+    # alone computes them inside fit
+    head = None if explanation_size is None else _head_sums(coalition_set, values, phi0)
     explanation = fit(coalition_set, values, phi0, fx,
-                      strategy=strategy, budget=budget, seed=seed)
+                      strategy=strategy, budget=budget, seed=seed, _head=head)
     if explanation_size is not None:
-        explanation = sparsify(explanation, explanation_size, coalition_set, values)
+        explanation = sparsify(explanation, explanation_size, coalition_set, values,
+                               _head=head)
     return explanation, coalition_set, values
 
 

@@ -9,9 +9,12 @@ row predictor at all.
 Adapter contract: for as long as an adapter object lives, its predictions
 must be a pure function of the rows it is given. Coalition payoffs are
 memoized per adapter object (see :mod:`stableshap.value_function`): the memo
-holds the payoffs of the most recent (instance, background) pair, at most 2^M
-of them, and is dropped with the adapter. A model that is re-fit or otherwise
-changed therefore needs a new adapter object. ``predict`` must not write to
+holds the payoffs of the most recent (instance, background) pair, up to
+``value_function.CAP`` features in one table of 2^M payoffs and marks
+(2^M x 9 B), and is dropped with the adapter. A model that is re-fit or
+otherwise changed therefore needs a new adapter object. Threads may share an
+adapter: they share its memo, and each gets the payoffs of its own
+instance. ``predict`` must not write to
 its ``rows`` or keep them after it returns: the rows are a read-only,
 column-major view of a buffer that the next block of coalitions overwrites.
 

@@ -11,9 +11,22 @@ explain, the first-layer attribution or the exact oracle asks for again is
 answered without a model call. Adapters are deterministic (see
 :mod:`stableshap.models`), so a memoized payoff is the payoff the model
 returned for the request that first held the coalition. The memo is dropped
-with its adapter and never holds more than one instance's distinct
-coalitions (at most 2^M); once it holds all 2^M it is a table indexed by
-mask integer, as a complete table game is.
+with its adapter. Up to ``CAP`` features it is one table per instance: 2^M
+payoffs indexed by :func:`~.coalitions.pack`'s key, as a complete table game
+is, and 2^M one-byte marks of the payoffs known, so at most 2^M x 9 B (9 MiB
+at the cap). Both arrays are allocated untouched (``np.empty``, and
+``np.zeros``, whose large blocks the OS zeroes page by page when first
+touched), so a request touches only the pages of its own coalitions. A
+request is one gather of marks, then of payoffs; the payoffs it lacks are
+written in place, payoffs first and their marks after, each in one numpy
+call. So a thread sharing the adapter that reads a mark set reads the
+payoff written before it; one that reads a mark unset computes the payoff
+itself, and two threads that write one coalition write the payoff of one
+request each. Another
+instance gets a new table, and a request keeps writing to the table of its
+own instance, so no thread writes another instance's payoffs. Above ``CAP``
+features, where no table fits, the memo is the sorted keys of the coalitions
+held and their payoffs, replaced in one assignment.
 
 The coalitions the memo lacks reach the model in blocks of whole masks, at
 most ``ROW_BUDGET`` substituted rows per ``predict`` call (8 masks at the
@@ -25,8 +38,8 @@ gets its rows as a read-only, column-major view of it, valid until it
 returns. Each block of a request is filled fresh, into a prefix of one
 buffer. :func:`all_payoffs`, the exact oracle's table, walks the blocks of
 all 2^M masks in Gray-code order instead when the memo holds none of the
-instance, one contiguous plane write a block, and the table becomes the
-memo. Either way each payoff is computed at most once per adapter and
+instance, one contiguous plane write a block, and the table it fills is the
+memo's. Either way each payoff is computed at most once per adapter and
 instance. An adapter without weak references keeps no memo: each request
 sends its distinct coalitions once, and the next request sends them again.
 
@@ -47,12 +60,14 @@ import numpy as np
 from .coalitions import pack, unpack
 from .errors import NonFinitePayoffError
 
-# id(adapter) -> (weak reference to the adapter, memo state); an entry goes
-# when its adapter is collected. The state (instance key, sorted packed masks,
-# payoffs) is immutable and replaced in one assignment, so threads sharing an
-# adapter never read a half-merged memo or another instance's payoffs. A memo
-# of all 2^M masks keeps no masks (None), as a complete table game does: its
-# payoffs are indexed by mask integer.
+# most features whose payoffs fit one table: the memo's of an instance and
+# the exact oracle's (exact.CAP)
+CAP = 20
+
+# id(adapter) -> (weak reference to the adapter, (instance key, *arrays)):
+# (payoffs, marks) up to CAP features, else (sorted packed masks, payoffs).
+# An entry goes when its adapter is collected, and is replaced in one
+# assignment by another instance's.
 _MEMOS: dict[int, tuple] = {}
 
 # substituted rows per model call: bounds the rows a block holds, whatever the
@@ -134,12 +149,13 @@ def _forget(model_id: int, ref: weakref.ref) -> None:
 
 
 def _memo(model, x, background):
-    """(adapter's weak reference or None, instance key, its memo or None)."""
+    """(adapter's weak reference or None, instance key, the memo's arrays of
+    the instance or None)."""
     instance = (x.tobytes(), background.shape, background.tobytes())
     entry = _MEMOS.get(id(model))
     if entry is not None and entry[0]() is model:
-        ref, (held, keys, payoffs) = entry
-        return ref, instance, ((keys, payoffs) if held == instance else None)
+        ref, (held, *arrays) = entry
+        return ref, instance, (arrays if held == instance else None)
     try:
         return weakref.ref(model, partial(_forget, id(model))), instance, None
     except TypeError:  # no weak references: nothing is memoized
@@ -150,13 +166,17 @@ def _memoized_payoffs(masks, x, background, model) -> np.ndarray:
     """Row payoffs; only distinct coalitions the adapter's memo lacks reach the model."""
     ref, instance, held = _memo(model, x, background)
     packed = pack(masks)
-    keys, payoffs = held or (packed[:0], np.empty(0))
-    if keys is None:
-        return payoffs[packed]
-
-    out = np.empty(len(masks))
+    m = masks.shape[1]
+    table = m <= CAP
     hit = np.zeros(len(masks), dtype=bool)
-    if len(keys):
+    out = np.empty(len(masks))
+    if held is not None and table:
+        payoffs, known = held
+        # marks read before payoffs, which are written before marks
+        hit = known[packed]
+        out = payoffs[packed]
+    elif held is not None:
+        keys, payoffs = held
         pos = np.searchsorted(keys, packed)
         hit = keys[np.minimum(pos, len(keys) - 1)] == packed
         out[hit] = payoffs[pos[hit]]
@@ -174,10 +194,18 @@ def _memoized_payoffs(masks, x, background, model) -> np.ndarray:
     out[miss] = new_payoffs[inverse.reshape(-1)]
     if ref is None:  # no weak reference to keep the memo under
         return out
-    at = np.searchsorted(keys, new_keys)
-    keys = np.insert(keys, at, new_keys)
-    _MEMOS[id(model)] = (ref, (instance, None if len(keys) == 1 << masks.shape[1] else keys,
-                               np.insert(payoffs, at, new_payoffs)))
+    if table:
+        if held is None:
+            held = np.empty(1 << m), np.zeros(1 << m, dtype=bool)
+            _MEMOS[id(model)] = (ref, (instance, *held))
+        payoffs, known = held
+        payoffs[new_keys] = new_payoffs
+        known[new_keys] = True
+    else:
+        keys, payoffs = held or (packed[:0], np.empty(0))
+        at = np.searchsorted(keys, new_keys)
+        _MEMOS[id(model)] = (ref, (instance, np.insert(keys, at, new_keys),
+                                   np.insert(payoffs, at, new_payoffs)))
     return out
 
 
@@ -232,9 +260,9 @@ def all_payoffs(x, background, model) -> np.ndarray:
     consecutive masks in reflected Gray-code order of their index:
     :func:`substitute` fills the first, and each next one is one feature's
     plane away, a contiguous write. The first non-finite payoff by mask
-    integer raises; else the table becomes the memo, indexed by mask integer
-    (:func:`~.coalitions.pack`'s key) with no key array. A game or a warm
-    memo is asked through :func:`evaluate_batch` in chunks of masks.
+    integer raises; else, up to ``CAP`` features, the table becomes the
+    memo's, every payoff marked known. A game or a warm memo is asked
+    through :func:`evaluate_batch` in chunks of masks.
     """
     m = model.n_features
     total = 1 << m
@@ -262,6 +290,6 @@ def all_payoffs(x, background, model) -> np.ndarray:
             buf[j] = x[j] if start & flip else background[:, j]
         out[start:start + step] = _block_payoffs(rows, b, model)
     _checked(out, lambda i: unpack(i, m)[0])
-    if ref is not None:
-        _MEMOS[id(model)] = (ref, (instance, None, out))
+    if ref is not None and m <= CAP:
+        _MEMOS[id(model)] = (ref, (instance, out, np.ones(total, dtype=bool)))
     return out

@@ -173,13 +173,18 @@ class CountingGameModel(GameModel):
 
 def memo(model_id: int):
     """What the payoff memo holds under an adapter's id: (the adapter, or None
-    once collected; the sorted packed keys, or None when all 2^M masks are
-    held), or None without an entry. The tests' one read of the memo's layout."""
+    once collected; the packed keys of the coalitions held, sorted; their
+    payoffs), or None without an entry. The tests' one read of the memo's
+    layout: a table of payoffs and marks up to CAP features, sorted keys
+    and payoffs above."""
     entry = value_function._MEMOS.get(model_id)
     if entry is None:
         return None
-    ref, (_, keys, _) = entry
-    return ref(), keys
+    ref, (_, first, second) = entry
+    if second.dtype == bool:  # a table: payoffs by key, and the marks of those known
+        keys = np.flatnonzero(second).astype("<u8")
+        return ref(), keys, first[keys]
+    return ref(), first, second
 
 
 def masked_mean_oracle(mask, x, background, predict) -> float:

@@ -331,11 +331,15 @@ def test_criterion_10_stability_trend_knn():
         st = mean_jaccard(ss.ST_SHAP, budget)
         ok = ok and st == 1.0
         lines.append(f"b={budget}: st={st:.3f} (=1)")
-    # not pinned: at b=1000 st-shap leads by under 0.05 (0.740 against 0.703),
-    # and at b=200 kernel-shap leads (0.571 against 0.323)
-    for budget in (50, 100, 500):
+    # measured facts, each margin a little under its measured gap: st-shap
+    # leads at b=1000 by 0.037 (0.740 against 0.703), and kernel-shap leads
+    # at b=200 by 0.248 (0.571 against 0.323)
+    for budget, margin in ((50, 0.05), (100, 0.05), (500, 0.05), (1000, 0.03)):
         st, ks = mean_jaccard(ss.ST_SHAP, budget), mean_jaccard(ss.KERNEL_SHAP, budget)
-        ok = ok and st >= ks + 0.05
-        lines.append(f"b={budget}: st={st:.3f} >= ks={ks:.3f} + 0.05")
+        ok = ok and st >= ks + margin
+        lines.append(f"b={budget}: st={st:.3f} >= ks={ks:.3f} + {margin}")
+    st, ks = mean_jaccard(ss.ST_SHAP, 200), mean_jaccard(ss.KERNEL_SHAP, 200)
+    ok = ok and ks >= st + 0.2
+    lines.append(f"b=200: ks={ks:.3f} >= st={st:.3f} + 0.2")
     elapsed = time.perf_counter() - t0
     _report("C10-knn", ok, "; ".join(lines), elapsed)

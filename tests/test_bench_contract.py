@@ -104,9 +104,11 @@ def test_grid_scripts_append_entries_of_one_layout(tmp_path, monkeypatch, capsys
 
     for name, value in (("median_ms", stub), ("FIT_BUDGETS", {8: (16, 40)}),
                         ("KNN_N_TRAIN", (40,)), ("KNN_FEATURES", (8,)), ("KNN_KS", (1,)),
-                        ("WALK_FEATURES", (8,)), ("WALK_BACKGROUNDS", (3,))):
+                        ("WALK_FEATURES", (8,)), ("WALK_BACKGROUNDS", (3,)),
+                        ("EXPLAIN_RAGGED", {8: (40,)}), ("EXPLAIN_RUNS", 2)):
         monkeypatch.setattr(grid, name, value)
-    n_cells = {"fit": 4, "knn": 1, "walk": 2}
+    # explain: 3 models x 3 budgets x 2 strategies x 2 explanation sizes
+    n_cells = {"fit": 4, "knn": 1, "walk": 2, "explain": 36}
     assert list(grid.GRIDS) == list(n_cells)
     docs = {}
     for name, count in n_cells.items():
@@ -121,8 +123,8 @@ def test_grid_scripts_append_entries_of_one_layout(tmp_path, monkeypatch, capsys
             assert not [key for cell in entry["cells"] for key in cell
                         if key.startswith("ref_") or key.endswith("_in_ref")]
         docs[name] = doc["runs"][0]["provenance"]
-    assert list(docs["fit"]) == list(docs["knn"]) == list(docs["walk"]) == [
-        "nproc", "python", "numpy", "cell_s", "threads", "clock"]
+    assert [list(docs[name]) for name in n_cells] == 4 * [[
+        "nproc", "python", "numpy", "cell_s", "threads", "clock"]]
     assert len(capsys.readouterr().out.splitlines()) == 2 * sum(n_cells.values())
 
 
@@ -137,7 +139,7 @@ def test_grid_script_refuses_a_file_that_names_no_grid(tmp_path, monkeypatch, ca
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("name", ["fit", "knn", "walk"])
+@pytest.mark.parametrize("name", ["fit", "knn", "walk", "explain"])
 def test_grid_cells_keep_the_fields_of_their_bench_file(name, tmp_path, monkeypatch):
     """A cell of each grid carries, in order, the fields of the last run in
     BENCH_<grid>.json, and those are the fields of the run before it less
@@ -147,7 +149,8 @@ def test_grid_cells_keep_the_fields_of_their_bench_file(name, tmp_path, monkeypa
     for attr, value in (("median_ms", lambda call: (call(), (0.5, 5))[1]),
                         ("FIT_BUDGETS", {8: (16,)}), ("KNN_N_TRAIN", (40,)),
                         ("KNN_FEATURES", (8,)), ("KNN_KS", (1,)),
-                        ("WALK_FEATURES", (8,)), ("WALK_BACKGROUNDS", (3,))):
+                        ("WALK_FEATURES", (8,)), ("WALK_BACKGROUNDS", (3,)),
+                        ("EXPLAIN_RAGGED", {8: (40,)}), ("EXPLAIN_RUNS", 2)):
         monkeypatch.setattr(grid, attr, value)
     fields = list(next(grid.GRIDS[name]()))
     runs = json.loads((ROOT / f"BENCH_{name}.json").read_text())["runs"]

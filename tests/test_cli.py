@@ -5,6 +5,7 @@ import dataclasses
 import json
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -770,8 +771,28 @@ class TestModelWiring:
                         model_command=_summing_child(tmp_path), n_instances=4,
                         background_size=5)
         with wire(cfg) as wiring:
-            adapters = [model for _, _, model in wiring.instances]
-        assert len({id(a) for a in adapters}) == 4
+            adapters = [wiring.adapter_for(x) for _, x in wiring.instances]
+        assert len(wiring.instances) == 4 and len({id(a) for a in adapters}) == 4
+
+    def test_memory_does_not_grow_with_the_instances(self, tmp_path):
+        # M=18: one instance's memo table is 2.25 MiB (2^18 payoffs and
+        # marks). Each instance's adapter goes once its routes are done, so
+        # six instances peak as two do (4.8 MiB measured); an adapter kept
+        # per instance until the command returns would add a table each
+        data = _write_regression_csv(tmp_path / "wide.csv", m=18)
+        peaks = {}
+        for n in (2, 6):
+            tracemalloc.start()
+            try:
+                assert main([
+                    "compare-exact", "--dataset", str(data), "--target", "target",
+                    "--strategy", "layer1", "--background-size", "4",
+                    "--n-instances", str(n), "--output", str(tmp_path / f"n{n}"),
+                ]) == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[6] < peaks[2] + (1 << 20)
 
     def test_external_workers_send_the_same_rows(self, reg_csv, tmp_path, monkeypatch):
         # one process serves every instance, but each instance keeps its own

@@ -31,7 +31,7 @@ from stableshap.sampling import (
     materialize,
     plan_st_shap,
 )
-from stableshap.value_function import evaluate_batch
+from stableshap.value_function import anchors, evaluate_batch
 
 from conftest import (
     GLOVE_EXACT,
@@ -580,3 +580,44 @@ class TestExplain:
         d = json.loads(json.dumps(e.to_json_dict()))
         back = Explanation(**d | {"phis": tuple(d["phis"]), "support": tuple(d["support"])})
         assert back == e
+
+    @pytest.mark.parametrize("strategy, budget", [(ST_SHAP, 182), (ST_SHAP, 500),
+                                                  (KERNEL_SHAP, 182), (KERNEL_SHAP, 1000),
+                                                  (KERNEL_SHAP, 20)])
+    def test_head_sums_computed_once_and_equal_to_separate_calls(self, monkeypatch,
+                                                                 strategy, budget):
+        # kernel-shap at b=20 samples everything: no head, still one call
+        rng = np.random.default_rng(budget)
+        game = random_table_game(rng, 13)
+        calls = []
+        head_sums = explainer._head_sums
+        monkeypatch.setattr(explainer, "_head_sums",
+                            lambda *args: calls.append(1) or head_sums(*args))
+        e = _game_fit(game, budget, seed=3, strategy=strategy, k=4)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        model = GameModel(game)
+        cset = materialize(plan_for(strategy, 13, budget, 3))
+        values = evaluate_batch(cset.masks, None, None, model)
+        phi0, fx = anchors(None, None, model)
+        dense = fit(cset, values, phi0, fx, strategy=strategy, budget=budget, seed=3)
+        assert sparsify(dense, 4, cset, values) == e
+
+    def test_complete_row_sums_of_another_set_are_refused(self):
+        # a head without complete rows, one with them, and one of 8 features
+        game = random_table_game(np.random.default_rng(5), 13)
+        model = GameModel(game)
+        phi0, fx = anchors(None, None, model)
+        sets = [materialize(plan_for(KERNEL_SHAP, 13, 20, 3)),
+                materialize(plan_for(ST_SHAP, 13, 182, 3))]
+        values = [evaluate_batch(c.masks, None, None, model) for c in sets]
+        heads = [explainer._head_sums(c, v, phi0) for c, v in zip(sets, values)]
+        heads.append((np.ones(8), 1.0))
+        for i, j in [(0, 1), (1, 0), (0, 2), (1, 2)]:
+            with pytest.raises(ValueError, match="another coalition set"):
+                fit(sets[i], values[i], phi0, fx, _head=heads[j])
+        dense = fit(sets[1], values[1], phi0, fx)
+        with pytest.raises(ValueError, match="another coalition set"):
+            sparsify(dense, 4, sets[1], values[1], _head=heads[0])
+        assert sparsify(dense, 4, sets[1], values[1], _head=heads[1]) == \
+            sparsify(dense, 4, sets[1], values[1])

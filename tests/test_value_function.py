@@ -22,7 +22,7 @@ from stableshap import (
 )
 from stableshap import value_function
 from stableshap.coalitions import pack
-from stableshap.value_function import all_payoffs, evaluate_batch
+from stableshap.value_function import all_payoffs, anchors, evaluate_batch
 
 from conftest import CountingGameModel, masked_mean_oracle, memo, random_table_game
 
@@ -214,6 +214,24 @@ class TestMemo:
             assert np.array_equal(values, evaluate_batch(masks[j], xs[i], bg,
                                                          CountingRowModel(w)))
 
+    def test_threads_sharing_an_adapter_and_an_instance_get_its_payoffs(self):
+        # the table is written in place while other threads gather from it
+        m = 10
+        x, bg, w = _setup(m=m, n_bg=3, seed=48)
+        masks = [_masks(m, 200, seed=s) for s in range(8)]
+        shared = CountingRowModel(w)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda j: evaluate_batch(masks[j % 8], x, bg, shared),
+                                    range(48), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for j, values in enumerate(got):
+            want = evaluate_batch(masks[j % 8], x, bg, CountingRowModel(w))
+            assert np.array_equal(values.view(np.uint64), want.view(np.uint64))
+
     def test_ridge_routes_after_exact_send_no_rows(self):
         rng = np.random.default_rng(2)
         m = 8
@@ -238,7 +256,10 @@ class TestMemo:
         table = all_payoffs(x, bg, model)
         rows = model.rows
         assert rows == 2**m * len(bg)
-        assert memo(id(model))[1] is None  # no key array
+        # the walked table is the memo's: every mask held, no key array
+        _, held, payoffs = memo(id(model))
+        assert np.array_equal(held, np.arange(2**m))
+        assert np.array_equal(payoffs.view(np.uint64), table.view(np.uint64))
         masks = _masks(m, 300, seed=7)
         got = evaluate_batch(masks, x, bg, model)
         assert np.array_equal(got.view(np.uint64), table[pack(masks)].view(np.uint64))
@@ -246,17 +267,50 @@ class TestMemo:
             explain(x, model, bg, strategy, 500, seed=1)
         assert model.rows == rows
 
-    def test_memo_completed_by_requests_drops_its_keys(self):
+    def test_memo_filled_by_requests_serves_every_mask(self):
         x, bg, w = _setup()
         model = CountingRowModel(w)
         masks = _consecutive(0, 64, 6)
         first = evaluate_batch(masks[::2], x, bg, model)
-        assert len(memo(id(model))[1]) == 32
+        assert np.array_equal(memo(id(model))[1], pack(masks[::2]))
         evaluate_batch(masks, x, bg, model)
-        assert memo(id(model))[1] is None
+        assert np.array_equal(memo(id(model))[1], np.arange(64))
         again = evaluate_batch(masks[::-1], x, bg, model)
         assert model.rows == 64 * len(bg)
         assert np.array_equal(again[::-1][::2], first)
+
+    def test_memo_at_the_cap_stays_within_nine_bytes_a_mask(self):
+        # at M = CAP a repeated request sends no rows, and the memo keeps the
+        # 2^M payoffs and marks (9 MiB) plus under 4 KiB of instance key and
+        # object headers
+        m = value_function.CAP
+        x, bg, w = _setup(m=m, n_bg=2, seed=44)
+        masks = _masks(m, 3000, seed=45)
+        model = CountingRowModel(w)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            evaluate_batch(masks, x, bg, model)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < (9 << m) + 4096
+        rows = model.rows
+        assert rows == len(np.unique(masks, axis=0)) * len(bg)
+        got = evaluate_batch(masks[::-1], x, bg, model)
+        assert model.rows == rows
+        want = evaluate_batch(masks[::-1], x, bg, CountingRowModel(w))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_anchors_read_from_the_table_once_held(self):
+        x, bg, w = _setup(m=7, n_bg=3, seed=46)
+        model = CallLoggingRidge(w, 0.25)
+        evaluate_batch(_consecutive(1, 21, 7), x, bg, model)  # neither anchor
+        model.calls.clear()
+        first = anchors(x, bg, model)
+        assert model.calls == [2 * len(bg)]  # one request of both anchors
+        assert anchors(x, bg, model) == first and model.calls == [2 * len(bg)]
+        assert first == anchors(x, bg, CallLoggingRidge(w, 0.25))
 
     def test_game_adapters_bypass_the_memo(self):
         game = random_table_game(np.random.default_rng(4), 5)
