@@ -12,7 +12,10 @@ on both models at M=12 with a 100-row background, so that each instance's
 payoffs come from many row blocks. Then `explain` on game files: a complete
 table, a table holding only the empty and full masks and layers 1-2 (st-shap
 at budgets 12,42 and layer1), an additive and a cardinality rule, and each of
-a few files that hold no game. Then one `explain` on a dataset with a `nan`
+a few files that hold no game. Two M=4 cardinality games leave a metric
+undefined, and the run exits 1 naming the instance row and route:
+`compare-exact` on one whose exact values are all equal, and `adherence` at
+budget 8 on one whose layer-1 payoffs are all equal. Then one `explain` on a dataset with a `nan`
 and an `inf` cell, one on a dataset whose header names a column twice, and
 `compare-exact` on 21 features (past the exact oracle's cap). `stability`
 runs once with `--runs 3`. Last, config values that make no run: a negative
@@ -156,6 +159,17 @@ def main():
         run_case(f"explain_game_{rule}", ["explain", "--model", "game", "--game-file",
                                           f"data/game_{rule}.json", "--strategy", "all",
                                           "--budgets", "20,33,50"])
+    # each metric undefined: Kendall tau against equal exact values, and r2 of
+    # layer 1's equal payoffs
+    Path("data/game_equal_values.json").write_text(
+        '{"M": 4, "rule": "cardinality", "by_size": [0, 1, 3, 6, 10]}')
+    run_case("compare-exact_game_equal_values", ["compare-exact", "--model", "game",
+                                                 "--game-file", "data/game_equal_values.json"])
+    Path("data/game_flat.json").write_text(
+        '{"M": 4, "rule": "cardinality", "by_size": [0, 1, 1, 1, 2]}')
+    run_case("adherence_game_flat", ["adherence", "--model", "game", "--game-file",
+                                     "data/game_flat.json", "--budgets", "8",
+                                     "--explanation-size", "2"])
     for name, content in BAD_GAMES.items():
         Path(f"data/bad_game_{name}.json").write_text(content)
         run_case(f"explain_bad_game_{name}", ["explain", "--model", "game", "--game-file",

@@ -34,6 +34,7 @@ from .errors import (
     ModelBridgeError,
     OracleCapError,
     StableShapError,
+    UndefinedMetricError,
 )
 from .explainer import LAYER1, explain, explain_with_training_set, plan_for
 from .games import SyntheticGame
@@ -179,9 +180,7 @@ class Wiring:
     task: str
     background: np.ndarray | None
     instances: list[tuple[int, np.ndarray | None]]  # (original row id, x)
-    # x -> a new scalar adapter. Each instance gets one for all of its routes,
-    # so its payoff memo serves every explanation of that instance, and drops
-    # it (and the memo) when they are done
+    # x -> a new scalar adapter, one per instance for all of its routes (see _sweep)
     adapter_for: typing.Callable[[np.ndarray | None], object]
     resolved: dict                                   # reproducibility header
     bridge: ExternalProcessModel | None = None
@@ -384,6 +383,15 @@ def _attribution(wiring: Wiring, strategy: str, budget: int | None,
                    explanation_size=explanation_size)
 
 
+def _score(metric, row_id: int, strategy: str, budget: int | None, *args) -> float:
+    """metric(*args); an undefined one is refused naming the instance row and route."""
+    try:
+        return metric(*args)
+    except UndefinedMetricError as exc:
+        route = strategy if budget is None else f"{strategy} at budget {budget}"
+        raise UndefinedMetricError(f"instance row {row_id}, {route}: {exc}") from None
+
+
 def _pool_map(workers: int, fn, items):
     if workers <= 1:
         return [fn(item) for item in items]
@@ -400,10 +408,9 @@ def _sweep(args, per_route):
     routes back to back, so the adapter's payoff memo serves every route and
     goes with it once they are done: at most ``--workers`` memos are alive.
     Instances go through the worker pool. compare-exact's first route is the
-    exact values. Returns (wiring,
-    writer, routes, results) with ``results[i][k]`` the result of instance i
-    on route k. The bridge to an external model is closed however the sweep
-    ends.
+    exact values. Returns (wiring, writer, routes, results) with
+    ``results[i][k]`` the result of instance i on route k. The bridge to an
+    external model is closed however the sweep ends.
     """
     cfg = build_config(args)
     default, allowed, *_ = _COMMANDS[args.command]
@@ -417,7 +424,6 @@ def _sweep(args, per_route):
 
         def one_instance(item):
             row_id, x = item
-            # the adapter, and its memo, live only while this instance's routes run
             model = wiring.adapter_for(x)
             return [per_route(wiring, row_id, x, model, strategy, budget)
                     for strategy, budget in routes]
@@ -522,7 +528,8 @@ def cmd_adherence(args) -> int:
             seed = derive_seed(cfg.master_seed, row_id, budget, run)
             e, cset, values = explain_with_training_set(
                 x, model, wiring.background, strategy, budget, seed, cfg.explanation_size)
-            scores.append(metrics.adherence(cset, values, e, wiring.task))
+            scores.append(_score(metrics.adherence, row_id, strategy, budget,
+                                 cset, values, e, wiring.task))
         return float(np.mean(scores))
 
     return _metric_csv(args, "adherence", "adherence", adherence)
@@ -538,8 +545,8 @@ def cmd_compare_exact(args) -> int:
     scores: dict[tuple, list[float]] = {}  # (strategy, budget, metric) -> per instance
     for (row_id, _), (reference, *phis) in zip(wiring.instances, results):
         for (strategy, budget), p in zip(routes[1:], phis):
-            for metric, value in (("kendall_tau", metrics.kendall_tau(reference, p)),
-                                  ("r2", metrics.r2_score(reference, p))):
+            for metric, fn in (("kendall_tau", metrics.kendall_tau), ("r2", metrics.r2_score)):
+                value = _score(fn, row_id, strategy, budget, reference, p)
                 rows.append([row_id, budget, strategy, metric, repr(value)])
                 scores.setdefault((strategy, budget, metric), []).append(value)
     for (strategy, budget, metric), values in scores.items():

@@ -35,6 +35,10 @@ class RankDeficiencyError(StableShapError):
     """A sampled coalition set has too few coalitions to determine its fit."""
 
 
+class UndefinedMetricError(StableShapError, ValueError):
+    """A metric is undefined for its scores, as a constant vector's rank correlation is."""
+
+
 class GameTableError(StableShapError):
     """A table key is no mask or a table lacks a coalition, a mask lies outside
     the game's players, or a game's JSON form misses or misstates a field

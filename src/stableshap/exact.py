@@ -17,9 +17,7 @@ from .errors import OracleCapError
 from .games import SyntheticGame
 from .models import GameModel
 # CAP: most features enumerated. At M=20 one instance peaks under tracemalloc
-# at 18.57 MiB for a ridge instance with one background row (the 2^20 payoffs
-# and the memo's marks of them) and at 17.57 MiB for a complete table game,
-# each plus the subset sums' deltas and their weights
+# at 18.57 MiB for ridge with one background row and 17.57 MiB for a table game
 from .value_function import CAP, all_payoffs
 
 

@@ -31,8 +31,9 @@ Sampled rows correct p on an orthonormal basis of the sum-zero subspace,
 where the complete rows add just ``aI`` to the Gram matrix and nothing to the
 right-hand side. The sampled rows' raw k x k Gram matrix sum w z z^T and
 right-hand side sum w (v - phi0 - p.z) z are projected onto the basis once.
-Fewer than 8192 sampled rows, or k <= 8, are copied once to a C-ordered
-(k, rows) float matrix scaled by sqrt(w), whose product gives both. From
+Fewer than 8192 sampled rows, or k <= 8, are cast in blocks of 8192 rows to
+C-ordered (k, rows) float matrices scaled by sqrt(w), whose products sum to
+both. From
 8192 rows over more than 8 free features, the sums come from histograms of
 the rows' byte codes: the dense fit reads them from the set's keys, and
 ``sparsify`` packs its free columns with :func:`~stableshap.coalitions.pack`.
@@ -102,8 +103,8 @@ class Explanation:
 
 # sampled rows from which a set over more than one byte of free features
 # enters the fit as byte-pair histograms; fewer rows, or k <= 8, are cast to
-# float and multiplied (at k = 13 the two are level near 3000 rows, at
-# k = 16 and 20 the histograms win below 8192)
+# float and multiplied in blocks of as many rows (at k = 13 the two are level
+# near 3000 rows, at k = 16 and 20 the histograms win below 8192)
 _PATTERN_ROWS = 1 << 13
 
 
@@ -239,25 +240,27 @@ def _constrained_fit(coalition_set: WeightedCoalitionSet, values: np.ndarray,
         return phis
     # the raw Gram matrix and right-hand side of the sampled rows, projected
     # onto the basis once
-    v = values[n0:] - phi0
     if len(masks) - n0 >= _PATTERN_ROWS and k > 8:
         keys = coalition_set.keys[n0:] if k == m else pack(masks[n0:, free])
-        gram, rhs = _histogram_moments(key_bytes(keys), k, weights[n0:], v, p, k < m)
-    else:
-        zt, root_w = masks[n0:].T[free], np.sqrt(weights[n0:])
-        if k < m:
-            # rows holding all or none of the free features project to
-            # exactly zero, so dropping them is exact (see the module docstring)
-            proper = np.flatnonzero(zt.any(axis=0) != zt.all(axis=0))
-            zt, root_w, v = zt.take(proper, axis=1), root_w[proper], v[proper]
-        # a C-ordered (k, rows) float copy scaled by sqrt(w), rows along the
-        # contiguous axis: st @ st.T runs as one syrk, summed in the same
-        # order whatever the layout of the masks (a cast, then an in-place
-        # product: numpy multiplies bool by float on a slower path)
-        st = zt.astype(float)
-        st *= root_w
-        gram = st @ st.T
-        rhs = st @ (root_w * v - p @ st)
+        gram, rhs = _histogram_moments(key_bytes(keys), k, weights[n0:],
+                                       values[n0:] - phi0, p, k < m)
+    else:  # in blocks of rows, so the float copies stay bounded
+        for start in range(n0, len(masks), _PATTERN_ROWS):
+            rows = slice(start, start + _PATTERN_ROWS)
+            zt, root_w = masks[rows].T[free], np.sqrt(weights[rows])
+            v = values[rows] - phi0
+            if k < m:
+                # rows holding all or none of the free features project to
+                # exactly zero, so dropping them is exact (see the module docstring)
+                proper = np.flatnonzero(zt.any(axis=0) != zt.all(axis=0))
+                zt, root_w, v = zt.take(proper, axis=1), root_w[proper], v[proper]
+            # a C-ordered (k, rows) float copy scaled by sqrt(w): st @ st.T runs
+            # as one syrk, summed in the same order whatever the masks' layout
+            # (cast, then scaled in place: bool times float takes a slower path)
+            st = zt.astype(float)
+            st *= root_w
+            block = st @ st.T, st @ (root_w * v - p @ st)
+            gram, rhs = block if start == n0 else (gram + block[0], rhs + block[1])
     basis = _helmert_basis(k)
     gram = a * np.eye(k - 1) + basis.T @ gram @ basis
     rhs = basis.T @ rhs

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import UndefinedMetricError
 from .explainer import Explanation
 from .sampling import WeightedCoalitionSet
 
@@ -22,8 +23,6 @@ def jaccard_n(sets) -> float:
     if any(not s for s in sets):
         raise ValueError("sets must be non-empty")
     union = frozenset.union(*sets)
-    if not union:
-        raise ValueError("empty union: ratio undefined")
     intersection = frozenset.intersection(*sets)
     return len(intersection) / len(union)
 
@@ -39,7 +38,7 @@ def kendall_tau(a, b) -> float:
     if a.shape != b.shape or a.ndim != 1 or len(a) < 2:
         raise ValueError("need two equal-length vectors of length >= 2")
     if np.all(a == a[0]) or np.all(b == b[0]):
-        raise ValueError("rank correlation undefined for a constant vector")
+        raise UndefinedMetricError("rank correlation undefined for a constant vector")
     iu = np.triu_indices(len(a), k=1)
     sign_a = np.sign(a[:, None] - a[None, :])[iu]
     sign_b = np.sign(b[:, None] - b[None, :])[iu]
@@ -62,7 +61,7 @@ def r2_score(reference, candidate) -> float:
         raise ValueError("need two equal-length vectors of length >= 2")
     ss_tot = float(((reference - reference.mean()) ** 2).sum())
     if ss_tot == 0.0:
-        raise ValueError("reference has zero variance")
+        raise UndefinedMetricError("r2 undefined: the reference has zero variance")
     ss_res = float(((reference - candidate) ** 2).sum())
     return 1.0 - ss_res / ss_tot
 

@@ -7,24 +7,15 @@ out: it evaluates coalitions directly (see ``coalition_values``) and has no
 row predictor at all.
 
 Adapter contract: for as long as an adapter object lives, its predictions
-must be a pure function of the rows it is given. Coalition payoffs are
-memoized per adapter object (see :mod:`stableshap.value_function`): the memo
-holds the payoffs of the most recent (instance, background) pair, up to
-``value_function.CAP`` features in one table of 2^M payoffs and marks
-(2^M x 9 B), and is dropped with the adapter. A model that is re-fit or
-otherwise changed therefore needs a new adapter object. Threads may share an
-adapter: they share its memo, and each gets the payoffs of its own
-instance. ``predict`` must not write to
-its ``rows`` or keep them after it returns: the rows are a read-only,
-column-major view of a buffer that the next block of coalitions overwrites.
-
-A request's payoffs are bit-identical to those of one single ``predict`` call
-of that request, whatever its blocks: each block starts at a multiple of 8
-rows. A row's prediction need not be independent of the batch, to the last
-bit: a BLAS product such as :class:`RidgeRegressionModel`'s rounds the last
-n mod 4 rows of an n-row call differently. Such an adapter's payoff of one
-coalition may therefore differ in the last bits between two routes, a warm
-memo's request and the exact oracle's cold walk.
+must be a pure function of the rows it is given, because coalition payoffs
+are memoized per adapter object (the memo, its size and what threads sharing
+an adapter see are described in :mod:`stableshap.value_function`). A model
+that is re-fit or otherwise changed therefore needs a new adapter object.
+``predict`` must not write to its ``rows`` or keep them after it returns:
+the rows are a read-only, column-major view of a buffer that the next block
+of coalitions overwrites. A row's prediction may depend on its batch in the
+last bits, as a BLAS product's does; the same module says how far payoffs
+then differ between routes.
 
 :class:`KNNClassifierModel` finds neighbours from fast matrix-product
 distances and rechecks rows near a distance tie with the exact formula, so its

@@ -10,11 +10,15 @@ payoffs of its most recent (instance, background) pair, so a coalition that
 explain, the first-layer attribution or the exact oracle asks for again is
 answered without a model call. Adapters are deterministic (see
 :mod:`stableshap.models`), so a memoized payoff is the payoff the model
-returned for the request that first held the coalition. The memo is dropped
-with its adapter. Up to ``CAP`` features it is one table per instance: 2^M
-payoffs indexed by :func:`~.coalitions.pack`'s key, as a complete table game
-is, and 2^M one-byte marks of the payoffs known, so at most 2^M x 9 B (9 MiB
-at the cap). Both arrays are allocated untouched (``np.empty``, and
+returned for the request that first held the coalition. :func:`_memo` alone
+reads the memo and :func:`_keep` alone writes it, each entry replacing the
+last in one assignment; an adapter's first entry gets a finalizer that drops
+the memo with the adapter. An adapter without weak references keeps no
+memo: each request sends its distinct coalitions once, and the next request
+sends them again. Up to ``CAP`` features an entry is one table per instance:
+2^M payoffs indexed by :func:`~.coalitions.pack`'s key, as a complete table
+game is, and 2^M one-byte marks of the payoffs known, so at most 2^M x 9 B
+(9 MiB at the cap). Both arrays are allocated untouched (``np.empty``, and
 ``np.zeros``, whose large blocks the OS zeroes page by page when first
 touched), so a request touches only the pages of its own coalitions. A
 request is one gather of marks, then of payoffs; the payoffs it lacks are
@@ -22,11 +26,10 @@ written in place, payoffs first and their marks after, each in one numpy
 call. So a thread sharing the adapter that reads a mark set reads the
 payoff written before it; one that reads a mark unset computes the payoff
 itself, and two threads that write one coalition write the payoff of one
-request each. Another
-instance gets a new table, and a request keeps writing to the table of its
-own instance, so no thread writes another instance's payoffs. Above ``CAP``
-features, where no table fits, the memo is the sorted keys of the coalitions
-held and their payoffs, replaced in one assignment.
+request each. Another instance gets a new table, and a request keeps writing
+to the table of its own instance, so no thread writes another instance's
+payoffs. Above ``CAP`` features, where no table fits, an entry is the
+sorted keys of the coalitions held and their payoffs.
 
 The coalitions the memo lacks reach the model in blocks of whole masks, at
 most ``ROW_BUDGET`` substituted rows per ``predict`` call (8 masks at the
@@ -36,12 +39,9 @@ written and read. Rows are column-major: :func:`substitute` fills a
 C-contiguous (M, masks, B) buffer, one plane per feature, and ``predict``
 gets its rows as a read-only, column-major view of it, valid until it
 returns. Each block of a request is filled fresh, into a prefix of one
-buffer. :func:`all_payoffs`, the exact oracle's table, walks the blocks of
-all 2^M masks in Gray-code order instead when the memo holds none of the
-instance, one contiguous plane write a block, and the table it fills is the
-memo's. Either way each payoff is computed at most once per adapter and
-instance. An adapter without weak references keeps no memo: each request
-sends its distinct coalitions once, and the next request sends them again.
+buffer; :func:`all_payoffs` walks its own blocks when the memo holds none of
+the instance. Either way each payoff is computed at most once per adapter
+and instance.
 
 A request's payoffs are bit-identical to those of one single ``predict``
 call of the request, whatever its blocks. A BLAS-backed adapter's products
@@ -53,7 +53,6 @@ memo's request and the cold walk.
 from __future__ import annotations
 
 import weakref
-from functools import partial
 
 import numpy as np
 
@@ -64,10 +63,7 @@ from .errors import NonFinitePayoffError
 # the exact oracle's (exact.CAP)
 CAP = 20
 
-# id(adapter) -> (weak reference to the adapter, (instance key, *arrays)):
-# (payoffs, marks) up to CAP features, else (sorted packed masks, payoffs).
-# An entry goes when its adapter is collected, and is replaced in one
-# assignment by another instance's.
+# id(adapter) -> (instance key, *arrays); read by _memo, written by _keep
 _MEMOS: dict[int, tuple] = {}
 
 # substituted rows per model call: bounds the rows a block holds, whatever the
@@ -143,34 +139,32 @@ def _row_payoffs(masks, x, background, model) -> np.ndarray:
     return _checked(out, masks.__getitem__)
 
 
-def _forget(model_id: int, ref: weakref.ref) -> None:
-    if _MEMOS.get(model_id, (None,))[0] is ref:
-        _MEMOS.pop(model_id, None)
+def _instance(x, background) -> tuple:
+    return x.tobytes(), background.shape, background.tobytes()
 
 
 def _memo(model, x, background):
-    """(adapter's weak reference or None, instance key, the memo's arrays of
-    the instance or None)."""
-    instance = (x.tobytes(), background.shape, background.tobytes())
-    entry = _MEMOS.get(id(model))
-    if entry is not None and entry[0]() is model:
-        ref, (held, *arrays) = entry
-        return ref, instance, (arrays if held == instance else None)
-    try:
-        return weakref.ref(model, partial(_forget, id(model))), instance, None
-    except TypeError:  # no weak references: nothing is memoized
-        return None, instance, None
+    """The arrays the adapter's memo holds of the instance, or None."""
+    entry = _MEMOS.get(id(model), (None,))
+    return entry[1:] if entry[0] == _instance(x, background) else None
+
+
+def _keep(model, x, background, *arrays) -> None:
+    """Makes the arrays the adapter's memo of the instance, in one assignment;
+    its first entry gets the finalizer that drops it with the adapter."""
+    if id(model) not in _MEMOS:  # two threads may both add one: both run at its death
+        weakref.finalize(model, _MEMOS.pop, id(model), None)
+    _MEMOS[id(model)] = (_instance(x, background), *arrays)
 
 
 def _memoized_payoffs(masks, x, background, model) -> np.ndarray:
     """Row payoffs; only distinct coalitions the adapter's memo lacks reach the model."""
-    ref, instance, held = _memo(model, x, background)
+    held = _memo(model, x, background)
     packed = pack(masks)
     m = masks.shape[1]
-    table = m <= CAP
     hit = np.zeros(len(masks), dtype=bool)
     out = np.empty(len(masks))
-    if held is not None and table:
+    if held is not None and m <= CAP:
         payoffs, known = held
         # marks read before payoffs, which are written before marks
         hit = known[packed]
@@ -192,20 +186,20 @@ def _memoized_payoffs(masks, x, background, model) -> np.ndarray:
     new_payoffs[order] = _row_payoffs(np.take(masks, miss[first[order]], axis=0),
                                       x, background, model)
     out[miss] = new_payoffs[inverse.reshape(-1)]
-    if ref is None:  # no weak reference to keep the memo under
-        return out
-    if table:
-        if held is None:
-            held = np.empty(1 << m), np.zeros(1 << m, dtype=bool)
-            _MEMOS[id(model)] = (ref, (instance, *held))
-        payoffs, known = held
-        payoffs[new_keys] = new_payoffs
-        known[new_keys] = True
-    else:
+    if held is None and not type(model).__weakrefoffset__:
+        return out  # no weak references: nothing is kept
+    if m > CAP:
         keys, payoffs = held or (packed[:0], np.empty(0))
         at = np.searchsorted(keys, new_keys)
-        _MEMOS[id(model)] = (ref, (instance, np.insert(keys, at, new_keys),
-                                   np.insert(payoffs, at, new_payoffs)))
+        _keep(model, x, background, np.insert(keys, at, new_keys),
+              np.insert(payoffs, at, new_payoffs))
+        return out
+    if held is None:
+        held = np.empty(1 << m), np.zeros(1 << m, dtype=bool)
+        _keep(model, x, background, *held)
+    payoffs, known = held
+    payoffs[new_keys] = new_payoffs
+    known[new_keys] = True
     return out
 
 
@@ -269,8 +263,7 @@ def all_payoffs(x, background, model) -> np.ndarray:
     game = hasattr(model, "coalition_values")
     if not game:
         x, background = _row_inputs(x, background)
-        ref, instance, held = _memo(model, x, background)
-    if game or held is not None:
+    if game or _memo(model, x, background) is not None:
         out = np.empty(total)
         for start in range(0, total, _EVAL_CHUNK):
             masks = unpack(np.arange(start, min(start + _EVAL_CHUNK, total)), m)
@@ -290,6 +283,6 @@ def all_payoffs(x, background, model) -> np.ndarray:
             buf[j] = x[j] if start & flip else background[:, j]
         out[start:start + step] = _block_payoffs(rows, b, model)
     _checked(out, lambda i: unpack(i, m)[0])
-    if ref is not None and m <= CAP:
-        _MEMOS[id(model)] = (ref, (instance, out, np.ones(total, dtype=bool)))
+    if m <= CAP and type(model).__weakrefoffset__:  # it takes weak references
+        _keep(model, x, background, out, np.ones(total, dtype=bool))
     return out

@@ -21,7 +21,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from stableshap import GameModel, SyntheticGame, value_function
+from stableshap import GameModel, SyntheticGame
 from stableshap.coalitions import kernel_weight, pack
 from stableshap.exact import ExactValues
 from stableshap.sampling import _draws_for
@@ -169,22 +169,6 @@ class CountingGameModel(GameModel):
     def coalition_values(self, masks):
         self.calls += len(np.atleast_2d(masks))
         return super().coalition_values(masks)
-
-
-def memo(model_id: int):
-    """What the payoff memo holds under an adapter's id: (the adapter, or None
-    once collected; the packed keys of the coalitions held, sorted; their
-    payoffs), or None without an entry. The tests' one read of the memo's
-    layout: a table of payoffs and marks up to CAP features, sorted keys
-    and payoffs above."""
-    entry = value_function._MEMOS.get(model_id)
-    if entry is None:
-        return None
-    ref, (_, first, second) = entry
-    if second.dtype == bool:  # a table: payoffs by key, and the marks of those known
-        keys = np.flatnonzero(second).astype("<u8")
-        return ref(), keys, first[keys]
-    return ref(), first, second
 
 
 def masked_mean_oracle(mask, x, background, predict) -> float:

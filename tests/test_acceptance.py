@@ -6,6 +6,7 @@ Tolerances are pinned here and nowhere else.
 
 import importlib.util
 import time
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -343,3 +344,75 @@ def test_criterion_10_stability_trend_knn():
     lines.append(f"b=200: ks={ks:.3f} >= st={st:.3f} + 0.2")
     elapsed = time.perf_counter() - t0
     _report("C10-knn", ok, "; ".join(lines), elapsed)
+
+
+@lru_cache(maxsize=None)
+def _sweep_against_exact(seed: int) -> dict:
+    """Per instance of the sweep recipe at master seed `seed`, against its
+    exact values: st-shap's error at the complete budgets 26, 182 and 754
+    (layers 1, 1-2 and 1-3; b=26 is layer-1), layer-1's Kendall tau, and
+    kernel-shap's mean tau at b=26 and mean errors at b=26 and 182 over 20
+    runs. Error is ||phi - exact|| / ||exact||, phi the full-length fit."""
+    knn, background, instances = _sweep_knn_recipe(features=13, instances=10,
+                                                   background_size=10, seed=seed)
+    out = {key: [] for key in ("st_error", "layer1_tau", "ks_tau", "ks_error")}
+    for idx, x in enumerate(instances):
+        model = ss.ClassProbabilityModel(knn, knn.predicted_class(x))
+        exact = ss.exact_shap(x, model, background).phi_array()
+
+        def phi(strategy, budget, run):
+            return ss.explain(x, model, background, strategy, budget,
+                              seed=derive_seed(seed, idx, budget, run)).phi_array()
+
+        def error(p):
+            return float(np.linalg.norm(p - exact) / np.linalg.norm(exact))
+
+        st = [phi(ss.ST_SHAP, budget, 0) for budget in (26, 182, 754)]
+        ks = {budget: [phi(ss.KERNEL_SHAP, budget, run) for run in range(20)]
+              for budget in (26, 182)}
+        out["st_error"].append([error(p) for p in st])
+        out["layer1_tau"].append(ss.kendall_tau(exact, st[0]))
+        out["ks_tau"].append(np.mean([ss.kendall_tau(exact, p) for p in ks[26]]))
+        out["ks_error"].append([np.mean([error(p) for p in ks[b]]) for b in (26, 182)])
+    return {key: np.array(values) for key, values in out.items()}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_criterion_11_paper_claims_against_exact(seed):
+    # the sweep recipe; each margin sits under its smallest measured gap over
+    # seeds 0 and 1, and a last-bit change can move a tau by up to 0.038
+    t0 = time.perf_counter()
+    got = _sweep_against_exact(seed)
+    st, ks_error = got["st_error"], got["ks_error"]
+    # st-shap's error falls at each complete budget on every instance
+    # (smallest steps 0.044 and 0.071)
+    falls = bool((np.diff(st, axis=1) <= -0.03).all())
+    # layer-1 ranks closer to exact than kernel-shap's runs at the same 26
+    # coalitions on every instance (smallest gaps 0.162 and 0.085), and its
+    # mean error is lower (0.412 against 0.926, 0.513 against 1.240)
+    ranks = bool((got["layer1_tau"] >= got["ks_tau"] + 0.04).all())
+    closer = st[:, 0].mean() + 0.4 <= ks_error[:, 0].mean()
+    # a measured fact, not a goal: at b=182, st-shap's seed-free budget,
+    # paired kernel-shap is closer to exact on every instance (smallest
+    # error ratios 1.19 and 1.65)
+    behind = bool((st[:, 1] >= 1.15 * ks_error[:, 1]).all())
+    elapsed = time.perf_counter() - t0
+    _report("C11", falls and ranks and closer and behind,
+            f"seed {seed}: st-shap error {' > '.join(f'{e:.3f}' for e in st.mean(axis=0))} "
+            f"at b=26,182,754; layer-1 tau {got['layer1_tau'].mean():.3f} vs kernel-shap "
+            f"{got['ks_tau'].mean():.3f} at b=26; at b=182 kernel-shap error "
+            f"{ks_error[:, 1].mean():.3f} < st-shap {st[:, 1].mean():.3f}", elapsed)
+
+
+def test_criterion_11_readme_quotes_the_layer1_taus():
+    t0 = time.perf_counter()
+    seed0, seed1 = _sweep_against_exact(0), _sweep_against_exact(1)
+    sentence = (
+        f"averages {seed0['layer1_tau'].mean():.3f} (lowest {seed0['layer1_tau'].min():.3f}) "
+        f"with master seed 0 and {seed1['layer1_tau'].mean():.3f} "
+        f"(lowest {seed1['layer1_tau'].min():.3f}) with seed 1, where kernel-shap at the "
+        f"same 26 coalitions averages {seed0['ks_tau'].mean():.3f} and "
+        f"{seed1['ks_tau'].mean():.3f} over 20 runs.")
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    elapsed = time.perf_counter() - t0
+    _report("C11-readme", sentence in " ".join(readme.split()), sentence, elapsed)

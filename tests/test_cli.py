@@ -734,6 +734,29 @@ class TestRankDeficientBudget:
                     and p.name != "config.resolved.json"]
 
 
+class TestUndefinedMetric:
+    # M=4 cardinality games: by_size [0, 1, 3, 6, 10] gives every feature the
+    # same exact value, so no rank correlation against it is defined; by_size
+    # [0, 1, 1, 1, 2] pays 1 to every coalition of layer 1 (sizes 1 and 3),
+    # so budget 8's payoffs have no variance for r2
+    @pytest.mark.parametrize("command, by_size, args, message", [
+        ("compare-exact", [0, 1, 3, 6, 10], [],
+         "instance row 0, layer1: rank correlation undefined for a constant vector"),
+        ("adherence", [0, 1, 1, 1, 2], ["--budgets", "8", "--explanation-size", "2"],
+         "instance row 0, kernel-shap at budget 8: r2 undefined: "
+         "the reference has zero variance"),
+    ])
+    def test_exits_1_naming_the_row_and_route(self, command, by_size, args, message,
+                                              tmp_path, capsys):
+        game_file = tmp_path / "game.json"
+        game_file.write_text(json.dumps({"M": 4, "rule": "cardinality", "by_size": by_size}))
+        code = main([command, "--model", "game", "--game-file", str(game_file), *args,
+                     "--output", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
+
 def _summing_child(tmp_path: Path) -> str:
     """Command line of an external model that answers each row's sum."""
     child = tmp_path / "model.py"

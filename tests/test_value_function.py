@@ -24,7 +24,7 @@ from stableshap import value_function
 from stableshap.coalitions import pack
 from stableshap.value_function import all_payoffs, anchors, evaluate_batch
 
-from conftest import CountingGameModel, masked_mean_oracle, memo, random_table_game
+from conftest import CountingGameModel, masked_mean_oracle, random_table_game
 
 
 def _column_sum(rows, weights):
@@ -151,34 +151,67 @@ class TestMemo:
         assert model.rows == rows + len(masks) * len(bg)
         assert np.array_equal(again, first[::-1])
 
-    def test_memo_dies_with_its_adapter(self):
-        x, bg, w = _setup()
-        model = CountingRowModel(w)
-        evaluate_batch(_masks(6, 8), x, bg, model)
-        key = id(model)
-        alive = weakref.ref(model)
-        del model
-        gc.collect()
+    def test_memo_is_freed_with_its_adapter(self):
+        # at M=16 the memo is 2^16 payoffs and marks, 9 B each; all of it
+        # goes when the adapter is collected
+        m = 16
+        x, bg, w = _setup(m=m, n_bg=2, seed=47)
+        masks = _masks(m, 50, seed=48)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model = CountingRowModel(w)
+            evaluate_batch(masks, x, bg, model)
+            held = tracemalloc.get_traced_memory()[0] - before
+            alive = weakref.ref(model)
+            del model
+            gc.collect()
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
         assert alive() is None
-        entry = memo(key)
-        assert entry is None or entry[0] is not None
+        assert held >= 9 << m and left < 4096
+
+    def test_adapters_that_compare_equal_keep_their_own_memos(self):
+        class Equal(CountingRowModel):
+            def __eq__(self, other):
+                return isinstance(other, Equal)
+
+            __hash__ = object.__hash__
+
+        x, bg, w = _setup()
+        masks = _masks(6, 12)
+        first, second = Equal(w), Equal(w)
+        assert first == second
+        want = evaluate_batch(masks, x, bg, first)
+        got = evaluate_batch(masks, x, bg, second)
+        assert second.rows == first.rows > 0
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_adapter_without_weak_references_is_evaluated_every_time(self):
         class Slotted:
             __slots__ = ("n_features", "rows")
 
             def __init__(self):
-                self.n_features = 4
+                self.n_features = 16
                 self.rows = 0
 
             def predict(self, rows):
                 self.rows += len(rows)
                 return rows.sum(axis=1)
 
-        x, bg, _ = _setup(m=4)
+        x, bg, _ = _setup(m=16)
         model = Slotted()
-        masks = _masks(4, 5)
-        a = evaluate_batch(masks, x, bg, model)
+        masks = _masks(16, 5)
+        # a memo would keep 2^16 payoffs and marks, 9 B each
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            a = evaluate_batch(masks, x, bg, model)
+            kept = tracemalloc.get_traced_memory()[0] - before - a.nbytes
+        finally:
+            tracemalloc.stop()
+        assert kept < 4096
         b = evaluate_batch(masks, x, bg, model)
         assert model.rows == 2 * len(masks) * len(bg)
         assert np.array_equal(a, b)
@@ -187,7 +220,6 @@ class TestMemo:
         c = evaluate_batch(np.vstack([masks, masks[::-1], masks[:2]]), x, bg, model)
         assert model.rows == rows + len(np.unique(masks, axis=0)) * len(bg)
         assert np.array_equal(c, np.concatenate([a, a[::-1], a[:2]]))
-        assert memo(id(model)) is None
 
     def test_threads_sharing_an_adapter_get_their_own_instance_payoffs(self):
         rng = np.random.default_rng(5)
@@ -247,7 +279,7 @@ class TestMemo:
         layer1_attribution(x, model, bg)
         assert model.rows == 2**m * len(bg)
 
-    def test_cold_oracle_memo_is_indexed_by_mask_integer(self):
+    def test_cold_oracle_table_serves_later_requests_bit_for_bit(self):
         rng = np.random.default_rng(6)
         m = 10
         X = rng.normal(size=(40, m))
@@ -256,10 +288,10 @@ class TestMemo:
         table = all_payoffs(x, bg, model)
         rows = model.rows
         assert rows == 2**m * len(bg)
-        # the walked table is the memo's: every mask held, no key array
-        _, held, payoffs = memo(id(model))
-        assert np.array_equal(held, np.arange(2**m))
-        assert np.array_equal(payoffs.view(np.uint64), table.view(np.uint64))
+        # the walked table is the memo's: it serves every mask bit for bit
+        got = evaluate_batch(_consecutive(0, 2**m, m)[::-1], x, bg, model)
+        assert np.array_equal(got.view(np.uint64), table[::-1].view(np.uint64))
+        assert model.rows == rows
         masks = _masks(m, 300, seed=7)
         got = evaluate_batch(masks, x, bg, model)
         assert np.array_equal(got.view(np.uint64), table[pack(masks)].view(np.uint64))
@@ -267,17 +299,19 @@ class TestMemo:
             explain(x, model, bg, strategy, 500, seed=1)
         assert model.rows == rows
 
-    def test_memo_filled_by_requests_serves_every_mask(self):
+    def test_memo_filled_by_requests_serves_exactly_what_it_holds(self):
         x, bg, w = _setup()
-        model = CountingRowModel(w)
+        model = RecordingModel(w, x, bg)
         masks = _consecutive(0, 64, 6)
         first = evaluate_batch(masks[::2], x, bg, model)
-        assert np.array_equal(memo(id(model))[1], pack(masks[::2]))
+        assert np.array_equal(_sent(model), np.arange(0, 64, 2))
+        model.returned.clear()
         evaluate_batch(masks, x, bg, model)
-        assert np.array_equal(memo(id(model))[1], np.arange(64))
+        assert np.array_equal(_sent(model), np.arange(1, 64, 2))
+        model.returned.clear()
         again = evaluate_batch(masks[::-1], x, bg, model)
-        assert model.rows == 64 * len(bg)
-        assert np.array_equal(again[::-1][::2], first)
+        assert model.returned == []
+        assert np.array_equal(again[::-1][::2].view(np.uint64), first.view(np.uint64))
 
     def test_memo_at_the_cap_stays_within_nine_bytes_a_mask(self):
         # at M = CAP a repeated request sends no rows, and the memo keeps the
@@ -674,12 +708,11 @@ class TestRowBudget:
         x, bg, w = _setup(m=m, n_bg=7, seed=39)
         model = RecordingModel(w, x, bg)
         explain(x, model, bg, ST_SHAP, 700, seed=4)
-        warm = set(memo(id(model))[1].tolist())
-        assert 0 < len(warm) < 2**m
+        warm = _sent(model).tolist()
+        assert 0 < len(set(warm)) == len(warm) < 2**m
         model.returned.clear()
         got = exact_shap(x, model, bg)
-        sent = pack(np.vstack([seen for seen, _ in model.returned]))
-        assert sorted(sent.tolist()) == sorted(set(range(2**m)) - warm)
+        assert sorted(_sent(model).tolist()) == sorted(set(range(2**m)) - set(warm))
         model.returned.clear()
         assert exact_shap(x, model, bg) == got and model.returned == []
         assert got == exact_shap(x, RecordingModel(w, x, bg), bg)
@@ -694,7 +727,10 @@ class TestRowBudget:
             exact_shap(x, model, bg)
         assert info.value.coalition == _bitstring(17, 8)
         assert model.calls == 32  # checked once, after the last block
-        assert memo(id(model)) is None  # nothing memoized
+        # nothing kept: the next call walks every block again
+        with pytest.raises(NonFinitePayoffError):
+            exact_shap(x, model, bg)
+        assert model.calls == 64
 
     def test_a_model_writing_to_its_rows_raises_at_the_first_block(self, monkeypatch):
         monkeypatch.setattr(value_function, "ROW_BUDGET", 64)
@@ -770,6 +806,11 @@ class TestSubstitute:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def _sent(model):
+    """Packed keys of the masks a RecordingModel was sent, in the order sent."""
+    return pack(np.vstack([seen for seen, _ in model.returned]))
+
+
 class RecordingModel:
     """Row model that keeps every block's masks, read off its rows, and the
     prediction vector it returns, with payoffs spread over many magnitudes
@@ -822,8 +863,7 @@ class TestAllPayoffs:
         evaluate_batch(warm, x, bg, model)
         model.returned.clear()
         table = all_payoffs(x, bg, model)
-        sent = pack(np.vstack([seen for seen, _ in model.returned]))
-        assert sorted(sent.tolist()) == sorted(set(range(2**m)) - set(pack(warm).tolist()))
+        assert sorted(_sent(model).tolist()) == sorted(set(range(2**m)) - set(pack(warm).tolist()))
         assert np.array_equal(table, all_payoffs(x, bg, RecordingModel(w, x, bg)))
 
     def test_game_is_asked_for_each_mask_once(self):
