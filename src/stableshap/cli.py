@@ -3,7 +3,8 @@
 Subcommands: ``explain``, ``stability``, ``adherence``, ``compare-exact``,
 ``layers``. Every run writes a ``config.resolved.json`` next to its outputs,
 and every output file carries the resolved configuration, so re-running a
-command byte-reproduces its results.
+command byte-reproduces its results. A run that fails before its first output
+writes nothing.
 
 Exit codes: 0 success, 1 other toolkit errors (such as a non-finite payoff or
 a budget too small to fit), 2 configuration error, 3 external-model bridge
@@ -342,21 +343,33 @@ def _validate(cfg: RunConfig, command: str, m: int, strategies: list[str]) -> No
 
 
 class RunWriter:
+    """A run's output directory. Its layout and ``config.resolved.json`` are
+    written with the first output, so a run that fails before it writes
+    nothing."""
+
     def __init__(self, out_dir: str, resolved: dict):
         self.root = Path(out_dir)
         self.resolved = resolved
+        self._started = False
+
+    def _start(self):
+        if self._started:
+            return
         (self.root / "explanations").mkdir(parents=True, exist_ok=True)
         (self.root / "metrics").mkdir(parents=True, exist_ok=True)
         with open(self.root / "config.resolved.json", "w") as fh:
-            json.dump(resolved, fh, indent=2, sort_keys=True)
+            json.dump(self.resolved, fh, indent=2, sort_keys=True)
+        self._started = True
 
     def write_explanation(self, name: str, payload: dict) -> Path:
+        self._start()
         path = self.root / "explanations" / f"{name}.json"
         with open(path, "w") as fh:
             json.dump(payload | {"config": self.resolved}, fh, indent=2, sort_keys=True)
         return path
 
     def write_csv(self, name: str, header: list[str], rows: list[list]) -> Path:
+        self._start()
         path = self.root / "metrics" / f"{name}.csv"
         with open(path, "w", newline="") as fh:
             fh.write("# config: " + json.dumps(self.resolved, sort_keys=True) + "\n")
@@ -383,13 +396,19 @@ def _attribution(wiring: Wiring, strategy: str, budget: int | None,
                    explanation_size=explanation_size)
 
 
-def _score(metric, row_id: int, strategy: str, budget: int | None, *args) -> float:
-    """metric(*args); an undefined one is refused naming the instance row and route."""
+def _score(metric, row_id: int, strategy: str, budget: int | None, *args,
+           labels: tuple[str, ...] = ()) -> float:
+    """metric(*args); an undefined one is refused naming the instance row and
+    route, and a constant argument by its plural label when ``labels`` are
+    given."""
     try:
         return metric(*args)
     except UndefinedMetricError as exc:
         route = strategy if budget is None else f"{strategy} at budget {budget}"
-        raise UndefinedMetricError(f"instance row {row_id}, {route}: {exc}") from None
+        reason = str(exc)
+        if labels and exc.constant is not None:
+            reason = f"{reason.partition(': ')[0]}: {labels[exc.constant]} are constant"
+        raise UndefinedMetricError(f"instance row {row_id}, {route}: {reason}") from None
 
 
 def _pool_map(workers: int, fn, items):
@@ -546,7 +565,8 @@ def cmd_compare_exact(args) -> int:
     for (row_id, _), (reference, *phis) in zip(wiring.instances, results):
         for (strategy, budget), p in zip(routes[1:], phis):
             for metric, fn in (("kendall_tau", metrics.kendall_tau), ("r2", metrics.r2_score)):
-                value = _score(fn, row_id, strategy, budget, reference, p)
+                value = _score(fn, row_id, strategy, budget, reference, p,
+                               labels=("the exact values", f"the {strategy} values"))
                 rows.append([row_id, budget, strategy, metric, repr(value)])
                 scores.setdefault((strategy, budget, metric), []).append(value)
     for (strategy, budget, metric), values in scores.items():

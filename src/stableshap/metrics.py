@@ -32,13 +32,17 @@ def kendall_tau(a, b) -> float:
 
     Pair-counting form: ties on either side drop out of the numerator and
     shrink the corresponding normalizer. Identical rankings give exactly 1.0.
+    Undefined when ``a`` or ``b`` is constant; the error names the first
+    that is.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1 or len(a) < 2:
         raise ValueError("need two equal-length vectors of length >= 2")
-    if np.all(a == a[0]) or np.all(b == b[0]):
-        raise UndefinedMetricError("rank correlation undefined for a constant vector")
+    for position, (name, v) in enumerate((("a", a), ("b", b))):
+        if np.all(v == v[0]):
+            raise UndefinedMetricError(f"rank correlation undefined: {name} is constant",
+                                       constant=position)
     iu = np.triu_indices(len(a), k=1)
     sign_a = np.sign(a[:, None] - a[None, :])[iu]
     sign_b = np.sign(b[:, None] - b[None, :])[iu]

@@ -18,8 +18,11 @@ last bits, as a BLAS product's does; the same module says how far payoffs
 then differ between routes.
 
 :class:`KNNClassifierModel` finds neighbours from fast matrix-product
-distances and rechecks rows near a distance tie with the exact formula, so its
-probabilities are bit-identical to an exact-distance, stable-sort k-NN.
+distances, in float32 where a probe of its training rows shows that this
+decides most rows. A row whose k-th and (k+1)-th nearest are too close for
+that pass's error bound goes on to a float64 pass, and one too close for
+that to the exact formula, so its probabilities are bit-identical to an
+exact-distance, stable-sort k-NN.
 """
 
 from __future__ import annotations
@@ -39,6 +42,9 @@ from .games import SyntheticGame
 # Rows per k-NN block: bounds the (chunk, n_train) distance matrix, and the
 # (unsure rows, n_train, M) broadcast of the exact recheck within a block.
 _PREDICT_CHUNK = 1024
+# Training rows, at most, that decide at construction whether a k-NN model
+# starts with the float32 pass
+_PROBE_ROWS = 256
 
 # diagonal penalty of RidgeRegressionModel.fit; the intercept goes unpenalized
 RIDGE_PENALTY = 1e-6
@@ -86,6 +92,53 @@ def _stable_nearest(rows: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(d2, axis=1, kind="stable")[:, :k]
 
 
+class _DistancePass:
+    """The k-NN distance pass at one precision (float32 or float64); see
+    :class:`KNNClassifierModel` for the pass and its error bound."""
+
+    def __init__(self, mean: np.ndarray, centred: np.ndarray, dtype):
+        self.mean, self.dtype = mean, dtype
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            b = centred.astype(dtype)
+            q = np.einsum("ij,ij->i", b, b)
+            self.folded = np.vstack([-2 * b.T, q])  # scaling by -2 is exact
+        self.max_q = q.max()
+        m, info = centred.shape[1], np.finfo(dtype)
+        u = info.eps / 2
+        self.err_scale = dtype(2 * 7 * (m + 6) * u / (1 - (m + 6) * u))
+        self.err_floor = dtype(2 * 4 * m * info.smallest_subnormal)
+
+    def distances(self, rows: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+        """(g, err): g[i, j] is row i's fast distance to training row j less a
+        shift shared by all of row i's, and err[i] bounds their error."""
+        a = np.empty((len(rows), len(self.folded)), self.dtype)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            np.subtract(rows, self.mean, out=a[:, :-1], casting="same_kind")
+            a[:, -1] = 1.0
+            row_sq = np.einsum("ij,ij->i", a[:, :-1], a[:, :-1])
+            return (np.matmul(a, self.folded, out=out),
+                    self.err_scale * (row_sq + self.max_q) + self.err_floor)
+
+    def near(self, rows: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(0/1 mask of each row's k nearest, in this pass's dtype; the rows
+        this pass cannot decide, whose mask rows are meaningless)."""
+        # the distances and their sorted copy share one allocation: two
+        # block-sized buffers freed together can pass glibc's trim threshold
+        # and go back to the system, and the next block then pays page faults
+        # worth about half a sort
+        g, ordered = np.empty((2, len(rows), self.folded.shape[1]), self.dtype)
+        g, err = self.distances(rows, out=g)
+        ordered[...] = g
+        ordered.sort(axis=1)  # -inf sorts first, +inf and NaN last
+        kth, next_ = ordered[:, k - 1].copy(), ordered[:, k]
+        with np.errstate(over="ignore", invalid="ignore"):
+            unsure = ~((next_ - kth > 2 * err) & np.isfinite(ordered[:, 0])
+                       & np.isfinite(ordered[:, -1]))
+        # on a sure row next_ > kth, so exactly the k nearest are <= kth; the
+        # 0/1 mask goes into the sort's buffer
+        return np.less_equal(g, kth[:, None], out=ordered, casting="unsafe"), unsure
+
+
 class KNNClassifierModel:
     """k-nearest-neighbor classifier; probabilities are vote fractions.
 
@@ -93,15 +146,21 @@ class KNNClassifierModel:
     squared distance ``((row - t) ** 2).sum()``, distance ties broken by
     training-row order (stable sort), which keeps predictions deterministic.
 
-    For speed, distances are first computed as ``|row|^2 - 2 row.t + |t|^2``,
-    one matrix product per block of rows. One row-wise sort gives each row's
-    k-th and (k+1)-th smallest fast distance, and the k nearest are the
-    training rows at or below the k-th: the vote fractions depend only on that
-    set, not on its order, and are counted with one product of the 0/1 vote
-    mask against the one-hot labels.
-    Rows whose k-th and (k+1)-th fast distances are too close for that rounding
-    to separate are rechecked with the exact distance and the stable sort, so
-    the probabilities are bit-identical to the exact formula's.
+    For speed, a block of rows first goes through a fast pass. Rows and
+    training rows are centred on the training mean, which changes no
+    distance, and one matrix product per block gives each row's distances
+    less a shift that all of them share, ``|t|^2 - 2 row.t``. One row-wise
+    sort gives each row's k-th and (k+1)-th smallest, and the k nearest are
+    the training rows at or below the k-th: the vote fractions depend only on
+    that set, not on its order, and are counted with one product of the 0/1
+    vote mask against the one-hot labels.
+    The pass runs in float32 first where, on a probe of training rows at
+    construction, it decides at least half of them; otherwise in float64
+    only. A pass cannot decide a row whose k-th and (k+1)-th fast distances
+    are too close for its rounding to separate, or that has a non-finite
+    one: after the float32 pass such a row goes on to the float64 pass, and
+    after that it is rechecked with the exact distance and the stable sort.
+    So the probabilities are bit-identical to the exact formula's.
     """
 
     def __init__(self, X, y, k: int = 5):
@@ -127,39 +186,61 @@ class KNNClassifierModel:
         self.k = k
         self.n_features = self.X.shape[1]
         self._class_pos = {int(c): i for i, c in enumerate(self.classes)}
-        self._neg2_xt = -2.0 * self.X.T  # scaling by -2 is exact
-        self._sq_norms = np.einsum("ij,ij->i", self.X, self.X)
-        self._max_sq_norm = self._sq_norms.max()
-        # How far a fast distance F may be from the exact one D, for a row r
-        # with M features; u is the unit roundoff, gamma_n = nu / (1 - nu).
-        # A sum or dot product of n terms, in any order (BLAS included), is
-        # within gamma_n of the sum of the terms' magnitudes, and each further
-        # rounding adds one to n (Higham, Accuracy and Stability of Numerical
-        # Algorithms, ch. 3). Let S = |r|^2 + |t|^2; then |r - t|^2 <= 2S and
-        # sum_m |r_m t_m| <= S/2.
-        # - D = sum_m (r_m - t_m)^2: M nonnegative terms, each with three
-        #   rounding factors before the sum (the difference enters squared),
-        #   so D is within gamma_{M+2} |r - t|^2 <= 2 gamma_{M+2} S of the
-        #   true distance.
-        # - F = (|r|^2 - 2 r.t) + |t|^2: the two norms and the dot product are
-        #   within gamma_M |r|^2, gamma_M |t|^2 and 2 gamma_M S/2 of theirs
-        #   (the dot product is taken with -2 t, and doubling is exact), and
-        #   the two final roundings, of values below 2(1 + gamma_M)(1 + u) S,
-        #   add at most 4u(1 + u)(1 + gamma_M) S <= gamma_{M+5} S: F is
-        #   within 3 gamma_{M+5} S.
-        # - An underflowing product also errs by up to eta/2, eta the
-        #   subnormal spacing; counting the products with -2 t twice, the two
-        #   formulas hold 5M products, under 3M eta in all.
-        # So |F - D| <= E0 = 5 gamma_{M+5} (|r|^2 + max_t |t|^2) + 3M eta, and
-        # the code uses E = 2 E0: the factor 2 is a safety margin that also
-        # covers the rounding of E itself and the computed norms in place of
-        # the true ones. If the fast gap between the k-th and (k+1)-th nearest
-        # exceeds 2E, every fast member's D <= F_k + E < F_{k+1} - E <= every
-        # non-member's D: the exact k nearest are the same set, with no tie
-        # across the boundary for the stable sort to break.
-        m, u = self.n_features, np.finfo(float).eps / 2
-        self._err_scale = 2 * 5 * (m + 5) * u / (1 - (m + 5) * u)
-        self._err_floor = 2 * 3 * m * np.finfo(float).smallest_subnormal
+        # How far a pass's fast distance may be from the exact one D, for a
+        # row r with M features. The pass works at a precision of unit
+        # roundoff u and subnormal spacing eta; each rounding, in float64 or
+        # in the pass's own precision, is counted at u, float64's being no
+        # larger. gamma_n = nu / (1 - nu). A sum or dot product of n terms, in
+        # any order (BLAS included), is within gamma_n of the sum of the
+        # terms' magnitudes, and each further rounding adds one to n (Higham,
+        # Accuracy and Stability of Numerical Algorithms, ch. 3).
+        # The pass centres on the training mean c: r becomes a, the
+        # difference r - c rounded in float64 and then to the pass's
+        # precision, and a training row t becomes b likewise; q is |b|^2 at
+        # that precision. One product of [a, 1] with [-2 b; q] gives
+        # G = q - 2 a.b, which is |a - b|^2 less the shift |a|^2 shared by
+        # all of the row's distances, so the k nearest and their gap are G's.
+        # Let S = |r - c|^2 + |t - c|^2; then |r - t|^2 <= 2S.
+        # - Centring: each centred value is within theta = (1 + u)^2 - 1 of
+        #   its own magnitude, so a - b is within theta (|r - c| + |t - c|)
+        #   of r - t and |a - b|^2 within 2 theta (2 + theta) S <= 2 gamma_4 S
+        #   of |r - t|^2.
+        # - G: the dot product of M + 1 terms is within
+        #   gamma_{M+1} (|a|^2 + |b|^2 + q) of q - 2 a.b (sum_m |a_m b_m| <=
+        #   (|a|^2 + |b|^2)/2, doubling is exact), and q is within
+        #   gamma_M |b|^2 of |b|^2; as (M + 1)^2 u < 1, G + |a|^2 is within
+        #   3 gamma_{M+2} (|a|^2 + |b|^2) <= 3 gamma_{M+6} S of |a - b|^2.
+        # - D = sum_m (r_m - t_m)^2, computed in float64 from the uncentred
+        #   values: M nonnegative terms, each with three rounding factors
+        #   before the sum (the difference enters squared), so D is within
+        #   gamma_{M+2} |r - t|^2 <= 2 gamma_{M+2} S of the true distance.
+        #   That error is relative to the true distance, which the centring
+        #   does not change.
+        # - Underflow: a product or a cast to the pass's precision that
+        #   underflows errs by up to eta/2 instead. The 2M centred values
+        #   move |a - b|^2 by at most eta (M + 2S)(1 + theta) + M eta^2,
+        #   under 2M eta beyond the centring term once its 2 gamma_4 S becomes
+        #   2 gamma_5 S; G, q and D hold M products each, under 3M eta/2.
+        # So |G + |a|^2 - D| <= E0 = 7 gamma_{M+6} (|a|^2 + max_t q) + 4M eta,
+        # and each pass uses E = 2 E0: the factor 2 is a safety margin that
+        # also covers the rounding of E itself and the computed |a|^2 and q
+        # in place of the true S. If the fast gap between the k-th and
+        # (k+1)-th nearest exceeds 2E, every fast member's D <= G_k + |a|^2
+        # + E < G_{k+1} + |a|^2 - E <= every non-member's D: the exact k
+        # nearest are the same set, with no tie across the boundary for the
+        # stable sort to break. The bound assumes no overflow: a row with a
+        # non-finite fast distance is not decided by its pass. In float32
+        # that happens with finite bounds, as when |t|^2 overflows for a
+        # training row at 1e20.
+        mean = self.X.mean(axis=0)
+        centred = self.X - mean
+        self._passes = (_DistancePass(mean, centred, np.float64),)
+        if k < len(self.X) and k <= 2**24:  # float32 counts k votes exactly
+            fast = _DistancePass(mean, centred, np.float32)
+            probe = self.X[::-(-len(self.X) // _PROBE_ROWS)]
+            if 2 * np.count_nonzero(fast.near(probe, k)[1]) <= len(probe):
+                self._passes = (fast, *self._passes)
+        self._votes = self._onehot.astype(self._passes[0].dtype)
 
     def predict_proba(self, rows) -> np.ndarray:
         rows = _as_matrix(rows, self.n_features)
@@ -169,22 +250,17 @@ class KNNClassifierModel:
         out = np.empty((len(rows), len(self.classes)))
         for start in range(0, len(rows), _PREDICT_CHUNK):
             block = rows[start:start + _PREDICT_CHUNK]
-            row_sq = np.einsum("ij,ij->i", block, block)
-            d2 = block @ self._neg2_xt
-            d2 += row_sq[:, None]
-            d2 += self._sq_norms
-            ordered = np.sort(d2, axis=1)  # NaN sorts last
-            kth, next_ = ordered[:, k - 1].copy(), ordered[:, k]
-            err = self._err_scale * (row_sq + self._max_sq_norm) + self._err_floor
-            unsure = ~(next_ - kth > 2 * err)  # NaN and inf distances are unsure too
-            # on a sure row next_ > kth, so exactly the k nearest are <= kth;
-            # the 0/1 vote mask goes into the sort's buffer
-            near = np.less_equal(d2, kth[:, None], out=ordered, casting="unsafe")
+            near, unsure = self._passes[0].near(block, k)
+            for later in self._passes[1:]:
+                if unsure.any():
+                    redo = np.flatnonzero(unsure)
+                    near[redo], unsure[redo] = later.near(block[redo], k)
             if unsure.any():
                 redo = np.flatnonzero(unsure)
                 near[redo] = 0.0
                 near[redo[:, None], _stable_nearest(block[redo], self.X, k)] = 1.0
-            out[start:start + len(block)] = (near @ self._onehot) / k
+            # the counts are exact integers in either dtype; divide in float64
+            np.divide(near @ self._votes, k, out=out[start:start + len(block)], dtype=float)
         return out
 
     def predicted_class(self, row) -> int:

@@ -11,6 +11,9 @@ import csv
 import importlib
 import importlib.util
 import json
+import re
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +140,34 @@ def test_grid_script_refuses_a_file_that_names_no_grid(tmp_path, monkeypatch, ca
         assert exit_.value.code == 2
         assert "fit, knn, walk" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs the git checkout")
+def test_ab_script_pairs_one_cell_against_head(tmp_path, monkeypatch, capsys):
+    """scripts/ab.py against HEAD on the knn grid's first cell, each worker's
+    clock advancing 1/1024 s a reading: a header naming both sides and the
+    kernel type, then one line per timed stage with the paired figures."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    ab, grid = importlib.import_module("ab"), importlib.import_module("grid")
+    monkeypatch.setattr(grid, "CELL_S", 0.01)  # 11 pairs of 2/1024 s reach 2 * 0.01 s
+    stub = tmp_path / "stub_clock.py"
+    stub.write_text(textwrap.dedent("""
+        import itertools, runpy, sys, time
+        ticks = itertools.count()
+        time.process_time = lambda: next(ticks) / 1024
+        sys.argv = sys.argv[1:]
+        runpy.run_path(sys.argv[0], run_name="__main__")
+    """))
+    command = ab.worker_command
+    monkeypatch.setattr(ab, "worker_command",
+                        lambda *args: [sys.executable, str(stub), *command(*args)[1:]])
+    assert ab.main(["HEAD", "knn", "--cells", "1"]) == 0
+    header, *cells = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"# A = HEAD \([0-9a-f]+\), B = working tree \(\S+\); "
+                        r"OPENBLAS_CORETYPE=Haswell, one BLAS thread; "
+                        r"ratio = median of B/A CPU time over pairs", header)
+    assert cells == ["n_train=40  m=8  k=1  rows_per_call=1270  stage=-  ratio=1.000  "
+                     "faster=0/11  rev_ms=0.9766  new_ms=0.9766"]
 
 
 @pytest.mark.parametrize("name", ["fit", "knn", "walk", "explain"])

@@ -1,5 +1,7 @@
 """k-NN probabilities against the exact-distance oracle, ties included."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,12 +25,14 @@ def knn_cases(draw):
     grid = draw(st.booleans())  # integer features: many exactly equal distances
     copies = draw(st.integers(1, 3))  # duplicated training rows, labels drawn apart
     offset = draw(st.sampled_from([0.0, 1e6, 1e7, 1e8]))
+    # 1e-30: squared differences underflow float32; 1e19: they overflow it
+    scale = draw(st.sampled_from([1.0, 1.0, 1e-30, 1e19]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def features(n):
         if grid:
-            return rng.integers(-2, 3, size=(n, m)).astype(float)
-        return rng.normal(size=(n, m))
+            return scale * rng.integers(-2, 3, size=(n, m))
+        return scale * rng.normal(size=(n, m))
 
     base = features(draw(st.integers(1, 40)))
     X = np.repeat(base, copies, axis=0)[rng.permutation(len(base) * copies)]
@@ -40,8 +44,10 @@ def knn_cases(draw):
     i, j = rng.integers(0, len(X), size=(2, 8))
     queries = np.vstack([features(16), X, (X[i] + X[j]) / 2])  # midpoints tie
     # entries that make a row's fast distances NaN or infinite (1e200 squared
-    # overflows): at every k such a row must go to the exact recheck
-    for value in draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf, 1e200]),
+    # overflows): at every k such a row must go to the exact recheck; 1e39 is
+    # finite in float64 and infinite in float32, so such a row must go on to
+    # the float64 pass
+    for value in draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf, 1e200, 1e39]),
                                max_size=4)):
         queries[rng.integers(len(queries)), rng.integers(m)] = value
     if draw(st.booleans()):  # push the ties into a second block
@@ -117,3 +123,88 @@ def _features_with(row, column, value):
 def test_malformed_training_set_refused(X, y, message):
     with pytest.raises(ValueError, match=message):
         KNNClassifierModel(X, y, k=3)
+
+
+def _bound_case(name):
+    """(training rows, query rows) of one adversarial scale."""
+    rng = np.random.default_rng(list(name.encode()))
+    X, rows = rng.normal(size=(120, 13)), rng.normal(size=(300, 13))
+    if name == "offset":
+        X, rows = X + 1e8, rows + 1e8
+    elif name in ("scale 1e-30", "scale 1e-20"):
+        scale = float(name.split()[1])
+        X, rows = scale * X, scale * rows
+    elif name == "column x1e3":
+        X[:, 0] *= 1e3
+        rows[:, 0] *= 1e3
+    elif name == "near 1e19":
+        # |t|^2 and 2 r.t stay below float32's 3.4e38: the bound covers only
+        # finite fast distances
+        X, rows = 6e18 * rng.uniform(-1, 1, (120, 3)), 6e18 * rng.uniform(-1, 1, (300, 3))
+    rows = np.vstack([rows, X[:20]])  # distance 0 to a training row
+    return X, rows
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", ["normal", "offset", "scale 1e-30", "scale 1e-20",
+                                  "column x1e3", "near 1e19"])
+def test_fast_distances_stay_within_half_the_stated_bound(name, dtype):
+    # the pass's err is E = 2 E0, with E0 the derived bound on
+    # |G + |a|^2 - D|: G the fast distance, |a|^2 the row's shift (its
+    # centred values at the pass's precision) and D the exact formula
+    X, rows = _bound_case(name)
+    mean = X.mean(axis=0)
+    fast = models._DistancePass(mean, X - mean, dtype)
+    g, err = fast.distances(rows)
+    a = (rows - mean).astype(dtype).astype(np.longdouble)
+    shift = (a * a).sum(axis=1)
+    exact = ((rows[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+    assert np.isfinite(g).all() and np.isfinite(err).all()
+    gap = np.abs(g.astype(np.longdouble) + shift[:, None] - exact)
+    assert (gap <= err[:, None].astype(np.longdouble) / 2).all()
+
+
+def test_rows_past_float32_range_go_on_to_float64(monkeypatch):
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(120, 13))
+    model = KNNClassifierModel(X, rng.integers(0, 3, size=120), k=5)
+    fast, slow = model._passes
+    assert (fast.dtype, slow.dtype) == (np.float32, np.float64)
+    seen = []
+    near = slow.near
+    monkeypatch.setattr(slow, "near", lambda rows, k: seen.append(rows.copy()) or near(rows, k))
+    queries = rng.normal(size=(40, 13))
+    queries[[3, 17], [0, 5]] = [1e39, -1e39]  # finite in float64 only
+    assert np.array_equal(model.predict_proba(queries), knn_proba_oracle(model, queries))
+    assert len(seen) == 1
+    handed_down = {tuple(row) for row in seen[0]}
+    assert tuple(queries[3]) in handed_down and tuple(queries[17]) in handed_down
+
+
+def test_float32_pass_is_kept_only_where_it_decides():
+    rng = np.random.default_rng(9)
+    kept = KNNClassifierModel(rng.normal(size=(120, 13)), rng.integers(0, 3, size=120))
+    assert [p.dtype for p in kept._passes] == [np.float32, np.float64]
+    X = rng.normal(size=(1000, 13))
+    X[:, 0] *= 1e3  # unstandardised: float32 cannot separate most neighbours
+    dropped = KNNClassifierModel(X, rng.integers(0, 3, size=1000))
+    assert [p.dtype for p in dropped._passes] == [np.float64]
+
+
+@pytest.mark.parametrize("case", ["norms overflow", "gap overflows"])
+def test_values_past_float32_range_raise_no_warning(case):
+    rng = np.random.default_rng(10)
+    if case == "norms overflow":
+        X = rng.normal(size=(60, 4))
+        X[[2, 9], [1, 3]] = [1e39, -1e20]  # |t|^2 overflows float32 for both
+        queries = np.vstack([rng.normal(size=(30, 4)), X[:5]])
+        queries[[0, 31], [2, 0]] = [1e39, -1e39]
+    else:  # finite float32 distances -1e38 and 3e38, whose gap overflows
+        X = np.array([[1e19, 0.0], [-1e19, 0.0]])
+        queries = X.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = KNNClassifierModel(X, np.arange(len(X)) % 2, k=1)
+        got = model.predict_proba(queries)
+        want = knn_proba_oracle(model, queries)
+    assert np.array_equal(got, want)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stableshap import GameModel, SyntheticGame, jaccard_n, kendall_tau
+from stableshap.errors import UndefinedMetricError
 from stableshap.explainer import Explanation, fit
 from stableshap.metrics import adherence, r2_score
 from stableshap.sampling import WeightedCoalitionSet, materialize, plan_st_shap
@@ -59,6 +60,17 @@ class TestKendallTau:
     def test_constant_vector_rejected(self):
         with pytest.raises(ValueError):
             kendall_tau([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("a, b, reason, constant", [
+        ([1.0, 1.0, 1.0], [1.0, 2.0, 3.0], "a is constant", 0),
+        ([1.0, 2.0, 3.0], [2.0, 2.0, 2.0], "b is constant", 1),
+        ([0.0, 0.0], [5.0, 5.0], "a is constant", 0),  # the first is named
+    ])
+    def test_constant_vector_is_named(self, a, b, reason, constant):
+        with pytest.raises(UndefinedMetricError) as err:
+            kendall_tau(a, b)
+        assert str(err.value) == f"rank correlation undefined: {reason}"
+        assert err.value.constant == constant
 
     def test_symmetric(self):
         a = [0.1, 0.7, -0.3, 0.2]
