@@ -17,7 +17,7 @@ until the two sides together have 2 * CELL_S of CPU time or MAX_REPS pairs
 For each cell and timed stage it prints the cell's fields, the median over
 pairs of B's time over A's (`ratio`: below 1 the working tree is faster), the
 pairs in which B was faster, and both medians in ms. The workers get one BLAS
-thread and the OpenBLAS kernel type of --coretype, which the header records:
+thread and the OpenBLAS kernel type CORETYPE, which the header records:
 outputs and speed differ between kernel types. It writes no BENCH_*.json.
 """
 
@@ -37,6 +37,8 @@ SCRIPTS = Path(__file__).resolve().parent
 ROOT = SCRIPTS.parent
 # cell fields that are timings rather than what the cell measures
 TIMED = re.compile(r"(^|_)(ms|reps)(_|$)|per_cpu_s$")
+# OpenBLAS kernel type of both workers
+CORETYPE = "Haswell"
 
 
 def serve(src: str, grid_name: str, cells: int) -> int:
@@ -143,22 +145,20 @@ def main(argv=None) -> int:
     p.add_argument("grid", choices=list(grid.GRIDS))
     p.add_argument("--cells", type=int, default=0,
                    help="run only the grid's first CELLS cells (default: all)")
-    p.add_argument("--coretype", default="Haswell",
-                   help="OPENBLAS_CORETYPE of both workers (default: %(default)s)")
     args = p.parse_args(argv)
     try:
         sha = git("rev-parse", "--short", "--verify", f"{args.rev}^{{commit}}")
     except subprocess.CalledProcessError:
         p.error(f"{args.rev!r} names no commit of this repository")
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
-    env.update(OPENBLAS_CORETYPE=args.coretype, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env.update(OPENBLAS_CORETYPE=CORETYPE, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         archive = subprocess.run(["git", "archive", "--format=tar", args.rev, "src"],
                                  cwd=ROOT, capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         print(f"# A = {args.rev} ({sha}), "
               f"B = working tree ({git('describe', '--always', '--dirty')}); "
-              f"OPENBLAS_CORETYPE={args.coretype}, one BLAS thread; "
+              f"OPENBLAS_CORETYPE={CORETYPE}, one BLAS thread; "
               f"ratio = median of B/A CPU time over pairs", flush=True)
         a = Worker("A", Path(tmp) / "src", args.grid, args.cells, env)
         b = Worker("B", ROOT / "src", args.grid, args.cells, env)

@@ -22,6 +22,7 @@ import types
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -396,19 +397,13 @@ def _attribution(wiring: Wiring, strategy: str, budget: int | None,
                    explanation_size=explanation_size)
 
 
-def _score(metric, row_id: int, strategy: str, budget: int | None, *args,
-           labels: tuple[str, ...] = ()) -> float:
-    """metric(*args); an undefined one is refused naming the instance row and
-    route, and a constant argument by its plural label when ``labels`` are
-    given."""
+def _score(metric, row_id: int, strategy: str, budget: int | None, *args) -> float:
+    """metric(*args); an undefined one is refused naming the instance row and route."""
     try:
         return metric(*args)
     except UndefinedMetricError as exc:
         route = strategy if budget is None else f"{strategy} at budget {budget}"
-        reason = str(exc)
-        if labels and exc.constant is not None:
-            reason = f"{reason.partition(': ')[0]}: {labels[exc.constant]} are constant"
-        raise UndefinedMetricError(f"instance row {row_id}, {route}: {reason}") from None
+        raise UndefinedMetricError(f"instance row {row_id}, {route}: {exc}") from None
 
 
 def _pool_map(workers: int, fn, items):
@@ -564,9 +559,10 @@ def cmd_compare_exact(args) -> int:
     scores: dict[tuple, list[float]] = {}  # (strategy, budget, metric) -> per instance
     for (row_id, _), (reference, *phis) in zip(wiring.instances, results):
         for (strategy, budget), p in zip(routes[1:], phis):
-            for metric, fn in (("kendall_tau", metrics.kendall_tau), ("r2", metrics.r2_score)):
-                value = _score(fn, row_id, strategy, budget, reference, p,
-                               labels=("the exact values", f"the {strategy} values"))
+            tau = partial(metrics.kendall_tau,
+                          names=("the exact attribution", f"the {strategy} attribution"))
+            for metric, fn in (("kendall_tau", tau), ("r2", metrics.r2_score)):
+                value = _score(fn, row_id, strategy, budget, reference, p)
                 rows.append([row_id, budget, strategy, metric, repr(value)])
                 scores.setdefault((strategy, budget, metric), []).append(value)
     for (strategy, budget, metric), values in scores.items():

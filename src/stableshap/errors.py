@@ -36,14 +36,7 @@ class RankDeficiencyError(StableShapError):
 
 
 class UndefinedMetricError(StableShapError, ValueError):
-    """A metric is undefined for its scores, as a constant vector's rank
-    correlation is. The message reads ``<metric> undefined: <reason>``; when
-    the reason is a constant argument, ``constant`` is its position, so that a
-    caller can name it in its own terms."""
-
-    def __init__(self, message: str, constant: int | None = None):
-        super().__init__(message)
-        self.constant = constant
+    """A metric is undefined for its scores, as a constant vector's rank correlation is."""
 
 
 class GameTableError(StableShapError):

@@ -27,22 +27,21 @@ def jaccard_n(sets) -> float:
     return len(intersection) / len(union)
 
 
-def kendall_tau(a, b) -> float:
+def kendall_tau(a, b, *, names: tuple[str, str] = ("a", "b")) -> float:
     """Tie-corrected (tau-b) rank correlation between two score vectors.
 
     Pair-counting form: ties on either side drop out of the numerator and
     shrink the corresponding normalizer. Identical rankings give exactly 1.0.
     Undefined when ``a`` or ``b`` is constant; the error names the first
-    that is.
+    that is by its entry in ``names``.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1 or len(a) < 2:
         raise ValueError("need two equal-length vectors of length >= 2")
-    for position, (name, v) in enumerate((("a", a), ("b", b))):
+    for name, v in zip(names, (a, b)):
         if np.all(v == v[0]):
-            raise UndefinedMetricError(f"rank correlation undefined: {name} is constant",
-                                       constant=position)
+            raise UndefinedMetricError(f"rank correlation undefined: {name} is constant")
     iu = np.triu_indices(len(a), k=1)
     sign_a = np.sign(a[:, None] - a[None, :])[iu]
     sign_b = np.sign(b[:, None] - b[None, :])[iu]

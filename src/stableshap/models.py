@@ -155,8 +155,8 @@ class KNNClassifierModel:
     that set, not on its order, and are counted with one product of the 0/1
     vote mask against the one-hot labels.
     The pass runs in float32 first where, on a probe of training rows at
-    construction, it decides at least half of them; otherwise in float64
-    only. A pass cannot decide a row whose k-th and (k+1)-th fast distances
+    construction, it decides at least half of them (with each row's own
+    zero distance left out of its k nearest); otherwise in float64 only. A pass cannot decide a row whose k-th and (k+1)-th fast distances
     are too close for its rounding to separate, or that has a non-finite
     one: after the float32 pass such a row goes on to the float64 pass, and
     after that it is rechecked with the exact distance and the stable sort.
@@ -238,7 +238,11 @@ class KNNClassifierModel:
         if k < len(self.X) and k <= 2**24:  # float32 counts k votes exactly
             fast = _DistancePass(mean, centred, np.float32)
             probe = self.X[::-(-len(self.X) // _PROBE_ROWS)]
-            if 2 * np.count_nonzero(fast.near(probe, k)[1]) <= len(probe):
+            # a training row is its own nearest, at distance 0, which a query
+            # is not: the probe asks for one more, so that it measures the gap
+            # after the k-th other row
+            probe_k = min(k + 1, len(self.X) - 1)
+            if 2 * np.count_nonzero(fast.near(probe, probe_k)[1]) <= len(probe):
                 self._passes = (fast, *self._passes)
         self._votes = self._onehot.astype(self._passes[0].dtype)
 

@@ -741,7 +741,7 @@ class TestUndefinedMetric:
     # so budget 8's payoffs have no variance for r2
     @pytest.mark.parametrize("command, by_size, args, message", [
         ("compare-exact", [0, 1, 3, 6, 10], [],
-         "instance row 0, layer1: rank correlation undefined: the exact values are constant"),
+         "instance row 0, layer1: rank correlation undefined: the exact attribution is constant"),
         ("adherence", [0, 1, 1, 1, 2], ["--budgets", "8", "--explanation-size", "2"],
          "instance row 0, kernel-shap at budget 8: r2 undefined: "
          "the reference has zero variance"),

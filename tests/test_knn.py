@@ -181,14 +181,24 @@ def test_rows_past_float32_range_go_on_to_float64(monkeypatch):
     assert tuple(queries[3]) in handed_down and tuple(queries[17]) in handed_down
 
 
-def test_float32_pass_is_kept_only_where_it_decides():
+@pytest.mark.parametrize("n_train, scale, k, kept", [
+    (120, 1.0, 5, True),
+    (1000, 1e3, 5, False),  # unstandardised: float32 cannot separate most neighbours
+    (120, 1e3, 1, True),  # a probe row's own zero distance would make it look unsure
+    (1000, 1e3, 1, False),
+])
+def test_float32_pass_is_kept_only_where_it_decides(n_train, scale, k, kept):
     rng = np.random.default_rng(9)
-    kept = KNNClassifierModel(rng.normal(size=(120, 13)), rng.integers(0, 3, size=120))
-    assert [p.dtype for p in kept._passes] == [np.float32, np.float64]
-    X = rng.normal(size=(1000, 13))
-    X[:, 0] *= 1e3  # unstandardised: float32 cannot separate most neighbours
-    dropped = KNNClassifierModel(X, rng.integers(0, 3, size=1000))
-    assert [p.dtype for p in dropped._passes] == [np.float64]
+    X = rng.normal(size=(n_train, 13))
+    X[:, 0] *= scale
+    model = KNNClassifierModel(X, rng.integers(0, 3, size=n_train), k=k)
+    assert [p.dtype for p in model._passes] == [np.float32, np.float64][not kept:]
+    # the probe's verdict is the one fresh queries from the same data would give
+    queries = rng.normal(size=(500, 13))
+    queries[:, 0] *= scale
+    mean = X.mean(axis=0)
+    fast = models._DistancePass(mean, X - mean, np.float32)
+    assert (2 * np.count_nonzero(fast.near(queries, k)[1]) <= len(queries)) == kept
 
 
 @pytest.mark.parametrize("case", ["norms overflow", "gap overflows"])
