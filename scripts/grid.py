@@ -7,7 +7,9 @@ The file name picks the grid:
 * fit: the sampler and the surrogate fit. M in {8, 13, 16, 20}, both
   strategies, and for each M a few budgets that end on a complete-layer
   boundary and a few that do not; M=13 b=4000 and M=16 b=10000 sit on either
-  side of the fit's switch to byte-pair histograms at 8192 sampled rows. Each
+  side of the fit's switch to byte-pair histograms at 8192 sampled rows, and
+  M=13 b=4000 and b=8000, and M=20 b=3000 and b=43398, on either side of
+  `pack`'s switch to its stream path at 6000 rows. Each
   cell times `sampling.materialize` of the seed-0 plan, takes the payoffs of
   the set it made from a random N(0, 1) table over all 2^M masks, and times
   `coalitions.pack` of its masks (the lookup a table game and the payoff memo
@@ -87,7 +89,8 @@ from stableshap.value_function import all_payoffs, evaluate_batch
 
 CELL_S, MIN_REPS, MAX_REPS = 0.3, 5, 400
 # budgets per M: complete-layer boundaries and ragged budgets between them
-FIT_BUDGETS = {8: (16, 40, 100, 184), 13: (26, 50, 182, 200, 500, 754, 1000, 4000),
+FIT_BUDGETS = {8: (16, 40, 100, 184),
+               13: (26, 50, 182, 200, 500, 754, 1000, 4000, 8000),
                16: (10000,), 20: (420, 3000, 43398, 120918, 200000)}
 KNN_N_TRAIN, KNN_FEATURES, KNN_KS = (40, 120, 1000), (8, 13, 20), (1, 5)
 # rows per call: one whole 1024-row block and a part of a second

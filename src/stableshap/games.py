@@ -160,7 +160,9 @@ class SyntheticGame:
             return self.by_size[masks.sum(axis=1)]
         ints = pack(masks)
         if self.keys is None:
-            return self.payoffs[ints]
+            # the gather indexing makes, with less overhead; a key past the
+            # table raises IndexError
+            return np.take(self.payoffs, ints)
         # a mask above every key lands past the end: clip it onto the last key
         at = np.minimum(np.searchsorted(self.keys, ints), len(self.keys) - 1)
         found = self.keys[at] == ints

@@ -161,6 +161,13 @@ class KNNClassifierModel:
     one: after the float32 pass such a row goes on to the float64 pass, and
     after that it is rechecked with the exact distance and the stable sort.
     So the probabilities are bit-identical to the exact formula's.
+
+    A query row holding NaN or +-inf has no nearest training rows: its
+    probabilities are NaN, at every k, so payoffs built from it fail as
+    non-finite instead of taking the votes of the first k training rows. Its
+    distances are non-finite, so, when k is below the number of training
+    rows, it always reaches the recheck, which marks it; finite rows take
+    the same passes as before.
     """
 
     def __init__(self, X, y, k: int = 5):
@@ -249,8 +256,10 @@ class KNNClassifierModel:
     def predict_proba(self, rows) -> np.ndarray:
         rows = _as_matrix(rows, self.n_features)
         k = self.k
-        if k == len(self.X):  # every row votes with all training labels
-            return np.tile(self._onehot.mean(axis=0), (len(rows), 1))
+        if k == len(self.X):  # every finite row votes with all training labels
+            out = np.tile(self._onehot.mean(axis=0), (len(rows), 1))
+            out[~np.isfinite(rows).all(axis=1)] = np.nan
+            return out
         out = np.empty((len(rows), len(self.classes)))
         for start in range(0, len(rows), _PREDICT_CHUNK):
             block = rows[start:start + _PREDICT_CHUNK]
@@ -263,6 +272,8 @@ class KNNClassifierModel:
                 redo = np.flatnonzero(unsure)
                 near[redo] = 0.0
                 near[redo[:, None], _stable_nearest(block[redo], self.X, k)] = 1.0
+                # a row holding NaN or +-inf has no nearest rows: NaN votes
+                near[redo[~np.isfinite(block[redo]).all(axis=1)]] = np.nan
             # the counts are exact integers in either dtype; divide in float64
             np.divide(near @ self._votes, k, out=out[start:start + len(block)], dtype=float)
         return out

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stableshap.coalitions import (
+    _STREAM_ROWS,
     complement_keys,
     complete_layer_budgets,
     kernel_weight,
@@ -32,21 +33,26 @@ m_and_layer = st.integers(2, 12).flatmap(
 
 
 def _layouts(masks):
-    """The same masks C-ordered, F-ordered, and as every other row of a
-    taller matrix."""
+    """The same masks C-ordered, F-ordered, as every other row of a taller
+    matrix, and as nonzero bytes, which pack casts to bool."""
     tall = np.zeros((2 * len(masks), masks.shape[1]), dtype=bool)
     tall[::2] = masks
     return {"C": np.ascontiguousarray(masks), "F": np.asfortranarray(masks),
-            "strided": tall[::2]}
+            "strided": tall[::2], "uint8": masks.astype(np.uint8) * 3}
+
+
+# row counts on both sides of pack's switch to its stream path; the last is
+# no whole number of the stream's phase periods (1, 2, 4 or 8 rows)
+_SWITCH_ROWS = (_STREAM_ROWS - 1, _STREAM_ROWS + 5)
 
 
 class TestPack:
-    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
-    @pytest.mark.parametrize("m", [2, 7, 8, 9, 16, 20, 63, 64, 65, 128, 130])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "uint8"])
+    @pytest.mark.parametrize("m", [2, 7, 8, 9, 13, 16, 20, 57, 58, 63, 64, 65, 128, 130])
     def test_keys_match_python_int_reference(self, m, layout):
         rng = np.random.default_rng(m)
         width = -(-m // 64) * 8
-        for n in (0, 1, 5, 1000):
+        for n in (0, 1, 5, 1000, *_SWITCH_ROWS):
             # dense, sparse, empty and full rows
             masks = rng.random((n, m)) < rng.choice([0.0, 0.1, 0.5, 1.0], size=(n, 1))
             keys = pack(_layouts(masks)[layout])
@@ -59,14 +65,16 @@ class TestPack:
                 else:
                     assert key.tobytes() == expected.to_bytes(width, "little")
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "uint8"])
     @pytest.mark.parametrize("m", range(2, 67))
-    def test_matches_64_column_reference(self, m):
-        # every key width, 1 to 8 bytes and then 16: masks are padded only to
-        # the narrowest, and the keys must not show it
+    def test_matches_64_column_reference(self, m, layout):
+        # every key width, 1 to 8 bytes and then 16, and both of pack's paths
+        # up to the stream's widest row of 57 features: masks are padded only
+        # to the narrowest width or not at all, and the keys must not show it
         rng = np.random.default_rng(1000 + m)
-        for n in (0, 1, 97):
+        for n in (0, 1, 97, *_SWITCH_ROWS):
             masks = rng.random((n, m)) < rng.choice([0.0, 0.1, 0.5, 1.0], size=(n, 1))
-            keys, want = pack(masks), pack_reference(masks)
+            keys, want = pack(_layouts(masks)[layout]), pack_reference(masks)
             assert keys.shape == (n,) and keys.dtype == want.dtype
             assert keys.tobytes() == want.tobytes()
 

@@ -7,16 +7,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stableshap import KNNClassifierModel, models
+from stableshap import (
+    ST_SHAP,
+    ClassProbabilityModel,
+    KNNClassifierModel,
+    NonFinitePayoffError,
+    explain,
+    models,
+)
 
 
 def knn_proba_oracle(model: KNNClassifierModel, rows) -> np.ndarray:
     """Vote fractions of the k nearest by ``((row - t) ** 2).sum()``, distance
-    ties broken by training-row order: the model's definition, unoptimized."""
+    ties broken by training-row order, and NaN for a row holding NaN or
+    +-inf: the model's definition, unoptimized."""
     rows = np.asarray(rows, dtype=float)
     d2 = ((rows[:, None, :] - model.X[None, :, :]) ** 2).sum(axis=2)
     votes = model.y[np.argsort(d2, axis=1, kind="stable")[:, :model.k]]
-    return np.stack([(votes == c).mean(axis=1) for c in model.classes], axis=1)
+    proba = np.stack([(votes == c).mean(axis=1) for c in model.classes], axis=1)
+    proba[~np.isfinite(rows).all(axis=1)] = np.nan
+    return proba
 
 
 @st.composite
@@ -63,7 +73,7 @@ class TestKNNAgainstOracle:
         model = KNNClassifierModel(X, y, k=k)
         with np.errstate(invalid="ignore", over="ignore"):
             got, want = model.predict_proba(queries), knn_proba_oracle(model, queries)
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, want, equal_nan=True)
 
     def test_deep_pivot_on_a_large_training_set(self):
         # hundreds of training rows and a boundary deep among them: the k-th
@@ -91,7 +101,33 @@ class TestKNNAgainstOracle:
                          [1e200, 0.0, 0.0], [0.1, 0.2, 0.3]])
         with np.errstate(invalid="ignore", over="ignore"):
             got, want = model.predict_proba(rows), knn_proba_oracle(model, rows)
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("k", [4, 9])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_gets_nan_and_leaves_the_block_alone(self, value, k):
+        rng = np.random.default_rng(4)
+        model = KNNClassifierModel(rng.normal(size=(9, 3)), rng.integers(0, 3, size=9), k=k)
+        rows = rng.normal(size=(6, 3))
+        before = model.predict_proba(rows)
+        rows[2, 1] = value
+        got = model.predict_proba(rows)
+        assert np.isnan(got[2]).all()
+        assert np.delete(got, 2, axis=0).tobytes() == np.delete(before, 2, axis=0).tobytes()
+
+
+@pytest.mark.parametrize("where", ["nan instance", "inf background cell"])
+def test_explain_of_a_non_finite_input_raises(where):
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(40, 5))
+    model = ClassProbabilityModel(KNNClassifierModel(X, rng.integers(0, 3, size=40), k=3), 0)
+    x, background = X[0].copy(), X[1:8].copy()
+    if where == "nan instance":
+        x[2] = np.nan
+    else:
+        background[3, 1] = np.inf
+    with pytest.raises(NonFinitePayoffError):
+        explain(x, model, background, ST_SHAP, 20, seed=0)
 
 
 def test_recheck_runs_only_on_near_ties(monkeypatch):
