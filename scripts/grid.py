@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
-"""Median CPU time of the pipeline's stages, cell by cell, appended to
-BENCH_<grid>.json.
+"""CPU time of the pipeline's stages, cell by cell, paired call by call
+between a git revision and the working tree, appended to BENCH_<grid>.json.
+
+    PYTHONPATH=src python scripts/grid.py REV BENCH_<grid>.json [--cells N]
 
 The file name picks the grid:
 
@@ -44,18 +46,27 @@ The file name picks the grid:
   from one more call on a counting adapter, model rows (a game: coalitions)
   per explanation.
 
-Each call is timed alone in process CPU time, after one untimed call, at
-least MIN_REPS times and then until CELL_S of CPU time or MAX_REPS calls;
-a cell reports the median in ms with its sample count. CPU time still moves
-with the host from one run to the next, so compare two checkouts by running
-them one after the other, alternately, several times into one file. Run with
-BLAS single-threaded, as the benchmark runs; the thread settings go into the
-entry's provenance.
+REV's `src/` is extracted with `git archive` into a temporary directory (a
+local operation: no network, nothing installed), so the script needs a git
+checkout. Two long-lived worker processes, A importing REV's stableshap and
+B the working tree's, run this file's cells in lockstep, with one BLAS
+thread and the OpenBLAS kernel type CORETYPE each: outputs and speed differ
+between kernel types. Wherever a cell times a call (`median_ms`), both
+workers make one untimed call, and then the timed calls alternate strictly
+A B A B ..., so no timed call follows its own worker's previous call. Each
+worker times its own call in process CPU time, at least MIN_REPS pairs and
+then until the two sides together have 2 * CELL_S of CPU time or MAX_REPS
+pairs.
 
-Each run appends one entry (the `git describe` of the checkout whose
-`stableshap` it imported, provenance, the cells) to the file:
-
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/grid.py BENCH_fit.json
+A cell keeps the grid's fields with B's figures (`fit_ms`, `fit_reps`,
+`ms_per_1000_rows`, ...) and adds, for each timed stage, REV's median in ms
+per call (`<stage>_rev_ms`), the ratio of B's median over REV's
+(`<stage>_ratio`: below 1 the working tree is faster) and the pairs in which
+B was faster (`<stage>_faster`); the knn grid's one stage adds `rev_ms`,
+`ratio` and `faster`. The script prints the cells and appends one entry (the
+working tree's `git describe`, REV's sha, provenance, the cells) to the
+file. With REV = HEAD on a clean tree both sides are the same code, and the
+ratios show how far the pairing itself can be trusted.
 """
 
 import argparse
@@ -65,7 +76,10 @@ import platform
 import re
 import statistics
 import subprocess
+import sys
+import tempfile
 import time
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +102,12 @@ from stableshap.sampling import KERNEL_SHAP, ST_SHAP, materialize
 from stableshap.value_function import all_payoffs, evaluate_batch
 
 CELL_S, MIN_REPS, MAX_REPS = 0.3, 5, 400
+# OpenBLAS kernel type of both workers
+CORETYPE = "Haswell"
+SCRIPTS = Path(__file__).resolve().parent
+ROOT = SCRIPTS.parent
+# a worker's channel to the parent, opened by `serve`
+CHANNEL = None
 # budgets per M: complete-layer boundaries and ragged budgets between them
 FIT_BUDGETS = {8: (16, 40, 100, 184),
                13: (26, 50, 182, 200, 500, 754, 1000, 4000, 8000),
@@ -102,14 +122,22 @@ EXPLAIN_RAGGED = {8: (40, 100), 13: (100, 500), 20: (200, 3000)}
 EXPLAIN_RUNS, EXPLAIN_BACKGROUND, EXPLAIN_SIZES = 20, 10, (None, 4)
 
 
+def send(message: dict) -> None:
+    """Worker: one message to the parent, on the channel `serve` opened."""
+    CHANNEL.write(json.dumps(message) + "\n")
+
+
 def median_ms(call) -> tuple[float, int]:
-    """(median ms of ``call`` in process CPU time, its timed calls)."""
+    """Worker: (median ms of ``call`` in process CPU time, its timed calls),
+    after one untimed call, timing one call each time the parent says so."""
     call()
+    send({"site": True})
     times = []
-    while len(times) < MIN_REPS or (sum(times) < CELL_S and len(times) < MAX_REPS):
+    while sys.stdin.readline().strip() == "time":
         start = time.process_time()
         call()
         times.append(time.process_time() - start)
+        send({"s": times[-1]})
     return round(1e3 * statistics.median(times), 4), len(times)
 
 
@@ -233,40 +261,146 @@ def explain_cells():
 GRIDS = {"fit": fit_cells, "knn": knn_cells, "walk": walk_cells, "explain": explain_cells}
 
 
-def git_describe() -> str:
-    where = Path(stableshap.__file__).resolve().parent
-    try:
-        return subprocess.run(["git", "describe", "--always", "--dirty"], cwd=where,
-                              capture_output=True, text=True, check=True).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
+def serve(src: str, grid_name: str, cells: int) -> int:
+    """Worker: run the grid's cells, handing each timed call to the parent."""
+    global CHANNEL
+    if not Path(stableshap.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"grid: worker imported {stableshap.__file__}, not {src}")
+    CHANNEL = os.fdopen(os.dup(1), "w", buffering=1)
+    os.dup2(2, 1)  # anything else printed goes to stderr
+    for cell in islice(GRIDS[grid_name](), cells or None):
+        send({"cell": cell})
+    send({"end": True})
+    return 0
+
+
+def worker_command(src: Path, grid_name: str, cells: int) -> list[str]:
+    return [sys.executable, str(Path(__file__).resolve()), "--worker", str(src),
+            grid_name, str(cells)]
+
+
+class Worker:
+    def __init__(self, name: str, src: Path, grid_name: str, cells: int, env: dict):
+        self.name = name
+        env = {**env, "PYTHONPATH": os.pathsep.join([str(src), str(SCRIPTS)])}
+        self.proc = subprocess.Popen(worker_command(src, grid_name, cells), env=env,
+                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+
+    def receive(self) -> dict:
+        line = self.proc.stdout.readline()
+        if not line:
+            raise SystemExit(f"grid: worker {self.name} exited {self.proc.wait()}")
+        return json.loads(line)
+
+    def tell(self, command: str):
+        self.proc.stdin.write(command + "\n")
+        self.proc.stdin.flush()
+
+    def time_one(self) -> float:
+        self.tell("time")
+        return self.receive()["s"]
+
+    def close(self):  # a worker that has sent its end is only exiting
+        self.proc.kill()
+        self.proc.wait()
+        self.proc.stdin.close()
+        self.proc.stdout.close()
+
+
+def pairs(a: Worker, b: Worker):
+    """(A's, B's) CPU seconds of one timed call, pair by pair, A B A B ..."""
+    times_a, times_b = [], []
+    while len(times_a) < MIN_REPS or (sum(times_a) + sum(times_b) < 2 * CELL_S
+                                      and len(times_a) < MAX_REPS):
+        times_a.append(a.time_one())
+        times_b.append(b.time_one())
+    a.tell("done")
+    b.tell("done")
+    return times_a, times_b
+
+
+def paired_fields(stage: str, times_a, times_b) -> dict:
+    """A timed stage's REV median, ratio of medians B/A and B's faster pairs."""
+    rev_s = statistics.median(times_a)
+    prefix = f"{stage}_" if stage else ""
+    return {f"{prefix}rev_ms": round(1e3 * rev_s, 4),
+            f"{prefix}ratio": round(statistics.median(times_b) / rev_s, 4),
+            f"{prefix}faster": sum(tb < ta for ta, tb in zip(times_a, times_b))}
+
+
+def paired_cells(a: Worker, b: Worker):
+    """B's cells, each with the paired fields of its timed stages."""
+    sites = []
+    while True:
+        got_a, got_b = a.receive(), b.receive()
+        if got_a.keys() != got_b.keys():
+            raise SystemExit(f"grid: the workers left lockstep: {got_a} vs {got_b}")
+        if "end" in got_a:
+            return
+        if "site" in got_a:
+            sites.append(pairs(a, b))
+            continue
+        cell = got_b["cell"]
+        stages = [key[:-len("reps")].rstrip("_") for key in cell if key.endswith("reps")]
+        assert len(stages) == len(sites), (stages, len(sites))
+        for stage, (times_a, times_b) in zip(stages, sites):
+            cell.update(paired_fields(stage, times_a, times_b))
+        sites = []
+        yield cell
+
+
+def git(*args) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["--worker"]:
+        return serve(argv[1], argv[2], int(argv[3]))
     p = argparse.ArgumentParser(description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("rev", help="git revision to pair the working tree against")
     p.add_argument("out", type=Path,
                    help=f"BENCH_<grid>.json, grid one of {', '.join(GRIDS)}; "
                         "this run's entry is appended to it")
+    p.add_argument("--cells", type=int, default=0,
+                   help="run only the grid's first CELLS cells (default: all)")
     args = p.parse_args(argv)
     match = re.fullmatch(r"BENCH_(\w+)\.json", args.out.name)
     if match is None or match[1] not in GRIDS:
         p.error(f"{args.out.name} names no grid: use BENCH_<grid>.json "
                 f"with grid one of {', '.join(GRIDS)}")
+    try:
+        sha = git("rev-parse", "--short", "--verify", f"{args.rev}^{{commit}}")
+    except subprocess.CalledProcessError:
+        p.error(f"{args.rev!r} names no commit of this repository")
+    threads = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+    env = dict(os.environ, **threads, OPENBLAS_CORETYPE=CORETYPE)
+    with tempfile.TemporaryDirectory(prefix="grid-") as tmp:
+        archive = subprocess.run(["git", "archive", "--format=tar", sha, "src"],
+                                 cwd=ROOT, capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        a = Worker("A", Path(tmp) / "src", match[1], args.cells, env)
+        b = Worker("B", ROOT / "src", match[1], args.cells, env)
+        try:
+            cells = []
+            for cell in paired_cells(a, b):
+                print("  ".join(f"{key}={value}" for key, value in cell.items()), flush=True)
+                cells.append(cell)
+        finally:
+            a.close()
+            b.close()
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
-    entry = {
-        "commit": git_describe(),
+    doc["runs"].append({
+        "commit": git("describe", "--always", "--dirty"),
+        "rev": sha,
         "provenance": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                       "numpy": np.__version__, "cell_s": CELL_S,
-                       "threads": {k: os.environ.get(k) for k in
-                                   ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")},
-                       "clock": "process CPU time"},
-        "cells": list(GRIDS[match[1]]()),
-    }
-    doc["runs"].append(entry)
+                       "numpy": np.__version__, "cell_s": CELL_S, "threads": threads,
+                       "coretype": CORETYPE, "clock": "process CPU time, paired A B A B"},
+        "cells": cells,
+    })
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    for cell in entry["cells"]:
-        print("  ".join(f"{key}={value}" for key, value in cell.items()))
     return 0
 
 

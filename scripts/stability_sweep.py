@@ -36,6 +36,14 @@ def knn_recipe(features, instances, background_size, seed):
     return knn, X[120:120 + background_size], X[120 + background_size:]
 
 
+def default_budgets(m):
+    """The first three complete-layer budgets and the ragged ones that fit."""
+    complete = [b for _, b in complete_layer_budgets(m)[:3]]
+    # nothing near 10: at M = 13 such budgets leave the fit underdetermined
+    ragged = [50, 100, 200, 500, 1000]
+    return sorted(set(complete + [b for b in ragged if b <= 2**m - 2]))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("output", help="CSV path to write")
@@ -51,12 +59,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     m = args.features
-    budgets = args.budgets
-    if budgets is None:
-        complete = [b for _, b in complete_layer_budgets(m)[:3]]
-        # nothing near 10: at M = 13 such budgets leave the fit underdetermined
-        ragged = [50, 100, 200, 500, 1000]
-        budgets = sorted(set(complete + [b for b in ragged if b <= 2**m - 2]))
+    budgets = args.budgets or default_budgets(m)
 
     knn, background, instances = knn_recipe(m, args.instances,
                                             args.background_size, args.seed)

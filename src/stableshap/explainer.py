@@ -59,7 +59,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coalitions import key_bytes, pack
+from .coalitions import key_bytes, pack, unpack
 from .errors import RankDeficiencyError
 from .sampling import (
     KERNEL_SHAP,
@@ -125,7 +125,7 @@ def _bit_table(width: int) -> np.ndarray:
     """(2^width, width) float table of bits, read-only: row c holds the bits
     of c, lowest first, so T.T @ h sums a histogram h over the codes that
     hold each bit."""
-    table = (np.arange(1 << width)[:, None] >> np.arange(width) & 1).astype(float)
+    table = unpack(np.arange(1 << width), width).astype(float)
     table.flags.writeable = False
     return table
 

@@ -7,11 +7,14 @@ these would only show at benchmark time, as a missing span or a crash.
 """
 
 import ast
+import contextlib
 import csv
 import importlib
 import importlib.util
+import io
 import json
 import re
+import subprocess
 import sys
 import textwrap
 from pathlib import Path
@@ -94,63 +97,49 @@ def test_scripts_resolve_their_sibling_imports(path, monkeypatch):
                 assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
 
 
-def test_grid_scripts_append_entries_of_one_layout(tmp_path, monkeypatch, capsys):
-    """Every grid of scripts/grid.py goes through one main: each run appends
-    one entry (commit, provenance, cells) to BENCH_<grid>.json, and no cell
-    carries reference units. Tiny grids, with the timing stubbed out."""
+class WarmWorker:
+    """A stand-in worker whose timed call costs 0.7 s right after its own
+    previous timed call and 1.0 s after the other worker's."""
+
+    def __init__(self, log: list):
+        self.log = log
+
+    def time_one(self) -> float:
+        cost = 0.7 if self.log and self.log[-1] is self else 1.0
+        self.log.append(self)
+        return cost
+
+    def tell(self, command):
+        pass
+
+
+def test_pairs_give_a_warm_call_to_neither_side(monkeypatch):
+    """Identical sides read a ratio of 1 when a call is cheaper right after
+    the same worker's call: no timed call follows its own worker's. An order
+    A B, B A, A B, ... reads 0.85 here at 12 pairs."""
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     grid = importlib.import_module("grid")
-
-    def stub(call):
-        call()
-        return 0.5, 5
-
-    for name, value in (("median_ms", stub), ("FIT_BUDGETS", {8: (16, 40)}),
-                        ("KNN_N_TRAIN", (40,)), ("KNN_FEATURES", (8,)), ("KNN_KS", (1,)),
-                        ("WALK_FEATURES", (8,)), ("WALK_BACKGROUNDS", (3,)),
-                        ("EXPLAIN_RAGGED", {8: (40,)}), ("EXPLAIN_RUNS", 2)):
-        monkeypatch.setattr(grid, name, value)
-    # explain: 3 models x 3 budgets x 2 strategies x 2 explanation sizes
-    n_cells = {"fit": 4, "knn": 1, "walk": 2, "explain": 36}
-    assert list(grid.GRIDS) == list(n_cells)
-    docs = {}
-    for name, count in n_cells.items():
-        out = tmp_path / f"BENCH_{name}.json"
-        for _ in range(2):
-            assert grid.main([str(out)]) == 0
-        doc = json.loads(out.read_text())
-        assert list(doc) == ["runs"] and len(doc["runs"]) == 2
-        for entry in doc["runs"]:
-            assert list(entry) == ["commit", "provenance", "cells"]
-            assert len(entry["cells"]) == count
-            assert not [key for cell in entry["cells"] for key in cell
-                        if key.startswith("ref_") or key.endswith("_in_ref")]
-        docs[name] = doc["runs"][0]["provenance"]
-    assert [list(docs[name]) for name in n_cells] == 4 * [[
-        "nproc", "python", "numpy", "cell_s", "threads", "clock"]]
-    assert len(capsys.readouterr().out.splitlines()) == 2 * sum(n_cells.values())
+    monkeypatch.setattr(grid, "CELL_S", 1e9)
+    monkeypatch.setattr(grid, "MAX_REPS", 12)
+    log = []
+    times_a, times_b = grid.pairs(WarmWorker(log), WarmWorker(log))
+    assert len(times_a) == len(times_b) == 12
+    assert grid.paired_fields("fit", times_a, times_b) == {
+        "fit_rev_ms": 1000.0, "fit_ratio": 1.0, "fit_faster": 0}
 
 
-def test_grid_script_refuses_a_file_that_names_no_grid(tmp_path, monkeypatch, capsys):
-    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
-    grid = importlib.import_module("grid")
-    for name in ("out.json", "BENCH_sweep.json", "BENCH_fit.csv"):
-        with pytest.raises(SystemExit) as exit_:
-            grid.main([str(tmp_path / name)])
-        assert exit_.value.code == 2
-        assert "fit, knn, walk" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+def _git(*args) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
 
 
-@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs the git checkout")
-def test_ab_script_pairs_one_cell_against_head(tmp_path, monkeypatch, capsys):
-    """scripts/ab.py against HEAD on the knn grid's first cell, each worker's
-    clock advancing 1/1024 s a reading: a header naming both sides and the
-    kernel type, then one line per timed stage with the paired figures."""
-    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
-    ab, grid = importlib.import_module("ab"), importlib.import_module("grid")
-    monkeypatch.setattr(grid, "CELL_S", 0.01)  # 11 pairs of 2/1024 s reach 2 * 0.01 s
-    stub = tmp_path / "stub_clock.py"
+@pytest.fixture(scope="module")
+def paired_runs(tmp_path_factory):
+    """scripts/grid.py against HEAD on each grid's first cell, each worker's
+    clock advancing 1/1024 s a reading, appended to a file that already holds
+    one entry: {grid: (the file's runs, the lines printed)}."""
+    tmp = tmp_path_factory.mktemp("grid")
+    stub = tmp / "stub_clock.py"
     stub.write_text(textwrap.dedent("""
         import itertools, runpy, sys, time
         ticks = itertools.count()
@@ -158,36 +147,113 @@ def test_ab_script_pairs_one_cell_against_head(tmp_path, monkeypatch, capsys):
         sys.argv = sys.argv[1:]
         runpy.run_path(sys.argv[0], run_name="__main__")
     """))
-    command = ab.worker_command
-    monkeypatch.setattr(ab, "worker_command",
-                        lambda *args: [sys.executable, str(stub), *command(*args)[1:]])
-    assert ab.main(["HEAD", "knn", "--cells", "1"]) == 0
-    header, *cells = capsys.readouterr().out.splitlines()
-    assert re.fullmatch(r"# A = HEAD \([0-9a-f]+\), B = working tree \(\S+\); "
-                        r"OPENBLAS_CORETYPE=Haswell, one BLAS thread; "
-                        r"ratio = median of B/A CPU time over pairs", header)
-    assert cells == ["n_train=40  m=8  k=1  rows_per_call=1270  stage=-  ratio=1.000  "
-                     "faster=0/11  rev_ms=0.9766  new_ms=0.9766"]
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(ROOT / "scripts"))
+        grid = importlib.import_module("grid")
+        mp.setattr(grid, "CELL_S", 0.01)  # 11 pairs of 2/1024 s reach 2 * 0.01 s
+        command = grid.worker_command
+        mp.setattr(grid, "worker_command",
+                   lambda *args: [sys.executable, str(stub), *command(*args)[1:]])
+        for name in grid.GRIDS:
+            out = tmp / f"BENCH_{name}.json"
+            out.write_text(json.dumps({"runs": [{"earlier": "entry"}]}))
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                assert grid.main(["HEAD", str(out), "--cells", "1"]) == 0
+            runs[name] = json.loads(out.read_text())["runs"], printed.getvalue().splitlines()
+    return runs
 
 
-@pytest.mark.parametrize("name", ["fit", "knn", "walk", "explain"])
-def test_grid_cells_keep_the_fields_of_their_bench_file(name, tmp_path, monkeypatch):
-    """A cell of each grid carries, in order, the fields of the last run in
-    BENCH_<grid>.json, and those are the fields of the run before it less
-    the reference units (ref_*, *_in_ref) that the fit and walk grids timed."""
+needs_git = pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs the git checkout")
+
+
+@needs_git
+def test_grid_script_appends_one_paired_entry(paired_runs):
+    """Each run appends one entry (both sides, provenance with the kernel
+    type, the cells) after the file's earlier entries, and prints each cell.
+    With the stubbed clocks every timed call takes 1/1024 s on both sides."""
+    assert list(paired_runs) == ["fit", "knn", "walk", "explain"]
+    for name, (runs, printed) in paired_runs.items():
+        assert runs[0] == {"earlier": "entry"} and len(runs) == 2
+        entry = runs[1]
+        assert list(entry) == ["commit", "rev", "provenance", "cells"]
+        assert entry["rev"] == _git("rev-parse", "--short", "HEAD")
+        assert entry["commit"] == _git("describe", "--always", "--dirty")
+        assert entry["provenance"]["coretype"] == "Haswell"
+        assert list(entry["provenance"]) == ["nproc", "python", "numpy", "cell_s",
+                                             "threads", "coretype", "clock"]
+        (cell,) = entry["cells"]
+        assert printed == ["  ".join(f"{key}={value}" for key, value in cell.items())]
+        stages = [key[:-len("reps")] for key in cell if key.endswith("reps")]
+        assert stages and all(cell[f"{s}reps"] == 11 for s in stages)
+        assert [(cell[f"{s}rev_ms"], cell[f"{s}ratio"], cell[f"{s}faster"])
+                for s in stages] == len(stages) * [(0.9766, 1.0, 0)]
+        assert all(cell[f"{s}ms"] == 0.9766 for s in stages if f"{s}ms" in cell)
+
+
+def test_grid_script_refuses_a_file_that_names_no_grid(tmp_path, monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     grid = importlib.import_module("grid")
-    for attr, value in (("median_ms", lambda call: (call(), (0.5, 5))[1]),
-                        ("FIT_BUDGETS", {8: (16,)}), ("KNN_N_TRAIN", (40,)),
-                        ("KNN_FEATURES", (8,)), ("KNN_KS", (1,)),
-                        ("WALK_FEATURES", (8,)), ("WALK_BACKGROUNDS", (3,)),
-                        ("EXPLAIN_RAGGED", {8: (40,)}), ("EXPLAIN_RUNS", 2)):
-        monkeypatch.setattr(grid, attr, value)
-    fields = list(next(grid.GRIDS[name]()))
+    monkeypatch.setattr(grid, "git", lambda *args: pytest.fail("git was called"))
+    for name in ("out.json", "BENCH_sweep.json", "BENCH_fit.csv"):
+        with pytest.raises(SystemExit) as exit_:
+            grid.main(["HEAD", str(tmp_path / name)])
+        assert exit_.value.code == 2
+        assert "fit, knn, walk" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@needs_git
+@pytest.mark.parametrize("name", ["fit", "knn", "walk", "explain"])
+def test_grid_cells_keep_the_fields_of_their_bench_file(name, paired_runs):
+    """A paired cell carries, in order, the fields of the last unpaired run in
+    BENCH_<grid>.json and then, for each timed stage, REV's median, the ratio
+    and the faster pairs; the file's paired runs carry the same fields. The
+    last unpaired run has the fields of the run before it less the reference
+    units (ref_*, *_in_ref) that the fit and walk grids timed."""
+    fields = list(paired_runs[name][0][-1]["cells"][0])
     runs = json.loads((ROOT / f"BENCH_{name}.json").read_text())["runs"]
-    assert list(runs[-1]["cells"][0]) == fields
-    assert [key for key in runs[-2]["cells"][0]
-            if not (key.startswith("ref_") or key.endswith("_in_ref"))] == fields
+    unpaired = [run for run in runs if "rev" not in run]
+    base = list(unpaired[-1]["cells"][0])
+    assert [key for key in unpaired[-2]["cells"][0]
+            if not (key.startswith("ref_") or key.endswith("_in_ref"))] == base
+    stages = [key[:-len("reps")] for key in base if key.endswith("reps")]
+    assert fields == base + [s + field for s in stages for field in ("rev_ms", "ratio", "faster")]
+    assert all(list(run["cells"][0]) == fields for run in runs if "rev" in run)
+
+
+def test_every_budget_the_scripts_and_workloads_run_is_under_the_byte_cap(monkeypatch):
+    """The headline sweep's defaults, the grids, the CLI matrix (at M=21, its
+    widest dataset) and the benchmark's three workloads at both sizes."""
+    from stableshap.sampling import validate_budget
+
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    grid = importlib.import_module("grid")
+    sweep = importlib.import_module("stability_sweep")
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    runs = [(13, b) for b in sweep.default_budgets(13)]
+    runs += [(m, b) for m, budgets in grid.FIT_BUDGETS.items() for b in budgets]
+    runs += [(m, b) for m, ragged in grid.EXPLAIN_RAGGED.items()
+             for b in (*[b for _, b in stableshap.complete_layer_budgets(m)[:2]], *ragged)]
+    matrix = (ROOT / "scripts" / "cli_matrix.py").read_text()
+    runs += [(21, int(b)) for budgets in re.findall(r'"--budgets", "([\d,]+)"', matrix)
+             for b in budgets.split(",")]
+    for c in workloads.KnnStability.SIZES.values():
+        runs += [(c["m"], b) for b in (*c["complete"], *c["ragged"])]
+    for c in workloads.GameM20.SIZES.values():
+        bounds = dict(stableshap.complete_layer_budgets(c["m"]))
+        runs += [(c["m"], b) for b in (*[bounds[i] for i in c["complete_layers"]],
+                                       *c["ragged"])]
+    for c in workloads.RidgeCompareExact.SIZES.values():
+        runs += [(c["m"], b) for b in c["budgets"]]
+    assert (20, 200000) in runs and len(runs) > 60
+    for m, budget in runs:
+        validate_budget(m, budget)
 
 
 def test_stability_sweep_writes_one_jaccard_row_per_route(tmp_path, monkeypatch, capsys):

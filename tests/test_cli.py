@@ -73,6 +73,11 @@ class TestLayersCommand:
     def test_invalid_budget_is_config_error(self, capsys):
         assert main(["layers", "4", "100"]) == 2
 
+    def test_budget_past_the_byte_cap_is_config_error(self, capsys):
+        assert main(["layers", "40", "10000000000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "over the cap of 1073741824 bytes" in err
+
 
 class TestExplainCommand:
     def test_writes_schema_and_satisfies_local_accuracy(self, reg_csv, tmp_path, capsys):
@@ -538,6 +543,20 @@ class TestRefusedBeforeWriting:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["explain", "stability", "adherence"])
+    def test_budget_past_the_byte_cap(self, command, tmp_path, capsys):
+        data = _write_regression_csv(tmp_path / "wide.csv", n=60, m=40)
+        out = tmp_path / "run"
+        code = main([command, "--dataset", str(data), "--target", "target",
+                     "--n-instances", "2", "--background-size", "10",
+                     "--explanation-size", "4", "--budgets", "100,10000000000",
+                     "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: budget 10000000000 for M=40: ")
+        assert "over the cap of 1073741824 bytes" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,rows,key", [

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 from math import comb, factorial
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from stableshap import GameModel, SyntheticGame, explain
 from stableshap.coalitions import (
     complete_layer_budgets,
     kernel_weight,
@@ -16,8 +18,11 @@ from stableshap.coalitions import (
     unpack,
 )
 from stableshap.explainer import fit, sparsify
+from stableshap.games import RULE_ADDITIVE
 from stableshap.sampling import (
     _ENUM_LIMIT,
+    BYTE_CAP,
+    COALITION_FEATURE_BYTES,
     KERNEL_SHAP,
     ST_SHAP,
     WeightedCoalitionSet,
@@ -128,6 +133,34 @@ class TestBudgetValidation:
         with pytest.raises(ValueError):
             validate_budget(4, 1)
         validate_budget(4, 14)
+
+    @pytest.mark.parametrize("strategy", [ST_SHAP, KERNEL_SHAP])
+    def test_a_budget_past_the_byte_cap_is_refused_before_any_allocation(self, strategy):
+        """M=40, b=10^10 is in range, and its plans sample 2.9e9 (st-shap)
+        and 9.25e9 (kernel-shap) coalitions, terabytes: `explain` refuses it
+        while under 1 MiB."""
+        game = GameModel(SyntheticGame(40, RULE_ADDITIVE, weights=np.ones(40)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^budget 10000000000 for M=40: .* "
+                               r"estimated 8e\+12 bytes, over the cap of 1073741824 bytes"):
+                explain(None, game, None, strategy, 10**10, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_the_byte_cap_is_13_times_the_largest_workload_budget(self):
+        """game-m20's 200000 at M=20 is an estimated 80 MB, 1/13 of the cap,
+        which no budget reaches below M=22; at M=40 it lets through 1.34e6."""
+        assert 200000 * 20 * COALITION_FEATURE_BYTES * 13 <= BYTE_CAP
+        validate_budget(21, 2**21 - 2)
+        with pytest.raises(ValueError, match="over the cap"):
+            validate_budget(22, 2**22 - 2)
+        largest = BYTE_CAP // (40 * COALITION_FEATURE_BYTES)
+        validate_budget(40, largest)
+        with pytest.raises(ValueError, match="over the cap"):
+            validate_budget(40, largest + 1)
 
     @given(st.integers(2, 12), st.data())
     def test_plans_sum_to_budget(self, m, data):
