@@ -80,7 +80,7 @@ def write_dataset(path: Path, classification: bool, seed: int, m: int = M,
                   n_rows: int = 120) -> None:
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n_rows, m))
-    score = X @ np.linspace(1.0, 2.5, m) + np.sin(X[:, 0] * X[:, 1])
+    score = (X * np.linspace(1.0, 2.5, m)).sum(axis=1) + np.sin(X[:, 0] * X[:, 1])
     with open(path, "w") as fh:
         fh.write(",".join([f"f{i}" for i in range(m)] + ["target"]) + "\n")
         for row, s in zip(X, score):

@@ -55,7 +55,9 @@ def _phis_from_values(values: np.ndarray, n_features: int) -> np.ndarray:
         # with i and [:, 0] the same ones without it, both in mask order
         v = values.reshape(-1, 2, 1 << i)
         deltas = (v[:, 1] - v[:, 0]).reshape(-1)
-        phis[i] = float(weights[sizes.reshape(-1, 2, 1 << i)[:, 1].reshape(-1)] @ deltas)
+        # numpy's pairwise sum, not a BLAS dot: the same bits on every kernel
+        deltas *= weights[sizes.reshape(-1, 2, 1 << i)[:, 1].reshape(-1)]
+        phis[i] = float(np.add.reduce(deltas))
     return phis
 
 

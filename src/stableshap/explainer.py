@@ -19,12 +19,14 @@ moves every r_j by the same amount, which p cancels exactly, and keeps the
 sum from losing digits to the offset the layer's payoffs share. The rows are
 never cast to float: r is summed per byte of the set's keys (their layout is
 :mod:`stableshap.coalitions`'), one weighted ``bincount`` of the centred
-payoffs per byte, whose bins T^T h sums into the byte's features (T the
-table of a byte code's bits); each bin sums a few hundred rows, which loses
-fewer digits than one running sum over all of them. r is computed over all M
-features and sliced to the free ones, so every kept subset reads the dense
-fit's r_j bit for bit, and a comes from byte 0's weight histogram: an
-explanation computes r and a once, for its dense fit and its sparse re-fit.
+payoffs per byte, whose bins are summed into the byte's features in numpy's
+fixed pairwise order, with no BLAS call, so complete-budget fits are
+bit-identical whatever the BLAS kernel; each bin sums a few hundred rows,
+which loses fewer digits than one running sum over all of them. r is
+computed over all M features and sliced to the free ones, so every kept
+subset reads the dense fit's r_j bit for bit, and a comes from byte 0's
+weight histogram: an explanation computes r and a once, for its dense fit
+and its sparse re-fit.
 A set that sampled nothing, such as the first layer, is fitted by p alone.
 
 Sampled rows correct p on an orthonormal basis of the sum-zero subspace,
@@ -130,6 +132,16 @@ def _bit_table(width: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=8)
+def _bit_rows(width: int) -> np.ndarray:
+    """:func:`_bit_table` transposed, C-ordered and read-only: row j marks the
+    codes that hold bit j, so (R * h).sum(axis=1) sums a histogram h over them
+    in numpy's fixed pairwise order."""
+    rows = np.ascontiguousarray(_bit_table(width).T)
+    rows.flags.writeable = False
+    return rows
+
+
 def _byte_widths(k: int) -> list[int]:
     """Columns held by each byte code of k columns: 8 each, the rest last."""
     return [min(8, k - 8 * g) for g in range(-(-k // 8))]
@@ -138,9 +150,10 @@ def _byte_widths(k: int) -> list[int]:
 def _byte_sums(codes: np.ndarray, k: int, values: np.ndarray) -> np.ndarray:
     """sum over rows of values * z for the k columns whose byte codes are
     `codes`, (n, >= ceil(k/8)): one weighted ``bincount`` per byte, summed
-    over the codes that hold each bit."""
+    over the codes that hold each bit without BLAS, whose summation order
+    depends on the kernel: the last bits of a fit can pick its support."""
     return np.concatenate([
-        _bit_table(b).T @ np.bincount(codes[:, g], weights=values, minlength=1 << b)
+        (_bit_rows(b) * np.bincount(codes[:, g], weights=values, minlength=1 << b)).sum(axis=1)
         for g, b in enumerate(_byte_widths(k))])
 
 

@@ -59,8 +59,7 @@ class TestSubsetFormula:
 
     @pytest.mark.parametrize("m", [1, 2, 7, 13])
     def test_pairs_by_reshape_bitwise_equal_to_the_indexed_sum(self, m):
-        # the same deltas and weights in the same order as indexing every
-        # coalition that holds i and its partner without i
+        # indexing each coalition holding i and its partner: same deltas, order, reduction
         values = np.random.default_rng(m).normal(size=2**m)
         ints = np.arange(2**m)
         sizes = np.array([bin(int(s)).count("1") for s in ints])
@@ -68,7 +67,8 @@ class TestSubsetFormula:
         want = np.empty(m)
         for i in range(m):
             with_i = ints[(ints >> i & 1) == 1]
-            want[i] = weights[sizes[with_i]] @ (values[with_i] - values[with_i ^ (1 << i)])
+            want[i] = np.add.reduce(weights[sizes[with_i]]
+                                    * (values[with_i] - values[with_i ^ (1 << i)]))
         got = _phis_from_values(values, m)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
