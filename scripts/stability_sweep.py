@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Budget sweep comparing the stability of the two sampling strategies.
+"""Budget sweep of the two sampling strategies against the exact values.
 
 Uses the nonlinear built-in k-NN classifier, where surrogate coefficients
-genuinely depend on which coalitions get sampled, so the Jaccard curves
-separate. Writes a plot-ready CSV: budget, strategy, metric, value.
-
-Expect the stable variant to sit at 1.0 on complete-layer budgets; between
-them neither strategy leads everywhere (README quotes the defaults' CSV).
+genuinely depend on which coalitions get sampled. Run r of instance i is
+seeded by derive_seed(seed, i, budget, r): one full-length fit phi and its
+top-k re-fit. Per (budget, strategy) and metric, the CLI's CSV layout holds
+one row per instance, then a `mean` row: `jaccard` of the runs' top-k
+supports, and the runs' mean `rel_err_exact` (||phi - exact|| / ||exact||),
+`kendall_tau_exact` (tau(exact, phi)) and `adherence` (the top-k surrogate's,
+classification, on its own coalitions). Layer-1 is st-shap at b = 2M, bit for
+bit. README quotes the defaults' CSVs at seeds 0 and 1.
 """
 
 import argparse
@@ -15,8 +18,14 @@ import csv
 import numpy as np
 
 import stableshap as ss
-from stableshap.cli import derive_seed
+from stableshap.cli import CSV_HEADER, derive_seed
 from stableshap.coalitions import complete_layer_budgets
+from stableshap.exact import CAP
+from stableshap.explainer import explain_with_training_set, sparsify
+from stableshap.metrics import CLASSIFICATION, adherence
+from stableshap.sampling import validate_budget
+
+METRICS = ("jaccard", "rel_err_exact", "kendall_tau_exact", "adherence")
 
 
 def knn_recipe(features, instances, background_size, seed):
@@ -42,15 +51,24 @@ def default_budgets(m):
     return sorted(set(complete + [b for b in ragged if b <= 2**m - 2]))
 
 
-def mean_jaccard(instances, models, background, strategy, budget, runs, explanation_size, seed):
-    """Mean over the instances (each with its model) of the Jaccard index of
-    `runs` supports, run r of instance i seeded by derive_seed(seed, i, budget, r)."""
-    return float(np.mean([
-        ss.jaccard_n([set(ss.explain(x, model, background, strategy, budget,
-                                     seed=derive_seed(seed, idx, budget, run),
-                                     explanation_size=explanation_size).support)
-                      for run in range(runs)])
-        for idx, (x, model) in enumerate(zip(instances, models))]))
+def route_metrics(instances, models, exacts, background, strategy, budget, runs,
+                  explanation_size, seed):
+    """{metric: one value per instance} for each of METRICS, instance i
+    explained by models[i] and judged against its exact values exacts[i]."""
+    out = {metric: [] for metric in METRICS}
+    for idx, (x, model, exact) in enumerate(zip(instances, models, exacts)):
+        per_run = []
+        for run in range(runs):
+            dense, cset, values = explain_with_training_set(
+                x, model, background, strategy, budget, derive_seed(seed, idx, budget, run))
+            top, phi = sparsify(dense, explanation_size, cset, values), dense.phi_array()
+            error = np.linalg.norm(phi - exact) / np.linalg.norm(exact)
+            per_run.append((set(top.support), error, ss.kendall_tau(exact, phi),
+                            adherence(cset, values, top, CLASSIFICATION)))
+        supports, *scores = zip(*per_run)
+        for metric, value in zip(METRICS, (ss.jaccard_n(supports), *map(np.mean, scores))):
+            out[metric].append(float(value))
+    return out
 
 
 def main(argv=None):
@@ -67,25 +85,43 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     m = args.features
+    # arguments that leave a metric meaningless stop here, with exit code 2
+    if not 2 <= m <= CAP:
+        parser.error(f"--features {m} outside 2..{CAP}: exact values enumerate 2^M coalitions")
+    for flag, value, low in (("--instances", args.instances, 1), ("--runs", args.runs, 2),
+                             ("--background-size", args.background_size, 1)):
+        if value < low:
+            parser.error(f"{flag} {value} below {low}")
+    if not 1 <= args.explanation_size <= m:
+        parser.error(f"--explanation-size {args.explanation_size} outside 1..{m}")
     budgets = args.budgets or default_budgets(m)
+    for budget in budgets:
+        try:
+            validate_budget(m, budget)
+        except ValueError as exc:
+            parser.error(f"--budgets: {exc}")
 
     knn, background, instances = knn_recipe(m, args.instances,
                                             args.background_size, args.seed)
-    # one adapter per instance for the whole sweep: its payoff memo answers
-    # every coalition an earlier run or budget already evaluated
+    # one adapter per instance, exact values first: their 2^M walk fills the memo every run reads
     models = [ss.ClassProbabilityModel(knn, knn.predicted_class(x)) for x in instances]
+    exacts = [ss.exact_shap(x, model, background).phi_array()
+              for x, model in zip(instances, models)]
 
     rows = []
     for budget in budgets:
         for strategy in (ss.ST_SHAP, ss.KERNEL_SHAP):
-            mean = mean_jaccard(instances, models, background, strategy, budget,
-                                args.runs, args.explanation_size, args.seed)
-            rows.append([budget, strategy, "jaccard", repr(mean)])
-            print(f"budget={budget:5d} {strategy:>11}: mean jaccard {mean:.3f}")
+            for metric, values in route_metrics(
+                    instances, models, exacts, background, strategy, budget,
+                    args.runs, args.explanation_size, args.seed).items():
+                mean = float(np.mean(values))
+                rows += [[i, budget, strategy, metric, repr(v)] for i, v in enumerate(values)]
+                rows.append(["mean", budget, strategy, metric, repr(mean)])
+                print(f"budget={budget:5d} {strategy:>11}: mean {metric} {mean:.3f}")
 
     with open(args.output, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["budget", "strategy", "metric", "value"])
+        writer.writerow(CSV_HEADER)
         writer.writerows(rows)
     print(f"wrote {args.output}")
 

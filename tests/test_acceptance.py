@@ -6,12 +6,14 @@ Tolerances are pinned here and nowhere else.
 
 import csv
 import importlib
-import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -290,28 +292,53 @@ def test_criterion_10_stability_trend():
     model = ss.RidgeRegressionModel.fit(X[:300], y[:300])
     background = X[300:325]
     instances = X[360:370]
+    # a linear model's exact values in closed form; only route_metrics's jaccard is read here
+    exacts = [model.coef * (x - background.mean(axis=0)) for x in instances]
 
     lines = []
     ok = True
     for budget in (50, 100, 200, 500):
-        st, ks = (_script("stability_sweep").mean_jaccard(
-            instances, [model] * len(instances), background, strategy, budget,
-            runs=20, explanation_size=4, seed=7) for strategy in (ss.ST_SHAP, ss.KERNEL_SHAP))
+        st, ks = (np.mean(_script("stability_sweep").route_metrics(
+            instances, [model] * len(instances), exacts, background, strategy, budget,
+            runs=20, explanation_size=4, seed=7)["jaccard"])
+            for strategy in (ss.ST_SHAP, ss.KERNEL_SHAP))
         ok = ok and 0.0 <= ks <= 1.0 and 0.0 <= st <= 1.0 and st >= ks
         lines.append(f"b={budget}: st={st:.3f} >= ks={ks:.3f}")
     elapsed = time.perf_counter() - t0
     _report("C10", ok, "; ".join(lines), elapsed)
 
 
-def test_criterion_10_stability_trend_knn(tmp_path):
-    # scripts/stability_sweep.py at its defaults: a nonlinear k-NN model,
-    # where the sampled coalitions change the surrogate's support
+@lru_cache(maxsize=None)
+def _sweep() -> list[dict]:
+    """`scripts/stability_sweep.py` at its defaults and master seeds 0 and 1,
+    each as {(strategy, budget, metric): per-instance values}, from concurrent
+    children on the grids' OpenBLAS kernel type and one BLAS thread, which
+    kernel-shap's last bits, and README's figures, depend on."""
+    env = dict(os.environ, OPENBLAS_CORETYPE=_script("grid").CORETYPE, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(ROOT / "src"))
+    with tempfile.TemporaryDirectory() as tmp, ThreadPoolExecutor(2) as pool:
+        paths = [Path(tmp) / f"seed{seed}.csv" for seed in (0, 1)]
+        list(pool.map(lambda seed: subprocess.run(  # run kills a child past its timeout
+            [sys.executable, ROOT / "scripts" / "stability_sweep.py", paths[seed], "--seed",
+             str(seed)], env=env, stdout=subprocess.DEVNULL, check=True, timeout=300), (0, 1)))
+        tables = [list(csv.DictReader(path.read_text().splitlines())) for path in paths]
+    # each key's instance rows, then its mean row
+    return [{key: np.array([float(r["value"]) for r in group if r["instance"] != "mean"])
+             for key, group in groupby(rows, lambda r: (r["strategy"], int(r["budget"]),
+                                                        r["metric"]))}
+            for rows in tables]
+
+
+def _means(got: dict, metric: str) -> tuple[dict, dict]:
+    """st-shap's and kernel-shap's {budget: mean over the instances} of a metric."""
+    return tuple({b: v.mean() for (s, b, name), v in got.items() if (s, name) == (strategy, metric)}
+                 for strategy in (ss.ST_SHAP, ss.KERNEL_SHAP))
+
+
+def test_criterion_10_stability_trend_knn():
+    # the sweep at seed 0, on a nonlinear k-NN model
     t0 = time.perf_counter()
-    _script("stability_sweep").main([str(tmp_path / "sweep.csv")])
-    with open(tmp_path / "sweep.csv", newline="") as fh:
-        rows = [row for row in csv.DictReader(fh) if row["metric"] == "jaccard"]
-    st, ks = ({int(row["budget"]): float(row["value"]) for row in rows if row["strategy"] == s}
-              for s in (ss.ST_SHAP, ss.KERNEL_SHAP))
+    st, ks = _means(_sweep()[0], "jaccard")
     ok = all(st[budget] == 1.0 for budget in (26, 182, 754))  # layers 1, 1-2, 1-3 complete
     lines = [f"b=26, 182, 754: st={st[26]:.3f}, {st[182]:.3f}, {st[754]:.3f} (=1)"]
     # measured facts, each margin a little under its measured gap: st-shap
@@ -322,55 +349,8 @@ def test_criterion_10_stability_trend_knn(tmp_path):
         lines.append(f"b={budget}: st={st[budget]:.3f} >= ks={ks[budget]:.3f} + {margin}")
     ok = ok and ks[200] >= st[200] + 0.2
     lines.append(f"b=200: ks={ks[200]:.3f} >= st={st[200]:.3f} + 0.2")
-    # README's sentence on the sweep: the leads checked above, b=200's figures
-    lines.append("st-shap leads at b = 50, 100, 500 and 1000, and kernel-shap leads at "
-                 f"b=200, {ks[200]:.3f} against {st[200]:.3f}.")
-    ok = ok and lines[-1] in " ".join((ROOT / "README.md").read_text().split())
     elapsed = time.perf_counter() - t0
     _report("C10-knn", ok, "; ".join(lines), elapsed)
-
-
-def _against_exact(seed: int) -> dict:
-    """Per instance of the sweep recipe at master seed `seed`, against its
-    exact values: st-shap's error at the complete budgets 26, 182 and 754
-    (layers 1, 1-2 and 1-3; b=26 is layer-1), layer-1's Kendall tau, and
-    kernel-shap's mean tau at b=26 and mean errors at b=26 and 182 over 20
-    runs. Error is ||phi - exact|| / ||exact||, phi the full-length fit."""
-    knn, background, instances = _script("stability_sweep").knn_recipe(
-        features=13, instances=10, background_size=10, seed=seed)
-    out = {key: [] for key in ("st_error", "layer1_tau", "ks_tau", "ks_error")}
-    for idx, x in enumerate(instances):
-        model = ss.ClassProbabilityModel(knn, knn.predicted_class(x))
-        exact = ss.exact_shap(x, model, background).phi_array()
-
-        def phi(strategy, budget, run):
-            return ss.explain(x, model, background, strategy, budget,
-                              seed=derive_seed(seed, idx, budget, run)).phi_array()
-
-        def error(p):
-            return float(np.linalg.norm(p - exact) / np.linalg.norm(exact))
-
-        st = [phi(ss.ST_SHAP, budget, 0) for budget in (26, 182, 754)]
-        ks = {budget: [phi(ss.KERNEL_SHAP, budget, run) for run in range(20)]
-              for budget in (26, 182)}
-        out["st_error"].append([error(p) for p in st])
-        out["layer1_tau"].append(ss.kendall_tau(exact, st[0]))
-        out["ks_tau"].append(np.mean([ss.kendall_tau(exact, p) for p in ks[26]]))
-        out["ks_error"].append([np.mean([error(p) for p in ks[b]]) for b in (26, 182)])
-    return out
-
-
-@lru_cache(maxsize=None)
-def _sweep_against_exact() -> list[dict]:
-    """:func:`_against_exact` at master seeds 0 and 1, as arrays, from a child
-    process on one BLAS thread and the timing grids' OpenBLAS kernel type: the
-    last bits of kernel-shap's fits, and README's figures, depend on it."""
-    env = dict(os.environ, OPENBLAS_CORETYPE=_script("grid").CORETYPE, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=str(ROOT / "src"))
-    child = subprocess.run([sys.executable, __file__], env=env, check=True,
-                           capture_output=True, text=True)
-    return [{key: np.array(values) for key, values in got.items()}
-            for got in json.loads(child.stdout)]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -378,41 +358,55 @@ def test_criterion_11_paper_claims_against_exact(seed):
     # the sweep recipe; each margin sits under its smallest measured gap over
     # seeds 0 and 1, and a last-bit change can move a tau by up to 0.038
     t0 = time.perf_counter()
-    got = _sweep_against_exact()[seed]
-    st, ks_error = got["st_error"], got["ks_error"]
+    got = _sweep()[seed]
+    st = np.column_stack([got[ss.ST_SHAP, b, "rel_err_exact"] for b in (26, 182, 754)])
+    st_error, ks_error = _means(got, "rel_err_exact")
+    layer1_tau, ks_tau = (got[s, 26, "kendall_tau_exact"] for s in (ss.ST_SHAP, ss.KERNEL_SHAP))
     # st-shap's error falls at each complete budget on every instance
-    # (smallest steps 0.044 and 0.071)
+    # (smallest steps 0.044 and 0.071); layer-1 (st-shap at b=26) ranks closer
+    # to exact than kernel-shap's runs at the same 26 coalitions on every
+    # instance (smallest gaps 0.162 and 0.085), and its mean error is lower
+    # (0.412 against 0.926, 0.513 against 1.240)
     falls = bool((np.diff(st, axis=1) <= -0.03).all())
-    # layer-1 ranks closer to exact than kernel-shap's runs at the same 26
-    # coalitions on every instance (smallest gaps 0.162 and 0.085), and its
-    # mean error is lower (0.412 against 0.926, 0.513 against 1.240)
-    ranks = bool((got["layer1_tau"] >= got["ks_tau"] + 0.04).all())
-    closer = st[:, 0].mean() + 0.4 <= ks_error[:, 0].mean()
-    # a measured fact, not a goal: at b=182, st-shap's seed-free budget,
-    # paired kernel-shap is closer to exact on every instance (smallest
-    # error ratios 1.19 and 1.65)
-    behind = bool((st[:, 1] >= 1.15 * ks_error[:, 1]).all())
+    ranks = bool((layer1_tau >= ks_tau + 0.04).all())
+    closer = st_error[26] + 0.4 <= ks_error[26]
+    # measured facts, not goals: paired kernel-shap is closer to exact at
+    # b=182, st-shap's seed-free budget, on every instance (smallest ratios
+    # 1.19 and 1.65), and on average at every budget from 50 on (smallest
+    # 1.107, seed 1 at b=50); st-shap's surrogates still adhere at least as
+    # well at every budget (smallest gap 0.004, seed 0 at b=754)
+    behind = bool((st[:, 1] >= 1.15 * got[ss.KERNEL_SHAP, 182, "rel_err_exact"]).all())
+    ratio = min(st_error[b] / ks_error[b] for b in st_error if b >= 50)
+    st_adh, ks_adh = _means(got, "adherence")
+    gap = min(st_adh[b] - ks_adh[b] for b in st_adh)
     elapsed = time.perf_counter() - t0
-    _report("C11", falls and ranks and closer and behind,
+    _report("C11", falls and ranks and closer and behind and ratio >= 1.05 and gap >= 0,
             f"seed {seed}: st-shap error {' > '.join(f'{e:.3f}' for e in st.mean(axis=0))} "
-            f"at b=26,182,754; layer-1 tau {got['layer1_tau'].mean():.3f} vs kernel-shap "
-            f"{got['ks_tau'].mean():.3f} at b=26; at b=182 kernel-shap error "
-            f"{ks_error[:, 1].mean():.3f} < st-shap {st[:, 1].mean():.3f}", elapsed)
+            f"at b=26,182,754; layer-1 tau {layer1_tau.mean():.3f} vs kernel-shap "
+            f"{ks_tau.mean():.3f} at b=26; at b=182 kernel-shap error {ks_error[182]:.3f}; "
+            f"from b=50 st-shap error >= {ratio:.3f}x kernel-shap's (>= 1.05) and "
+            f"adherence >= kernel-shap's + {gap:.3f} (>= 0)", elapsed)
 
 
-def test_criterion_11_readme_quotes_the_layer1_taus():
+def test_criterion_11_readme_quotes_the_sweep():
+    # README's three sentences on the sweep, rebuilt from its CSVs
     t0 = time.perf_counter()
-    seed0, seed1 = _sweep_against_exact()
-    sentence = (
-        f"averages {seed0['layer1_tau'].mean():.3f} (lowest {seed0['layer1_tau'].min():.3f}) "
-        f"with master seed 0 and {seed1['layer1_tau'].mean():.3f} "
-        f"(lowest {seed1['layer1_tau'].min():.3f}) with seed 1, where kernel-shap at the "
-        f"same 26 coalitions averages {seed0['ks_tau'].mean():.3f} and "
-        f"{seed1['ks_tau'].mean():.3f} over 20 runs.")
+    seed0, seed1 = _sweep()
+    st, ks = _means(seed0, "jaccard")
+    st_error, ks_error = _means(seed0, "rel_err_exact")
+    tau0, tau1, ks_tau0, ks_tau1 = (got[s, 26, "kendall_tau_exact"]
+                                    for s in (ss.ST_SHAP, ss.KERNEL_SHAP) for got in (seed0, seed1))
+    sentences = [
+        # the Scripts bullet: the leads C10-knn checks, and b=200's Jaccards
+        "st-shap leads at b = 50, 100, 500 and 1000, and kernel-shap leads at "
+        f"b=200, {ks[200]:.3f} against {st[200]:.3f}.",
+        # layer-1's paragraph: claim B, then what claim A costs at b=182
+        f"averages {tau0.mean():.3f} (lowest {tau0.min():.3f}) with master seed 0 and "
+        f"{tau1.mean():.3f} (lowest {tau1.min():.3f}) with seed 1, where kernel-shap at the "
+        f"same 26 coalitions averages {ks_tau0.mean():.3f} and {ks_tau1.mean():.3f} over 20 runs.",
+        "at 182 paired kernel-shap is closer on every instance (relative error "
+        f"{ks_error[182]:.3f} against {st_error[182]:.3f} with seed 0)"]
     readme = " ".join((ROOT / "README.md").read_text().split())
+    missing = [sentence for sentence in sentences if sentence not in readme]
     elapsed = time.perf_counter() - t0
-    _report("C11-readme", sentence in readme, sentence, elapsed)
-
-
-if __name__ == "__main__":
-    print(json.dumps([_against_exact(seed) for seed in (0, 1)]))
+    _report("C11-readme", not missing, " | ".join(missing or sentences), elapsed)

@@ -256,22 +256,51 @@ def test_every_budget_the_scripts_and_workloads_run_is_under_the_byte_cap(monkey
         validate_budget(m, budget)
 
 
-def test_stability_sweep_writes_one_jaccard_row_per_route(tmp_path, monkeypatch, capsys):
+def test_stability_sweep_writes_every_metric_per_instance_and_mean(tmp_path, monkeypatch,
+                                                                    capsys):
     """The headline sweep, scaled down: M=6, where 12 is layer 1's complete
-    budget and 20 is ragged."""
+    budget, 20 is ragged and 62 is the full budget, at which st-shap's fit is
+    the exact values."""
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     sweep = importlib.import_module("stability_sweep")
     out = tmp_path / "sweep.csv"
     sweep.main([str(out), "--features", "6", "--instances", "2", "--runs", "3",
-                "--budgets", "12,20"])
+                "--budgets", "12,20,62"])
     with open(out, newline="") as fh:
         header, *rows = list(csv.reader(fh))
-    assert header == ["budget", "strategy", "metric", "value"]
-    assert [row[:3] for row in rows] == [[b, s, "jaccard"] for b in ("12", "20")
-                                         for s in (stableshap.ST_SHAP, stableshap.KERNEL_SHAP)]
-    assert float(rows[0][3]) == 1.0
-    assert all(0.0 <= float(row[3]) <= 1.0 for row in rows)
+    assert header == cli.CSV_HEADER
+    assert [row[:4] for row in rows] == [
+        [i, b, s, metric] for b in ("12", "20", "62")
+        for s in (stableshap.ST_SHAP, stableshap.KERNEL_SHAP)
+        for metric in ("jaccard", "rel_err_exact", "kendall_tau_exact", "adherence")
+        for i in ("0", "1", "mean")]
+    got = {tuple(row[:4]): float(row[4]) for row in rows}
+    for (i, b, s, metric), value in got.items():
+        low, high = {"rel_err_exact": (0.0, np.inf), "kendall_tau_exact": (-1.0, 1.0)}.get(
+            metric, (0.0, 1.0))
+        assert low <= value <= high, (i, b, s, metric)
+        if i == "mean":
+            assert value == np.mean([got["0", b, s, metric], got["1", b, s, metric]])
+    for i in ("0", "1", "mean"):
+        assert got[i, "12", stableshap.ST_SHAP, "jaccard"] == 1.0
+        assert got[i, "62", stableshap.ST_SHAP, "rel_err_exact"] < 1e-12
+        assert got[i, "62", stableshap.ST_SHAP, "kendall_tau_exact"] == 1.0
     assert capsys.readouterr().out.splitlines()[-1] == f"wrote {out}"
+
+
+@pytest.mark.parametrize("argv", [["--instances", "0"], ["--runs", "1"],
+                                  ["--explanation-size", "0"], ["--explanation-size", "7"],
+                                  ["--budgets", "12,1"], ["--background-size", "0"],
+                                  ["--features", "1"], ["--features", "21"]])
+def test_stability_sweep_refuses_meaningless_arguments(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    sweep = importlib.import_module("stability_sweep")
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        sweep.main([str(out), "--features", "6", *argv])
+    assert exc.value.code == 2
+    assert argv[0] in capsys.readouterr().err.splitlines()[-1]
+    assert not out.exists()
 
 
 def test_every_traced_target_resolves():
