@@ -18,7 +18,9 @@ undefined, and the run exits 1 naming the instance row and route:
 budget 8 on one whose layer-1 payoffs are all equal. Then one `explain` on a dataset with a `nan`
 and an `inf` cell, one on a dataset whose header names a column twice, and
 `compare-exact` on 21 features (past the exact oracle's cap). `stability`
-runs once with `--runs 3`. Last, config values that make no run: a negative
+runs once with `--runs 3`, and `explain` and `adherence` run on k-NN from a
+config holding `{"explanation_size": null}`, so that their runs keep the
+full-length fits. Last, config values that make no run: a negative
 `--split-seed` or `--background-size`, a `task` that is neither regression
 nor classification (under `adherence`), an encoded value that is not a
 number, `compare-exact --runs 2`, and an `--instances` row or a `--budgets`
@@ -199,6 +201,12 @@ def main():
     run_case("stability_knn_runs3", ["stability", "--dataset", "data/knn.csv",
                                      "--target", "target", "--model", "knn", *SHARED,
                                      "--runs", "3"])
+    # full-length fits, which only a config file can ask for
+    Path("data/dense.json").write_text('{"explanation_size": null}')
+    for command in ("explain", "adherence"):
+        run_case(f"{command}_knn_dense", [command, "--config", "data/dense.json",
+                                          "--dataset", "data/knn.csv", "--target", "target",
+                                          "--model", "knn", "--strategy", "both", *SHARED])
     ridge = ["--dataset", "data/ridge.csv", "--target", "target", *SHARED]
     # config values that make no run: each is refused with exit code 2
     run_case("explain_ridge_split_seed_negative", ["explain", *ridge, "--split-seed", "-1"])

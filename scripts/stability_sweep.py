@@ -2,30 +2,38 @@
 """Budget sweep of the two sampling strategies against the exact values.
 
 Uses the nonlinear built-in k-NN classifier, where surrogate coefficients
-genuinely depend on which coalitions get sampled. Run r of instance i is
-seeded by derive_seed(seed, i, budget, r): one full-length fit phi and its
-top-k re-fit. Per (budget, strategy) and metric, the CLI's CSV layout holds
-one row per instance, then a `mean` row: `jaccard` of the runs' top-k
-supports, and the runs' mean `rel_err_exact` (||phi - exact|| / ||exact||),
-`kendall_tau_exact` (tau(exact, phi)) and `adherence` (the top-k surrogate's,
-classification, on its own coalitions). Layer-1 is st-shap at b = 2M, bit for
-bit. README quotes the defaults' CSVs at seeds 0 and 1.
+genuinely depend on which coalitions get sampled. Each instance runs as in
+the CLI: a new adapter, its exact values, then its routes through `cli.runs`
+(run r seeded by derive_seed(seed, i, budget, r)), each run giving one
+full-length fit phi and its top-k re-fit. Per (budget, strategy) and metric,
+`cli.metric_rows` writes one row per instance, then a `mean` row: `jaccard`
+of the runs' top-k supports, and the runs' mean `rel_err_exact`
+(||phi - exact|| / ||exact||), `kendall_tau_exact` (tau(exact, phi)) and
+`adherence` (the top-k surrogate's, classification, on its own coalitions).
+Layer-1 is st-shap at b = 2M, bit for bit. README quotes the defaults' CSVs
+at seeds 0 and 1. A toolkit error, such as a budget too small to fit, ends
+the sweep with exit code 1 and no CSV, as it ends `stableshap stability`.
 """
 
 import argparse
 import csv
+import sys
+from functools import partial
 
 import numpy as np
 
 import stableshap as ss
-from stableshap.cli import CSV_HEADER, derive_seed
+# cli's names are read at call time: grid.py imports knn_recipe from here
+# under an older revision's src/, which may not have them
+from stableshap import cli
 from stableshap.coalitions import complete_layer_budgets
+from stableshap.errors import StableShapError
 from stableshap.exact import CAP
-from stableshap.explainer import explain_with_training_set, sparsify
 from stableshap.metrics import CLASSIFICATION, adherence
 from stableshap.sampling import validate_budget
 
 METRICS = ("jaccard", "rel_err_exact", "kendall_tau_exact", "adherence")
+TAU = partial(ss.kendall_tau, names=("the exact attribution", "the full-length fit"))
 
 
 def knn_recipe(features, instances, background_size, seed):
@@ -49,26 +57,6 @@ def default_budgets(m):
     # nothing near 10: at M = 13 such budgets leave the fit underdetermined
     ragged = [50, 100, 200, 500, 1000]
     return sorted(set(complete + [b for b in ragged if b <= 2**m - 2]))
-
-
-def route_metrics(instances, models, exacts, background, strategy, budget, runs,
-                  explanation_size, seed):
-    """{metric: one value per instance} for each of METRICS, instance i
-    explained by models[i] and judged against its exact values exacts[i]."""
-    out = {metric: [] for metric in METRICS}
-    for idx, (x, model, exact) in enumerate(zip(instances, models, exacts)):
-        per_run = []
-        for run in range(runs):
-            dense, cset, values = explain_with_training_set(
-                x, model, background, strategy, budget, derive_seed(seed, idx, budget, run))
-            top, phi = sparsify(dense, explanation_size, cset, values), dense.phi_array()
-            error = np.linalg.norm(phi - exact) / np.linalg.norm(exact)
-            per_run.append((set(top.support), error, ss.kendall_tau(exact, phi),
-                            adherence(cset, values, top, CLASSIFICATION)))
-        supports, *scores = zip(*per_run)
-        for metric, value in zip(METRICS, (ss.jaccard_n(supports), *map(np.mean, scores))):
-            out[metric].append(float(value))
-    return out
 
 
 def main(argv=None):
@@ -95,7 +83,9 @@ def main(argv=None):
     if not 1 <= args.explanation_size <= m:
         parser.error(f"--explanation-size {args.explanation_size} outside 1..{m}")
     budgets = args.budgets or default_budgets(m)
-    for budget in budgets:
+    for i, budget in enumerate(budgets):
+        if budget in budgets[:i]:  # it would count twice in a mean
+            parser.error(f"--budgets repeats {budget}")
         try:
             validate_budget(m, budget)
         except ValueError as exc:
@@ -103,25 +93,42 @@ def main(argv=None):
 
     knn, background, instances = knn_recipe(m, args.instances,
                                             args.background_size, args.seed)
-    # one adapter per instance, exact values first: their 2^M walk fills the memo every run reads
-    models = [ss.ClassProbabilityModel(knn, knn.predicted_class(x)) for x in instances]
-    exacts = [ss.exact_shap(x, model, background).phi_array()
-              for x, model in zip(instances, models)]
+    cfg = cli.RunConfig(runs=args.runs, explanation_size=args.explanation_size,
+                        master_seed=args.seed)
+    routes = [(strategy, budget) for budget in budgets for strategy in (ss.ST_SHAP, ss.KERNEL_SHAP)]
 
-    rows = []
-    for budget in budgets:
-        for strategy in (ss.ST_SHAP, ss.KERNEL_SHAP):
-            for metric, values in route_metrics(
-                    instances, models, exacts, background, strategy, budget,
-                    args.runs, args.explanation_size, args.seed).items():
-                mean = float(np.mean(values))
-                rows += [[i, budget, strategy, metric, repr(v)] for i, v in enumerate(values)]
-                rows.append(["mean", budget, strategy, metric, repr(mean)])
-                print(f"budget={budget:5d} {strategy:>11}: mean {metric} {mean:.3f}")
+    def instance_metrics(i, x):
+        # one adapter, exact values first: their 2^M walk fills the memo every run reads
+        model = ss.ClassProbabilityModel(knn, knn.predicted_class(x))
+        exact = ss.exact_shap(x, model, background).phi_array()
+        out = []
+        for strategy, budget in routes:
+            per_run = []
+            for dense, top, cset, values in cli.runs(cfg, background, i, x, model,
+                                                     strategy, budget):
+                phi = dense.phi_array()
+                error = np.linalg.norm(phi - exact) / np.linalg.norm(exact)
+                per_run.append((set(top.support), error,
+                                cli._score(TAU, i, strategy, budget, exact, phi),
+                                cli._score(adherence, i, strategy, budget, cset, values, top,
+                                           CLASSIFICATION)))
+            supports, *scores = zip(*per_run)
+            out.append({metric: float(value) for metric, value in
+                        zip(METRICS, (ss.jaccard_n(supports), *map(np.mean, scores)))})
+        return out
+
+    try:
+        results = [instance_metrics(i, x) for i, x in enumerate(instances)]
+    except StableShapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(1) from None
+    rows = cli.metric_rows(range(len(instances)), routes, results)
+    for _, budget, strategy, metric, mean in (row for row in rows if row[0] == "mean"):
+        print(f"budget={budget:5d} {strategy:>11}: mean {metric} {float(mean):.3f}")
 
     with open(args.output, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
+        writer.writerow(cli.CSV_HEADER)
         writer.writerows(rows)
     print(f"wrote {args.output}")
 

@@ -38,7 +38,7 @@ from .errors import (
     StableShapError,
     UndefinedMetricError,
 )
-from .explainer import LAYER1, explain, explain_with_training_set, plan_for
+from .explainer import LAYER1, explain, explain_with_training_set, plan_for, sparsify
 from .games import SyntheticGame
 from .layer1 import layer1_attribution
 from .models import (
@@ -381,20 +381,32 @@ class RunWriter:
 
 
 # ---------------------------------------------------------------------------
-# shared run loop
+# shared run loop and metric layout
 
 
-def _attribution(wiring: Wiring, strategy: str, budget: int | None,
-                 row_id: int, x, model, run: int = 0,
-                 explanation_size: int | None = None):
+def runs(cfg: RunConfig, background, row_id: int, x, model, strategy: str, budget: int):
+    """The ``cfg.runs`` seeded runs of one sampled route on one instance.
+
+    Run r is seeded by ``derive_seed(cfg.master_seed, row_id, budget, r)`` and
+    yields (full-length fit, fit at ``cfg.explanation_size``, coalition set,
+    payoffs); the second fit is the first when the size is None.
+    """
+    size = cfg.explanation_size
+    for run in range(cfg.runs):
+        seed = derive_seed(cfg.master_seed, row_id, budget, run)
+        dense, cset, values = explain_with_training_set(x, model, background, strategy,
+                                                        budget, seed)
+        yield dense, dense if size is None else sparsify(dense, size, cset, values), cset, values
+
+
+def _attribution(wiring: Wiring, strategy: str, budget: int | None, row_id: int, x, model):
+    """A route's one full-length attribution: compare-exact's, and explain's layer-1."""
     if strategy == EXACT:
         return exact.exact_shap(x, model, wiring.background)
     if strategy == LAYER1:
-        # always full-length: --explanation-size does not apply to layer-1
         return layer1_attribution(x, model, wiring.background)
-    seed = derive_seed(wiring.cfg.master_seed, row_id, budget, run)
-    return explain(x, model, wiring.background, strategy, budget, seed,
-                   explanation_size=explanation_size)
+    seed = derive_seed(wiring.cfg.master_seed, row_id, budget, 0)
+    return explain(x, model, wiring.background, strategy, budget, seed)
 
 
 def _score(metric, row_id: int, strategy: str, budget: int | None, *args) -> float:
@@ -446,15 +458,24 @@ def _sweep(args, per_route):
     return wiring, writer, routes, results
 
 
-def _metric_csv(args, name: str, metric: str, per_route) -> int:
-    """Route-major CSV of one scalar per (route, instance), plus each route's mean."""
-    wiring, writer, routes, results = _sweep(args, per_route)
+def metric_rows(row_ids, routes, results) -> list[list]:
+    """Route-major metric CSV rows: per route and metric, one row per instance,
+    then the instances' mean. ``results[i][k]`` maps each metric to instance
+    ``row_ids[i]``'s value on route k."""
     rows = []
     for k, (strategy, budget) in enumerate(routes):
-        values = [per_instance[k] for per_instance in results]
-        rows.extend([row_id, budget, strategy, metric, repr(v)]
-                    for (row_id, _), v in zip(wiring.instances, values))
-        rows.append(["mean", budget, strategy, metric, repr(float(np.mean(values)))])
+        for metric in results[0][k]:
+            values = [per_instance[k][metric] for per_instance in results]
+            rows.extend([row_id, budget, strategy, metric, repr(v)]
+                        for row_id, v in zip(row_ids, values))
+            rows.append(["mean", budget, strategy, metric, repr(float(np.mean(values)))])
+    return rows
+
+
+def _metric_csv(args, name: str, per_route) -> int:
+    """The CSV of ``metric_rows``, ``per_route`` giving {metric: value}."""
+    wiring, writer, routes, results = _sweep(args, per_route)
+    rows = metric_rows([row_id for row_id, _ in wiring.instances], routes, results)
     print(writer.write_csv(name, CSV_HEADER, rows))
     return 0
 
@@ -511,10 +532,9 @@ def cmd_explain(args) -> int:
             e = _attribution(wiring, strategy, None, row_id, x, model)
             return [(f"row{row_id}_{strategy}", {"instance_row": row_id} | e.to_json_dict())]
         return [(f"row{row_id}_{strategy}_b{budget}_r{run}",
-                 {"instance_row": row_id, "run": run}
-                 | _attribution(wiring, strategy, budget, row_id, x, model, run,
-                                wiring.cfg.explanation_size).to_json_dict())
-                for run in range(wiring.cfg.runs)]
+                 {"instance_row": row_id, "run": run} | e.to_json_dict())
+                for run, (_, e, *_) in enumerate(runs(wiring.cfg, wiring.background, row_id,
+                                                      x, model, strategy, budget))]
 
     _, writer, _, results = _sweep(args, payloads)
     for per_instance in results:
@@ -526,27 +546,21 @@ def cmd_explain(args) -> int:
 
 def cmd_stability(args) -> int:
     def jaccard(wiring, row_id, x, model, strategy, budget):
-        size = wiring.cfg.explanation_size
-        return metrics.jaccard_n(
-            [set(_attribution(wiring, strategy, budget, row_id, x, model, run, size).support)
-             for run in range(wiring.cfg.runs)])
+        return {"jaccard": metrics.jaccard_n(
+            [set(e.support) for _, e, *_ in runs(wiring.cfg, wiring.background, row_id,
+                                                 x, model, strategy, budget)])}
 
-    return _metric_csv(args, "stability", "jaccard", jaccard)
+    return _metric_csv(args, "stability", jaccard)
 
 
 def cmd_adherence(args) -> int:
     def adherence(wiring, row_id, x, model, strategy, budget):
-        cfg = wiring.cfg
-        scores = []
-        for run in range(cfg.runs):
-            seed = derive_seed(cfg.master_seed, row_id, budget, run)
-            e, cset, values = explain_with_training_set(
-                x, model, wiring.background, strategy, budget, seed, cfg.explanation_size)
-            scores.append(_score(metrics.adherence, row_id, strategy, budget,
-                                 cset, values, e, wiring.task))
-        return float(np.mean(scores))
+        return {"adherence": float(np.mean(
+            [_score(metrics.adherence, row_id, strategy, budget, cset, values, e, wiring.task)
+             for _, e, cset, values in runs(wiring.cfg, wiring.background, row_id,
+                                            x, model, strategy, budget)]))}
 
-    return _metric_csv(args, "adherence", "adherence", adherence)
+    return _metric_csv(args, "adherence", adherence)
 
 
 def cmd_compare_exact(args) -> int:

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import stableshap as ss
-from stableshap.cli import derive_seed, layers_report
+from stableshap.cli import RunConfig, layers_report, runs
 from stableshap.coalitions import complete_layer_budgets, layer_size
 from stableshap.metrics import adherence
 from stableshap.sampling import materialize, plan_st_shap
@@ -84,13 +84,10 @@ def test_criterion_02_complete_layer_determinism():
     for m in (8, 13, 15):
         model = ss.GameModel(_mixed_game(m, seed=m))
         for _, budget in complete_layer_budgets(m):
-            runs = [
-                ss.explain(None, model, None, ss.ST_SHAP, budget,
-                           seed=derive_seed(0, 0, budget, r), explanation_size=4)
-                for r in range(20)
-            ]
-            jac = ss.jaccard_n([set(r.support) for r in runs])
-            identical = len({r.phis for r in runs}) == 1
+            fits = [e for _, e, *_ in runs(RunConfig(runs=20), None, 0, None, model,
+                                           ss.ST_SHAP, budget)]
+            jac = ss.jaccard_n([set(e.support) for e in fits])
+            identical = len({e.phis for e in fits}) == 1
             if jac != 1.0 or not identical:
                 ok = False
                 worst_detail = f"M={m} budget={budget}: jaccard={jac}, identical={identical}"
@@ -123,8 +120,8 @@ def test_criterion_04_full_budget_matches_exact_oracle():
     for _ in range(50):
         m = int(rng.integers(3, 11))
         game = random_table_game(rng, m, v_empty=float(rng.normal()))
-        e = ss.explain(None, ss.GameModel(game), None, ss.ST_SHAP,
-                       budget=2**m - 2, seed=int(rng.integers(2**32)))
+        cfg = RunConfig(runs=1, explanation_size=None, master_seed=int(rng.integers(2**32)))
+        e, *_ = next(runs(cfg, None, 0, None, ss.GameModel(game), ss.ST_SHAP, 2**m - 2))
         exact = ss.exact_shap_game(game)
         worst = max(worst, float(np.abs(e.phi_array() - exact.phi_array()).max()))
     elapsed = time.perf_counter() - t0
@@ -211,13 +208,12 @@ def test_criterion_07_additive_model_closed_form():
         expected = w * (x - bg.mean(axis=0))
 
         e_layer1 = ss.layer1_attribution(x, model, bg)
-        e_full = ss.explain(x, model, bg, ss.ST_SHAP, budget=2**m - 2, seed=1)
+        e_full, _, cset, values = next(runs(RunConfig(runs=1, explanation_size=None), bg,
+                                            0, x, model, ss.ST_SHAP, 2**m - 2))
         exact = ss.exact_shap(x, model, bg)
         for phis in (e_layer1.phi_array(), e_full.phi_array(), exact.phi_array()):
             worst = max(worst, float(np.abs(phis - expected).max()))
 
-        cset = materialize(plan_st_shap(m, 2**m - 2, seed=1))
-        values = evaluate_batch(cset.masks, x, bg, model)
         adh = adherence(cset, values, e_full, "regression")
         worst_adherence = min(worst_adherence, adh)
     elapsed = time.perf_counter() - t0
@@ -243,12 +239,11 @@ def test_criterion_08_local_accuracy_sweep():
     n_checked = 0
     for strategy in (ss.ST_SHAP, ss.KERNEL_SHAP):
         for budget in (10, 50, 100, 500, 2**m - 2):
-            for k in (None, 4):
-                e = ss.explain(x, model, bg, strategy, budget,
-                               seed=derive_seed(8, 0, budget, 0),
-                               explanation_size=k)
-                worst = max(worst, e.local_accuracy_gap())
-                n_checked += 1
+            # one run: its full-length fit and its top-4 re-fit
+            for dense, top, *_ in runs(RunConfig(runs=1, master_seed=8), bg, 0, x, model,
+                                       strategy, budget):
+                worst = max(worst, dense.local_accuracy_gap(), top.local_accuracy_gap())
+                n_checked += 2
     e = ss.layer1_attribution(x, model, bg)
     worst = max(worst, e.local_accuracy_gap())
     n_checked += 1
@@ -292,15 +287,13 @@ def test_criterion_10_stability_trend():
     model = ss.RidgeRegressionModel.fit(X[:300], y[:300])
     background = X[300:325]
     instances = X[360:370]
-    # a linear model's exact values in closed form; only route_metrics's jaccard is read here
-    exacts = [model.coef * (x - background.mean(axis=0)) for x in instances]
 
+    cfg = RunConfig(runs=20, master_seed=7)  # top-4 supports
     lines = []
     ok = True
     for budget in (50, 100, 200, 500):
-        st, ks = (np.mean(_script("stability_sweep").route_metrics(
-            instances, [model] * len(instances), exacts, background, strategy, budget,
-            runs=20, explanation_size=4, seed=7)["jaccard"])
+        st, ks = (np.mean([ss.jaccard_n([set(e.support) for _, e, *_ in runs(
+            cfg, background, i, x, model, strategy, budget)]) for i, x in enumerate(instances)])
             for strategy in (ss.ST_SHAP, ss.KERNEL_SHAP))
         ok = ok and 0.0 <= ks <= 1.0 and 0.0 <= st <= 1.0 and st >= ks
         lines.append(f"b={budget}: st={st:.3f} >= ks={ks:.3f}")

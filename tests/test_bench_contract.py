@@ -290,7 +290,8 @@ def test_stability_sweep_writes_every_metric_per_instance_and_mean(tmp_path, mon
 
 @pytest.mark.parametrize("argv", [["--instances", "0"], ["--runs", "1"],
                                   ["--explanation-size", "0"], ["--explanation-size", "7"],
-                                  ["--budgets", "12,1"], ["--background-size", "0"],
+                                  ["--budgets", "12,1"], ["--budgets", "12,20,12"],
+                                  ["--background-size", "0"],
                                   ["--features", "1"], ["--features", "21"]])
 def test_stability_sweep_refuses_meaningless_arguments(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
@@ -300,6 +301,28 @@ def test_stability_sweep_refuses_meaningless_arguments(tmp_path, monkeypatch, ca
         sweep.main([str(out), "--features", "6", *argv])
     assert exc.value.code == 2
     assert argv[0] in capsys.readouterr().err.splitlines()[-1]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,error", [
+    # 4 coalitions cannot determine 6 coefficients summing to f(x) - phi0
+    (["--features", "6", "--instances", "2", "--budgets", "4"],
+     "the coalitions determine 3 of 5 free coefficients (strategy=st-shap budget=4 n=4 M=6)"),
+    # at this seed both features' exact values are 0.3
+    (["--features", "2", "--instances", "1", "--background-size", "1", "--budgets", "2",
+      "--explanation-size", "1", "--seed", "3"],
+     "instance row 0, st-shap at budget 2: rank correlation undefined: "
+     "the exact attribution is constant"),
+])
+def test_stability_sweep_ends_a_toolkit_error_with_exit_1(tmp_path, monkeypatch, capsys,
+                                                          argv, error):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    sweep = importlib.import_module("stability_sweep")
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        sweep.main([str(out), "--runs", "2", *argv])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
     assert not out.exists()
 
 

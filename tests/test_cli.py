@@ -13,6 +13,9 @@ import pytest
 
 from stableshap import cli
 from stableshap.cli import RunConfig, main, wire
+from stableshap.explainer import explain
+from stableshap.models import ClassProbabilityModel, KNNClassifierModel, RidgeRegressionModel
+from stableshap.sampling import KERNEL_SHAP, ST_SHAP
 
 from conftest import NON_FINITE_GAME_SPECS
 
@@ -223,22 +226,48 @@ class TestRunCommands:
                 outputs[workers] = _read_metric_rows(out / "metrics" / printed[0])
         assert outputs["1"] and outputs["1"] == outputs["3"]
 
-    def test_stability_runs_sets_the_runs_per_route(self, reg_csv, tmp_path, monkeypatch):
-        calls, explain = [], cli.explain
+    @pytest.mark.parametrize("command", ["explain", "stability", "adherence"])
+    def test_runs_sets_the_runs_per_route(self, command, reg_csv, tmp_path, monkeypatch):
+        calls, fit = [], cli.explain_with_training_set
 
-        def counted(x, model, background, strategy, budget, seed, **kwargs):
+        def counted(x, model, background, strategy, budget, seed, *args):
             calls.append(strategy)
-            return explain(x, model, background, strategy, budget, seed, **kwargs)
+            return fit(x, model, background, strategy, budget, seed, *args)
 
-        monkeypatch.setattr(cli, "explain", counted)
+        monkeypatch.setattr(cli, "explain_with_training_set", counted)
         out = tmp_path / "run"
         assert main([
-            "stability", "--dataset", str(reg_csv), "--target", "target",
+            command, "--dataset", str(reg_csv), "--target", "target", "--strategy", "both",
             "--runs", "3", "--budgets", "20", "--n-instances", "1",
             "--background-size", "8", "--output", str(out),
         ]) == 0
         assert sorted(calls) == ["kernel-shap"] * 3 + ["st-shap"] * 3
         assert json.loads((out / "config.resolved.json").read_text())["runs"] == 3
+
+    @pytest.mark.parametrize("adapter", ["ridge", "knn"])
+    def test_runs_fit_as_explain_does(self, adapter):
+        # the loop's full-length and top-4 fits are explain's at sizes None and 4,
+        # bit for bit: the loop on one adapter, explain on a twin fed the same requests
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(70, M_REG))
+        background, x = X[60:68], X[69]
+        if adapter == "ridge":
+            ridge = RidgeRegressionModel.fit(X[:60], X[:60] @ np.linspace(1.0, 2.0, M_REG))
+            looped, twin = (RidgeRegressionModel(ridge.coef, ridge.intercept) for _ in "ab")
+        else:
+            knn = KNNClassifierModel(X[:60], (X[:60, 0] * X[:60, 1] > 0).astype(int), k=5)
+            looped, twin = (ClassProbabilityModel(knn, knn.predicted_class(x)) for _ in "ab")
+        cfg = RunConfig(runs=2, master_seed=3)
+        for strategy in (KERNEL_SHAP, ST_SHAP):
+            for budget in (12, 20):  # layer 1 complete, and ragged
+                fits = cli.runs(cfg, background, 9, x, looped, strategy, budget)
+                for run, (dense, top, *_) in enumerate(fits):
+                    seed = cli.derive_seed(3, 9, budget, run)
+                    for got, size in ((dense, None), (top, 4)):
+                        want = explain(x, twin, background, strategy, budget, seed,
+                                       explanation_size=size)
+                        assert got == want
+                        assert np.array(got.phis).tobytes() == np.array(want.phis).tobytes()
 
     @pytest.mark.parametrize("command,config,runs", [
         ("explain", {}, 1), ("stability", {}, 20), ("adherence", {}, 1),
